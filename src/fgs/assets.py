@@ -27,7 +27,6 @@ class TaskDef:
     task_id: str
     task_type: str
     tools: tuple[str, ...]
-    adaptability: bool = False
 
     @property
     def domain_file(self) -> str:
@@ -47,9 +46,9 @@ TASKS: dict[str, TaskDef] = {
         TaskDef("cooking_ladle", "cooking", ("ladle",)),
         TaskDef("cleaning_rake", "cleaning", ("rake",)),
         TaskDef("cleaning_squeegee", "cleaning", ("squeegee",)),
-        TaskDef("woodworking_either", "woodworking", ("hammer", "screwdriver"), adaptability=True),
-        TaskDef("cooking_either", "cooking", ("spatula", "ladle"), adaptability=True),
-        TaskDef("cleaning_either", "cleaning", ("rake", "squeegee"), adaptability=True),
+        TaskDef("woodworking_either", "woodworking", ("hammer", "screwdriver")),
+        TaskDef("cooking_either", "cooking", ("spatula", "ladle")),
+        TaskDef("cleaning_either", "cleaning", ("rake", "squeegee")),
     )
 }
 

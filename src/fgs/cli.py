@@ -18,7 +18,7 @@ from . import __version__
 from .assets import DATA_DIR_ENV
 from .bench import ExperimentConfig, emit_report, run_experiment
 from .episode import run_adaptability_episode, run_episode
-from .errors import ConfigError, FgsError, GroundingError, PddlParseError, ValidationError
+from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
 from .pddl import parse_domain, parse_problem
@@ -229,9 +229,6 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (PddlParseError, ValidationError, GroundingError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FgsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -107,6 +107,8 @@ def run_episode(
     further search is launched."""
     if trust_policy not in ("fixed_true", "switchable"):
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
+    if budget is not None and budget < 0:
+        raise ConfigError(f"budget must be non-negative, got {budget}")
     _check_alignment(gp, scenario)
     params = params or ScoreParams()
     profiles = sense(scenario, noise_on)

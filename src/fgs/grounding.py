@@ -9,6 +9,7 @@ ordered permutation); other parameters may repeat freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import GroundingError
@@ -41,8 +42,27 @@ class GroundProblem:
     goal_pos: frozenset[int] = frozenset()
     goal_neg: frozenset[int] = frozenset()
 
-    def atom_name(self, idx: int) -> str:
-        return "(" + " ".join(self.atoms[idx]) + ")"
+    @cached_property
+    def consumers(self) -> tuple[tuple[int, ...], ...]:
+        """Per atom, the indices of actions with it as a positive precondition."""
+        return self._index_by_atom(lambda act: act.pre_pos)
+
+    @cached_property
+    def achievers(self) -> tuple[tuple[int, ...], ...]:
+        """Per atom, the indices of actions that add it, in ascending order."""
+        return self._index_by_atom(lambda act: act.adds)
+
+    @cached_property
+    def precondition_free(self) -> tuple[int, ...]:
+        """Indices of actions with no positive precondition."""
+        return tuple(idx for idx, act in enumerate(self.actions) if not act.pre_pos)
+
+    def _index_by_atom(self, atoms_of) -> tuple[tuple[int, ...], ...]:
+        index: list[list[int]] = [[] for _ in self.atoms]
+        for idx, act in enumerate(self.actions):
+            for atom in atoms_of(act):
+                index[atom].append(idx)
+        return tuple(map(tuple, index))
 
     def state_atoms(self, state: State) -> frozenset[Atom]:
         return frozenset(self.atoms[i] for i in state)

@@ -2,7 +2,8 @@
 
 All estimates work on the delete relaxation: negative preconditions and
 negative goal literals are treated as satisfied, which keeps h_max a lower
-bound on true cost. Unit action costs throughout.
+bound on true cost. Unit action costs throughout. One layered exploration,
+relaxed_exploration, backs h_max, h_add, FF and landmark discovery.
 
 The landmark heuristic counts discovered-but-unachieved landmarks plus goal
 landmarks that were achieved and then undone (required again); landmark
@@ -42,10 +43,46 @@ class ZeroHeuristic(Heuristic):
         return 0.0, None
 
 
-class _RelaxationHeuristic(Heuristic):
-    """Fixpoint cost propagation in the delete relaxation."""
+def relaxed_exploration(
+    gp: GroundProblem, state: State, banned: int | None = None, goal: frozenset[int] | None = None
+) -> tuple[dict[int, int], list[int]]:
+    """Layered delete-relaxed reachability from *state*.
 
-    combine = None  # max or sum over precondition costs
+    Returns the first level of every reached atom (0 for atoms of *state*)
+    and the indices of the actions that fired, layer by layer. An action
+    fires in the layer after its last precondition is reached, so only the
+    consumers of newly reached atoms are tested (semi-naive evaluation).
+    *banned* is struck from every add list. With *goal*, exploration stops
+    at the first layer holding every goal atom; otherwise it runs to the
+    fixpoint. Under unit cost an atom's level is its h_max cost.
+    """
+    actions = gp.actions
+    consumers = gp.consumers
+    level_of = dict.fromkeys(state, 0)
+    reached = set(state)
+    fired_order: list[int] = []
+    candidates = set(gp.precondition_free)
+    for atom in state:
+        candidates.update(consumers[atom])
+    level = 0
+    while candidates and not (goal is not None and goal <= reached):
+        level += 1
+        new: list[int] = []
+        for idx in candidates:
+            act = actions[idx]
+            if act.pre_pos <= reached:
+                fired_order.append(idx)
+                for f in act.adds:
+                    if f not in level_of and f != banned:
+                        level_of[f] = level
+                        new.append(f)
+        reached.update(new)
+        candidates = {idx for f in new for idx in consumers[f]}
+    return level_of, fired_order
+
+
+class _RelaxationHeuristic(Heuristic):
+    """Memoised estimate read off one relaxed exploration per state."""
 
     def __init__(self, gp: GroundProblem):
         super().__init__(gp)
@@ -54,148 +91,88 @@ class _RelaxationHeuristic(Heuristic):
     def evaluate(self, state, parent_ctx=None):
         h = self._cache.get(state)
         if h is None:
-            h = self._propagate(state)
+            h = 0.0 if self.gp.goal_pos <= state else self._estimate(state)
             self._cache[state] = h
         return h, None
 
-    def _propagate(self, state: State) -> float:
-        costs = {atom: 0.0 for atom in state}
-        actions = self.gp.actions
-        changed = True
-        while changed:
-            changed = False
-            for act in actions:
-                pre = act.pre_pos
-                if not pre <= costs.keys():
-                    continue
-                base = self.combine(costs[p] for p in pre) if pre else 0.0
-                new = base + act.base_cost
-                for f in act.adds:
-                    if costs.get(f, INF) > new:
-                        costs[f] = new
-                        changed = True
-        goal = self.gp.goal_pos
-        if not goal:
-            return 0.0
-        if not goal <= costs.keys():
-            return INF
-        return self.combine(costs[g] for g in goal)
+    def _estimate(self, state: State) -> float:
+        raise NotImplementedError
 
 
 class MaxHeuristic(_RelaxationHeuristic):
     name = "hmax"
-    combine = staticmethod(max)
+
+    def _estimate(self, state):
+        goal = self.gp.goal_pos
+        level_of, _ = relaxed_exploration(self.gp, state, goal=goal)
+        if not goal <= level_of.keys():
+            return INF
+        return float(max(level_of[g] for g in goal))
 
 
 class AddHeuristic(_RelaxationHeuristic):
     name = "hadd"
-    combine = staticmethod(sum)
+
+    def _estimate(self, state):
+        gp = self.gp
+        level_of, fired_order = relaxed_exploration(gp, state)
+        if not gp.goal_pos <= level_of.keys():
+            return INF
+        # Layer order puts every precondition's first achiever before its
+        # consumers, so one sweep prices every atom and later sweeps only
+        # lower prices until the fixpoint.
+        cost = dict.fromkeys(state, 0.0)
+        actions = gp.actions
+        changed = True
+        while changed:
+            changed = False
+            for idx in fired_order:
+                act = actions[idx]
+                new = 1.0 + sum(cost[p] for p in act.pre_pos)
+                for f in act.adds:
+                    if new < cost.get(f, INF):
+                        cost[f] = new
+                        changed = True
+        return sum(cost[g] for g in gp.goal_pos)
 
 
-@dataclass
-class RelaxedPlanningGraph:
-    """Leveled delete-relaxed graph: cumulative fact/action layers plus the
-    first level of each fact and action."""
-
-    fact_layers: list[frozenset[int]]
-    action_layers: list[frozenset[int]]
-    fact_level: dict[int, int]
-    action_level: dict[int, int]
-
-
-def build_rpg(gp: GroundProblem, state: State) -> RelaxedPlanningGraph:
-    """Grow fact/action layers until the goal appears or a fixpoint."""
-    fact_level: dict[int, int] = {f: 0 for f in state}
-    action_level: dict[int, int] = {}
-    facts = set(state)
-    fact_layers = [frozenset(facts)]
-    action_layers: list[frozenset[int]] = []
-    level = 0
-    while True:
-        if gp.goal_pos <= facts:
-            break
-        new_actions = []
-        for idx, act in enumerate(gp.actions):
-            if idx in action_level:
-                continue
-            if act.pre_pos <= facts:
-                action_level[idx] = level
-                new_actions.append(idx)
-        action_layers.append(frozenset(a for a, lv in action_level.items() if lv <= level))
-        grew = False
-        for idx in new_actions:
-            for f in gp.actions[idx].adds:
-                if f not in fact_level:
-                    fact_level[f] = level + 1
-                    facts.add(f)
-                    grew = True
-        fact_layers.append(frozenset(facts))
-        level += 1
-        if not grew:
-            break
-    return RelaxedPlanningGraph(fact_layers, action_layers, fact_level, action_level)
-
-
-class FFHeuristic(Heuristic):
+class FFHeuristic(_RelaxationHeuristic):
     """Length of a greedily extracted relaxed plan, or inf when the goal is
     unreachable even with deletes ignored."""
 
     name = "ff"
 
-    def __init__(self, gp: GroundProblem):
-        super().__init__(gp)
-        self._cache: dict[State, float] = {}
-
-    def evaluate(self, state, parent_ctx=None):
-        h = self._cache.get(state)
-        if h is None:
-            h = self._ff(state)
-            self._cache[state] = h
-        return h, None
-
-    def _ff(self, state: State) -> float:
+    def _estimate(self, state):
         gp = self.gp
-        if gp.goal_pos <= state:
-            return 0.0
-        rpg = build_rpg(gp, state)
-        if not gp.goal_pos <= rpg.fact_level.keys():
+        actions = gp.actions
+        level_of, _ = relaxed_exploration(gp, state, goal=gp.goal_pos)
+        if not gp.goal_pos <= level_of.keys():
             return INF
-        max_level = max(rpg.fact_level[g] for g in gp.goal_pos)
+        max_level = max(level_of[g] for g in gp.goal_pos)
         needed: dict[int, set[int]] = {lv: set() for lv in range(max_level + 1)}
         for g in gp.goal_pos:
-            needed[rpg.fact_level[g]].add(g)
-        chosen: set[int] = set()
-        satisfied: set[int] = set(state)
+            needed[level_of[g]].add(g)
+        plan_length = 0
         for level in range(max_level, 0, -1):
+            # A supporter acts one layer below the facts it is chosen for, so
+            # its add effects cover only needs at this level; a need at a
+            # lower level gets its own supporter.
+            covered: set[int] = set()
             for fact in sorted(needed[level]):
-                if fact in satisfied:
+                if fact in covered:
                     continue
-                supporter = self._pick_supporter(fact, level, rpg)
-                if supporter in chosen:
-                    satisfied.update(gp.actions[supporter].adds)
-                    continue
-                chosen.add(supporter)
-                satisfied.update(gp.actions[supporter].adds)
-                for p in gp.actions[supporter].pre_pos:
-                    lv = rpg.fact_level[p]
-                    if lv > 0 and p not in satisfied:
-                        needed[lv].add(p)
-        return float(len(chosen))
-
-    def _pick_supporter(self, fact: int, level: int, rpg: RelaxedPlanningGraph) -> int:
-        # Ties broken by the earliest precondition levels, then action index.
-        best = None
-        best_key = None
-        for idx, act in enumerate(self.gp.actions):
-            if fact not in act.adds or rpg.action_level.get(idx) != level - 1:
-                continue
-            depth = max((rpg.fact_level[p] for p in act.pre_pos), default=0)
-            key = (depth, idx)
-            if best_key is None or key < best_key:
-                best, best_key = idx, key
-        if best is None:  # supporter one level earlier cannot be missing
-            raise ConfigError(f"relaxed graph has no supporter for atom {fact}")
-        return best
+                # The lowest-index achiever one level down; one exists
+                # because the fact first appeared at this level.
+                supporter = next(
+                    idx for idx in gp.achievers[fact]
+                    if all(level_of.get(p, INF) < level for p in actions[idx].pre_pos)
+                )
+                plan_length += 1
+                covered |= actions[supporter].adds
+                for p in actions[supporter].pre_pos:
+                    if level_of[p] > 0:
+                        needed[level_of[p]].add(p)
+        return float(plan_length)
 
 
 @dataclass(frozen=True)
@@ -207,24 +184,6 @@ class LandmarkSet:
     goal_landmarks: frozenset[int]
 
 
-def _relaxed_reachable_without(gp: GroundProblem, banned: int) -> frozenset[int]:
-    """Relaxed reachability when *banned* is struck from every add list."""
-    facts = set(gp.init)
-    used = [False] * len(gp.actions)
-    changed = True
-    while changed:
-        changed = False
-        for idx, act in enumerate(gp.actions):
-            if used[idx] or not act.pre_pos <= facts:
-                continue
-            used[idx] = True
-            new = (act.adds - {banned}) - facts
-            if new:
-                facts |= new
-                changed = True
-    return frozenset(facts)
-
-
 def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
     """Backchain from the goal: if every possible first achiever of a known
     landmark shares a precondition, that precondition is a landmark too."""
@@ -233,12 +192,11 @@ def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
     landmarks.update(queue)
     while queue:
         lm = queue.pop(0)
-        reached = _relaxed_reachable_without(gp, lm)
-        achiever_pres = [
-            act.pre_pos
-            for act in gp.actions
-            if lm in act.adds and act.pre_pos <= reached
-        ]
+        pres = [gp.actions[idx].pre_pos for idx in gp.achievers[lm]]
+        # Exploring past the layer that holds every achiever precondition
+        # cannot change which achievers are reachable.
+        level_of, _ = relaxed_exploration(gp, gp.init, banned=lm, goal=frozenset().union(*pres))
+        achiever_pres = [pre for pre in pres if pre <= level_of.keys()]
         if not achiever_pres:
             continue
         common = frozenset.intersection(*achiever_pres)

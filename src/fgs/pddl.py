@@ -135,6 +135,13 @@ def _expect_symbol(node, what: str) -> Symbol:
     return node
 
 
+def _header_symbol(node: SList, what: str) -> Symbol:
+    """The symbol after the keyword in a header form such as (domain <name>)."""
+    if len(node.items) < 2:
+        raise PddlParseError(f"missing {what}", node.line, node.col)
+    return _expect_symbol(node.items[1], what)
+
+
 # -- model types ---------------------------------------------------------------
 
 
@@ -289,7 +296,7 @@ def parse_domain(text: str) -> DomainDef:
     body = list(define.items[1:])
     if not body or not isinstance(body[0], SList) or _head(body[0]) != "domain":
         raise PddlParseError("expected (domain <name>)", define.line, define.col)
-    name = _expect_symbol(body[0].items[1], "domain name").text
+    name = _header_symbol(body[0], "domain name").text
 
     types: list[str] = []
     predicates: list[Predicate] = []
@@ -459,7 +466,7 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     body = list(define.items[1:])
     if not body or not isinstance(body[0], SList) or _head(body[0]) != "problem":
         raise PddlParseError("expected (problem <name>)", define.line, define.col)
-    name = _expect_symbol(body[0].items[1], "problem name").text
+    name = _header_symbol(body[0], "problem name").text
 
     domain_name = None
     objects: list[tuple[str, str]] = []
@@ -471,7 +478,7 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
             raise PddlParseError("expected a (:section ...) form", define.line, define.col)
         kw = _head(section)
         if kw == ":domain":
-            domain_name = _expect_symbol(section.items[1], "domain name").text
+            domain_name = _header_symbol(section, "domain name").text
         elif kw == ":objects":
             objects = _parse_typed_list(section.items[1:], variables=False, what=":objects")
         elif kw == ":init":

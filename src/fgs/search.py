@@ -31,7 +31,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 ALGORITHMS = ("astar", "ucs", "weighted_astar", "ehc")
-TIE_BREAK = "f-h-order"
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -44,7 +43,6 @@ class SearchConfig:
     heuristic: str = "zero"
     use_feature_score: bool = False
     weight: float = 5.0
-    tie_break: str = TIE_BREAK
     node_budget: int | None = None
 
     def validate(self) -> None:
@@ -52,8 +50,6 @@ class SearchConfig:
             raise ConfigError(f"unknown algorithm '{self.algorithm}' (choose from {ALGORITHMS})")
         if self.weight < 1.0:
             raise ConfigError("weighted search weight must be >= 1")
-        if self.tie_break != TIE_BREAK:
-            raise ConfigError(f"unsupported tie_break '{self.tie_break}'")
         if self.node_budget is not None and self.node_budget < 0:
             raise ConfigError("node_budget must be non-negative")
 

@@ -31,6 +31,14 @@ def test_validate_bad_pddl(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_headless_domain_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.domain.pddl"
+    bad.write_text("(define (domain))")
+    code = main(["validate", "--domain", str(bad), "--problem", str(bad)])
+    assert code == EXIT_USAGE
+    assert "missing domain name" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(capsys):
     code = main(["validate", "--domain", "/nonexistent.pddl", "--problem", "/nonexistent.pddl"])
     assert code == EXIT_IO
@@ -76,6 +84,16 @@ def test_episode_json_summary(capsys, tmp_path):
     assert summary["plan"][0].startswith("(")
     events = [json.loads(line) for line in trace.read_text().splitlines()]
     assert {e["event"] for e in events} == {"search", "attempt"}
+
+
+def test_episode_negative_budget_exits_two(capsys):
+    code = main([
+        "episode", *args_for("woodworking_hammer"),
+        "--scenario", str(BENCH / "woodworking_hammer_case00.json"),
+        "--budget", "-3",
+    ])
+    assert code == EXIT_USAGE
+    assert "budget" in capsys.readouterr().err
 
 
 def test_episode_adaptability_flag(capsys):

@@ -74,6 +74,12 @@ def test_budget_zero_launches_nothing(squeegee_setup):
     assert result.failed_attempts == 0
 
 
+def test_negative_budget_rejected(squeegee_setup):
+    gp, scenarios = squeegee_setup
+    with pytest.raises(ConfigError, match="budget"):
+        run_episode(gp, H, scenarios[0], budget=-3)
+
+
 def test_material_false_negative_fixed_trust_fails(squeegee_setup):
     gp, scenarios = squeegee_setup
     sc = replace(scenarios[0], noise=NoiseSpec(seed=9, material_fn_rate=1.0))

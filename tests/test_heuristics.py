@@ -2,18 +2,29 @@ import random
 
 import pytest
 
+from fgs.assets import TASKS, load_task
 from fgs.errors import ConfigError
-from fgs.grounding import goal_satisfied, successors
+from fgs.grounding import apply_action, goal_satisfied, successors
 from fgs.heuristics import (
     INF,
     FFHeuristic,
     LandmarkCountHeuristic,
-    build_rpg,
     discover_landmarks,
     make_heuristic,
+    relaxed_exploration,
 )
+from fgs.search import SearchConfig, search
 
-from .util import bfs_optimal_length, chain_problem, make_ground_problem, random_model
+from .util import (
+    bfs_optimal_length,
+    chain_problem,
+    make_ground_problem,
+    random_model,
+    reference_ff,
+    reference_landmarks,
+    reference_reachable_without,
+    reference_relaxed_cost,
+)
 
 
 def h(name, gp, state=None):
@@ -97,10 +108,24 @@ def test_ff_dominates_hmax_and_zero_iff_goal():
 
 def test_rpg_layers_monotone():
     gp = chain_problem(5)
-    rpg = build_rpg(gp, gp.init)
-    for earlier, later in zip(rpg.fact_layers, rpg.fact_layers[1:]):
-        assert earlier <= later
-    assert rpg.fact_level[next(iter(gp.goal_pos))] == 5
+    level_of, fired_order = relaxed_exploration(gp, gp.init)
+    assert [level_of[i] for i in range(6)] == [0, 1, 2, 3, 4, 5]
+    # an action fires one layer after its last precondition, in layer order,
+    # and gives each of its new atoms the next level
+    fired_levels = [max((level_of[p] for p in gp.actions[i].pre_pos), default=0) for i in fired_order]
+    assert fired_levels == sorted(fired_levels)
+    for atom, level in level_of.items():
+        if level:
+            assert any(
+                max((level_of[p] for p in gp.actions[i].pre_pos), default=0) == level - 1
+                for i in fired_order
+                if atom in gp.actions[i].adds
+            )
+    # with a goal it stops at the goal's layer; a banned atom is never reached
+    partial, _ = relaxed_exploration(gp, gp.init, goal=frozenset({2}))
+    assert max(partial.values()) == 2
+    cut, _ = relaxed_exploration(gp, gp.init, banned=3)
+    assert sorted(cut) == [0, 1, 2]
 
 
 def test_ff_infinity_only_when_relaxed_unreachable():
@@ -141,16 +166,7 @@ def test_landmark_soundness_by_ablation():
         gp = random_model(rng)
         lms = discover_landmarks(gp)
         for lm in lms.landmarks:
-            facts = set(gp.init)
-            changed = True
-            while changed:
-                changed = False
-                for act in gp.actions:
-                    if act.pre_pos <= facts:
-                        new = (act.adds - {lm}) - facts
-                        if new:
-                            facts |= new
-                            changed = True
+            facts = reference_reachable_without(gp, lm)
             assert not gp.goal_pos <= facts, "landmark is not actually required"
 
 
@@ -178,3 +194,80 @@ def test_required_again_counts():
     s3 = [succ for idx, succ in successors(gp, s2) if gp.actions[idx].schema_name == "re1"][0]
     v3, _ = heur.evaluate(s3, ctx)
     assert v3 == 0.0
+
+
+# -- the shared exploration against the naive references ------------------------
+
+
+def _random_walk_states(gp, rng, walks, max_depth):
+    states = [gp.init]
+    for _ in range(walks):
+        state = gp.init
+        for _ in range(rng.randint(1, max_depth)):
+            succs = successors(gp, state)
+            if not succs:
+                break
+            _, state = rng.choice(succs)
+            states.append(state)
+    return states
+
+
+def _check_against_reference(gp, states):
+    """Identical h_max, h_add and FF values; h_max <= h_add, h_max <= FF,
+    and FF is inf exactly when h_max is."""
+    hmax, hadd, ff = (make_heuristic(n, gp) for n in ("hmax", "hadd", "ff"))
+    for state in states:
+        vmax, vadd, vff = (hr.evaluate(state)[0] for hr in (hmax, hadd, ff))
+        assert vmax == reference_relaxed_cost(gp, state, max)
+        assert vadd == reference_relaxed_cost(gp, state, sum)
+        assert vff == reference_ff(gp, state)
+        assert vmax <= vadd and vmax <= vff
+        assert (vff == INF) == (vmax == INF)
+
+
+def _check_landmarks_on_optimal_plan(gp):
+    lms = discover_landmarks(gp)
+    assert lms.landmarks == reference_landmarks(gp)
+    plan = search(gp, SearchConfig(algorithm="ucs")).plan
+    visited = set(gp.init)
+    state = gp.init
+    for act in plan:
+        state = apply_action(state, act)
+        visited |= state
+    assert lms.landmarks <= visited
+
+
+def test_exploration_matches_reference_on_random_models():
+    rng = random.Random(2024)
+    saw_dead_end = False
+    for _ in range(40):
+        gp = random_model(rng, n_atoms=rng.randint(5, 10), n_actions=rng.randint(6, 20))
+        arbitrary = [
+            frozenset(a for a in range(len(gp.atoms)) if rng.random() < 0.3) for _ in range(10)
+        ]
+        states = _random_walk_states(gp, rng, walks=3, max_depth=6) + arbitrary
+        _check_against_reference(gp, states)
+        _check_landmarks_on_optimal_plan(gp)
+        saw_dead_end |= any(h("hmax", gp, s) == INF for s in arbitrary)
+    assert saw_dead_end  # the inf cases were exercised
+
+
+@pytest.mark.parametrize("task_id", sorted(TASKS))
+def test_exploration_matches_reference_on_bundled_tasks(task_id):
+    _, _, gp = load_task(task_id)
+    rng = random.Random(task_id)
+    _check_against_reference(gp, _random_walk_states(gp, rng, walks=6, max_depth=40))
+    _check_landmarks_on_optimal_plan(gp)
+
+
+def test_ff_counts_supporter_of_own_add():
+    # The goal g's only achiever also adds its own precondition p, which
+    # still needs its own supporter one layer earlier.
+    gp = make_ground_problem(
+        ["s", "p", "g"],
+        [("mk_p", ["s"], [], ["p"], []), ("mk_g", ["p", "s"], [], ["p", "g"], [])],
+        ["s"],
+        ["g"],
+    )
+    assert h("hmax", gp) == 2.0
+    assert h("ff", gp) == 2.0

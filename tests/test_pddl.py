@@ -168,6 +168,22 @@ def test_unsupported_constructs_rejected(snippet, feature):
         parse_domain(text)
 
 
+@pytest.mark.parametrize(
+    "parse,text,field",
+    [
+        ("domain", "(define (domain))", "domain name"),
+        ("problem", "(define (problem))", "problem name"),
+        ("problem", "(define (problem p) (:domain))", "domain name"),
+    ],
+)
+def test_missing_header_name_is_parse_error(parse, text, field):
+    with pytest.raises(PddlParseError, match=f"missing {field}"):
+        if parse == "domain":
+            parse_domain(text)
+        else:
+            parse_problem(text, parse_domain(CHAIN_DOMAIN))
+
+
 def test_parse_error_carries_position():
     with pytest.raises(PddlParseError) as exc:
         parse_domain("(define (domain x) (:predicates (p ?x)) (:action a :parameters (?x) :precondition (or) :effect (p ?x)))")

@@ -197,8 +197,6 @@ def test_config_validation():
         SearchConfig(algorithm="dfs").validate()
     with pytest.raises(ConfigError):
         SearchConfig(weight=0.5).validate()
-    with pytest.raises(ConfigError):
-        SearchConfig(tie_break="random").validate()
 
 
 def test_determinism_bitwise():

@@ -116,3 +116,126 @@ def random_model(rng: random.Random, n_atoms=8, n_actions=14):
         gp = make_ground_problem(atoms, actions, init, goal)
         if bfs_optimal_length(gp) is not None:
             return gp
+
+
+# -- naive delete-relaxation references ----------------------------------------
+# Straightforward all-action sweeps, kept as the oracle the shared exploration
+# in fgs.heuristics is checked against.
+
+INF = float("inf")
+
+
+def reference_relaxed_cost(gp: GroundProblem, state: State, combine) -> float:
+    """h_max (combine=max) or h_add (combine=sum): sweep every action until
+    no atom cost drops."""
+    costs = {atom: 0.0 for atom in state}
+    changed = True
+    while changed:
+        changed = False
+        for act in gp.actions:
+            if not act.pre_pos <= costs.keys():
+                continue
+            new = (combine(costs[p] for p in act.pre_pos) if act.pre_pos else 0.0) + act.base_cost
+            for f in act.adds:
+                if costs.get(f, INF) > new:
+                    costs[f] = new
+                    changed = True
+    if not gp.goal_pos:
+        return 0.0
+    if not gp.goal_pos <= costs.keys():
+        return INF
+    return combine(costs[g] for g in gp.goal_pos)
+
+
+def reference_rpg(gp: GroundProblem, state: State):
+    """Leveled relaxed planning graph grown one all-action scan per layer
+    until the goal appears or nothing new is added: (fact_level,
+    action_level)."""
+    fact_level = {f: 0 for f in state}
+    action_level: dict[int, int] = {}
+    level = 0
+    while not gp.goal_pos <= fact_level.keys():
+        new_actions = [
+            idx
+            for idx, act in enumerate(gp.actions)
+            if idx not in action_level and act.pre_pos <= fact_level.keys()
+        ]
+        for idx in new_actions:
+            action_level[idx] = level
+        grew = False
+        for idx in new_actions:
+            for f in gp.actions[idx].adds:
+                if f not in fact_level:
+                    fact_level[f] = level + 1
+                    grew = True
+        level += 1
+        if not grew:
+            break
+    return fact_level, action_level
+
+
+def reference_ff(gp: GroundProblem, state: State) -> float:
+    """Greedy relaxed-plan length over reference_rpg; each needed fact takes
+    the lowest-index achiever from the action layer one level down, unless
+    a supporter already chosen at its level adds it."""
+    if gp.goal_pos <= state:
+        return 0.0
+    fact_level, action_level = reference_rpg(gp, state)
+    if not gp.goal_pos <= fact_level.keys():
+        return INF
+    max_level = max(fact_level[g] for g in gp.goal_pos)
+    needed = {lv: set() for lv in range(max_level + 1)}
+    for g in gp.goal_pos:
+        needed[fact_level[g]].add(g)
+    plan_length = 0
+    for level in range(max_level, 0, -1):
+        covered: set[int] = set()  # adds of the supporters chosen at this level
+        for fact in sorted(needed[level]):
+            if fact in covered:
+                continue
+            supporter = min(
+                idx
+                for idx, act in enumerate(gp.actions)
+                if fact in act.adds and action_level.get(idx) == level - 1
+            )
+            plan_length += 1
+            covered |= gp.actions[supporter].adds
+            for p in gp.actions[supporter].pre_pos:
+                if fact_level[p] > 0:
+                    needed[fact_level[p]].add(p)
+    return float(plan_length)
+
+
+def reference_reachable_without(gp: GroundProblem, banned: int) -> set[int]:
+    """Relaxed reachability from the initial state with *banned* struck from
+    every add list."""
+    facts = set(gp.init)
+    changed = True
+    while changed:
+        changed = False
+        for act in gp.actions:
+            if act.pre_pos <= facts:
+                new = (act.adds - {banned}) - facts
+                if new:
+                    facts |= new
+                    changed = True
+    return facts
+
+
+def reference_landmarks(gp: GroundProblem) -> frozenset[int]:
+    """Backchaining landmark discovery over reference_reachable_without."""
+    landmarks = {g for g in gp.goal_pos if g not in gp.init}
+    queue = sorted(landmarks)
+    while queue:
+        lm = queue.pop(0)
+        reached = reference_reachable_without(gp, lm)
+        achiever_pres = [
+            act.pre_pos for act in gp.actions if lm in act.adds and act.pre_pos <= reached
+        ]
+        if not achiever_pres:
+            continue
+        for p in sorted(frozenset.intersection(*achiever_pres)):
+            if p not in gp.init and p not in landmarks:
+                landmarks.add(p)
+                queue.append(p)
+    return frozenset(landmarks)
