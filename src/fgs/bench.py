@@ -207,56 +207,33 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
         for config_id, search_cfg in configs:
             trace, fh = _trace_writer(trace_dir, scenario.scenario_id, config_id)
             try:
+                kwargs = dict(trust_policy=cfg.trust_policy, noise_on=cfg.noise_on,
+                              succ_cache=succ_cache, trace=trace)
+                adapt = {}  # the adaptability columns, left at their defaults otherwise
                 if cfg.experiment == "adaptability":
-                    outcome = run_adaptability_episode(
-                        gp,
-                        search_cfg,
-                        scenario,
-                        trust_policy=cfg.trust_policy,
-                        noise_on=cfg.noise_on,
-                        succ_cache=succ_cache,
-                        trace=trace,
-                    )
+                    outcome = run_adaptability_episode(gp, search_cfg, scenario, **kwargs)
                     res = outcome.result
-                    records.append(
-                        EpisodeRecord(
-                            scenario.scenario_id,
-                            scenario.task_type,
-                            scenario.ground_truth.tool,
-                            config_id,
-                            res.success,
-                            res.failed_attempts,
-                            res.nodes_first_search,
-                            res.plan_length,
-                            nodes_total=res.nodes_total,
-                            gt_tool=scenario.ground_truth.tool,
-                            chosen_tool=outcome.chosen_tool,
-                            use_action=outcome.use_action,
-                        )
+                    adapt = dict(
+                        gt_tool=scenario.ground_truth.tool,
+                        chosen_tool=outcome.chosen_tool,
+                        use_action=outcome.use_action,
                     )
                 else:
-                    res = run_episode(
-                        gp,
-                        search_cfg,
-                        scenario,
-                        trust_policy=cfg.trust_policy,
-                        noise_on=cfg.noise_on,
-                        succ_cache=succ_cache,
-                        trace=trace,
+                    res = run_episode(gp, search_cfg, scenario, **kwargs)
+                records.append(
+                    EpisodeRecord(
+                        scenario.scenario_id,
+                        scenario.task_type,
+                        scenario.ground_truth.tool,
+                        config_id,
+                        res.success,
+                        res.failed_attempts,
+                        res.nodes_first_search,
+                        res.plan_length,
+                        nodes_total=res.nodes_total,
+                        **adapt,
                     )
-                    records.append(
-                        EpisodeRecord(
-                            scenario.scenario_id,
-                            scenario.task_type,
-                            scenario.ground_truth.tool,
-                            config_id,
-                            res.success,
-                            res.failed_attempts,
-                            res.nodes_first_search,
-                            res.plan_length,
-                            nodes_total=res.nodes_total,
-                        )
-                    )
+                )
             finally:
                 if fh is not None:
                     fh.close()

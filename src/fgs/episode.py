@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .grounding import GroundAction, GroundProblem
 from .heuristics import make_heuristic
 from .scenario import Scenario, sense
-from .scoring import RejectSet, ScoreParams, make_scorer
+from .scoring import ScoreParams, make_scorer
 from .search import SearchConfig, search
 
 STATUS_SUCCESS = "success"
@@ -123,7 +123,7 @@ def run_episode(
     exclusions: set[tuple[str, ...]] = set()
     attempted: list[tuple[str, ...]] = []
     nodes_per_search: list[int] = []
-    reject = RejectSet()
+    reject: set[tuple[tuple[str, ...], str]] = set()  # (o_a, join action) pairs
     trust_trace: list[bool] = []
     plans: list[list[GroundAction]] = []
     nodes_total = 0
@@ -199,7 +199,7 @@ def run_episode(
     ):
         # trusted planning is out of options: explore what the hard
         # constraints rejected, guided by shape alone
-        phase2_whitelist = reject.snapshot()
+        phase2_whitelist = frozenset(reject)
         scorer = make_scorer(registry, profiles, params, phase2_whitelist)
         outcome = run_phase(False, scorer)
 
@@ -214,7 +214,7 @@ def run_episode(
         nodes_total=nodes_total,
         plans=plans,
         trust_trace=trust_trace,
-        reject_final=reject.snapshot(),
+        reject_final=frozenset(reject),
         plan_length=len(plans[-1]) if success and plans else None,
         attempted=tuple(attempted),
         phase2_whitelist=phase2_whitelist,

@@ -197,12 +197,6 @@ class ProblemDef:
     init: frozenset[Atom]
     goal: tuple[Literal, ...]  # ground literals
 
-    def object_type(self, name: str) -> str | None:
-        for obj, typ in self.objects:
-            if obj == name:
-                return typ
-        return None
-
 
 # -- parsing: shared pieces ----------------------------------------------------
 

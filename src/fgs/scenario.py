@@ -216,61 +216,116 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
+# Type checks at the JSON boundary: each takes (value, field path) and
+# returns the value or raises a ValidationError naming the path.
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+def _typed(kind: str, *types):
+    def check(value, where: str):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            got = _JSON_KINDS.get(type(value), type(value).__name__)
+            raise ValidationError(f"{where}: expected {kind}, got {got}")
+        return value
+
+    return check
+
+
+_as_str = _typed("a string", str)
+_as_bool = _typed("a boolean", bool)
+_as_int = _typed("an integer", int)
+_as_object = _typed("an object", dict)
+_as_list = _typed("a list", list)
+_as_number = _typed("a number", int, float)
+
+
+def _as_float(value, where: str) -> float:
+    try:
+        return float(_as_number(value, where))
+    except OverflowError:
+        raise ValidationError(f"{where}: number out of range") from None
+
+
+def _as_str_list(value, where: str) -> list[str]:
+    return [_as_str(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where))]
+
+
+def _as_conf_map(value, where: str) -> dict[str, float]:
+    return {k: _as_float(v, f"{where}.{k}") for k, v in _as_object(value, where).items()}
+
+
+def _field(data: dict, key: str, where: str, check, default=None):
+    """data[key] checked by *check*; *default* when the key is absent, and a
+    ValidationError when it is absent and has no default."""
+    if key not in data and default is not None:
+        return default
+    return check(_require(data, key, where), f"{where}.{key}")
+
+
+def scenario_from_json(data, where: str = "scenario") -> Scenario:
+    data = _as_object(data, where)
+    gt_where = f"{where}.ground_truth"
     gt_data = _require(data, "ground_truth", where)
     if isinstance(gt_data, list):
         if len(gt_data) != 1:
             raise ValidationError(
-                f"{where}.ground_truth: exactly one ground-truth pair required, got {len(gt_data)}"
+                f"{gt_where}: exactly one ground-truth pair required, got {len(gt_data)}"
             )
-        gt_data = gt_data[0]
+        gt_data, gt_where = gt_data[0], f"{gt_where}[0]"
+    gt_data = _as_object(gt_data, gt_where)
     objects = []
-    for i, entry in enumerate(_require(data, "objects", where)):
+    for i, entry in enumerate(_field(data, "objects", where, _as_list)):
+        w = f"{where}.objects[{i}]"
+        entry = _as_object(entry, w)
         objects.append(
             ObjectProfile(
-                object_id=_require(entry, "object_id", f"objects[{i}]"),
-                shape_conf=dict(entry.get("shape_conf", {})),
-                material_conf=dict(entry.get("material_conf", {})),
-                pierceable=bool(entry.get("pierceable", False)),
-                can_grasp_others=bool(entry.get("can_grasp_others", False)),
-                can_be_grasped=bool(entry.get("can_be_grasped", False)),
-                has_magnet=bool(entry.get("has_magnet", False)),
+                object_id=_field(entry, "object_id", w, _as_str),
+                shape_conf=_field(entry, "shape_conf", w, _as_conf_map, {}),
+                material_conf=_field(entry, "material_conf", w, _as_conf_map, {}),
+                pierceable=_field(entry, "pierceable", w, _as_bool, False),
+                can_grasp_others=_field(entry, "can_grasp_others", w, _as_bool, False),
+                can_be_grasped=_field(entry, "can_be_grasped", w, _as_bool, False),
+                has_magnet=_field(entry, "has_magnet", w, _as_bool, False),
             )
         )
     specs = []
-    for i, entry in enumerate(_require(data, "tool_specs", where)):
-        w = f"tool_specs[{i}]"
+    for i, entry in enumerate(_field(data, "tool_specs", where, _as_list)):
+        w = f"{where}.tool_specs[{i}]"
+        entry = _as_object(entry, w)
         specs.append(
             ToolSpec(
-                tool=_require(entry, "tool", w),
-                join_action_name=_require(entry, "join_action_name", w),
-                action_part_role=_require(entry, "action_part_role", w),
-                allowed_materials=frozenset(_require(entry, "allowed_materials", w)),
-                use_action=_require(entry, "use_action", w),
-                grasp_part_role=entry.get("grasp_part_role", "handle"),
-                num_parts=entry.get("num_parts", 2),
+                tool=_field(entry, "tool", w, _as_str),
+                join_action_name=_field(entry, "join_action_name", w, _as_str),
+                action_part_role=_field(entry, "action_part_role", w, _as_str),
+                allowed_materials=frozenset(_field(entry, "allowed_materials", w, _as_str_list)),
+                use_action=_field(entry, "use_action", w, _as_str),
+                grasp_part_role=_field(entry, "grasp_part_role", w, _as_str, "handle"),
+                num_parts=_field(entry, "num_parts", w, _as_int, 2),
             )
         )
-    noise_data = data.get("noise", {})
+    noise_data = _field(data, "noise", where, _as_object, {})
+    nw = f"{where}.noise"
     sc = Scenario(
-        scenario_id=_require(data, "scenario_id", where),
-        task_type=_require(data, "task_type", where),
-        tools=tuple(_require(data, "tools", where)),
-        n=int(_require(data, "n", where)),
+        scenario_id=_field(data, "scenario_id", where, _as_str),
+        task_type=_field(data, "task_type", where, _as_str),
+        tools=tuple(_field(data, "tools", where, _as_str_list)),
+        n=_field(data, "n", where, _as_int),
         objects=tuple(objects),
         ground_truth=GroundTruth(
-            action_part=_require(gt_data, "action_part", f"{where}.ground_truth"),
-            grasp_part=_require(gt_data, "grasp_part", f"{where}.ground_truth"),
-            tool=_require(gt_data, "tool", f"{where}.ground_truth"),
+            action_part=_field(gt_data, "action_part", gt_where, _as_str),
+            grasp_part=_field(gt_data, "grasp_part", gt_where, _as_str),
+            tool=_field(gt_data, "tool", gt_where, _as_str),
         ),
         tool_specs=tuple(specs),
         noise=NoiseSpec(
-            seed=int(noise_data.get("seed", 0)),
-            material_fn_rate=float(noise_data.get("material_fn_rate", 0.0)),
-            attach_fn_rate=float(noise_data.get("attach_fn_rate", 0.0)),
-            shape_jitter=float(noise_data.get("shape_jitter", 0.0)),
+            seed=_field(noise_data, "seed", nw, _as_int, 0),
+            material_fn_rate=_field(noise_data, "material_fn_rate", nw, _as_float, 0.0),
+            attach_fn_rate=_field(noise_data, "attach_fn_rate", nw, _as_float, 0.0),
+            shape_jitter=_field(noise_data, "shape_jitter", nw, _as_float, 0.0),
         ),
-        format_version=int(data.get("format_version", -1)),
+        format_version=_field(data, "format_version", where, _as_int, -1),
     )
     validate_scenario(sc)
     return sc
@@ -279,7 +334,10 @@ def scenario_from_json(data: dict, where: str = "scenario") -> Scenario:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
+            raise ValidationError(f"{path.name}: invalid JSON: {exc}") from None
     return scenario_from_json(data, where=path.name)
 
 
@@ -397,14 +455,6 @@ def default_library() -> tuple[LibraryObject, ...]:
 # -- scenario generation -----------------------------------------------------------
 
 
-def _natural_attachment(action: LibraryObject, grasp: LibraryObject) -> bool:
-    if action.pierceable != grasp.pierceable:
-        return True
-    if grasp.can_grasp_others and action.can_be_grasped:
-        return True
-    return action.has_magnet and grasp.has_magnet
-
-
 def _residual_materials(dominant: str, conf: float) -> dict[str, float]:
     order = [c for c in MATERIAL_CLASSES if c != dominant]
     rest = 1.0 - conf
@@ -439,7 +489,9 @@ def _build_scenario(
     lineup = [action_lib, grasp_lib, *distractors]
     rng.shuffle(lineup)
 
-    magnet_override = not _natural_attachment(action_lib, grasp_lib)
+    # can_attach reads only the capability flags, which library objects share
+    attachable, _ = can_attach(("action", "grasp"), {"action": action_lib, "grasp": grasp_lib})
+    magnet_override = not attachable
     roles = sorted({s.action_part_role for s in specs} | {"handle"})
     profiles = []
     for idx, lib in enumerate(lineup):
@@ -495,7 +547,7 @@ def _check_ground_truth_ranks_first(sc: Scenario) -> None:
     gt = sc.ground_truth
     gt_action = sc.spec_for_tool(gt.tool).join_action_name
     ids = [o.object_id for o in sc.objects]
-    best = feature_score(None, gt_action, gt.pair, True, set(), registry, profiles, params)
+    best = feature_score(gt_action, gt.pair, True, set(), registry, profiles, params)
     if best == NEG_INF:
         raise InternalError(f"{sc.scenario_id}: ground-truth pair scores -inf")
     for spec in sc.tool_specs:
@@ -506,7 +558,7 @@ def _check_ground_truth_ranks_first(sc: Scenario) -> None:
                 if (a, b) == gt.pair and spec.join_action_name == gt_action:
                     continue
                 phi = feature_score(
-                    None, spec.join_action_name, (a, b), True, set(), registry, profiles, params
+                    spec.join_action_name, (a, b), True, set(), registry, profiles, params
                 )
                 if phi >= best:
                     raise InternalError(

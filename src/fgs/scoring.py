@@ -96,36 +96,6 @@ class ScoreParams:
             raise ConfigError("material threshold must lie in (0, 1)")
 
 
-class RejectSet:
-    """Ordered object combinations rejected by the hard constraints.
-
-    Entries are (o_a permutation, join action name) pairs; they are only
-    added while sensors are fully trusted.
-    """
-
-    def __init__(self, entries=()):
-        self._entries: set[tuple[tuple[str, ...], str]] = set(entries)
-
-    def add(self, o_a: tuple[str, ...], action_name: str) -> None:
-        self._entries.add((tuple(o_a), action_name))
-
-    def __contains__(self, key) -> bool:
-        o_a, action_name = key
-        return (tuple(o_a), action_name) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(sorted(self._entries))
-
-    def update(self, other) -> None:
-        self._entries.update(other)
-
-    def snapshot(self) -> frozenset:
-        return frozenset(self._entries)
-
-
 def shape_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
     """Product of role confidences: action part against the tool's action
     role, grasp part against the handle role. Missing confidences count
@@ -173,7 +143,6 @@ def can_attach(o_a, profiles: dict[str, ObjectProfile]) -> tuple[bool, str | Non
 
 
 def feature_score(
-    state,
     action_name: str,
     o_a: tuple[str, ...],
     trust: bool,
@@ -186,7 +155,8 @@ def feature_score(
 
     Actions without objects score 0. With trust, attachment and material act
     as hard constraints around the weighted shape+material sum. Without
-    trust, only combinations in *reject* are considered, by shape alone."""
+    trust, only combinations in *reject*, a set of (o_a, action_name) pairs,
+    are considered, by shape alone."""
     if not o_a:
         return 0.0
     spec = registry.get(action_name)
@@ -212,17 +182,15 @@ def make_scorer(
     params: ScoreParams,
     no_trust_whitelist=frozenset(),
 ):
-    """Bind scoring data into the (state, action_name, o_a, trust) callback
+    """Bind scoring data into the (action_name, o_a, trust) callback
     the search engine consumes. The whitelist is the accumulated reject set
     used when trust is withdrawn."""
     for spec in registry.values():
         spec.validate()
     params.validate()
 
-    def scorer(state, action_name, o_a, trust):
-        return feature_score(
-            state, action_name, o_a, trust, no_trust_whitelist, registry, profiles, params
-        )
+    def scorer(action_name, o_a, trust):
+        return feature_score(action_name, o_a, trust, no_trust_whitelist, registry, profiles, params)
 
     return scorer
 

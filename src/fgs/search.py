@@ -70,7 +70,6 @@ class PlanResult:
     plan: list[GroundAction] | None
     nodes_expanded: int
     reject_set_out: frozenset
-    trust_used: bool
     status: str
     g_values: dict[State, float] = field(default_factory=dict, repr=False)
     closed: tuple = ()  # states in expansion order
@@ -90,6 +89,28 @@ def _combined_cost(cfg: SearchConfig, g: float, h: float, phi: float) -> float:
     return g
 
 
+def _join_gate(cfg: SearchConfig, scorer, trust: bool, exclusions: frozenset, reject_out: set):
+    """The edge rule of both search loops: gate(act) is the phi of the edge
+    *act* generates (0 for non-joins), or None when the edge is skipped: its
+    join is in *exclusions*, or scores -inf and is recorded while trusted."""
+
+    def gate(act: GroundAction) -> float | None:
+        if not act.o_a:
+            return 0.0
+        if act.o_a in exclusions:
+            return None
+        if not cfg.use_feature_score:
+            return 0.0
+        phi = scorer(act.schema_name, act.o_a, trust)
+        if phi == NEG_INF:
+            if trust:
+                reject_out.add((act.o_a, act.schema_name))
+            return None
+        return phi
+
+    return gate
+
+
 def search(
     gp: GroundProblem,
     cfg: SearchConfig,
@@ -100,8 +121,8 @@ def search(
     succ_cache: dict | None = None,
 ) -> PlanResult:
     """Run one search over *gp*. The scorer is a callback
-    (state, action_name, o_a, trust) -> float, required when feature
-    scoring is on. Exclusions are object permutations never to revisit."""
+    (action_name, o_a, trust) -> float, required when feature scoring is
+    on. Exclusions are object permutations never to revisit."""
     cfg.validate()
     if cfg.algorithm == "ehc":
         return search_ehc(gp, cfg, scorer, trust, exclusions, heuristic, succ_cache)
@@ -113,6 +134,7 @@ def search(
         heuristic = make_heuristic(cfg.heuristic, gp)
 
     reject_out: set = set()
+    gate = _join_gate(cfg, scorer, trust, exclusions, reject_out)
     expanded = 0
     closed: list[State] = []
     init = gp.init
@@ -122,7 +144,7 @@ def search(
         h0, ctx0 = 0.0, None
     best_g: dict[State, float] = {init: 0.0}
     if h0 == INF:
-        return PlanResult(None, 0, frozenset(), trust, STATUS_EXHAUSTED, best_g, ())
+        return PlanResult(None, 0, frozenset(), STATUS_EXHAUSTED, best_g, ())
 
     root = SearchNode(init, 0.0, h0, 0.0, _combined_cost(cfg, 0.0, h0, 0.0), None, ctx0)
     seq = 0
@@ -134,11 +156,11 @@ def search(
         if goal_satisfied(node.state, gp):
             plan = extract_plan(node, gp)
             return PlanResult(
-                plan, expanded, frozenset(reject_out), trust, STATUS_FOUND, best_g, tuple(closed)
+                plan, expanded, frozenset(reject_out), STATUS_FOUND, best_g, tuple(closed)
             )
         if cfg.node_budget is not None and expanded >= cfg.node_budget:
             return PlanResult(
-                None, expanded, frozenset(reject_out), trust, STATUS_BUDGET, best_g, tuple(closed)
+                None, expanded, frozenset(reject_out), STATUS_BUDGET, best_g, tuple(closed)
             )
         expanded += 1
         closed.append(node.state)
@@ -148,16 +170,9 @@ def search(
             if g2 >= best_g.get(succ, INF):
                 continue
             best_g[succ] = g2  # recorded before the feature gate, as in the transition rule
-            phi = 0.0
-            if act.o_a:
-                if act.o_a in exclusions:
-                    continue  # already attempted; rejected without re-recording
-                if cfg.use_feature_score:
-                    phi = scorer(node.state, act.schema_name, act.o_a, trust)
-                    if phi == NEG_INF:
-                        if trust:
-                            reject_out.add((act.o_a, act.schema_name))
-                        continue
+            phi = gate(act)
+            if phi is None:
+                continue
             if needs_h:
                 h2, ctx2 = heuristic.evaluate(succ, node.ctx)
             else:
@@ -169,7 +184,7 @@ def search(
             child = SearchNode(succ, g2, h2, phi, f2, (node, act), ctx2)
             heapq.heappush(heap, (f2, h2, seq, child))
     return PlanResult(
-        None, expanded, frozenset(reject_out), trust, STATUS_EXHAUSTED, best_g, tuple(closed)
+        None, expanded, frozenset(reject_out), STATUS_EXHAUSTED, best_g, tuple(closed)
     )
 
 
@@ -195,11 +210,12 @@ def search_ehc(
         heuristic = make_heuristic(cfg.heuristic, gp)
 
     reject_out: set = set()
+    gate = _join_gate(cfg, scorer, trust, exclusions, reject_out)
     expanded = 0
     state = gp.init
     h0, ctx = heuristic.evaluate(state, None)
     if h0 == INF:
-        return PlanResult(None, 0, frozenset(), trust, STATUS_EXHAUSTED)
+        return PlanResult(None, 0, frozenset(), STATUS_EXHAUSTED)
     f_cur = h0  # the root has no generating edge, hence no feature term
     plan: list[GroundAction] = []
 
@@ -210,23 +226,16 @@ def search_ehc(
         while queue and committed is None:
             s, c, path = queue.popleft()
             if cfg.node_budget is not None and expanded >= cfg.node_budget:
-                return PlanResult(None, expanded, frozenset(reject_out), trust, STATUS_BUDGET)
+                return PlanResult(None, expanded, frozenset(reject_out), STATUS_BUDGET)
             expanded += 1
             best = None  # lowest-f improving successor of this expansion
             for action_idx, succ in successors(gp, s, succ_cache):
                 if succ in seen:
                     continue
                 act = gp.actions[action_idx]
-                phi = 0.0
-                if act.o_a:
-                    if act.o_a in exclusions:
-                        continue
-                    if cfg.use_feature_score:
-                        phi = scorer(s, act.schema_name, act.o_a, trust)
-                        if phi == NEG_INF:
-                            if trust:
-                                reject_out.add((act.o_a, act.schema_name))
-                            continue
+                phi = gate(act)
+                if phi is None:
+                    continue
                 h2, c2 = heuristic.evaluate(succ, c)
                 if h2 == INF:
                     continue
@@ -243,12 +252,12 @@ def search_ehc(
             if best is not None:
                 committed = best
         if committed is None:
-            return PlanResult(None, expanded, frozenset(reject_out), trust, STATUS_EXHAUSTED)
+            return PlanResult(None, expanded, frozenset(reject_out), STATUS_EXHAUSTED)
         f_cur, state, ctx, step = committed
         plan.extend(act for act, _, _ in step)
 
     _simulate(plan, gp)
-    return PlanResult(plan, expanded, frozenset(reject_out), trust, STATUS_FOUND)
+    return PlanResult(plan, expanded, frozenset(reject_out), STATUS_FOUND)
 
 
 def extract_plan(goal_node: SearchNode, gp: GroundProblem) -> list[GroundAction]:

@@ -21,7 +21,7 @@ from fgs.bench import experiment_scenarios
 from fgs.cli import main as cli_main
 from fgs.episode import run_episode
 from fgs.scenario import TOOL_TABLE, scenario_from_json
-from fgs.scoring import ObjectProfile, RejectSet, ScoreParams, feature_score
+from fgs.scoring import ObjectProfile, ScoreParams, feature_score
 from fgs.search import SearchConfig, search
 
 from .test_scoring import FIXTURES
@@ -88,8 +88,8 @@ def test_c02_score_equations_exact():
         a = ObjectProfile("a", {"hammer_head": head, "handle": 0.0},
                           {"metal": mat}, has_magnet=attach)
         b = ObjectProfile("b", {"hammer_head": 0.0, "handle": handle}, {}, has_magnet=attach)
-        reject = RejectSet([(("a", "b"), "join-hammer")]) if in_reject else RejectSet()
-        got = feature_score(None, "join-hammer", ("a", "b"), trust, reject,
+        reject = frozenset([(("a", "b"), "join-hammer")]) if in_reject else frozenset()
+        got = feature_score("join-hammer", ("a", "b"), trust, reject,
                             {"join-hammer": TOOL_TABLE["hammer"]},
                             {"a": a, "b": b}, ScoreParams())
         if expected == float("-inf"):
@@ -115,9 +115,9 @@ def test_c02_score_equations_exact():
             ))
             profiles_checked += 1
         profiles = {p.object_id: p for p in pair}
-        reject = RejectSet([(("a", "b"), "join-hammer")]) if rng.random() < 0.5 else RejectSet()
+        reject = frozenset([(("a", "b"), "join-hammer")]) if rng.random() < 0.5 else frozenset()
         for trust in (True, False):
-            phi = feature_score(None, "join-hammer", ("a", "b"), trust, reject,
+            phi = feature_score("join-hammer", ("a", "b"), trust, reject,
                                 registry, profiles, ScoreParams())
             if phi != float("-inf") and not 0.0 <= phi <= 2.0:
                 out_of_range += 1

@@ -1,0 +1,68 @@
+"""The seed-1729 counts pinned by the episode benchmark, checked in tier 1.
+
+``perfbench/expected_1729.json`` records, for every benchmark episode at
+seed 1729, a digest of what the episode decided and how many searches,
+expansions, heuristic evaluations and scoring calls it took. The benchmark
+fails a run whose counts differ. This test reruns a few of those episodes
+under the benchmark's own tracer, so a change that moves a pinned count
+fails here as well, not only in a benchmark run. ``perfbench`` is imported
+as it is, never modified.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import fgs.assets
+import fgs.bench
+import fgs.episode
+import fgs.scenario
+
+SEARCH = importlib.import_module("fgs.search")  # the attribute fgs.search is the function
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from layers import Tracer  # noqa: E402
+from workloads import WORKLOADS, episode_digest, resolve_config  # noqa: E402
+
+EXPECTED = json.loads((PERFBENCH / "expected_1729.json").read_text(encoding="utf-8"))
+
+# Two single-search relaxed-heuristics episodes (EHC and best-first), and two
+# trust-switch episodes that withdraw trust and plan over the reject set.
+EPISODES = [
+    ("relaxed-heuristics", "EHC+FF|woodworking_hammer_case00", False),
+    ("relaxed-heuristics", "A*+hadd|cleaning_rake_case00", False),
+    ("trust-switch", "FS+H|woodworking_screwdriver_case03", True),
+    ("trust-switch", "FS|cleaning_rake_case03", True),
+]
+
+
+@pytest.mark.parametrize("workload,key,phase2", EPISODES, ids=[k for _, k, _ in EPISODES])
+def test_traced_episode_matches_seed_1729_record(workload, key, phase2):
+    assert EXPECTED["seed"] == 1729
+    config_name, scenario_id = key.split("|")
+    cfg = resolve_config(fgs.bench, SEARCH, config_name)
+    scenario = fgs.scenario.load_scenario(fgs.assets.benchmark_dir() / f"{scenario_id}.json")
+    task = fgs.assets.task_for_scenario(scenario.task_type, scenario.tools)
+    gp = fgs.assets.load_task(task.task_id)[2]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = fgs.episode.run_episode(
+            gp, cfg, scenario, trust_policy="switchable",
+            noise_on=WORKLOADS[workload].noise_on, succ_cache={},
+        )
+    finally:
+        tracer.uninstall()
+    counts = {
+        "digest": episode_digest(result),
+        "searches": result.searches,
+        "expanded": result.nodes_total,
+        "h_evals": tracer.evals(),
+        "score_calls": tracer.calls["scoring.score"],
+    }
+    assert counts == EXPECTED["workloads"][workload]["episodes"][key]
+    assert (result.phase2_whitelist is not None) == phase2

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -37,6 +38,49 @@ def test_validate_headless_domain_exits_two(tmp_path, capsys):
     code = main(["validate", "--domain", str(bad), "--problem", str(bad)])
     assert code == EXIT_USAGE
     assert "missing domain name" in capsys.readouterr().err
+
+
+# Each row edits a copy of a bundled scenario: (field path, new value, the
+# expected message); with a path of None the value is the whole file text.
+CASE_TEXT = (BENCH / "woodworking_hammer_case00.json").read_text(encoding="utf-8")
+MALFORMED_SCENARIOS = [
+    ("n-string", ("n",), "ten", r"\.n: expected an integer, got a string"),
+    ("n-null", ("n",), None, r"\.n: expected an integer, got null"),
+    ("shape-conf-string", ("objects", 0, "shape_conf", "handle"), "0.4",
+     r"objects\[0\]\.shape_conf\.handle: expected a number, got a string"),
+    ("material-conf-list", ("objects", 0, "material_conf"), [1],
+     r"objects\[0\]\.material_conf: expected an object, got a list"),
+    ("truncated-json", None, CASE_TEXT[: len(CASE_TEXT) // 2], r"case\.json: invalid JSON"),
+    ("deeply-nested-json", None, "[" * 100_000 + "]" * 100_000, r"case\.json: invalid JSON"),
+    ("objects-string", ("objects",), "nope", r"\.objects: expected a list, got a string"),
+    ("pierceable-string", ("objects", 0, "pierceable"), "false",
+     r"objects\[0\]\.pierceable: expected a boolean, got a string"),
+    ("n-fraction", ("n",), 10.7, r"\.n: expected an integer, got a number"),
+    ("allowed-materials-string", ("tool_specs", 0, "allowed_materials"), "metal",
+     r"tool_specs\[0\]\.allowed_materials: expected a list, got a string"),
+    ("confidence-overflows-float", ("objects", 0, "shape_conf", "handle"), 10**400,
+     r"objects\[0\]\.shape_conf\.handle: number out of range"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value,message", [row[1:] for row in MALFORMED_SCENARIOS],
+    ids=[row[0] for row in MALFORMED_SCENARIOS],
+)
+def test_validate_malformed_scenario_exits_two(tmp_path, capsys, path, value, message):
+    text = value
+    if path is not None:
+        data = json.loads(CASE_TEXT)
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        text = json.dumps(data)
+    bad = tmp_path / "case.json"
+    bad.write_text(text, encoding="utf-8")
+    code = main(["validate", *args_for("woodworking_hammer"), "--scenario", str(bad)])
+    assert code == EXIT_USAGE
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_missing_file_is_io_error(capsys):

@@ -1,10 +1,14 @@
+import copy
 import json
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fgs.errors import ValidationError
+from fgs.assets import benchmark_dir
+from fgs.errors import FgsError, ValidationError
 from fgs.scenario import (
     TASK_TOOLS,
     TOOL_TABLE,
@@ -73,14 +77,14 @@ def test_ground_truth_uniquely_accepted(squeegee_cases):
         ids = [o.object_id for o in sc.objects]
         gt = sc.ground_truth.pair
         spec = sc.spec_for_tool(sc.ground_truth.tool)
-        best = feature_score(None, spec.join_action_name, gt, True, set(), registry, profiles, params)
+        best = feature_score(spec.join_action_name, gt, True, set(), registry, profiles, params)
         assert best > 0
         for a in ids:
             for b in ids:
                 if a == b or (a, b) == gt:
                     continue
                 phi = feature_score(
-                    None, spec.join_action_name, (a, b), True, set(), registry, profiles, params
+                    spec.join_action_name, (a, b), True, set(), registry, profiles, params
                 )
                 assert phi < best
 
@@ -216,8 +220,6 @@ def test_adaptability_two_tools_alternating():
 
 
 def test_benchmark_suite_matches_bundled():
-    from fgs.assets import benchmark_dir
-
     suite = build_benchmark_suite()
     assert len(suite) == 90
     bundled = sorted(benchmark_dir().glob("*.json"))
@@ -239,3 +241,60 @@ def test_bundled_noise_arming_counts():
     adapt = [sc for sc in suite if len(sc.tools) == 2]
     assert len(adapt) == 30
     assert all(sc.noise.shape_jitter > 0 for sc in adapt)
+
+
+# -- the JSON boundary ---------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+BUNDLED_CASE = json.loads((benchmark_dir() / "woodworking_hammer_case00.json").read_text())
+FIELD_PATHS = [
+    ("format_version",),
+    ("scenario_id",),
+    ("tools",),
+    ("tools", 0),
+    ("n",),
+    ("objects",),
+    ("objects", 0),
+    ("objects", 0, "object_id"),
+    ("objects", 0, "shape_conf"),
+    ("objects", 0, "shape_conf", "handle"),
+    ("objects", 0, "material_conf"),
+    ("objects", 0, "material_conf", "wood"),
+    ("objects", 0, "pierceable"),
+    ("ground_truth",),
+    ("ground_truth", "action_part"),
+    ("ground_truth", "tool"),
+    ("tool_specs",),
+    ("tool_specs", 0),
+    ("tool_specs", 0, "allowed_materials"),
+    ("tool_specs", 0, "num_parts"),
+    ("noise",),
+    ("noise", "seed"),
+    ("noise", "shape_jitter"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_values)
+def test_scenario_from_json_arbitrary_values_raise_only_fgs_errors(data):
+    with pytest.raises(FgsError):
+        scenario_from_json(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=json_values)
+def test_scenario_from_json_one_bad_field_raises_only_fgs_errors(path, value):
+    data = copy.deepcopy(BUNDLED_CASE)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        scenario_from_json(data)
+    except FgsError:
+        pass

@@ -10,7 +10,6 @@ from fgs.scoring import (
     ATTACH_PIERCE,
     NEG_INF,
     ObjectProfile,
-    RejectSet,
     ScoreParams,
     ToolSpec,
     can_attach,
@@ -157,13 +156,11 @@ REGISTRY = {"join-hammer": HAMMER, "join-squeegee": SQUEEGEE}
 
 def scored(a, b, trust=True, reject=None, params=PARAMS, action="join-hammer"):
     profiles, o_a = pair(a, b)
-    return feature_score(
-        None, action, o_a, trust, reject or RejectSet(), REGISTRY, profiles, params
-    )
+    return feature_score(action, o_a, trust, reject or frozenset(), REGISTRY, profiles, params)
 
 
 def test_feature_score_empty_permutation_is_zero():
-    assert feature_score(None, "move", (), True, RejectSet(), REGISTRY, {}, PARAMS) == 0.0
+    assert feature_score("move", (), True, frozenset(), REGISTRY, {}, PARAMS) == 0.0
 
 
 def test_feature_score_weighted_sum():
@@ -194,9 +191,9 @@ def test_feature_score_custom_weights():
 def test_no_trust_requires_reject_membership():
     a = profile("a", head=0.6, materials={"metal": 0.9})
     b = profile("b", handle=0.5)
-    reject = RejectSet()
+    reject = set()
     assert scored(a, b, trust=False, reject=reject) == NEG_INF
-    reject.add(("a", "b"), "join-hammer")
+    reject.add((("a", "b"), "join-hammer"))
     assert scored(a, b, trust=False, reject=reject) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -204,7 +201,7 @@ def test_no_trust_ignores_hard_constraints():
     # unattachable and wrong material, but previously rejected: shape only
     a = profile("a", head=0.9, materials={"plastic": 1.0})
     b = profile("b", handle=0.9)
-    reject = RejectSet([(("a", "b"), "join-hammer")])
+    reject = frozenset([(("a", "b"), "join-hammer")])
     assert scored(a, b, trust=False, reject=reject) == pytest.approx(0.81, abs=1e-12)
 
 
@@ -213,7 +210,7 @@ def test_unregistered_join_action_is_config_error():
     b = profile("b")
     profiles, o_a = pair(a, b)
     with pytest.raises(ConfigError, match="join-ladle"):
-        feature_score(None, "join-ladle", o_a, True, RejectSet(), REGISTRY, profiles, PARAMS)
+        feature_score("join-ladle", o_a, True, frozenset(), REGISTRY, profiles, PARAMS)
 
 
 def test_toolspec_unknown_material_rejected():
@@ -262,7 +259,7 @@ FIXTURES = [
 def test_fixture_table(head, handle, mat, attach, trust, in_reject, expected):
     a = profile("a", head=head, materials={"metal": mat}, has_magnet=attach)
     b = profile("b", handle=handle, has_magnet=attach)
-    reject = RejectSet([(("a", "b"), "join-hammer")]) if in_reject else RejectSet()
+    reject = frozenset([(("a", "b"), "join-hammer")]) if in_reject else frozenset()
     got = scored(a, b, trust=trust, reject=reject)
     if expected == NEG_INF:
         assert got == NEG_INF
@@ -272,7 +269,7 @@ def test_fixture_table(head, handle, mat, attach, trust, in_reject, expected):
 
 def test_range_invariant_under_uniform_weights():
     rng = random.Random(20240)
-    reject = RejectSet()
+    reject = frozenset()
     spec_roles = ("hammer_head", "handle")
     for _ in range(2000):
         a = ObjectProfile(
@@ -304,9 +301,9 @@ def test_make_scorer_binds_whitelist():
     b = profile("b", handle=0.6)
     profiles = {"a": a, "b": b}
     scorer = make_scorer(REGISTRY, profiles, PARAMS, frozenset({(("a", "b"), "join-hammer")}))
-    assert scorer(None, "join-hammer", ("a", "b"), True) == NEG_INF
-    assert scorer(None, "join-hammer", ("a", "b"), False) == pytest.approx(0.42, abs=1e-12)
-    assert scorer(None, "join-hammer", ("b", "a"), False) == NEG_INF
+    assert scorer("join-hammer", ("a", "b"), True) == NEG_INF
+    assert scorer("join-hammer", ("a", "b"), False) == pytest.approx(0.42, abs=1e-12)
+    assert scorer("join-hammer", ("b", "a"), False) == NEG_INF
 
 
 from hypothesis import given, settings

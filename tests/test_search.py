@@ -94,7 +94,7 @@ def join_fanout_problem(phis):
 
 
 def scorer_from_table(table):
-    def scorer(state, action_name, o_a, trust):
+    def scorer(action_name, o_a, trust):
         return table[o_a]
 
     return scorer
@@ -127,52 +127,62 @@ def test_join_expansion_order_follows_phi():
     assert sorted(seen_phis, reverse=True) == seen_phis
 
 
+# The join-gate tests run on both search loops: best-first (A*, UCS) and EHC.
+# They loop over the algorithms inside one test each, so each keeps its id.
+GATE_ALGORITHMS = ("astar", "ucs", "ehc")
+
+
 def test_rejected_combination_recorded_and_skipped():
     gp = join_fanout_problem([0.5, 0.9])
     table = {("x0", "y0"): NEG_INF, ("x1", "y1"): 0.9}
-    cfg = SearchConfig(algorithm="astar", heuristic="zero", use_feature_score=True)
-    result = search(gp, cfg, scorer=scorer_from_table(table))
-    assert result.found
-    assert result.reject_set_out == frozenset({(("x0", "y0"), "join0")})
-    assert all(a.schema_name != "join0" for a in result.plan)
+    for algorithm in GATE_ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
+        result = search(gp, cfg, scorer=scorer_from_table(table))
+        assert result.found
+        assert result.reject_set_out == frozenset({(("x0", "y0"), "join0")})
+        assert all(a.schema_name != "join0" for a in result.plan)
 
 
 def test_rejects_not_recorded_without_trust():
     gp = join_fanout_problem([0.5])
     table = {("x0", "y0"): NEG_INF}
-    cfg = SearchConfig(algorithm="astar", heuristic="zero", use_feature_score=True)
-    result = search(gp, cfg, scorer=scorer_from_table(table), trust=False)
-    assert result.status == STATUS_EXHAUSTED
-    assert result.reject_set_out == frozenset()
+    for algorithm in GATE_ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
+        result = search(gp, cfg, scorer=scorer_from_table(table), trust=False)
+        assert result.status == STATUS_EXHAUSTED
+        assert result.reject_set_out == frozenset()
 
 
 def test_exclusions_skipped_without_rerecording():
     gp = join_fanout_problem([0.5, 0.9])
     table = {("x0", "y0"): 0.5, ("x1", "y1"): 0.9}
-    cfg = SearchConfig(algorithm="astar", heuristic="zero", use_feature_score=True)
-    result = search(
-        gp, cfg, scorer=scorer_from_table(table), exclusions=frozenset({("x1", "y1")})
-    )
-    assert result.found
-    assert any(a.schema_name == "join0" for a in result.plan)
-    assert result.reject_set_out == frozenset()
+    for algorithm in GATE_ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
+        result = search(
+            gp, cfg, scorer=scorer_from_table(table), exclusions=frozenset({("x1", "y1")})
+        )
+        assert result.found
+        assert any(a.schema_name == "join0" for a in result.plan)
+        assert result.reject_set_out == frozenset()
 
 
 def test_exclusions_apply_with_features_off():
     gp = join_fanout_problem([0.5, 0.9])
-    cfg = SearchConfig(algorithm="ucs")
-    result = search(gp, cfg, exclusions=frozenset({("x0", "y0")}))
-    assert result.found
-    assert any(a.schema_name == "join1" for a in result.plan)
+    for algorithm in GATE_ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm)
+        result = search(gp, cfg, exclusions=frozenset({("x0", "y0")}))
+        assert result.found
+        assert any(a.schema_name == "join1" for a in result.plan)
 
 
 def test_all_joins_rejected_fails_with_reject_set():
     gp = join_fanout_problem([0.5, 0.9])
     table = {("x0", "y0"): NEG_INF, ("x1", "y1"): NEG_INF}
-    cfg = SearchConfig(algorithm="astar", heuristic="zero", use_feature_score=True)
-    result = search(gp, cfg, scorer=scorer_from_table(table))
-    assert result.status == STATUS_EXHAUSTED
-    assert len(result.reject_set_out) == 2
+    for algorithm in GATE_ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
+        result = search(gp, cfg, scorer=scorer_from_table(table))
+        assert result.status == STATUS_EXHAUSTED
+        assert len(result.reject_set_out) == 2
 
 
 def test_weighted_astar_valid_and_uses_weight():
