@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .grounding import GroundProblem, ground
-from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
+from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem, read_pddl
 
 DATA_DIR_ENV = "FGS_DATA_DIR"
 
@@ -70,8 +70,8 @@ def load_task(task_id: str, base: Path | None = None) -> tuple[DomainDef, Proble
     problem_path = base / task.problem_file
     if not domain_path.exists() or not problem_path.exists():
         raise ConfigError(f"missing bundled domain assets for task '{task_id}' under {base}")
-    domain = parse_domain(domain_path.read_text(encoding="utf-8"))
-    problem = parse_problem(problem_path.read_text(encoding="utf-8"), domain)
+    domain = parse_domain(read_pddl(domain_path))
+    problem = parse_problem(read_pddl(problem_path), domain)
     return domain, problem, ground(domain, problem)
 
 

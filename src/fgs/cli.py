@@ -21,7 +21,7 @@ from .episode import run_adaptability_episode, run_episode
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
-from .pddl import parse_domain, parse_problem
+from .pddl import parse_domain, parse_problem, read_pddl
 from .scenario import load_scenario, sense
 from .scoring import ScoreParams, make_scorer
 from .search import SearchConfig, search
@@ -34,13 +34,9 @@ EXIT_IO = 3
 log = logging.getLogger("fgs")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_model(args):
-    domain = parse_domain(_read(args.domain))
-    problem = parse_problem(_read(args.problem), domain)
+    domain = parse_domain(read_pddl(args.domain))
+    problem = parse_problem(read_pddl(args.problem), domain)
     return domain, problem, ground(domain, problem)
 
 

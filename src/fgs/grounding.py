@@ -1,23 +1,50 @@
 """Grounding a typed STRIPS domain/problem into a propositional model.
 
-States are frozensets of atom indices. Atom indexing is lexicographic over
-the atom tuples, so two runs over the same inputs produce bit-identical
-models. Object parameters of join actions must bind distinct objects (an
-ordered permutation); other parameters may repeat freely.
+A state is an int bitset over the atoms: bit i is set exactly when atom i
+holds, and GroundProblem.state_atoms decodes it. Actions keep their
+preconditions and effects as frozensets of atom indices; the problem derives
+bit masks from them. Atom indexing is lexicographic over the atom tuples, so
+two runs over the same inputs produce bit-identical models. Object
+parameters of join actions must bind distinct objects (an ordered
+permutation); other parameters may repeat freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .errors import GroundingError
 from .pddl import Atom, DomainDef, Literal, ProblemDef
 
-State = frozenset[int]
+State = int  # bit i set iff atom i holds
 
 DEFAULT_MAX_GROUND_ACTIONS = 200_000
+
+
+def mask(atoms) -> State:
+    """The bitset of the atom indices in *atoms*."""
+    bits = 0
+    for atom in atoms:
+        bits |= 1 << atom
+    return bits
+
+
+@cache
+def _byte_atoms(position: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte value, the atom indices that byte sets at byte *position*."""
+    base = 8 * position
+    return tuple(tuple(base + i for i in range(8) if value >> i & 1) for value in range(256))
+
+
+def atom_indices(state: State) -> list[int]:
+    """The indices of the atoms *state* holds, in ascending order."""
+    out: list[int] = []
+    for position, byte in enumerate(state.to_bytes((state.bit_length() + 7) // 8, "little")):
+        if byte:
+            out.extend(_byte_atoms(position)[byte])
+    return out
 
 
 @dataclass(frozen=True)
@@ -38,9 +65,26 @@ class GroundProblem:
     atoms: tuple[Atom, ...]
     atom_ids: dict[Atom, int] = field(compare=False)
     actions: tuple[GroundAction, ...] = ()
-    init: State = frozenset()
+    init: State = 0
     goal_pos: frozenset[int] = frozenset()
     goal_neg: frozenset[int] = frozenset()
+
+    @cached_property
+    def goal_mask(self) -> State:
+        return mask(self.goal_pos)
+
+    @cached_property
+    def goal_neg_mask(self) -> State:
+        return mask(self.goal_neg)
+
+    @cached_property
+    def action_masks(self) -> tuple[tuple[State, State, State, State], ...]:
+        """Per action, (pre, neg, keep, adds): its positive and negative
+        preconditions, every atom it does not delete, and its add effects."""
+        return tuple(
+            (mask(act.pre_pos), mask(act.pre_neg), ~mask(act.dels), mask(act.adds))
+            for act in self.actions
+        )
 
     @cached_property
     def consumers(self) -> tuple[tuple[int, ...], ...]:
@@ -57,6 +101,11 @@ class GroundProblem:
         """Indices of actions with no positive precondition."""
         return tuple(idx for idx, act in enumerate(self.actions) if not act.pre_pos)
 
+    @cached_property
+    def precondition_counts(self) -> tuple[int, ...]:
+        """Per action, the number of its positive preconditions."""
+        return tuple(len(act.pre_pos) for act in self.actions)
+
     def _index_by_atom(self, atoms_of) -> tuple[tuple[int, ...], ...]:
         index: list[list[int]] = [[] for _ in self.atoms]
         for idx, act in enumerate(self.actions):
@@ -65,22 +114,24 @@ class GroundProblem:
         return tuple(map(tuple, index))
 
     def state_atoms(self, state: State) -> frozenset[Atom]:
-        return frozenset(self.atoms[i] for i in state)
+        return frozenset(self.atoms[i] for i in atom_indices(state))
 
 
 def applicable(state: State, action: GroundAction) -> bool:
-    return action.pre_pos <= state and not (action.pre_neg & state)
+    pre = mask(action.pre_pos)
+    return state & pre == pre and not state & mask(action.pre_neg)
 
 
 def apply_action(state: State, action: GroundAction) -> State:
     """Transition function; the caller must ensure applicability."""
     if not applicable(state, action):
         raise GroundingError(f"action {action.name} is not applicable in this state")
-    return (state - action.dels) | action.adds
+    return state & ~mask(action.dels) | mask(action.adds)
 
 
 def goal_satisfied(state: State, gp: GroundProblem) -> bool:
-    return gp.goal_pos <= state and not (gp.goal_neg & state)
+    goal = gp.goal_mask
+    return state & goal == goal and not state & gp.goal_neg_mask
 
 
 def successors(gp: GroundProblem, state: State, cache: dict | None = None):
@@ -94,9 +145,9 @@ def successors(gp: GroundProblem, state: State, cache: dict | None = None):
         if hit is not None:
             return hit
     out = []
-    for idx, act in enumerate(gp.actions):
-        if act.pre_pos <= state and not (act.pre_neg & state):
-            out.append((idx, (state - act.dels) | act.adds))
+    for idx, (pre, neg, keep, adds) in enumerate(gp.action_masks):
+        if state & pre == pre and not state & neg:
+            out.append((idx, state & keep | adds))
     if cache is not None:
         cache[state] = out
     return out
@@ -228,7 +279,7 @@ def ground(
         atoms=atoms,
         atom_ids=atom_ids,
         actions=ground_actions,
-        init=ids(problem.init),
+        init=mask(ids(problem.init)),
         goal_pos=goal_pos,
         goal_neg=goal_neg,
     )

@@ -7,7 +7,8 @@ relaxed_exploration, backs h_max, h_add, FF and landmark discovery.
 
 The landmark heuristic counts discovered-but-unachieved landmarks plus goal
 landmarks that were achieved and then undone (required again); landmark
-bookkeeping travels along the search path via an opaque context value.
+bookkeeping travels along the search path via an opaque context value (the
+bitset of accepted landmarks).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .grounding import GroundProblem, State
+from .grounding import GroundProblem, State, atom_indices, mask
 
 INF = float("inf")
 
@@ -50,35 +51,39 @@ def relaxed_exploration(
 
     Returns the first level of every reached atom (0 for atoms of *state*)
     and the indices of the actions that fired, layer by layer. An action
-    fires in the layer after its last precondition is reached, so only the
-    consumers of newly reached atoms are tested (semi-naive evaluation).
-    *banned* is struck from every add list. With *goal*, exploration stops
-    at the first layer holding every goal atom; otherwise it runs to the
-    fixpoint. Under unit cost an atom's level is its h_max cost.
+    fires in the layer after its last precondition is reached: each action
+    counts its unreached preconditions, and only the consumers of newly
+    reached atoms are counted down (semi-naive evaluation). *banned* is
+    struck from every add list. With *goal*, exploration stops at the first
+    layer holding every goal atom; otherwise it runs to the fixpoint. Under
+    unit cost an atom's level is its h_max cost.
     """
     actions = gp.actions
     consumers = gp.consumers
-    level_of = dict.fromkeys(state, 0)
-    reached = set(state)
+    initial = atom_indices(state)
+    level_of = dict.fromkeys(initial, 0)
+    waiting = list(gp.precondition_counts)
     fired_order: list[int] = []
-    candidates = set(gp.precondition_free)
-    for atom in state:
-        candidates.update(consumers[atom])
+    fire = list(gp.precondition_free)
+    new = initial
     level = 0
-    while candidates and not (goal is not None and goal <= reached):
+    while True:
+        for f in new:
+            for idx in consumers[f]:
+                waiting[idx] -= 1
+                if not waiting[idx]:
+                    fire.append(idx)
+        if not fire or (goal is not None and goal <= level_of.keys()):
+            return level_of, fired_order
         level += 1
-        new: list[int] = []
-        for idx in candidates:
-            act = actions[idx]
-            if act.pre_pos <= reached:
-                fired_order.append(idx)
-                for f in act.adds:
-                    if f not in level_of and f != banned:
-                        level_of[f] = level
-                        new.append(f)
-        reached.update(new)
-        candidates = {idx for f in new for idx in consumers[f]}
-    return level_of, fired_order
+        new = []
+        for idx in fire:
+            for f in actions[idx].adds:
+                if f not in level_of and f != banned:
+                    level_of[f] = level
+                    new.append(f)
+        fired_order.extend(fire)
+        fire = []
 
 
 class _RelaxationHeuristic(Heuristic):
@@ -91,7 +96,8 @@ class _RelaxationHeuristic(Heuristic):
     def evaluate(self, state, parent_ctx=None):
         h = self._cache.get(state)
         if h is None:
-            h = 0.0 if self.gp.goal_pos <= state else self._estimate(state)
+            goal = self.gp.goal_mask
+            h = 0.0 if state & goal == goal else self._estimate(state)
             self._cache[state] = h
         return h, None
 
@@ -121,7 +127,7 @@ class AddHeuristic(_RelaxationHeuristic):
         # Layer order puts every precondition's first achiever before its
         # consumers, so one sweep prices every atom and later sweeps only
         # lower prices until the fixpoint.
-        cost = dict.fromkeys(state, 0.0)
+        cost = dict.fromkeys(atom_indices(state), 0.0)
         actions = gp.actions
         changed = True
         while changed:
@@ -187,21 +193,22 @@ class LandmarkSet:
 def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
     """Backchain from the goal: if every possible first achiever of a known
     landmark shares a precondition, that precondition is a landmark too."""
+    init = gp.init
     landmarks: set[int] = set()
-    queue = [g for g in sorted(gp.goal_pos) if g not in gp.init]
+    queue = [g for g in sorted(gp.goal_pos) if not init >> g & 1]
     landmarks.update(queue)
     while queue:
         lm = queue.pop(0)
         pres = [gp.actions[idx].pre_pos for idx in gp.achievers[lm]]
         # Exploring past the layer that holds every achiever precondition
         # cannot change which achievers are reachable.
-        level_of, _ = relaxed_exploration(gp, gp.init, banned=lm, goal=frozenset().union(*pres))
+        level_of, _ = relaxed_exploration(gp, init, banned=lm, goal=frozenset().union(*pres))
         achiever_pres = [pre for pre in pres if pre <= level_of.keys()]
         if not achiever_pres:
             continue
         common = frozenset.intersection(*achiever_pres)
         for p in sorted(common):
-            if p not in gp.init and p not in landmarks:
+            if not init >> p & 1 and p not in landmarks:
                 landmarks.add(p)
                 queue.append(p)
     lm_frozen = frozenset(landmarks)
@@ -214,13 +221,15 @@ class LandmarkCountHeuristic(Heuristic):
     def __init__(self, gp: GroundProblem, landmark_set: LandmarkSet | None = None):
         super().__init__(gp)
         self.landmark_set = landmark_set or discover_landmarks(gp)
+        self._count = len(self.landmark_set.landmarks)
+        self._mask = mask(self.landmark_set.landmarks)
+        self._goal_mask = mask(self.landmark_set.goal_landmarks)
 
     def evaluate(self, state, parent_ctx=None):
-        lms = self.landmark_set.landmarks
-        achieved_now = lms & state
+        achieved_now = self._mask & state
         accepted = achieved_now if parent_ctx is None else parent_ctx | achieved_now
-        required_again = (accepted & self.landmark_set.goal_landmarks) - state
-        h = len(lms) - len(accepted) + len(required_again)
+        required_again = accepted & self._goal_mask & ~state
+        h = self._count - accepted.bit_count() + required_again.bit_count()
         return float(h), accepted
 
 

@@ -16,6 +16,7 @@ action consumes (action part first, grasp part second).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .errors import PddlParseError, ValidationError
 
@@ -44,6 +45,15 @@ _UNSUPPORTED_HEADS = {
 }
 
 Atom = tuple[str, ...]  # (predicate, arg, ...)
+
+
+def read_pddl(path) -> str:
+    """The text of a PDDL file; bytes that are not UTF-8 are a parse error."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PddlParseError(f"{path.name}: not UTF-8 text: {exc}") from None
 
 
 # -- s-expression layer -------------------------------------------------------
@@ -251,29 +261,31 @@ def _parse_atom(node: SList, *, what: str) -> Literal:
 
 
 def _parse_formula(node, *, what: str, allow_negation: bool) -> list[Literal]:
-    """Flatten a conjunction into literals; reject unsupported constructs."""
-    if isinstance(node, Symbol):
-        raise PddlParseError(f"expected formula in {what}", node.line, node.col)
-    head = _head(node)
-    if head == "and":
-        out: list[Literal] = []
-        for item in node.items[1:]:
-            out.extend(_parse_formula(item, what=what, allow_negation=allow_negation))
-        return out
-    if head == "not":
-        if not allow_negation:
-            raise PddlParseError(f"negation not allowed in {what}", node.line, node.col)
-        if len(node.items) != 2 or not isinstance(node.items[1], SList):
-            raise PddlParseError("'not' takes exactly one atom", node.line, node.col)
-        inner = _parse_atom(node.items[1], what=what)
-        return [replace(inner, negated=True)]
-    if head in _UNSUPPORTED_HEADS:
-        raise PddlParseError(
-            f"unsupported feature: {_UNSUPPORTED_HEADS[head]} ('{head}')", node.line, node.col
-        )
-    if not node.items:
-        return []  # () and (and) both mean the empty conjunction
-    return [_parse_atom(node, what=what)]
+    """Flatten a conjunction into literals, left to right; reject unsupported
+    constructs. Nested conjunctions are walked with an explicit stack, so
+    nesting depth is not bounded by the interpreter's recursion limit."""
+    out: list[Literal] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Symbol):
+            raise PddlParseError(f"expected formula in {what}", node.line, node.col)
+        head = _head(node)
+        if head == "and":
+            stack.extend(reversed(node.items[1:]))
+        elif head == "not":
+            if not allow_negation:
+                raise PddlParseError(f"negation not allowed in {what}", node.line, node.col)
+            if len(node.items) != 2 or not isinstance(node.items[1], SList):
+                raise PddlParseError("'not' takes exactly one atom", node.line, node.col)
+            out.append(replace(_parse_atom(node.items[1], what=what), negated=True))
+        elif head in _UNSUPPORTED_HEADS:
+            raise PddlParseError(
+                f"unsupported feature: {_UNSUPPORTED_HEADS[head]} ('{head}')", node.line, node.col
+            )
+        elif node.items:  # () and (and) both mean the empty conjunction
+            out.append(_parse_atom(node, what=what))
+    return out
 
 
 # -- domain parsing ------------------------------------------------------------

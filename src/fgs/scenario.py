@@ -331,14 +331,17 @@ def scenario_from_json(data, where: str = "scenario") -> Scenario:
     return sc
 
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
+def _load_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
             raise ValidationError(f"{path.name}: invalid JSON: {exc}") from None
-    return scenario_from_json(data, where=path.name)
+
+
+def load_scenario(path) -> Scenario:
+    path = Path(path)
+    return scenario_from_json(_load_json(path), where=path.name)
 
 
 def save_scenario(sc: Scenario, path) -> None:
@@ -425,23 +428,25 @@ class LibraryObject:
 
 
 def load_library(path) -> tuple[LibraryObject, ...]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    path = Path(path)
+    where = path.name
+    data = _as_object(_load_json(path), where)
     objects = []
-    for i, entry in enumerate(data["objects"]):
-        w = f"library objects[{i}]"
+    for i, entry in enumerate(_field(data, "objects", where, _as_list)):
+        w = f"{where}.objects[{i}]"
+        entry = _as_object(entry, w)
         obj = LibraryObject(
-            library_id=_require(entry, "library_id", w),
-            display_name=_require(entry, "display_name", w),
-            material=_require(entry, "material", w),
-            role_tags=tuple(entry.get("role_tags", [])),
-            pierceable=bool(entry.get("pierceable", False)),
-            can_grasp_others=bool(entry.get("can_grasp_others", False)),
-            can_be_grasped=bool(entry.get("can_be_grasped", False)),
-            has_magnet=bool(entry.get("has_magnet", False)),
+            library_id=_field(entry, "library_id", w, _as_str),
+            display_name=_field(entry, "display_name", w, _as_str),
+            material=_field(entry, "material", w, _as_str),
+            role_tags=tuple(_field(entry, "role_tags", w, _as_str_list, [])),
+            pierceable=_field(entry, "pierceable", w, _as_bool, False),
+            can_grasp_others=_field(entry, "can_grasp_others", w, _as_bool, False),
+            can_be_grasped=_field(entry, "can_be_grasped", w, _as_bool, False),
+            has_magnet=_field(entry, "has_magnet", w, _as_bool, False),
         )
         if obj.material not in MATERIAL_CLASSES:
-            raise ValidationError(f"{w}: unknown material '{obj.material}'")
+            raise ValidationError(f"{w}.material: unknown material '{obj.material}'")
         objects.append(obj)
     return tuple(objects)
 

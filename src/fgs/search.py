@@ -20,11 +20,20 @@ Ties break on (f, then h, then insertion order), so runs are reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InternalError
-from .grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
+from .grounding import (
+    GroundAction,
+    GroundProblem,
+    State,
+    applicable,
+    goal_satisfied,
+    mask,
+    successors,
+)
 from .heuristics import Heuristic, make_heuristic
 
 INF = float("inf")
@@ -48,8 +57,8 @@ class SearchConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm '{self.algorithm}' (choose from {ALGORITHMS})")
-        if self.weight < 1.0:
-            raise ConfigError("weighted search weight must be >= 1")
+        if not (math.isfinite(self.weight) and self.weight >= 1.0):
+            raise ConfigError(f"weighted search weight must be a finite number >= 1, got {self.weight}")
         if self.node_budget is not None and self.node_budget < 0:
             raise ConfigError("node_budget must be non-negative")
 
@@ -278,9 +287,9 @@ def extract_plan(goal_node: SearchNode, gp: GroundProblem) -> list[GroundAction]
 def _simulate(plan, gp: GroundProblem) -> State:
     state = gp.init
     for act in plan:
-        if not (act.pre_pos <= state and not (act.pre_neg & state)):
+        if not applicable(state, act):
             raise InternalError(f"extracted plan is invalid at {act.name}")
-        state = (state - act.dels) | act.adds
+        state = state & ~mask(act.dels) | mask(act.adds)
     if not goal_satisfied(state, gp):
         raise InternalError("extracted plan does not reach the goal")
     return state

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -157,3 +158,34 @@ def test_cross_config_fairness_same_scenarios():
     ids4 = {r.scenario_id for r in records4 if r.config_id == "FS+H"}
     assert ids == ids4
     assert len(BASELINE_CONFIGS) == 4
+
+
+# sha256 over the CSV report, its budget file and every trace of a run with
+# --budget-sweep 0,1,2,5,10,89 (see _output_digest), recorded from the
+# output of `fgs bench`; any change to these reports or traces changes the
+# digest. Regenerate only when a change to the output is intended.
+PINNED_OUTPUT_DIGESTS = {
+    ("algorithms", "on"): "67aa0b250d26c4048537ffa8e01cf1bc2ee5507ac8ad6874df7b4fc62b0ee0ce",
+    ("algorithms", "off"): "0f82eb6d352f109bad6be6d01ee99745fd543c698f6db360b161c6621e3431c1",
+    ("adaptability", "on"): "efc31e054ce0ff1bf01fe149b75d07a7ae17943e0f801a3836e59bad2ee3bdbd",
+    ("adaptability", "off"): "bd63b65cd9fd80f1f82654d30da7ca764fc14d371c00260f548577e14ce1b6b6",
+}
+
+
+def _output_digest(root) -> str:
+    """sha256 over every file under *root*: relative path, then bytes, in
+    path order."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        h.update(rel.encode() + b"\0" + (root / rel).read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "experiment,noise", sorted(PINNED_OUTPUT_DIGESTS), ids=lambda v: v
+)
+def test_bench_output_matches_pinned_digest(tmp_path, experiment, noise):
+    cfg = ExperimentConfig(experiment=experiment, noise_on=noise == "on", budgets=(0, 1, 2, 5, 10, 89))
+    table = run_experiment(cfg, trace_dir=tmp_path / "traces")
+    emit_report(table, "csv", tmp_path / "report.csv")
+    assert _output_digest(tmp_path) == PINNED_OUTPUT_DIGESTS[(experiment, noise)]

@@ -40,6 +40,14 @@ def test_validate_headless_domain_exits_two(tmp_path, capsys):
     assert "missing domain name" in capsys.readouterr().err
 
 
+def test_validate_non_utf8_pddl_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.domain.pddl"
+    bad.write_bytes(b"\xff\xfe(define (domain d))")
+    code = main(["validate", "--domain", str(bad), "--problem", str(bad)])
+    assert code == EXIT_USAGE
+    assert "bad.domain.pddl: not UTF-8 text" in capsys.readouterr().err
+
+
 # Each row edits a copy of a bundled scenario: (field path, new value, the
 # expected message); with a path of None the value is the whole file text.
 CASE_TEXT = (BENCH / "woodworking_hammer_case00.json").read_text(encoding="utf-8")
@@ -138,6 +146,24 @@ def test_episode_negative_budget_exits_two(capsys):
     ])
     assert code == EXIT_USAGE
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_plan_non_finite_weight_exits_two(weight, capsys):
+    code = main(["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", weight])
+    assert code == EXIT_USAGE
+    assert "weight must be a finite number" in capsys.readouterr().err
+
+
+def test_bench_generate_malformed_library_exits_two(tmp_path, monkeypatch, capsys):
+    library = tmp_path / "library" / "objects.json"
+    library.parent.mkdir()
+    library.write_text('{"format_version": 1}', encoding="utf-8")
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
+    code = main(["bench", "--experiment", "baselines", "--generate", "--cases", "1",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert "objects.json.objects: missing required field" in capsys.readouterr().err
 
 
 def test_episode_adaptability_flag(capsys):

@@ -2,16 +2,27 @@ from collections import deque
 
 import pytest
 
+from fgs.assets import TASKS, load_task
 from fgs.errors import GroundingError
 from fgs.grounding import (
     GroundProblem,
     applicable,
     apply_action,
+    atom_indices,
     goal_satisfied,
     ground,
     successors,
 )
 from fgs.pddl import parse_domain, parse_problem
+
+from .util import (
+    decode,
+    encode,
+    reference_applicable,
+    reference_apply,
+    reference_goal_satisfied,
+    reference_successors,
+)
 
 JOIN_DOMAIN = """
 (define (domain ww)
@@ -136,10 +147,11 @@ def test_applicable_and_apply_semantics():
     act = gp.actions[0]
     assert applicable(gp.init, act)
     succ = apply_action(gp.init, act)
-    assert act.adds <= succ
-    assert not act.dels & succ
+    succ_ids, init_ids = decode(succ), decode(gp.init)
+    assert act.adds <= succ_ids
+    assert not act.dels & succ_ids
     # frame: untouched atoms persist
-    assert succ - act.adds == gp.init - act.dels - act.adds
+    assert succ_ids - act.adds == init_ids - act.dels - act.adds
     # has-tool now blocks every other join
     assert not any(applicable(succ, a) for a in gp.actions)
     with pytest.raises(GroundingError):
@@ -157,7 +169,7 @@ def test_empty_precondition_always_applicable():
     domain = parse_domain(text)
     problem = parse_problem("(define (problem q) (:domain d) (:init) (:goal (p)))", domain)
     gp = ground(domain, problem)
-    assert applicable(frozenset(), gp.actions[0])
+    assert applicable(encode(()), gp.actions[0])
 
 
 def test_goal_satisfied_cases():
@@ -232,6 +244,76 @@ def test_frame_semantics_on_random_models():
             idx, succ = rng.choice(succs)
             act = gp.actions[idx]
             touched = act.adds | act.dels
-            assert succ - touched == state - touched
-            assert act.adds <= succ and not (act.dels & succ)
+            succ_ids, state_ids = decode(succ), decode(state)
+            assert succ_ids - touched == state_ids - touched
+            assert act.adds <= succ_ids and not (act.dels & succ_ids)
             seen.append(succ)
+
+
+# -- the bitset encoding against the naive frozenset references ------------------
+
+
+def _check_state_against_reference(gp, state, ref_state, probe):
+    """Every transition function on the bitset *state* agrees with the
+    frozenset reference on *ref_state*, the same state; *probe* picks the
+    actions checked one by one with applicable and apply_action. Returns
+    the reference successors."""
+    assert gp.state_atoms(state) == frozenset(gp.atoms[i] for i in ref_state)
+    assert atom_indices(state) == sorted(ref_state)
+    assert goal_satisfied(state, gp) == reference_goal_satisfied(ref_state, gp)
+    want = reference_successors(gp, ref_state)
+    assert successors(gp, state) == [(idx, encode(succ)) for idx, succ in want]
+    for idx in probe:
+        act = gp.actions[idx]
+        ok = reference_applicable(ref_state, act)
+        assert applicable(state, act) == ok
+        if ok:
+            assert apply_action(state, act) == encode(reference_apply(ref_state, act))
+        else:
+            with pytest.raises(GroundingError):
+                apply_action(state, act)
+    return want
+
+
+def _walk_reachable_against_reference(gp, probe_stride):
+    """Breadth-first over every reachable state, expanded by the frozenset
+    reference; returns the number of states checked. Each state probes
+    every *probe_stride*-th action, offset by the state's index, so every
+    action is probed on many states."""
+    init = decode(gp.init)
+    seen = {init}
+    frontier = deque([init])
+    n_actions = len(gp.actions)
+    while frontier:
+        ref_state = frontier.popleft()
+        probe = range(len(seen) % probe_stride, n_actions, probe_stride)
+        for _, succ in _check_state_against_reference(gp, encode(ref_state), ref_state, probe):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return len(seen)
+
+
+@pytest.mark.parametrize("task_id", sorted(TASKS))
+def test_bitset_matches_reference_on_every_reachable_state(task_id):
+    _, _, gp = load_task(task_id)
+    assert _walk_reachable_against_reference(gp, probe_stride=16) > 1000
+
+
+def test_bitset_matches_reference_on_random_models():
+    import random
+
+    from .util import random_model
+
+    rng = random.Random(77)
+    for _ in range(60):
+        gp = random_model(rng, n_atoms=rng.randint(5, 10), n_actions=rng.randint(6, 20))
+        _walk_reachable_against_reference(gp, probe_stride=1)
+        # arbitrary states, and goals with negative literals
+        atoms = range(len(gp.atoms))
+        for _ in range(20):
+            ref_state = frozenset(a for a in atoms if rng.random() < 0.4)
+            goal_pos = frozenset(a for a in atoms if rng.random() < 0.2)
+            goal_neg = frozenset(a for a in atoms if a not in goal_pos and rng.random() < 0.2)
+            goal_gp = GroundProblem(gp.atoms, gp.atom_ids, gp.actions, gp.init, goal_pos, goal_neg)
+            _check_state_against_reference(goal_gp, encode(ref_state), ref_state, range(len(gp.actions)))

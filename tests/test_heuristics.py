@@ -18,9 +18,12 @@ from fgs.search import SearchConfig, search
 from .util import (
     bfs_optimal_length,
     chain_problem,
+    decode,
+    encode,
     make_ground_problem,
     random_model,
     reference_ff,
+    reference_landmark_count,
     reference_landmarks,
     reference_reachable_without,
     reference_relaxed_cost,
@@ -41,13 +44,13 @@ def test_unknown_heuristic_name():
 def test_zero_heuristic_everywhere():
     gp = chain_problem(3)
     assert h("zero", gp) == 0.0
-    goal_state = frozenset(range(len(gp.atoms)))
+    goal_state = encode(range(len(gp.atoms)))
     assert h("zero", gp, goal_state) == 0.0
 
 
 def test_goal_state_scores_zero_for_all():
     gp = chain_problem(2)
-    goal_state = frozenset(range(len(gp.atoms)))
+    goal_state = encode(range(len(gp.atoms)))
     for name in ("ff", "hadd", "hmax", "zero"):
         assert h(name, gp, goal_state) == 0.0
 
@@ -151,7 +154,7 @@ def test_chain_landmarks_and_countdown():
     state = gp.init
     expected = 4.0
     for act in gp.actions:  # adv0, adv1, ... in order: each achieves one landmark
-        state = (state - act.dels) | act.adds
+        state = encode((decode(state) - act.dels) | act.adds)
         expected -= 1.0
         value, ctx = heur.evaluate(state, ctx)
         assert value == expected
@@ -196,6 +199,34 @@ def test_required_again_counts():
     assert v3 == 0.0
 
 
+def _check_landmark_count_along_walks(gp, rng, walks, max_depth):
+    """The bitset landmark count equals the frozenset reference, value and
+    accepted set, along random paths that carry the context forward."""
+    heur = LandmarkCountHeuristic(gp)
+    lms = heur.landmark_set
+    for _ in range(walks):
+        state = gp.init
+        value, ctx = heur.evaluate(state)
+        ref = reference_landmark_count(lms, decode(state), None)
+        for _ in range(rng.randint(1, max_depth)):
+            assert (value, decode(ctx)) == ref
+            succs = successors(gp, state)
+            if not succs:
+                break
+            _, state = rng.choice(succs)
+            value, ctx = heur.evaluate(state, ctx)
+            ref = reference_landmark_count(lms, decode(state), ref[1])
+
+
+def test_landmark_count_matches_reference():
+    rng = random.Random(8)
+    for _ in range(30):
+        _check_landmark_count_along_walks(random_model(rng), rng, walks=5, max_depth=8)
+    for task_id in sorted(TASKS):
+        _, _, gp = load_task(task_id)
+        _check_landmark_count_along_walks(gp, rng, walks=5, max_depth=60)
+
+
 # -- the shared exploration against the naive references ------------------------
 
 
@@ -229,11 +260,11 @@ def _check_landmarks_on_optimal_plan(gp):
     lms = discover_landmarks(gp)
     assert lms.landmarks == reference_landmarks(gp)
     plan = search(gp, SearchConfig(algorithm="ucs")).plan
-    visited = set(gp.init)
+    visited = set(decode(gp.init))
     state = gp.init
     for act in plan:
         state = apply_action(state, act)
-        visited |= state
+        visited |= decode(state)
     assert lms.landmarks <= visited
 
 
@@ -243,7 +274,7 @@ def test_exploration_matches_reference_on_random_models():
     for _ in range(40):
         gp = random_model(rng, n_atoms=rng.randint(5, 10), n_actions=rng.randint(6, 20))
         arbitrary = [
-            frozenset(a for a in range(len(gp.atoms)) if rng.random() < 0.3) for _ in range(10)
+            encode(a for a in range(len(gp.atoms)) if rng.random() < 0.3) for _ in range(10)
         ]
         states = _random_walk_states(gp, rng, walks=3, max_depth=6) + arbitrary
         _check_against_reference(gp, states)

@@ -1,6 +1,11 @@
-import pytest
+import re
 
-from fgs.errors import PddlParseError, ValidationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fgs.assets import data_dir
+from fgs.errors import FgsError, PddlParseError, ValidationError
 from fgs.pddl import (
     Literal,
     domain_to_pddl,
@@ -243,3 +248,105 @@ def test_fixpoint_on_join_domain():
     """
     domain = parse_domain(text)
     assert parse_domain(domain_to_pddl(domain)) == domain
+
+
+# -- fuzzing: malformed text raises FgsError, never anything else ----------------
+
+DOMAINS = data_dir() / "domains"
+BUNDLED_DOMAIN = (DOMAINS / "woodworking_either.domain.pddl").read_text(encoding="utf-8")
+BUNDLED_PROBLEM = (DOMAINS / "woodworking_either.problem.pddl").read_text(encoding="utf-8")
+BUNDLED_DOMAIN_DEF = parse_domain(BUNDLED_DOMAIN)
+
+
+def _tokens(text: str) -> list[str]:
+    return re.findall(r"[()]|[^\s();]+", re.sub(r";[^\n]*", "", text))
+
+
+# Vocabulary for random tokens: every token of the bundled files plus the
+# keywords the parser treats specially.
+VOCABULARY = sorted(
+    set(_tokens(BUNDLED_DOMAIN) + _tokens(BUNDLED_PROBLEM))
+    | {"-", "?", ":", "or", "forall", "=", ":constants", ":metric", "define", "domain", "problem"}
+)
+
+
+@st.composite
+def mutated_tokens(draw, text: str):
+    """The tokens of *text* with a few dropped, swapped or replaced."""
+    tokens = _tokens(text)
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if not tokens:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+        op = draw(st.sampled_from(("drop", "swap", "replace")))
+        if op == "drop":
+            del tokens[i]
+        elif op == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(VOCABULARY))
+    return " ".join(tokens)
+
+
+def _parses_or_raises_fgs_error(parse, *args) -> None:
+    try:
+        parse(*args)
+    except FgsError:
+        pass
+
+
+def test_bundled_tokens_round_trip():
+    # the mutation strategy starts from text that parses
+    domain = parse_domain(" ".join(_tokens(BUNDLED_DOMAIN)))
+    assert parse_problem(" ".join(_tokens(BUNDLED_PROBLEM)), domain).name
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_parse_domain_arbitrary_text(text):
+    _parses_or_raises_fgs_error(parse_domain, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+def test_parse_problem_arbitrary_text(text):
+    _parses_or_raises_fgs_error(parse_problem, text, BUNDLED_DOMAIN_DEF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(VOCABULARY), max_size=40).map(" ".join))
+def test_parse_domain_random_tokens(text):
+    _parses_or_raises_fgs_error(parse_domain, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_tokens(BUNDLED_DOMAIN))
+def test_parse_domain_mutated_bundled_file(text):
+    _parses_or_raises_fgs_error(parse_domain, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_tokens(BUNDLED_PROBLEM))
+def test_parse_problem_mutated_bundled_file(text):
+    _parses_or_raises_fgs_error(parse_problem, text, BUNDLED_DOMAIN_DEF)
+
+
+@pytest.mark.parametrize("where", [":precondition", ":effect", ":goal"])
+def test_deeply_nested_conjunction_parses(where):
+    depth = 10_000  # ten times the default recursion limit
+    nested = "(and " * depth + "(p ?x)" + ")" * depth
+    if where == ":goal":
+        nested = nested.replace("?x", "o1")
+        domain = parse_domain(MINIMAL_DOMAIN)
+        text = f"(define (problem q) (:domain tiny) (:objects o1) (:init) (:goal {nested}))"
+        assert parse_problem(text, domain).goal == (Literal("p", ("o1",)),)
+    else:
+        other = ":effect (and)" if where == ":precondition" else ":precondition (and)"
+        text = (
+            "(define (domain tiny) (:requirements :strips) (:predicates (p ?x)) "
+            f"(:action a :parameters (?x) {where} {nested} {other}))"
+        )
+        schema = parse_domain(text).action_schemas[0]
+        literals = schema.preconditions if where == ":precondition" else schema.add_effects
+        assert literals == (Literal("p", ("?x",)),)

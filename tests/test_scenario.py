@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgs.assets import benchmark_dir
+from fgs.assets import benchmark_dir, data_dir
 from fgs.errors import FgsError, ValidationError
 from fgs.scenario import (
     TASK_TOOLS,
@@ -17,6 +17,7 @@ from fgs.scenario import (
     default_library,
     generate_adaptability,
     generate_benchmark,
+    load_library,
     load_scenario,
     save_scenario,
     scenario_from_json,
@@ -38,6 +39,65 @@ def test_library_composition():
     assert counts == {"metal": 11, "wood": 12, "plastic": 19, "paper": 2, "foam": 14}
     for obj in lib:
         assert obj.pierceable == (obj.material in ("foam", "paper"))
+
+
+LIBRARY_TEXT = (data_dir() / "library" / "objects.json").read_text(encoding="utf-8")
+
+
+def _library_with(path, value):
+    """The bundled library with the field at *path* set to *value*, or with
+    the key removed when *value* is ``...``."""
+    data = json.loads(LIBRARY_TEXT)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is ...:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(data)
+
+
+# (id, file text, expected message); each file is written to objects.json
+MALFORMED_LIBRARIES = [
+    ("pierceable-string", _library_with(("objects", 0, "pierceable"), "false"),
+     r"objects\.json\.objects\[0\]\.pierceable: expected a boolean, got a string"),
+    ("objects-missing", _library_with(("objects",), ...),
+     r"objects\.json\.objects: missing required field"),
+    ("objects-object", _library_with(("objects",), {}),
+     r"objects\.json\.objects: expected a list, got an object"),
+    ("entry-string", _library_with(("objects", 2), "metal_pipe"),
+     r"objects\.json\.objects\[2\]: expected an object, got a string"),
+    ("library-id-missing", _library_with(("objects", 1, "library_id"), ...),
+     r"objects\.json\.objects\[1\]\.library_id: missing required field"),
+    ("material-int", _library_with(("objects", 0, "material"), 3),
+     r"objects\.json\.objects\[0\]\.material: expected a string, got an integer"),
+    ("material-unknown", _library_with(("objects", 0, "material"), "glass"),
+     r"objects\.json\.objects\[0\]\.material: unknown material 'glass'"),
+    ("role-tags-string", _library_with(("objects", 0, "role_tags"), "handle"),
+     r"objects\.json\.objects\[0\]\.role_tags: expected a list, got a string"),
+    ("top-level-list", "[]", r"objects\.json: expected an object, got a list"),
+    ("truncated-json", LIBRARY_TEXT[: len(LIBRARY_TEXT) // 2], r"objects\.json: invalid JSON"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message", [row[1:] for row in MALFORMED_LIBRARIES], ids=[row[0] for row in MALFORMED_LIBRARIES]
+)
+def test_malformed_library_names_field(tmp_path, text, message):
+    path = tmp_path / "objects.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_library(path)
+
+
+def test_library_round_trips_through_checks(tmp_path):
+    path = tmp_path / "objects.json"
+    path.write_text(LIBRARY_TEXT, encoding="utf-8")
+    assert load_library(path) == default_library()
+    # absent optional fields take their defaults
+    path.write_text(_library_with(("objects", 0, "role_tags"), ...), encoding="utf-8")
+    assert load_library(path)[0].role_tags == ()
 
 
 def test_generated_scenario_shape(squeegee_cases):

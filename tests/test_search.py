@@ -15,15 +15,23 @@ from fgs.search import (
     search_ehc,
 )
 
-from .util import bfs_optimal_length, chain_problem, dijkstra_distances, make_ground_problem, random_model
+from .util import (
+    bfs_optimal_length,
+    chain_problem,
+    decode,
+    dijkstra_distances,
+    encode,
+    make_ground_problem,
+    random_model,
+)
 
 
 def simulate(gp, plan):
-    state = gp.init
+    state = decode(gp.init)
     for act in plan:
         assert act.pre_pos <= state and not (act.pre_neg & state)
         state = (state - act.dels) | act.adds
-    return state
+    return encode(state)
 
 
 def test_goal_at_init_expands_nothing():
@@ -121,7 +129,7 @@ def test_join_expansion_order_follows_phi():
     seen_phis = []
     for state in result.closed:
         for i in range(len(phis)):
-            if gp.atom_ids[(f"joined{i}",)] in state:
+            if gp.atom_ids[(f"joined{i}",)] in decode(state):
                 seen_phis.append(phis[i])
     assert len(seen_phis) >= 2
     assert sorted(seen_phis, reverse=True) == seen_phis
@@ -207,6 +215,12 @@ def test_config_validation():
         SearchConfig(algorithm="dfs").validate()
     with pytest.raises(ConfigError):
         SearchConfig(weight=0.5).validate()
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected(weight):
+    with pytest.raises(ConfigError, match="finite"):
+        SearchConfig(algorithm="weighted_astar", heuristic="ff", weight=weight).validate()
 
 
 def test_determinism_bitwise():

@@ -1,4 +1,5 @@
-"""Shared helpers: tiny model builders and brute-force search oracles."""
+"""Shared helpers: tiny model builders, brute-force search oracles, and naive
+frozenset references for the bitset state code."""
 
 from __future__ import annotations
 
@@ -6,6 +7,19 @@ import random
 from collections import deque
 
 from fgs.grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
+
+
+def encode(atom_ids) -> State:
+    """The bitset state holding exactly the atom indices *atom_ids*."""
+    state = 0
+    for i in atom_ids:
+        state |= 1 << i
+    return state
+
+
+def decode(state: State) -> frozenset[int]:
+    """The atom indices a bitset state holds, read bit by bit."""
+    return frozenset(i for i in range(state.bit_length()) if state >> i & 1)
 
 
 def make_ground_problem(atoms, actions, init, goal_pos, goal_neg=()):
@@ -41,7 +55,7 @@ def make_ground_problem(atoms, actions, init, goal_pos, goal_neg=()):
         atoms=atom_tuples,
         atom_ids={t: i for i, t in enumerate(atom_tuples)},
         actions=tuple(ground_actions),
-        init=to_ids(init),
+        init=encode(to_ids(init)),
         goal_pos=to_ids(goal_pos),
         goal_neg=to_ids(goal_neg),
     )
@@ -102,10 +116,11 @@ def random_model(rng: random.Random, n_atoms=8, n_actions=14):
             actions.append((f"act{i}", pre_pos, pre_neg, adds, dels))
         init = rng.sample(atoms, rng.randint(1, 3))
         gp = make_ground_problem(atoms, actions, init, [])
-        # walk a few random steps to pick a genuinely reachable goal
-        state = gp.init
+        # walk a few random steps to pick a genuinely reachable goal; the walk
+        # runs on frozensets, whose iteration order fixes the goal sample
+        state = frozenset(gp.atom_ids[(a,)] for a in init)
         for _ in range(rng.randint(1, 6)):
-            succs = successors(gp, state)
+            succs = reference_successors(gp, state)
             if not succs:
                 break
             _, state = rng.choice(succs)
@@ -118,6 +133,39 @@ def random_model(rng: random.Random, n_atoms=8, n_actions=14):
             return gp
 
 
+# -- naive frozenset references for the transition code ------------------------
+# States here are frozensets of atom indices, as in the simple implementation
+# the bitset encoding replaced.
+
+
+def reference_applicable(state: frozenset[int], act: GroundAction) -> bool:
+    return act.pre_pos <= state and not (act.pre_neg & state)
+
+
+def reference_apply(state: frozenset[int], act: GroundAction) -> frozenset[int]:
+    return (state - act.dels) | act.adds
+
+
+def reference_goal_satisfied(state: frozenset[int], gp: GroundProblem) -> bool:
+    return gp.goal_pos <= state and not (gp.goal_neg & state)
+
+
+def reference_successors(gp: GroundProblem, state: frozenset[int]):
+    return [
+        (idx, reference_apply(state, act))
+        for idx, act in enumerate(gp.actions)
+        if reference_applicable(state, act)
+    ]
+
+
+def reference_landmark_count(landmark_set, state: frozenset[int], accepted: frozenset[int] | None):
+    """The landmark count heuristic on frozensets: (h, accepted landmarks)."""
+    achieved_now = landmark_set.landmarks & state
+    accepted = achieved_now if accepted is None else accepted | achieved_now
+    required_again = (accepted & landmark_set.goal_landmarks) - state
+    return float(len(landmark_set.landmarks) - len(accepted) + len(required_again)), accepted
+
+
 # -- naive delete-relaxation references ----------------------------------------
 # Straightforward all-action sweeps, kept as the oracle the shared exploration
 # in fgs.heuristics is checked against.
@@ -128,7 +176,7 @@ INF = float("inf")
 def reference_relaxed_cost(gp: GroundProblem, state: State, combine) -> float:
     """h_max (combine=max) or h_add (combine=sum): sweep every action until
     no atom cost drops."""
-    costs = {atom: 0.0 for atom in state}
+    costs = {atom: 0.0 for atom in decode(state)}
     changed = True
     while changed:
         changed = False
@@ -151,7 +199,7 @@ def reference_rpg(gp: GroundProblem, state: State):
     """Leveled relaxed planning graph grown one all-action scan per layer
     until the goal appears or nothing new is added: (fact_level,
     action_level)."""
-    fact_level = {f: 0 for f in state}
+    fact_level = {f: 0 for f in decode(state)}
     action_level: dict[int, int] = {}
     level = 0
     while not gp.goal_pos <= fact_level.keys():
@@ -178,7 +226,7 @@ def reference_ff(gp: GroundProblem, state: State) -> float:
     """Greedy relaxed-plan length over reference_rpg; each needed fact takes
     the lowest-index achiever from the action layer one level down, unless
     a supporter already chosen at its level adds it."""
-    if gp.goal_pos <= state:
+    if gp.goal_pos <= decode(state):
         return 0.0
     fact_level, action_level = reference_rpg(gp, state)
     if not gp.goal_pos <= fact_level.keys():
@@ -209,7 +257,7 @@ def reference_ff(gp: GroundProblem, state: State) -> float:
 def reference_reachable_without(gp: GroundProblem, banned: int) -> set[int]:
     """Relaxed reachability from the initial state with *banned* struck from
     every add list."""
-    facts = set(gp.init)
+    facts = set(decode(gp.init))
     changed = True
     while changed:
         changed = False
@@ -224,7 +272,8 @@ def reference_reachable_without(gp: GroundProblem, banned: int) -> set[int]:
 
 def reference_landmarks(gp: GroundProblem) -> frozenset[int]:
     """Backchaining landmark discovery over reference_reachable_without."""
-    landmarks = {g for g in gp.goal_pos if g not in gp.init}
+    init = decode(gp.init)
+    landmarks = {g for g in gp.goal_pos if g not in init}
     queue = sorted(landmarks)
     while queue:
         lm = queue.pop(0)
@@ -235,7 +284,7 @@ def reference_landmarks(gp: GroundProblem) -> frozenset[int]:
         if not achiever_pres:
             continue
         for p in sorted(frozenset.intersection(*achiever_pres)):
-            if p not in gp.init and p not in landmarks:
+            if p not in init and p not in landmarks:
                 landmarks.add(p)
                 queue.append(p)
     return frozenset(landmarks)
