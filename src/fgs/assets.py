@@ -61,11 +61,11 @@ def task_for_scenario(task_type: str, tools) -> TaskDef:
     raise ConfigError(f"no bundled task for type '{task_type}' with tools {tools}")
 
 
-def load_task(task_id: str, base: Path | None = None) -> tuple[DomainDef, ProblemDef, GroundProblem]:
+def load_task(task_id: str) -> tuple[DomainDef, ProblemDef, GroundProblem]:
     task = TASKS.get(task_id)
     if task is None:
         raise ConfigError(f"unknown task '{task_id}' (choose from {sorted(TASKS)})")
-    base = base or (data_dir() / "domains")
+    base = data_dir() / "domains"
     domain_path = base / task.domain_file
     problem_path = base / task.problem_file
     if not domain_path.exists() or not problem_path.exists():

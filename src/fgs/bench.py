@@ -180,7 +180,12 @@ def _trace_writer(trace_dir: Path | None, scenario_id: str, config_id: str):
     if trace_dir is None:
         return None, None
     safe = re.sub(r"[^A-Za-z0-9_.-]", "-", config_id)
-    path = trace_dir / f"{scenario_id}__{safe}.jsonl"
+    return open_trace(trace_dir / f"{scenario_id}__{safe}.jsonl")
+
+
+def open_trace(path):
+    """Open *path* for a JSON-lines episode trace: returns the episode's
+    trace callback and the file handle, which the caller closes."""
     fh = open(path, "w", encoding="utf-8")
 
     def write(event: dict) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .assets import DATA_DIR_ENV
-from .bench import ExperimentConfig, emit_report, run_experiment
+from .bench import ExperimentConfig, emit_report, open_trace, run_experiment
 from .episode import run_adaptability_episode, run_episode
 from .errors import ConfigError, FgsError
 from .grounding import ground
@@ -32,6 +32,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 log = logging.getLogger("fgs")
+
+# --trust values to the episode trust policies they select
+TRUST_POLICIES = {"fixed": "fixed_true", "switchable": "switchable"}
 
 
 def _load_model(args):
@@ -87,17 +90,10 @@ def cmd_episode(args) -> int:
     _, _, gp = _load_model(args)
     scenario = load_scenario(args.scenario)
     cfg = _search_config(args)
-    trace = None
-    trace_fh = None
-    if args.trace:
-        trace_fh = open(args.trace, "w", encoding="utf-8")
-
-        def trace(event):
-            trace_fh.write(json.dumps(event, sort_keys=True) + "\n")
-
+    trace, trace_fh = open_trace(args.trace) if args.trace else (None, None)
     try:
         kwargs = dict(
-            trust_policy={"fixed": "fixed_true", "switchable": "switchable"}[args.trust],
+            trust_policy=TRUST_POLICIES[args.trust],
             budget=args.budget,
             noise_on=args.noise == "on",
             trace=trace,
@@ -134,7 +130,7 @@ def cmd_bench(args) -> int:
     cfg = ExperimentConfig(
         experiment=args.experiment,
         cases_per_tool=args.cases,
-        trust_policy={"fixed": "fixed_true", "switchable": "switchable"}[args.trust],
+        trust_policy=TRUST_POLICIES[args.trust],
         budgets=tuple(args.budget_sweep) if args.budget_sweep else None,
         seed=args.seed,
         noise_on=args.noise == "on",
@@ -190,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     add_search_args(p)
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--trust", default="switchable", choices=("fixed", "switchable"))
+    p.add_argument("--trust", default="switchable", choices=tuple(TRUST_POLICIES))
     p.add_argument("--budget", type=int, default=None, help="max failed construction attempts")
     p.add_argument("--trace", help="write a JSON-lines episode trace to this file")
     p.add_argument("--adaptability", action="store_true",
@@ -205,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=10, help="cases per tool when generating")
     p.add_argument("--generate", action="store_true",
                    help="generate fresh scenarios instead of the bundled fixed ones")
-    p.add_argument("--trust", default="switchable", choices=("fixed", "switchable"))
+    p.add_argument("--trust", default="switchable", choices=tuple(TRUST_POLICIES))
     p.add_argument("--noise", default="off", choices=("on", "off"))
     p.add_argument("--budget-sweep", type=_int_list, default=None,
                    help="comma-separated budgets for success-rate curves, e.g. 0,1,2,5,10,89")

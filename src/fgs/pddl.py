@@ -152,6 +152,21 @@ def _header_symbol(node: SList, what: str) -> Symbol:
     return _expect_symbol(node.items[1], what)
 
 
+def _define(text: str, kind: str) -> tuple[SList, str]:
+    """The single (define (<kind> <name>) ...) form of *text* and its name;
+    the sections follow the header at items[2:]."""
+    forms = _read_sexprs(text)
+    if len(forms) != 1 or not isinstance(forms[0], SList):
+        raise PddlParseError("expected a single (define ...) form")
+    define = forms[0]
+    if _head(define) != "define":
+        raise PddlParseError("expected (define ...)", define.line, define.col)
+    body = define.items[1:]
+    if not body or not isinstance(body[0], SList) or _head(body[0]) != kind:
+        raise PddlParseError(f"expected ({kind} <name>)", define.line, define.col)
+    return define, _header_symbol(body[0], f"{kind} name").text
+
+
 # -- model types ---------------------------------------------------------------
 
 
@@ -293,22 +308,13 @@ def _parse_formula(node, *, what: str, allow_negation: bool) -> list[Literal]:
 
 def parse_domain(text: str) -> DomainDef:
     """Parse a PDDL domain file into a validated DomainDef."""
-    forms = _read_sexprs(text)
-    if len(forms) != 1 or not isinstance(forms[0], SList):
-        raise PddlParseError("expected a single (define ...) form")
-    define = forms[0]
-    if _head(define) != "define":
-        raise PddlParseError("expected (define ...)", define.line, define.col)
-    body = list(define.items[1:])
-    if not body or not isinstance(body[0], SList) or _head(body[0]) != "domain":
-        raise PddlParseError("expected (domain <name>)", define.line, define.col)
-    name = _header_symbol(body[0], "domain name").text
+    define, name = _define(text, "domain")
 
     types: list[str] = []
     predicates: list[Predicate] = []
     schemas: list[ActionSchema] = []
 
-    for section in body[1:]:
+    for section in define.items[2:]:
         if not isinstance(section, SList) or not section.items:
             raise PddlParseError("expected a (:section ...) form", define.line, define.col)
         kw = _head(section)
@@ -430,20 +436,12 @@ def _validate_domain(domain: DomainDef) -> None:
 
 
 def _designate_join_schemas(domain: DomainDef) -> DomainDef:
-    return designate_object_params(
-        domain,
-        [s.name for s in domain.action_schemas if s.name.lower().startswith(JOIN_SCHEMA_PREFIX)],
-    )
-
-
-def designate_object_params(domain: DomainDef, schema_names) -> DomainDef:
-    """Mark the tool-part parameters of the named schemas as the ordered
+    """Mark the tool-part parameters of every join schema as the ordered
     object permutation. Parameters keep declaration order (action part
     first, grasp part second)."""
-    wanted = set(schema_names)
     schemas = []
     for schema in domain.action_schemas:
-        if schema.name in wanted:
+        if schema.name.lower().startswith(JOIN_SCHEMA_PREFIX):
             idx = tuple(
                 i for i, (_, typ) in enumerate(schema.params) if typ == OBJECT_PARAM_TYPE
             )
@@ -463,23 +461,14 @@ def designate_object_params(domain: DomainDef, schema_names) -> DomainDef:
 
 def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     """Parse a PDDL problem file and validate it against *domain*."""
-    forms = _read_sexprs(text)
-    if len(forms) != 1 or not isinstance(forms[0], SList):
-        raise PddlParseError("expected a single (define ...) form")
-    define = forms[0]
-    if _head(define) != "define":
-        raise PddlParseError("expected (define ...)", define.line, define.col)
-    body = list(define.items[1:])
-    if not body or not isinstance(body[0], SList) or _head(body[0]) != "problem":
-        raise PddlParseError("expected (problem <name>)", define.line, define.col)
-    name = _header_symbol(body[0], "problem name").text
+    define, name = _define(text, "problem")
 
     domain_name = None
     objects: list[tuple[str, str]] = []
     init: list[Atom] = []
     goal: list[Literal] = []
 
-    for section in body[1:]:
+    for section in define.items[2:]:
         if not isinstance(section, SList) or not section.items:
             raise PddlParseError("expected a (:section ...) form", define.line, define.col)
         kw = _head(section)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import InternalError, ValidationError
@@ -96,6 +97,7 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Scenario:
+    format_version: int
     scenario_id: str
     task_type: str
     tools: tuple[str, ...]  # candidate tools; one entry unless both can finish the task
@@ -103,8 +105,7 @@ class Scenario:
     objects: tuple[ObjectProfile, ...]
     ground_truth: GroundTruth
     tool_specs: tuple[ToolSpec, ...]
-    noise: NoiseSpec
-    format_version: int = FORMAT_VERSION
+    noise: NoiseSpec = NoiseSpec()
 
     def profiles(self) -> dict[str, ObjectProfile]:
         return {o.object_id: o for o in self.objects}
@@ -117,6 +118,23 @@ class Scenario:
             if spec.tool == tool:
                 return spec
         raise ValidationError(f"scenario '{self.scenario_id}' has no spec for tool '{tool}'")
+
+
+@dataclass(frozen=True)
+class LibraryObject:
+    library_id: str
+    display_name: str
+    material: str
+    role_tags: tuple[str, ...] = ()
+    pierceable: bool = False
+    can_grasp_others: bool = False
+    can_be_grasped: bool = False
+    has_magnet: bool = False
+
+
+@dataclass(frozen=True)
+class _LibraryFile:
+    objects: tuple[LibraryObject, ...]
 
 
 def validate_scenario(sc: Scenario, params: ScoreParams | None = None) -> None:
@@ -163,57 +181,22 @@ def validate_scenario(sc: Scenario, params: ScoreParams | None = None) -> None:
 # -- JSON round trip -----------------------------------------------------------
 
 
-def _profile_to_json(p: ObjectProfile) -> dict:
-    return {
-        "object_id": p.object_id,
-        "shape_conf": dict(sorted(p.shape_conf.items())),
-        "material_conf": dict(sorted(p.material_conf.items())),
-        "pierceable": p.pierceable,
-        "can_grasp_others": p.can_grasp_others,
-        "can_be_grasped": p.can_be_grasped,
-        "has_magnet": p.has_magnet,
-    }
-
-
-def _spec_to_json(s: ToolSpec) -> dict:
-    return {
-        "tool": s.tool,
-        "join_action_name": s.join_action_name,
-        "action_part_role": s.action_part_role,
-        "grasp_part_role": s.grasp_part_role,
-        "allowed_materials": sorted(s.allowed_materials),
-        "use_action": s.use_action,
-        "num_parts": s.num_parts,
-    }
+def _to_json(value):
+    """The JSON form of a record: its dataclass fields in order, a frozenset
+    as a sorted list, a tuple as a list, a dict with its keys sorted."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(value[k]) for k in sorted(value)}
+    return value
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    return {
-        "format_version": sc.format_version,
-        "scenario_id": sc.scenario_id,
-        "task_type": sc.task_type,
-        "tools": list(sc.tools),
-        "n": sc.n,
-        "objects": [_profile_to_json(o) for o in sc.objects],
-        "ground_truth": {
-            "action_part": sc.ground_truth.action_part,
-            "grasp_part": sc.ground_truth.grasp_part,
-            "tool": sc.ground_truth.tool,
-        },
-        "tool_specs": [_spec_to_json(s) for s in sc.tool_specs],
-        "noise": {
-            "seed": sc.noise.seed,
-            "material_fn_rate": sc.noise.material_fn_rate,
-            "attach_fn_rate": sc.noise.attach_fn_rate,
-            "shape_jitter": sc.noise.shape_jitter,
-        },
-    }
-
-
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ValidationError(f"{where}.{key}: missing required field")
-    return data[key]
+    return _to_json(sc)
 
 
 # Type checks at the JSON boundary: each takes (value, field path) and
@@ -248,85 +231,91 @@ def _as_float(value, where: str) -> float:
         raise ValidationError(f"{where}: number out of range") from None
 
 
-def _as_str_list(value, where: str) -> list[str]:
-    return [_as_str(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where))]
-
-
 def _as_conf_map(value, where: str) -> dict[str, float]:
     return {k: _as_float(v, f"{where}.{k}") for k, v in _as_object(value, where).items()}
 
 
-def _field(data: dict, key: str, where: str, check, default=None):
-    """data[key] checked by *check*; *default* when the key is absent, and a
-    ValidationError when it is absent and has no default."""
-    if key not in data and default is not None:
-        return default
-    return check(_require(data, key, where), f"{where}.{key}")
+def _as_material(value, where: str) -> str:
+    if _as_str(value, where) not in MATERIAL_CLASSES:
+        raise ValidationError(f"{where}: unknown material '{value}'")
+    return value
+
+
+def _list_of(check, into=tuple):
+    """A check for a JSON list whose every item passes *check*."""
+    def check_list(value, where: str):
+        return into(check(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where)))
+
+    return check_list
+
+
+def _record(cls, data, where: str):
+    """An instance of *cls* read from a JSON object: every field through its
+    check in _CHECKS; an absent field takes its dataclass default."""
+    data = _as_object(data, where)
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            values[f.name] = _CHECKS[cls][f.name](data[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{where}.{f.name}: missing required field")
+    return cls(**values)
+
+
+def _as_ground_truth(value, where: str) -> GroundTruth:
+    """One ground-truth object, or a list holding exactly one."""
+    if isinstance(value, list):
+        if len(value) != 1:
+            raise ValidationError(
+                f"{where}: exactly one ground-truth pair required, got {len(value)}"
+            )
+        value, where = value[0], f"{where}[0]"
+    return _record(GroundTruth, value, where)
+
+
+_FLAGS = dict.fromkeys(("pierceable", "can_grasp_others", "can_be_grasped", "has_magnet"), _as_bool)
+
+_CHECKS = {
+    ObjectProfile: dict(
+        object_id=_as_str, shape_conf=_as_conf_map, material_conf=_as_conf_map, **_FLAGS
+    ),
+    ToolSpec: dict(
+        tool=_as_str,
+        join_action_name=_as_str,
+        action_part_role=_as_str,
+        allowed_materials=_list_of(_as_str, frozenset),
+        use_action=_as_str,
+        grasp_part_role=_as_str,
+        num_parts=_as_int,
+    ),
+    GroundTruth: dict(action_part=_as_str, grasp_part=_as_str, tool=_as_str),
+    NoiseSpec: dict(
+        seed=_as_int, material_fn_rate=_as_float, attach_fn_rate=_as_float, shape_jitter=_as_float
+    ),
+    Scenario: dict(
+        format_version=_as_int,
+        scenario_id=_as_str,
+        task_type=_as_str,
+        tools=_list_of(_as_str),
+        n=_as_int,
+        objects=_list_of(partial(_record, ObjectProfile)),
+        ground_truth=_as_ground_truth,
+        tool_specs=_list_of(partial(_record, ToolSpec)),
+        noise=partial(_record, NoiseSpec),
+    ),
+    LibraryObject: dict(
+        library_id=_as_str,
+        display_name=_as_str,
+        material=_as_material,
+        role_tags=_list_of(_as_str),
+        **_FLAGS,
+    ),
+    _LibraryFile: dict(objects=_list_of(partial(_record, LibraryObject))),
+}
 
 
 def scenario_from_json(data, where: str = "scenario") -> Scenario:
-    data = _as_object(data, where)
-    gt_where = f"{where}.ground_truth"
-    gt_data = _require(data, "ground_truth", where)
-    if isinstance(gt_data, list):
-        if len(gt_data) != 1:
-            raise ValidationError(
-                f"{gt_where}: exactly one ground-truth pair required, got {len(gt_data)}"
-            )
-        gt_data, gt_where = gt_data[0], f"{gt_where}[0]"
-    gt_data = _as_object(gt_data, gt_where)
-    objects = []
-    for i, entry in enumerate(_field(data, "objects", where, _as_list)):
-        w = f"{where}.objects[{i}]"
-        entry = _as_object(entry, w)
-        objects.append(
-            ObjectProfile(
-                object_id=_field(entry, "object_id", w, _as_str),
-                shape_conf=_field(entry, "shape_conf", w, _as_conf_map, {}),
-                material_conf=_field(entry, "material_conf", w, _as_conf_map, {}),
-                pierceable=_field(entry, "pierceable", w, _as_bool, False),
-                can_grasp_others=_field(entry, "can_grasp_others", w, _as_bool, False),
-                can_be_grasped=_field(entry, "can_be_grasped", w, _as_bool, False),
-                has_magnet=_field(entry, "has_magnet", w, _as_bool, False),
-            )
-        )
-    specs = []
-    for i, entry in enumerate(_field(data, "tool_specs", where, _as_list)):
-        w = f"{where}.tool_specs[{i}]"
-        entry = _as_object(entry, w)
-        specs.append(
-            ToolSpec(
-                tool=_field(entry, "tool", w, _as_str),
-                join_action_name=_field(entry, "join_action_name", w, _as_str),
-                action_part_role=_field(entry, "action_part_role", w, _as_str),
-                allowed_materials=frozenset(_field(entry, "allowed_materials", w, _as_str_list)),
-                use_action=_field(entry, "use_action", w, _as_str),
-                grasp_part_role=_field(entry, "grasp_part_role", w, _as_str, "handle"),
-                num_parts=_field(entry, "num_parts", w, _as_int, 2),
-            )
-        )
-    noise_data = _field(data, "noise", where, _as_object, {})
-    nw = f"{where}.noise"
-    sc = Scenario(
-        scenario_id=_field(data, "scenario_id", where, _as_str),
-        task_type=_field(data, "task_type", where, _as_str),
-        tools=tuple(_field(data, "tools", where, _as_str_list)),
-        n=_field(data, "n", where, _as_int),
-        objects=tuple(objects),
-        ground_truth=GroundTruth(
-            action_part=_field(gt_data, "action_part", gt_where, _as_str),
-            grasp_part=_field(gt_data, "grasp_part", gt_where, _as_str),
-            tool=_field(gt_data, "tool", gt_where, _as_str),
-        ),
-        tool_specs=tuple(specs),
-        noise=NoiseSpec(
-            seed=_field(noise_data, "seed", nw, _as_int, 0),
-            material_fn_rate=_field(noise_data, "material_fn_rate", nw, _as_float, 0.0),
-            attach_fn_rate=_field(noise_data, "attach_fn_rate", nw, _as_float, 0.0),
-            shape_jitter=_field(noise_data, "shape_jitter", nw, _as_float, 0.0),
-        ),
-        format_version=_field(data, "format_version", where, _as_int, -1),
-    )
+    sc = _record(Scenario, data, where)
     validate_scenario(sc)
     return sc
 
@@ -385,13 +374,15 @@ def sense(scenario: Scenario, noise_on: bool) -> dict[str, ObjectProfile]:
 
 def _misread_material(profile: ObjectProfile, spec: ToolSpec) -> ObjectProfile:
     """Drop every allowed-material confidence below threshold, moving the
-    lost mass onto a class the tool cannot use."""
+    lost mass onto a class the tool cannot use; when the tool allows every
+    class, the lost mass is dropped."""
     conf = dict(profile.material_conf)
-    sink = next(c for c in MATERIAL_CLASSES if c not in spec.allowed_materials)
+    sink = next((c for c in MATERIAL_CLASSES if c not in spec.allowed_materials), None)
     for cls in sorted(spec.allowed_materials):
         v = conf.get(cls, 0.0)
         if v > 0.3:
-            conf[sink] = conf.get(sink, 0.0) + (v - 0.3)
+            if sink is not None:
+                conf[sink] = conf.get(sink, 0.0) + (v - 0.3)
             conf[cls] = 0.3
     return replace(profile, material_conf=conf)
 
@@ -415,40 +406,9 @@ def _misread_attachment(out: dict[str, ObjectProfile], gt: GroundTruth) -> None:
 # -- object library --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LibraryObject:
-    library_id: str
-    display_name: str
-    material: str
-    role_tags: tuple[str, ...]
-    pierceable: bool = False
-    can_grasp_others: bool = False
-    can_be_grasped: bool = False
-    has_magnet: bool = False
-
-
 def load_library(path) -> tuple[LibraryObject, ...]:
     path = Path(path)
-    where = path.name
-    data = _as_object(_load_json(path), where)
-    objects = []
-    for i, entry in enumerate(_field(data, "objects", where, _as_list)):
-        w = f"{where}.objects[{i}]"
-        entry = _as_object(entry, w)
-        obj = LibraryObject(
-            library_id=_field(entry, "library_id", w, _as_str),
-            display_name=_field(entry, "display_name", w, _as_str),
-            material=_field(entry, "material", w, _as_str),
-            role_tags=tuple(_field(entry, "role_tags", w, _as_str_list, [])),
-            pierceable=_field(entry, "pierceable", w, _as_bool, False),
-            can_grasp_others=_field(entry, "can_grasp_others", w, _as_bool, False),
-            can_be_grasped=_field(entry, "can_be_grasped", w, _as_bool, False),
-            has_magnet=_field(entry, "has_magnet", w, _as_bool, False),
-        )
-        if obj.material not in MATERIAL_CLASSES:
-            raise ValidationError(f"{w}.material: unknown material '{obj.material}'")
-        objects.append(obj)
-    return tuple(objects)
+    return _record(_LibraryFile, _load_json(path), path.name).objects
 
 
 def default_library() -> tuple[LibraryObject, ...]:
@@ -466,16 +426,8 @@ def _residual_materials(dominant: str, conf: float) -> dict[str, float]:
     return {dominant: conf, order[0]: round(rest * 0.35, 6), order[1]: round(rest * 0.2, 6)}
 
 
-def _build_scenario(
-    scenario_id: str,
-    task_type: str,
-    specs: list[ToolSpec],
-    gt_tool: str,
-    rng: random.Random,
-    library,
-    n: int,
-    noise: NoiseSpec,
-) -> Scenario:
+def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_tool: str,
+                    rng: random.Random, library, n: int, noise: NoiseSpec) -> Scenario:
     gt_spec = next(s for s in specs if s.tool == gt_tool)
     action_pool = [
         o
@@ -529,6 +481,7 @@ def _build_scenario(
             gt_grasp_id = oid
 
     sc = Scenario(
+        format_version=FORMAT_VERSION,
         scenario_id=scenario_id,
         task_type=task_type,
         tools=tuple(s.tool for s in specs),
@@ -588,23 +541,24 @@ def generate_benchmark(
         raise ValidationError(f"unknown tool '{tool}'")
     if tool not in TASK_TOOLS.get(task_type, ()):
         raise ValidationError(f"tool '{tool}' is not registered for task type '{task_type}'")
+    return _generate(
+        task_type, [TOOL_TABLE[tool]], tool, f"gen:{seed}:{task_type}:{tool}",
+        cases, library, n, noise_overrides,
+    )
+
+
+def _generate(task_type, specs, label, rng_key, cases, library, n, noise_overrides):
+    """Case i is '<task_type>_<label>_case<i>', drawn from the rng seeded
+    '<rng_key>:<i>'; its ground-truth tool cycles through *specs*."""
     library = library or default_library()
     out = []
     for i in range(cases):
-        rng = random.Random(f"gen:{seed}:{task_type}:{tool}:{i}")
+        rng = random.Random(f"{rng_key}:{i}")
         noise = (noise_overrides or {}).get(i) or NoiseSpec(seed=rng.randrange(2**31))
-        out.append(
-            _build_scenario(
-                scenario_id=f"{task_type}_{tool}_case{i:02d}",
-                task_type=task_type,
-                specs=[TOOL_TABLE[tool]],
-                gt_tool=tool,
-                rng=rng,
-                library=library,
-                n=n,
-                noise=noise,
-            )
-        )
+        gt_tool = specs[i % len(specs)].tool
+        out.append(_build_scenario(
+            f"{task_type}_{label}_case{i:02d}", task_type, specs, gt_tool, rng, library, n, noise
+        ))
     return out
 
 
@@ -625,6 +579,7 @@ def build_benchmark_suite(seed: int = BENCH_SEED, *, library=None) -> list[Scena
     carries always-firing sensor false negatives on the ground-truth pair
     (inactive until an episode runs with noise on); the two-tool scenarios
     carry mild probabilistic noise."""
+    library = library or default_library()
     single_ids = [
         f"{task}_{tool}_case{i:02d}"
         for task in sorted(TASK_TOOLS)
@@ -684,22 +639,7 @@ def generate_adaptability(
     tools = TASK_TOOLS.get(task_type)
     if tools is None:
         raise ValidationError(f"unknown task type '{task_type}'")
-    library = library or default_library()
-    specs = [TOOL_TABLE[t] for t in tools]
-    out = []
-    for i in range(cases):
-        rng = random.Random(f"gen-adapt:{seed}:{task_type}:{i}")
-        noise = (noise_overrides or {}).get(i) or NoiseSpec(seed=rng.randrange(2**31))
-        out.append(
-            _build_scenario(
-                scenario_id=f"{task_type}_either_case{i:02d}",
-                task_type=task_type,
-                specs=specs,
-                gt_tool=tools[i % 2],
-                rng=rng,
-                library=library,
-                n=n,
-                noise=noise,
-            )
-        )
-    return out
+    return _generate(
+        task_type, [TOOL_TABLE[t] for t in tools], "either", f"gen-adapt:{seed}:{task_type}",
+        cases, library, n, noise_overrides,
+    )

@@ -1,10 +1,20 @@
+import copy
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fgs.assets import data_dir
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
+from fgs.heuristics import HEURISTIC_NAMES
+from fgs.scoring import MATERIAL_CLASSES
+
+from .test_pddl import mutated_tokens
+from .test_scenario import FIELD_PATHS, json_values
 
 DOMAINS = data_dir() / "domains"
 BENCH = data_dir() / "benchmarks"
@@ -49,7 +59,8 @@ def test_validate_non_utf8_pddl_exits_two(tmp_path, capsys):
 
 
 # Each row edits a copy of a bundled scenario: (field path, new value, the
-# expected message); with a path of None the value is the whole file text.
+# expected message); with a path of None the value is the whole file text,
+# and a value of ... removes the field.
 CASE_TEXT = (BENCH / "woodworking_hammer_case00.json").read_text(encoding="utf-8")
 MALFORMED_SCENARIOS = [
     ("n-string", ("n",), "ten", r"\.n: expected an integer, got a string"),
@@ -68,6 +79,8 @@ MALFORMED_SCENARIOS = [
      r"tool_specs\[0\]\.allowed_materials: expected a list, got a string"),
     ("confidence-overflows-float", ("objects", 0, "shape_conf", "handle"), 10**400,
      r"objects\[0\]\.shape_conf\.handle: number out of range"),
+    ("format-version-missing", ("format_version",), ...,
+     r"case\.json\.format_version: missing required field"),
 ]
 
 
@@ -82,7 +95,10 @@ def test_validate_malformed_scenario_exits_two(tmp_path, capsys, path, value, me
         target = data
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is ...:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         text = json.dumps(data)
     bad = tmp_path / "case.json"
     bad.write_text(text, encoding="utf-8")
@@ -209,3 +225,90 @@ def test_usage_error_on_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# -- fuzzing: every run ends in an exit code, never a traceback ----------------
+
+RAKE_DOMAIN = (DOMAINS / "cleaning_rake.domain.pddl").read_text(encoding="utf-8")
+RAKE_PROBLEM = (DOMAINS / "cleaning_rake.problem.pddl").read_text(encoding="utf-8")
+RAKE_CASE = json.loads((BENCH / "cleaning_rake_case00.json").read_text(encoding="utf-8"))
+# A valid file whose tool allows every material class, with a material false
+# negative that always fires: no class is left to take the lost mass.
+ALL_MATERIALS_CASE = copy.deepcopy(RAKE_CASE)
+ALL_MATERIALS_CASE["tool_specs"][0]["allowed_materials"] = sorted(MATERIAL_CLASSES)
+ALL_MATERIALS_CASE["noise"]["material_fn_rate"] = 1.0
+
+# Mostly legal values: each flag has at most one that argparse rejects.
+# The last three flags are for episode only.
+FLAG_VALUES = {
+    "--algorithm": ("astar", "wastar", "ucs", "ehc", "dfs"),
+    "--heuristic": HEURISTIC_NAMES,
+    "--features": ("on", "off"),
+    "--noise": ("on", "off"),
+    "--weight": ("5", "1", "0", "-1", "nan", "x"),
+    "--node-budget": ("0", "1", "50", "-1"),
+    "--trust": ("fixed", "switchable"),
+    "--budget": ("0", "2", "-3", "x"),
+    "--adaptability": (),
+}
+COMMAND_FLAGS = {
+    "validate": (),
+    "plan": tuple(FLAG_VALUES)[:-3],
+    "episode": tuple(FLAG_VALUES),
+}
+
+
+def command_lines(command):
+    """*command* and a few of its flags, each with a value unless it is a switch."""
+    names = COMMAND_FLAGS[command]
+    if not names:
+        return st.just([command])
+    args = st.sampled_from(names).flatmap(
+        lambda f: st.tuples(st.just(f), st.sampled_from(FLAG_VALUES[f])) if FLAG_VALUES[f]
+        else st.just((f,))
+    )
+    return st.lists(args, max_size=4).map(lambda flags: [command, *(a for f in flags for a in f)])
+
+
+@st.composite
+def input_files(draw):
+    """Valid domain, problem and scenario texts, at most one of them mutated:
+    PDDL by its tokens, the scenario by one field replaced or removed."""
+    case = copy.deepcopy(draw(st.sampled_from((RAKE_CASE, ALL_MATERIALS_CASE))))
+    corrupt = draw(st.sampled_from((None, "domain", "problem", "scenario")))
+    if corrupt == "scenario":
+        path = draw(st.sampled_from(FIELD_PATHS))
+        target = case
+        for key in path[:-1]:
+            target = target[key]
+        value = draw(st.just(...) | json_values)
+        if value is ...:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return {
+        "domain": draw(mutated_tokens(RAKE_DOMAIN)) if corrupt == "domain" else RAKE_DOMAIN,
+        "problem": draw(mutated_tokens(RAKE_PROBLEM)) if corrupt == "problem" else RAKE_PROBLEM,
+        "scenario": json.dumps(case),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(line=st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(command_lines), files=input_files())
+@example(
+    line=["episode", "--features", "on", "--noise", "on"],
+    files={"domain": RAKE_DOMAIN, "problem": RAKE_PROBLEM, "scenario": json.dumps(ALL_MATERIALS_CASE)},
+)
+def test_cli_fuzz_ends_in_an_exit_code(line, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(line)
+        for name, text in files.items():
+            path = Path(tmp) / name
+            path.write_text(text, encoding="utf-8")
+            argv += [f"--{name}", str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            assert exc.code == 2
+        else:
+            assert code in (EXIT_OK, EXIT_NO_SOLUTION, EXIT_USAGE, EXIT_IO)

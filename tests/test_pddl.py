@@ -98,6 +98,22 @@ def test_join_mixed_params_designate_tool_parts_only():
     assert schema.object_param_indices == (0, 2)
 
 
+def test_join_schema_without_tool_parts_rejected():
+    text = """
+    (define (domain ww)
+      (:requirements :strips :typing)
+      (:types piece)
+      (:predicates (ok ?p - piece) (has-tool))
+      (:action join-hammer
+        :parameters (?p - piece)
+        :precondition (ok ?p)
+        :effect (has-tool))
+    )
+    """
+    with pytest.raises(ValidationError, match="'join-hammer' is a join action but has no 'tool-part'"):
+        parse_domain(text)
+
+
 def test_undeclared_predicate_is_named():
     text = """
     (define (domain bad)

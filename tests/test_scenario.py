@@ -24,7 +24,14 @@ from fgs.scenario import (
     scenario_to_json,
     sense,
 )
-from fgs.scoring import NEG_INF, ScoreParams, can_attach, feature_score, material_fit
+from fgs.scoring import (
+    MATERIAL_CLASSES,
+    NEG_INF,
+    ScoreParams,
+    can_attach,
+    feature_score,
+    material_fit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +251,18 @@ def test_material_false_negative_blocks_ground_truth(squeegee_cases):
     # every confidence still a valid distribution
     for p in profiles.values():
         assert sum(p.material_conf.values()) <= 1.0 + 1e-9
+
+
+def test_material_false_negative_when_tool_allows_every_class(squeegee_cases):
+    # no class is left to take the lost mass, so it is dropped
+    sc = squeegee_cases[0]
+    spec = replace(sc.tool_specs[0], allowed_materials=frozenset(MATERIAL_CLASSES))
+    sc = replace(sc, tool_specs=(spec,), noise=NoiseSpec(seed=5, material_fn_rate=1.0))
+    profiles = sense(sc, noise_on=True)
+    assert material_fit(sc.ground_truth.pair, spec, profiles, ScoreParams()) == NEG_INF
+    conf = profiles[sc.ground_truth.action_part].material_conf
+    assert all(v <= 0.3 for v in conf.values())
+    assert sum(conf.values()) < sum(sc.profiles()[sc.ground_truth.action_part].material_conf.values())
 
 
 def test_attach_false_negative_blocks_ground_truth(squeegee_cases):
