@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .assets import TASKS, benchmark_dir, load_task, task_for_scenario
+from .assets import benchmark_dir, load_task, task_for_scenario
 from .episode import run_adaptability_episode, run_episode
 from .errors import ConfigError
 from .scenario import (

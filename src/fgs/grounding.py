@@ -57,7 +57,6 @@ class GroundAction:
     pre_neg: frozenset[int]
     adds: frozenset[int]
     dels: frozenset[int]
-    base_cost: int = 1
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 All estimates work on the delete relaxation: negative preconditions and
 negative goal literals are treated as satisfied, which keeps h_max a lower
 bound on true cost. Unit action costs throughout. One layered exploration,
-relaxed_exploration, backs h_max, h_add, FF and landmark discovery.
+relaxed_exploration, backs h_max, FF and landmark discovery; h_add settles
+atom costs in one bucket-queue Dijkstra pass of its own.
 
 The landmark heuristic counts discovered-but-unachieved landmarks plus goal
 landmarks that were achieved and then undone (required again); landmark
@@ -87,7 +88,7 @@ def relaxed_exploration(
 
 
 class _RelaxationHeuristic(Heuristic):
-    """Memoised estimate read off one relaxed exploration per state."""
+    """Memoised delete-relaxation estimate, computed once per state."""
 
     def __init__(self, gp: GroundProblem):
         super().__init__(gp)
@@ -117,29 +118,55 @@ class MaxHeuristic(_RelaxationHeuristic):
 
 
 class AddHeuristic(_RelaxationHeuristic):
+    """Sum of the goal atoms' additive costs, by a generalised Dijkstra
+    (Knuth 1977) that settles atoms cheapest first and stops once every goal
+    atom has settled.
+
+    An atom costs 0 in *state*, else the least over its achievers of 1 plus
+    the sum of the achiever's precondition costs. Each action counts its
+    unsettled preconditions and keeps 1 plus the sum of the settled ones;
+    when its last precondition settles, its adds are queued at that price.
+    A price is at least 1 above the cost being settled, so under unit cost a
+    bucket queue (cost -> atoms) pops in order without a heap.
+    """
+
     name = "hadd"
 
     def _estimate(self, state):
         gp = self.gp
-        level_of, fired_order = relaxed_exploration(gp, state)
-        if not gp.goal_pos <= level_of.keys():
-            return INF
-        # Layer order puts every precondition's first achiever before its
-        # consumers, so one sweep prices every atom and later sweeps only
-        # lower prices until the fixpoint.
-        cost = dict.fromkeys(atom_indices(state), 0.0)
         actions = gp.actions
-        changed = True
-        while changed:
-            changed = False
-            for idx in fired_order:
-                act = actions[idx]
-                new = 1.0 + sum(cost[p] for p in act.pre_pos)
-                for f in act.adds:
-                    if new < cost.get(f, INF):
-                        cost[f] = new
-                        changed = True
-        return sum(cost[g] for g in gp.goal_pos)
+        consumers = gp.consumers
+        goal = gp.goal_pos
+        waiting = list(gp.precondition_counts)
+        price = [1] * len(waiting)
+        buckets = {
+            0: atom_indices(state),
+            1: [f for idx in gp.precondition_free for f in actions[idx].adds],
+        }
+        settled: set[int] = set()
+        unsettled_goals = len(goal)
+        total = 0
+        while buckets:
+            cost = min(buckets)
+            for f in buckets.pop(cost):
+                if f in settled:
+                    continue
+                settled.add(f)
+                if f in goal:
+                    total += cost
+                    unsettled_goals -= 1
+                    if not unsettled_goals:
+                        return float(total)
+                for idx in consumers[f]:
+                    price[idx] += cost
+                    waiting[idx] -= 1
+                    if not waiting[idx]:
+                        p = price[idx]
+                        if p in buckets:
+                            buckets[p].extend(actions[idx].adds)
+                        else:
+                            buckets[p] = list(actions[idx].adds)
+        return INF
 
 
 class FFHeuristic(_RelaxationHeuristic):

@@ -128,10 +128,6 @@ def _read_sexprs(text: str) -> list:
     return top
 
 
-def _is_kw(node, kw: str) -> bool:
-    return isinstance(node, Symbol) and node.text.lower() == kw
-
-
 def _head(node: SList) -> str:
     if not node.items or not isinstance(node.items[0], Symbol):
         return ""

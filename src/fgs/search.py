@@ -175,7 +175,7 @@ def search(
         closed.append(node.state)
         for action_idx, succ in successors(gp, node.state, succ_cache):
             act = gp.actions[action_idx]
-            g2 = node.g + act.base_cost
+            g2 = node.g + 1
             if g2 >= best_g.get(succ, INF):
                 continue
             best_g[succ] = g2  # recorded before the feature gate, as in the transition rule

@@ -40,9 +40,9 @@ EPISODES = [
 ]
 
 
-@pytest.mark.parametrize("workload,key,phase2", EPISODES, ids=[k for _, k, _ in EPISODES])
-def test_traced_episode_matches_seed_1729_record(workload, key, phase2):
-    assert EXPECTED["seed"] == 1729
+def _traced_episode(workload, key):
+    """Rerun one seed-1729 episode under the benchmark's tracer: its pinned
+    counts, and the episode result."""
     config_name, scenario_id = key.split("|")
     cfg = resolve_config(fgs.bench, SEARCH, config_name)
     scenario = fgs.scenario.load_scenario(fgs.assets.benchmark_dir() / f"{scenario_id}.json")
@@ -64,5 +64,25 @@ def test_traced_episode_matches_seed_1729_record(workload, key, phase2):
         "h_evals": tracer.evals(),
         "score_calls": tracer.calls["scoring.score"],
     }
+    return counts, result
+
+
+@pytest.mark.parametrize("workload,key,phase2", EPISODES, ids=[k for _, k, _ in EPISODES])
+def test_traced_episode_matches_seed_1729_record(workload, key, phase2):
+    assert EXPECTED["seed"] == 1729
+    counts, result = _traced_episode(workload, key)
     assert counts == EXPECTED["workloads"][workload]["episodes"][key]
     assert (result.phase2_whitelist is not None) == phase2
+
+
+def test_every_hadd_episode_matches_seed_1729_record():
+    # No fgs bench experiment runs h_add, so all of its benchmark episodes
+    # are checked here.
+    pinned = {
+        key: counts
+        for key, counts in EXPECTED["workloads"]["relaxed-heuristics"]["episodes"].items()
+        if key.startswith("A*+hadd|")
+    }
+    assert len(pinned) == 60
+    rerun = {key: _traced_episode("relaxed-heuristics", key)[0] for key in pinned}
+    assert rerun == pinned

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -90,6 +91,51 @@ def test_unreachable_goal_is_inf():
     assert h("ff", gp) == INF
     assert h("hmax", gp) == INF
     assert h("hadd", gp) == INF
+
+
+def test_hadd_takes_cheaper_deeper_achiever():
+    # g first appears at level 2 through `big`, whose three level-1
+    # preconditions price it at 4; the level-3 chain prices it at 3. `use`
+    # consumes g in the same layer as the chain's last step, so a single
+    # sweep in layer order would price h at 1 + 4.
+    def model(goal):
+        return make_ground_problem(
+            ["s", "p1", "p2", "p3", "q1", "q2", "g", "h"],
+            [
+                ("mk1", ["s"], [], ["p1"], []),
+                ("mk2", ["s"], [], ["p2"], []),
+                ("mk3", ["s"], [], ["p3"], []),
+                ("big", ["p1", "p2", "p3"], [], ["g"], []),
+                ("c1", ["s"], [], ["q1"], []),
+                ("c2", ["q1"], [], ["q2"], []),
+                ("use", ["g"], [], ["h"], []),
+                ("c3", ["q2"], [], ["g"], []),
+            ],
+            ["s"],
+            [goal],
+        )
+
+    gp = model("g")
+    assert h("hmax", gp) == 2.0
+    assert h("hadd", gp) == 3.0
+    gp = model("h")
+    assert h("hadd", gp) == 4.0
+    assert reference_relaxed_cost(gp, gp.init, sum) == 4.0
+
+
+def test_precondition_free_action_with_unreachable_goal_is_inf():
+    # `free` fires from any state, but nothing reaches p, so g stays out of
+    # reach. A goal atom that `free` adds costs 1.
+    gp = make_ground_problem(
+        ["p", "q", "g"],
+        [("free", [], [], ["q"], []), ("needs_p", ["p", "q"], [], ["g"], [])],
+        [],
+        ["g"],
+    )
+    for name in ("hadd", "hmax", "ff"):
+        assert h(name, gp) == INF
+    reachable = make_ground_problem(["q", "g"], [("free", [], [], ["q"], [])], ["g"], ["g", "q"])
+    assert h("hadd", reachable) == 1.0
 
 
 def test_hmax_admissible_on_random_models():
@@ -289,6 +335,34 @@ def test_exploration_matches_reference_on_bundled_tasks(task_id):
     rng = random.Random(task_id)
     _check_against_reference(gp, _random_walk_states(gp, rng, walks=6, max_depth=40))
     _check_landmarks_on_optimal_plan(gp)
+
+
+def _reachable_non_goal_states(gp):
+    """Every state reachable from the initial state that misses the goal, in
+    breadth-first order."""
+    seen = {gp.init}
+    order = [gp.init]
+    frontier = deque(order)
+    while frontier:
+        for _, succ in successors(gp, frontier.popleft()):
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+                frontier.append(succ)
+    return [state for state in order if not goal_satisfied(state, gp)]
+
+
+@pytest.mark.parametrize("task_id", sorted(TASKS))
+def test_hadd_matches_reference_on_reachable_states(task_id):
+    # Every 16th reachable non-goal state, offset per task: the reference
+    # takes about 0.3 ms a state, and all 50,880 would add about 15 s.
+    _, _, gp = load_task(task_id)
+    states = _reachable_non_goal_states(gp)
+    hadd = make_heuristic("hadd", gp)
+    checked = states[sorted(TASKS).index(task_id) % 16 :: 16]
+    assert len(checked) > 50
+    for state in checked:
+        assert hadd.evaluate(state)[0] == reference_relaxed_cost(gp, state, sum)
 
 
 def test_ff_counts_supporter_of_own_add():

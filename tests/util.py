@@ -183,7 +183,7 @@ def reference_relaxed_cost(gp: GroundProblem, state: State, combine) -> float:
         for act in gp.actions:
             if not act.pre_pos <= costs.keys():
                 continue
-            new = (combine(costs[p] for p in act.pre_pos) if act.pre_pos else 0.0) + act.base_cost
+            new = (combine(costs[p] for p in act.pre_pos) if act.pre_pos else 0.0) + 1.0
             for f in act.adds:
                 if costs.get(f, INF) > new:
                     costs[f] = new
