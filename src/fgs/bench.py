@@ -72,6 +72,9 @@ class ExperimentConfig:
             raise ConfigError("cases_per_tool must be >= 1")
         if self.configs is not None and not self.configs:
             raise ConfigError("configs must be nonempty")
+        for budget in self.budgets or ():
+            if budget < 0:
+                raise ConfigError(f"budget must be non-negative, got {budget}")
         for t in self.task_types:
             if t not in TASK_TOOLS:
                 raise ConfigError(f"unknown task type '{t}'")

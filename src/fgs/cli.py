@@ -17,13 +17,13 @@ from pathlib import Path
 from . import __version__
 from .assets import DATA_DIR_ENV
 from .bench import ExperimentConfig, emit_report, open_trace, run_experiment
-from .episode import run_adaptability_episode, run_episode
+from .episode import check_alignment, run_adaptability_episode, run_episode
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
 from .pddl import parse_domain, parse_problem, read_pddl
 from .scenario import load_scenario, sense
-from .scoring import ScoreParams, make_scorer
+from .scoring import JoinScorer
 from .search import SearchConfig, search
 
 EXIT_OK = 0
@@ -74,8 +74,8 @@ def cmd_plan(args) -> int:
         if not args.scenario:
             raise ConfigError("--features on requires --scenario")
         scenario = load_scenario(args.scenario)
-        profiles = sense(scenario, args.noise == "on")
-        scorer = make_scorer(scenario.registry(), profiles, ScoreParams())
+        check_alignment(gp, scenario)
+        scorer = JoinScorer(scenario.registry(), sense(scenario, args.noise == "on"))
     result = search(gp, cfg, scorer=scorer)
     log.info("search status=%s nodes=%d", result.status, result.nodes_expanded)
     if result.plan is None:

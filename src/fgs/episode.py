@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .grounding import GroundAction, GroundProblem
 from .heuristics import make_heuristic
 from .scenario import Scenario, sense
-from .scoring import ScoreParams, make_scorer
+from .scoring import JoinScorer
 from .search import SearchConfig, search
 
 STATUS_SUCCESS = "success"
@@ -75,7 +75,7 @@ class AdaptabilityOutcome:
     result: EpisodeResult
 
 
-def _check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
+def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
     registry = scenario.registry()
     object_ids = {o.object_id for o in scenario.objects}
     join_schemas = {act.schema_name for act in gp.actions if act.o_a}
@@ -98,7 +98,6 @@ def run_episode(
     trust_policy: str = "switchable",
     budget: int | None = None,
     noise_on: bool = False,
-    params: ScoreParams | None = None,
     succ_cache: dict | None = None,
     trace=None,
 ) -> EpisodeResult:
@@ -109,8 +108,7 @@ def run_episode(
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:
         raise ConfigError(f"budget must be non-negative, got {budget}")
-    _check_alignment(gp, scenario)
-    params = params or ScoreParams()
+    check_alignment(gp, scenario)
     profiles = sense(scenario, noise_on)
     registry = scenario.registry()
     oracle = ExecutionOracle(scenario.ground_truth.pair, scenario.ground_truth.tool)
@@ -123,7 +121,6 @@ def run_episode(
     exclusions: set[tuple[str, ...]] = set()
     attempted: list[tuple[str, ...]] = []
     nodes_per_search: list[int] = []
-    reject: set[tuple[tuple[str, ...], str]] = set()  # (o_a, join action) pairs
     trust_trace: list[bool] = []
     plans: list[list[GroundAction]] = []
     nodes_total = 0
@@ -135,7 +132,7 @@ def run_episode(
         if trace is not None:
             trace(event)
 
-    def run_phase(trust: bool, scorer) -> str:
+    def run_phase(trust: bool, scorer: JoinScorer | None) -> str:
         """Returns 'success', 'budget', or 'no_plan'."""
         nonlocal nodes_total, failed, searches
         while True:
@@ -145,7 +142,6 @@ def run_episode(
                 gp,
                 cfg,
                 scorer=scorer,
-                trust=trust,
                 exclusions=frozenset(exclusions),
                 heuristic=heuristic,
                 succ_cache=succ_cache,
@@ -154,8 +150,6 @@ def run_episode(
             nodes_total += result.nodes_expanded
             nodes_per_search.append(result.nodes_expanded)
             trust_trace.append(trust)
-            if trust:
-                reject.update(result.reject_set_out)
             emit(
                 {
                     "event": "search",
@@ -189,19 +183,14 @@ def run_episode(
             failed += 1
             exclusions.add(pair)
 
-    scorer = make_scorer(registry, profiles, params) if cfg.use_feature_score else None
+    scorer = JoinScorer(registry, profiles) if cfg.use_feature_score else None
     outcome = run_phase(True, scorer)
-    if (
-        outcome == "no_plan"
-        and trust_policy == "switchable"
-        and cfg.use_feature_score
-        and reject
-    ):
+    reject = scorer.rejected if scorer is not None else set()  # (o_a, join action) pairs
+    if outcome == "no_plan" and trust_policy == "switchable" and reject:
         # trusted planning is out of options: explore what the hard
         # constraints rejected, guided by shape alone
         phase2_whitelist = frozenset(reject)
-        scorer = make_scorer(registry, profiles, params, phase2_whitelist)
-        outcome = run_phase(False, scorer)
+        outcome = run_phase(False, JoinScorer(registry, profiles, phase2_whitelist))
 
     success = outcome == "success"
     status = STATUS_SUCCESS if success else (

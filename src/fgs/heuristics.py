@@ -47,24 +47,22 @@ class ZeroHeuristic(Heuristic):
 
 def relaxed_exploration(
     gp: GroundProblem, state: State, banned: int | None = None, goal: frozenset[int] | None = None
-) -> tuple[dict[int, int], list[int]]:
+) -> dict[int, int]:
     """Layered delete-relaxed reachability from *state*.
 
-    Returns the first level of every reached atom (0 for atoms of *state*)
-    and the indices of the actions that fired, layer by layer. An action
-    fires in the layer after its last precondition is reached: each action
-    counts its unreached preconditions, and only the consumers of newly
-    reached atoms are counted down (semi-naive evaluation). *banned* is
-    struck from every add list. With *goal*, exploration stops at the first
-    layer holding every goal atom; otherwise it runs to the fixpoint. Under
-    unit cost an atom's level is its h_max cost.
+    Returns the first level of every reached atom (0 for atoms of *state*).
+    An action fires in the layer after its last precondition is reached:
+    each action counts its unreached preconditions, and only the consumers
+    of newly reached atoms are counted down (semi-naive evaluation).
+    *banned* is struck from every add list. With *goal*, exploration stops
+    at the first layer holding every goal atom; otherwise it runs to the
+    fixpoint. Under unit cost an atom's level is its h_max cost.
     """
     actions = gp.actions
     consumers = gp.consumers
     initial = atom_indices(state)
     level_of = dict.fromkeys(initial, 0)
     waiting = list(gp.precondition_counts)
-    fired_order: list[int] = []
     fire = list(gp.precondition_free)
     new = initial
     level = 0
@@ -75,7 +73,7 @@ def relaxed_exploration(
                 if not waiting[idx]:
                     fire.append(idx)
         if not fire or (goal is not None and goal <= level_of.keys()):
-            return level_of, fired_order
+            return level_of
         level += 1
         new = []
         for idx in fire:
@@ -83,7 +81,6 @@ def relaxed_exploration(
                 if f not in level_of and f != banned:
                     level_of[f] = level
                     new.append(f)
-        fired_order.extend(fire)
         fire = []
 
 
@@ -111,7 +108,7 @@ class MaxHeuristic(_RelaxationHeuristic):
 
     def _estimate(self, state):
         goal = self.gp.goal_pos
-        level_of, _ = relaxed_exploration(self.gp, state, goal=goal)
+        level_of = relaxed_exploration(self.gp, state, goal=goal)
         if not goal <= level_of.keys():
             return INF
         return float(max(level_of[g] for g in goal))
@@ -178,7 +175,7 @@ class FFHeuristic(_RelaxationHeuristic):
     def _estimate(self, state):
         gp = self.gp
         actions = gp.actions
-        level_of, _ = relaxed_exploration(gp, state, goal=gp.goal_pos)
+        level_of = relaxed_exploration(gp, state, goal=gp.goal_pos)
         if not gp.goal_pos <= level_of.keys():
             return INF
         max_level = max(level_of[g] for g in gp.goal_pos)
@@ -229,7 +226,7 @@ def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
         pres = [gp.actions[idx].pre_pos for idx in gp.achievers[lm]]
         # Exploring past the layer that holds every achiever precondition
         # cannot change which achievers are reachable.
-        level_of, _ = relaxed_exploration(gp, init, banned=lm, goal=frozenset().union(*pres))
+        level_of = relaxed_exploration(gp, init, banned=lm, goal=frozenset().union(*pres))
         achiever_pres = [pre for pre in pres if pre <= level_of.keys()]
         if not achiever_pres:
             continue

@@ -20,13 +20,15 @@ from pathlib import Path
 
 from .errors import InternalError, ValidationError
 from .scoring import (
+    ATTACH_GRASP,
+    ATTACH_PIERCE,
     MATERIAL_CLASSES,
     NEG_INF,
+    SCORE_PARAMS,
+    JoinScorer,
     ObjectProfile,
-    ScoreParams,
     ToolSpec,
     can_attach,
-    feature_score,
     material_fit,
 )
 
@@ -137,8 +139,7 @@ class _LibraryFile:
     objects: tuple[LibraryObject, ...]
 
 
-def validate_scenario(sc: Scenario, params: ScoreParams | None = None) -> None:
-    params = params or ScoreParams()
+def validate_scenario(sc: Scenario) -> None:
     where = f"scenario '{sc.scenario_id}'"
     sc.noise.validate()
     if sc.format_version != FORMAT_VERSION:
@@ -174,7 +175,7 @@ def validate_scenario(sc: Scenario, params: ScoreParams | None = None) -> None:
     attached, _ = can_attach(gt.pair, profiles)
     if not attached:
         raise ValidationError(f"{where}: ground-truth pair fails attachment under noiseless profiles")
-    if material_fit(gt.pair, spec, profiles, params) == NEG_INF:
+    if material_fit(gt.pair, spec, profiles, SCORE_PARAMS) == NEG_INF:
         raise ValidationError(f"{where}: ground-truth pair fails the material constraint")
 
 
@@ -388,19 +389,21 @@ def _misread_material(profile: ObjectProfile, spec: ToolSpec) -> ObjectProfile:
 
 
 def _misread_attachment(out: dict[str, ObjectProfile], gt: GroundTruth) -> None:
-    """Flip whichever capability flags currently let the pair attach."""
-    action, grasp = out[gt.action_part], out[gt.grasp_part]
-    if action.pierceable != grasp.pierceable:
-        if action.pierceable:
-            action = replace(action, pierceable=False)
+    """Clear the capability flag behind the attachment kind that can_attach
+    reports for the pair, until the pair no longer attaches: pierceable on
+    both parts, can_grasp_others on the grasp part, has_magnet on the action
+    part."""
+    while True:
+        attachable, kind = can_attach(gt.pair, out)
+        if not attachable:
+            return
+        if kind == ATTACH_PIERCE:
+            for part in gt.pair:
+                out[part] = replace(out[part], pierceable=False)
+        elif kind == ATTACH_GRASP:
+            out[gt.grasp_part] = replace(out[gt.grasp_part], can_grasp_others=False)
         else:
-            grasp = replace(grasp, pierceable=False)
-    if grasp.can_grasp_others and action.can_be_grasped:
-        grasp = replace(grasp, can_grasp_others=False)
-    if action.has_magnet and grasp.has_magnet:
-        action = replace(action, has_magnet=False)
-    out[gt.action_part] = action
-    out[gt.grasp_part] = grasp
+            out[gt.action_part] = replace(out[gt.action_part], has_magnet=False)
 
 
 # -- object library --------------------------------------------------------------
@@ -499,13 +502,11 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
 def _check_ground_truth_ranks_first(sc: Scenario) -> None:
     """Generator self-check: under noiseless trusted scoring, the annotated
     pair must strictly outrank every other (pair, join) combination."""
-    profiles = sc.profiles()
-    registry = sc.registry()
-    params = ScoreParams()
+    score = JoinScorer(sc.registry(), sc.profiles()).score
     gt = sc.ground_truth
     gt_action = sc.spec_for_tool(gt.tool).join_action_name
     ids = [o.object_id for o in sc.objects]
-    best = feature_score(gt_action, gt.pair, True, set(), registry, profiles, params)
+    best = score(gt_action, gt.pair)
     if best == NEG_INF:
         raise InternalError(f"{sc.scenario_id}: ground-truth pair scores -inf")
     for spec in sc.tool_specs:
@@ -515,9 +516,7 @@ def _check_ground_truth_ranks_first(sc: Scenario) -> None:
                     continue
                 if (a, b) == gt.pair and spec.join_action_name == gt_action:
                     continue
-                phi = feature_score(
-                    spec.join_action_name, (a, b), True, set(), registry, profiles, params
-                )
+                phi = score(spec.join_action_name, (a, b))
                 if phi >= best:
                     raise InternalError(
                         f"{sc.scenario_id}: pair ({a},{b}) via {spec.join_action_name} "

@@ -96,6 +96,9 @@ class ScoreParams:
             raise ConfigError("material threshold must lie in (0, 1)")
 
 
+SCORE_PARAMS = ScoreParams()  # the weights and threshold every episode scores with
+
+
 def shape_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
     """Product of role confidences: action part against the tool's action
     role, grasp part against the handle role. Missing confidences count
@@ -176,21 +179,26 @@ def feature_score(
     return NEG_INF
 
 
-def make_scorer(
-    registry: dict[str, ToolSpec],
-    profiles: dict[str, ObjectProfile],
-    params: ScoreParams,
-    no_trust_whitelist=frozenset(),
-):
-    """Bind scoring data into the (action_name, o_a, trust) callback
-    the search engine consumes. The whitelist is the accumulated reject set
-    used when trust is withdrawn."""
-    for spec in registry.values():
-        spec.validate()
-    params.validate()
+class JoinScorer:
+    """Scores joins under one trust phase: trusted exactly when *whitelist*
+    is None. The whitelist is the set of (o_a, join action) pairs that the
+    trusted phase rejected; untrusted, only those are scored, by shape alone.
+    While trusted, every join scored -inf is added to *rejected*, the next
+    phase's whitelist."""
 
-    def scorer(action_name, o_a, trust):
-        return feature_score(action_name, o_a, trust, no_trust_whitelist, registry, profiles, params)
+    def __init__(self, registry: dict[str, ToolSpec], profiles: dict[str, ObjectProfile],
+                 whitelist: frozenset | None = None):
+        for spec in registry.values():
+            spec.validate()
+        self.registry = registry
+        self.profiles = profiles
+        self.whitelist = whitelist
+        self.rejected: set[tuple[tuple[str, ...], str]] = set()
 
-    return scorer
-
+    def score(self, action_name: str, o_a: tuple[str, ...]) -> float:
+        trusted = self.whitelist is None
+        phi = feature_score(action_name, o_a, trusted, self.whitelist, self.registry,
+                            self.profiles, SCORE_PARAMS)
+        if phi == NEG_INF and trusted:
+            self.rejected.add((o_a, action_name))
+        return phi

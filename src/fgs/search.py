@@ -9,10 +9,10 @@ generating edge's object permutation):
     ucs             f = g, or g + (2 - phi) with feature scoring on
     ehc             f = h - phi, committed breadth-first improvement
 
-A permutation scored -inf is recorded in the reject set (while trusted) and
-its successor skipped; permutations in *exclusions* are skipped the same way
-without being recorded, since they were already attempted. A known state is
-re-opened exactly when a strictly cheaper path to it appears.
+A permutation scored -inf has its successor skipped, and so does one in
+*exclusions*, since it was already attempted; the scorer alone knows the
+trust phase and records what it rejects. A known state is re-opened exactly
+when a strictly cheaper path to it appears.
 
 Ties break on (f, then h, then insertion order), so runs are reproducible.
 """
@@ -67,9 +67,6 @@ class SearchConfig:
 class SearchNode:
     state: State
     g: float
-    h: float
-    phi: float
-    f: float
     parent: tuple["SearchNode", GroundAction] | None
     ctx: object = None  # heuristic path bookkeeping
 
@@ -78,7 +75,6 @@ class SearchNode:
 class PlanResult:
     plan: list[GroundAction] | None
     nodes_expanded: int
-    reject_set_out: frozenset
     status: str
     g_values: dict[State, float] = field(default_factory=dict, repr=False)
     closed: tuple = ()  # states in expansion order
@@ -98,24 +94,21 @@ def _combined_cost(cfg: SearchConfig, g: float, h: float, phi: float) -> float:
     return g
 
 
-def _join_gate(cfg: SearchConfig, scorer, trust: bool, exclusions: frozenset, reject_out: set):
+def _join_gate(cfg: SearchConfig, scorer, exclusions: frozenset):
     """The edge rule of both search loops: gate(act) is the phi of the edge
     *act* generates (0 for non-joins), or None when the edge is skipped: its
-    join is in *exclusions*, or scores -inf and is recorded while trusted."""
+    join is in *exclusions* or scores -inf."""
+    score = scorer.score if cfg.use_feature_score else None
 
     def gate(act: GroundAction) -> float | None:
         if not act.o_a:
             return 0.0
         if act.o_a in exclusions:
             return None
-        if not cfg.use_feature_score:
+        if score is None:
             return 0.0
-        phi = scorer(act.schema_name, act.o_a, trust)
-        if phi == NEG_INF:
-            if trust:
-                reject_out.add((act.o_a, act.schema_name))
-            return None
-        return phi
+        phi = score(act.schema_name, act.o_a)
+        return None if phi == NEG_INF else phi
 
     return gate
 
@@ -124,17 +117,16 @@ def search(
     gp: GroundProblem,
     cfg: SearchConfig,
     scorer=None,
-    trust: bool = True,
     exclusions: frozenset = frozenset(),
     heuristic: Heuristic | None = None,
     succ_cache: dict | None = None,
 ) -> PlanResult:
-    """Run one search over *gp*. The scorer is a callback
-    (action_name, o_a, trust) -> float, required when feature scoring is
-    on. Exclusions are object permutations never to revisit."""
+    """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
+    required when feature scoring is on. Exclusions are object permutations
+    never to revisit."""
     cfg.validate()
     if cfg.algorithm == "ehc":
-        return search_ehc(gp, cfg, scorer, trust, exclusions, heuristic, succ_cache)
+        return search_ehc(gp, cfg, scorer, exclusions, heuristic, succ_cache)
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
 
@@ -142,8 +134,7 @@ def search(
     if needs_h and heuristic is None:
         heuristic = make_heuristic(cfg.heuristic, gp)
 
-    reject_out: set = set()
-    gate = _join_gate(cfg, scorer, trust, exclusions, reject_out)
+    gate = _join_gate(cfg, scorer, exclusions)
     expanded = 0
     closed: list[State] = []
     init = gp.init
@@ -153,24 +144,20 @@ def search(
         h0, ctx0 = 0.0, None
     best_g: dict[State, float] = {init: 0.0}
     if h0 == INF:
-        return PlanResult(None, 0, frozenset(), STATUS_EXHAUSTED, best_g, ())
+        return PlanResult(None, 0, STATUS_EXHAUSTED, best_g, ())
 
-    root = SearchNode(init, 0.0, h0, 0.0, _combined_cost(cfg, 0.0, h0, 0.0), None, ctx0)
+    root = SearchNode(init, 0.0, None, ctx0)
     seq = 0
-    heap: list[tuple] = [(root.f, root.h, seq, root)]
+    heap: list[tuple] = [(_combined_cost(cfg, 0.0, h0, 0.0), h0, seq, root)]
     while heap:
         _, _, _, node = heapq.heappop(heap)
         if node.g > best_g.get(node.state, INF):
             continue  # superseded by a cheaper path
         if goal_satisfied(node.state, gp):
             plan = extract_plan(node, gp)
-            return PlanResult(
-                plan, expanded, frozenset(reject_out), STATUS_FOUND, best_g, tuple(closed)
-            )
+            return PlanResult(plan, expanded, STATUS_FOUND, best_g, tuple(closed))
         if cfg.node_budget is not None and expanded >= cfg.node_budget:
-            return PlanResult(
-                None, expanded, frozenset(reject_out), STATUS_BUDGET, best_g, tuple(closed)
-            )
+            return PlanResult(None, expanded, STATUS_BUDGET, best_g, tuple(closed))
         expanded += 1
         closed.append(node.state)
         for action_idx, succ in successors(gp, node.state, succ_cache):
@@ -190,18 +177,14 @@ def search(
             if f2 == INF:
                 continue
             seq += 1
-            child = SearchNode(succ, g2, h2, phi, f2, (node, act), ctx2)
-            heapq.heappush(heap, (f2, h2, seq, child))
-    return PlanResult(
-        None, expanded, frozenset(reject_out), STATUS_EXHAUSTED, best_g, tuple(closed)
-    )
+            heapq.heappush(heap, (f2, h2, seq, SearchNode(succ, g2, (node, act), ctx2)))
+    return PlanResult(None, expanded, STATUS_EXHAUSTED, best_g, tuple(closed))
 
 
 def search_ehc(
     gp: GroundProblem,
     cfg: SearchConfig,
     scorer=None,
-    trust: bool = True,
     exclusions: frozenset = frozenset(),
     heuristic: Heuristic | None = None,
     succ_cache: dict | None = None,
@@ -218,13 +201,12 @@ def search_ehc(
     if heuristic is None:
         heuristic = make_heuristic(cfg.heuristic, gp)
 
-    reject_out: set = set()
-    gate = _join_gate(cfg, scorer, trust, exclusions, reject_out)
+    gate = _join_gate(cfg, scorer, exclusions)
     expanded = 0
     state = gp.init
     h0, ctx = heuristic.evaluate(state, None)
     if h0 == INF:
-        return PlanResult(None, 0, frozenset(), STATUS_EXHAUSTED)
+        return PlanResult(None, 0, STATUS_EXHAUSTED)
     f_cur = h0  # the root has no generating edge, hence no feature term
     plan: list[GroundAction] = []
 
@@ -235,7 +217,7 @@ def search_ehc(
         while queue and committed is None:
             s, c, path = queue.popleft()
             if cfg.node_budget is not None and expanded >= cfg.node_budget:
-                return PlanResult(None, expanded, frozenset(reject_out), STATUS_BUDGET)
+                return PlanResult(None, expanded, STATUS_BUDGET)
             expanded += 1
             best = None  # lowest-f improving successor of this expansion
             for action_idx, succ in successors(gp, s, succ_cache):
@@ -261,12 +243,12 @@ def search_ehc(
             if best is not None:
                 committed = best
         if committed is None:
-            return PlanResult(None, expanded, frozenset(reject_out), STATUS_EXHAUSTED)
+            return PlanResult(None, expanded, STATUS_EXHAUSTED)
         f_cur, state, ctx, step = committed
         plan.extend(act for act, _, _ in step)
 
     _simulate(plan, gp)
-    return PlanResult(plan, expanded, frozenset(reject_out), STATUS_FOUND)
+    return PlanResult(plan, expanded, STATUS_FOUND)
 
 
 def extract_plan(goal_node: SearchNode, gp: GroundProblem) -> list[GroundAction]:

@@ -164,6 +164,27 @@ def test_episode_negative_budget_exits_two(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_plan_scenario_not_matching_problem_exits_two(tmp_path, capsys):
+    case = json.loads((BENCH / "cleaning_rake_case00.json").read_text(encoding="utf-8"))
+    for obj in case["objects"]:
+        obj["object_id"] = "other-" + obj["object_id"]
+    for part in ("action_part", "grasp_part"):
+        case["ground_truth"][part] = "other-" + case["ground_truth"][part]
+    scenario = tmp_path / "case.json"
+    scenario.write_text(json.dumps(case), encoding="utf-8")
+    code = main(["plan", *args_for("cleaning_rake"), "--features", "on", "--scenario", str(scenario)])
+    assert code == EXIT_USAGE
+    assert "missing from scenario 'cleaning_rake_case00'" in capsys.readouterr().err
+
+
+def test_bench_negative_budget_exits_two(tmp_path, capsys):
+    code = main(["bench", "--experiment", "algorithms", "--budget-sweep=-3,2",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert "budget must be non-negative, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_plan_non_finite_weight_exits_two(weight, capsys):
     code = main(["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", weight])

@@ -157,23 +157,24 @@ def test_ff_dominates_hmax_and_zero_iff_goal():
 
 def test_rpg_layers_monotone():
     gp = chain_problem(5)
-    level_of, fired_order = relaxed_exploration(gp, gp.init)
+    level_of = relaxed_exploration(gp, gp.init)
     assert [level_of[i] for i in range(6)] == [0, 1, 2, 3, 4, 5]
-    # an action fires one layer after its last precondition, in layer order,
-    # and gives each of its new atoms the next level
-    fired_levels = [max((level_of[p] for p in gp.actions[i].pre_pos), default=0) for i in fired_order]
-    assert fired_levels == sorted(fired_levels)
+
+    def deepest_precondition(idx):
+        return max((level_of.get(p, INF) for p in gp.actions[idx].pre_pos), default=0)
+
+    # an action fires one layer after its last precondition and gives each of
+    # its new atoms the next level: an atom at level L has an achiever whose
+    # deepest precondition is at L - 1, and none with all of them below L - 1
     for atom, level in level_of.items():
         if level:
-            assert any(
-                max((level_of[p] for p in gp.actions[i].pre_pos), default=0) == level - 1
-                for i in fired_order
-                if atom in gp.actions[i].adds
-            )
+            depths = [deepest_precondition(idx) for idx in gp.achievers[atom]]
+            assert level - 1 in depths
+            assert min(depths) >= level - 1
     # with a goal it stops at the goal's layer; a banned atom is never reached
-    partial, _ = relaxed_exploration(gp, gp.init, goal=frozenset({2}))
+    partial = relaxed_exploration(gp, gp.init, goal=frozenset({2}))
     assert max(partial.values()) == 2
-    cut, _ = relaxed_exploration(gp, gp.init, banned=3)
+    cut = relaxed_exploration(gp, gp.init, banned=3)
     assert sorted(cut) == [0, 1, 2]
 
 

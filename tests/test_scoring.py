@@ -1,20 +1,24 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from fgs.assets import benchmark_dir
 from fgs.errors import ConfigError
+from fgs.scenario import load_scenario, sense
 from fgs.scoring import (
     ATTACH_GRASP,
     ATTACH_MAGNETIC,
     ATTACH_PIERCE,
     NEG_INF,
+    SCORE_PARAMS,
+    JoinScorer,
     ObjectProfile,
     ScoreParams,
     ToolSpec,
     can_attach,
     feature_score,
-    make_scorer,
     material_fit,
     shape_fit,
 )
@@ -300,10 +304,43 @@ def test_make_scorer_binds_whitelist():
     a = profile("a", head=0.7, materials={"plastic": 0.9})
     b = profile("b", handle=0.6)
     profiles = {"a": a, "b": b}
-    scorer = make_scorer(REGISTRY, profiles, PARAMS, frozenset({(("a", "b"), "join-hammer")}))
-    assert scorer("join-hammer", ("a", "b"), True) == NEG_INF
-    assert scorer("join-hammer", ("a", "b"), False) == pytest.approx(0.42, abs=1e-12)
-    assert scorer("join-hammer", ("b", "a"), False) == NEG_INF
+    whitelist = frozenset({(("a", "b"), "join-hammer")})
+    trusted = JoinScorer(REGISTRY, profiles)
+    assert trusted.score("join-hammer", ("a", "b")) == NEG_INF
+    assert trusted.rejected == whitelist
+    untrusted = JoinScorer(REGISTRY, profiles, whitelist)
+    assert untrusted.score("join-hammer", ("a", "b")) == pytest.approx(0.42, abs=1e-12)
+    assert untrusted.score("join-hammer", ("b", "a")) == NEG_INF
+    assert untrusted.rejected == set()
+
+
+@pytest.mark.parametrize("noise_on", [False, True], ids=["noise-off", "noise-on"])
+def test_join_scorer_matches_feature_score_on_bundled_scenarios(noise_on):
+    """Both trust phases of JoinScorer against direct feature_score calls on
+    every join action x ordered object pair of every bundled scenario; the
+    trusted scorer's rejects are exactly its -inf joins."""
+    for path in sorted(benchmark_dir().glob("*.json")):
+        scenario = load_scenario(path)
+        registry = scenario.registry()
+        profiles = sense(scenario, noise_on)
+        joins = [(action, pair) for action in sorted(registry)
+                 for pair in itertools.permutations(sorted(profiles), 2)]
+        trusted = JoinScorer(registry, profiles)
+        direct = {}
+        for action, pair in joins:
+            direct[action, pair] = feature_score(
+                action, pair, True, frozenset(), registry, profiles, SCORE_PARAMS
+            )
+            assert trusted.score(action, pair) == direct[action, pair], (path.name, action, pair)
+        assert trusted.rejected == {
+            (pair, action) for (action, pair), phi in direct.items() if phi == NEG_INF
+        }
+        whitelist = frozenset(trusted.rejected)
+        untrusted = JoinScorer(registry, profiles, whitelist)
+        for action, pair in joins:
+            expected = feature_score(action, pair, False, whitelist, registry, profiles, SCORE_PARAMS)
+            assert untrusted.score(action, pair) == expected, (path.name, action, pair)
+        assert untrusted.rejected == set()
 
 
 from hypothesis import given, settings

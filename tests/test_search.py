@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from fgs import scoring
 from fgs.errors import ConfigError
 from fgs.grounding import goal_satisfied
-from fgs.scoring import NEG_INF
+from fgs.scoring import NEG_INF, JoinScorer
 from fgs.search import (
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
@@ -101,30 +102,30 @@ def join_fanout_problem(phis):
     return make_ground_problem(atoms, actions, ["start"], ["goal"])
 
 
-def scorer_from_table(table):
-    def scorer(action_name, o_a, trust):
-        return table[o_a]
+def table_scorer(monkeypatch, table, whitelist=None):
+    """A real JoinScorer whose feature_score reads phi from *table*, keyed by
+    object pair, so the scorer's own reject recording is what gets tested."""
+    monkeypatch.setattr(scoring, "feature_score", lambda action_name, o_a, *_: table[o_a])
+    return JoinScorer({}, {}, whitelist)
 
-    return scorer
 
-
-def test_higher_phi_join_wins_at_equal_g_plus_h():
+def test_higher_phi_join_wins_at_equal_g_plus_h(monkeypatch):
     gp = join_fanout_problem([0.3, 1.8])
     table = {("x0", "y0"): 0.3, ("x1", "y1"): 1.8}
     cfg = SearchConfig(algorithm="astar", heuristic="zero", use_feature_score=True)
-    result = search(gp, cfg, scorer=scorer_from_table(table))
+    result = search(gp, cfg, scorer=table_scorer(monkeypatch, table))
     assert result.found
     assert any(a.schema_name == "join1" for a in result.plan)
     # exhaustive check: both joins reach the goal in the same number of steps
     assert bfs_optimal_length(gp) == len(result.plan)
 
 
-def test_join_expansion_order_follows_phi():
+def test_join_expansion_order_follows_phi(monkeypatch):
     phis = [0.2, 1.9, 0.7, 1.1, 1.5]
     gp = join_fanout_problem(phis)
     table = {(f"x{i}", f"y{i}"): phi for i, phi in enumerate(phis)}
     cfg = SearchConfig(algorithm="ucs", use_feature_score=True)
-    result = search(gp, cfg, scorer=scorer_from_table(table))
+    result = search(gp, cfg, scorer=table_scorer(monkeypatch, table))
     # joined-states must first reach expansion in non-increasing phi order
     seen_phis = []
     for state in result.closed:
@@ -140,38 +141,39 @@ def test_join_expansion_order_follows_phi():
 GATE_ALGORITHMS = ("astar", "ucs", "ehc")
 
 
-def test_rejected_combination_recorded_and_skipped():
+def test_rejected_combination_recorded_and_skipped(monkeypatch):
     gp = join_fanout_problem([0.5, 0.9])
     table = {("x0", "y0"): NEG_INF, ("x1", "y1"): 0.9}
     for algorithm in GATE_ALGORITHMS:
         cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
-        result = search(gp, cfg, scorer=scorer_from_table(table))
+        scorer = table_scorer(monkeypatch, table)
+        result = search(gp, cfg, scorer=scorer)
         assert result.found
-        assert result.reject_set_out == frozenset({(("x0", "y0"), "join0")})
+        assert scorer.rejected == frozenset({(("x0", "y0"), "join0")})
         assert all(a.schema_name != "join0" for a in result.plan)
 
 
-def test_rejects_not_recorded_without_trust():
+def test_rejects_not_recorded_without_trust(monkeypatch):
     gp = join_fanout_problem([0.5])
     table = {("x0", "y0"): NEG_INF}
     for algorithm in GATE_ALGORITHMS:
         cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
-        result = search(gp, cfg, scorer=scorer_from_table(table), trust=False)
+        scorer = table_scorer(monkeypatch, table, whitelist=frozenset())
+        result = search(gp, cfg, scorer=scorer)
         assert result.status == STATUS_EXHAUSTED
-        assert result.reject_set_out == frozenset()
+        assert scorer.rejected == frozenset()
 
 
-def test_exclusions_skipped_without_rerecording():
+def test_exclusions_skipped_without_rerecording(monkeypatch):
     gp = join_fanout_problem([0.5, 0.9])
     table = {("x0", "y0"): 0.5, ("x1", "y1"): 0.9}
     for algorithm in GATE_ALGORITHMS:
         cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
-        result = search(
-            gp, cfg, scorer=scorer_from_table(table), exclusions=frozenset({("x1", "y1")})
-        )
+        scorer = table_scorer(monkeypatch, table)
+        result = search(gp, cfg, scorer=scorer, exclusions=frozenset({("x1", "y1")}))
         assert result.found
         assert any(a.schema_name == "join0" for a in result.plan)
-        assert result.reject_set_out == frozenset()
+        assert scorer.rejected == frozenset()
 
 
 def test_exclusions_apply_with_features_off():
@@ -183,14 +185,15 @@ def test_exclusions_apply_with_features_off():
         assert any(a.schema_name == "join1" for a in result.plan)
 
 
-def test_all_joins_rejected_fails_with_reject_set():
+def test_all_joins_rejected_fails_with_reject_set(monkeypatch):
     gp = join_fanout_problem([0.5, 0.9])
     table = {("x0", "y0"): NEG_INF, ("x1", "y1"): NEG_INF}
     for algorithm in GATE_ALGORITHMS:
         cfg = SearchConfig(algorithm=algorithm, heuristic="zero", use_feature_score=True)
-        result = search(gp, cfg, scorer=scorer_from_table(table))
+        scorer = table_scorer(monkeypatch, table)
+        result = search(gp, cfg, scorer=scorer)
         assert result.status == STATUS_EXHAUSTED
-        assert len(result.reject_set_out) == 2
+        assert len(scorer.rejected) == 2
 
 
 def test_weighted_astar_valid_and_uses_weight():
@@ -268,13 +271,13 @@ def test_ehc_goal_at_init():
     assert result.nodes_expanded == 0
 
 
-def test_ehc_phi_boost_commits_first():
+def test_ehc_phi_boost_commits_first(monkeypatch):
     # with h = 0 nothing improves on its own; only the boosted join drops
     # below the current f and gets committed
     gp = join_fanout_problem([0.0, 1.4])
     table = {("x0", "y0"): 0.0, ("x1", "y1"): 1.4}
     cfg = SearchConfig(algorithm="ehc", heuristic="zero", use_feature_score=True)
-    result = search_ehc(gp, cfg, scorer=scorer_from_table(table))
+    result = search_ehc(gp, cfg, scorer=table_scorer(monkeypatch, table))
     assert result.found
     assert any(a.schema_name == "join1" for a in result.plan)
     assert all(a.schema_name != "join0" for a in result.plan)
