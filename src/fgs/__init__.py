@@ -6,7 +6,7 @@ from .episode import EpisodeResult, run_adaptability_episode, run_episode
 from .grounding import GroundAction, GroundProblem, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
 from .scenario import Scenario, generate_benchmark, load_scenario, sense
-from .scoring import ObjectProfile, ScoreParams, ToolSpec, feature_score
+from .scoring import ObjectProfile, ToolSpec, feature_score
 from .search import PlanResult, SearchConfig, search, search_ehc
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "PlanResult",
     "ProblemDef",
     "Scenario",
-    "ScoreParams",
     "SearchConfig",
     "ToolSpec",
     "__version__",

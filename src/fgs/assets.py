@@ -11,6 +11,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .grounding import GroundProblem, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem, read_pddl
+from .scenario import TASK_TOOLS
 
 DATA_DIR_ENV = "FGS_DATA_DIR"
 
@@ -37,28 +38,21 @@ class TaskDef:
         return f"{self.task_id}.problem.pddl"
 
 
+# one task per tool, plus '<task type>_either' that accepts both of its tools
 TASKS: dict[str, TaskDef] = {
     t.task_id: t
-    for t in (
-        TaskDef("woodworking_hammer", "woodworking", ("hammer",)),
-        TaskDef("woodworking_screwdriver", "woodworking", ("screwdriver",)),
-        TaskDef("cooking_spatula", "cooking", ("spatula",)),
-        TaskDef("cooking_ladle", "cooking", ("ladle",)),
-        TaskDef("cleaning_rake", "cleaning", ("rake",)),
-        TaskDef("cleaning_squeegee", "cleaning", ("squeegee",)),
-        TaskDef("woodworking_either", "woodworking", ("hammer", "screwdriver")),
-        TaskDef("cooking_either", "cooking", ("spatula", "ladle")),
-        TaskDef("cleaning_either", "cleaning", ("rake", "squeegee")),
-    )
+    for task_type, tools in TASK_TOOLS.items()
+    for t in (*(TaskDef(f"{task_type}_{tool}", task_type, (tool,)) for tool in tools),
+              TaskDef(f"{task_type}_either", task_type, tools))
 }
+_TASK_BY_TOOLS = {(t.task_type, frozenset(t.tools)): t for t in TASKS.values()}
 
 
 def task_for_scenario(task_type: str, tools) -> TaskDef:
-    tools = tuple(tools)
-    for task in TASKS.values():
-        if task.task_type == task_type and set(task.tools) == set(tools):
-            return task
-    raise ConfigError(f"no bundled task for type '{task_type}' with tools {tools}")
+    task = _TASK_BY_TOOLS.get((task_type, frozenset(tools)))
+    if task is None:
+        raise ConfigError(f"no bundled task for type '{task_type}' with tools {tuple(tools)}")
+    return task
 
 
 def load_task(task_id: str) -> tuple[DomainDef, ProblemDef, GroundProblem]:

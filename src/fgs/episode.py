@@ -18,7 +18,7 @@ from .grounding import GroundAction, GroundProblem
 from .heuristics import make_heuristic
 from .scenario import Scenario, sense
 from .scoring import JoinScorer
-from .search import SearchConfig, search
+from .search import HEURISTIC_ALGORITHMS, SearchConfig, search
 
 STATUS_SUCCESS = "success"
 STATUS_EXHAUSTED = "exhausted"
@@ -31,7 +31,6 @@ class ExecutionOracle:
     works exactly when its join uses the annotated ordered pair."""
 
     pair: tuple[str, str]
-    tool: str
 
     def judge(self, plan) -> tuple[bool, tuple[str, ...] | None]:
         """Return (accepted, attempted pair). Judged solely on the plan's
@@ -111,9 +110,9 @@ def run_episode(
     check_alignment(gp, scenario)
     profiles = sense(scenario, noise_on)
     registry = scenario.registry()
-    oracle = ExecutionOracle(scenario.ground_truth.pair, scenario.ground_truth.tool)
+    oracle = ExecutionOracle(scenario.ground_truth.pair)
     heuristic = None
-    if cfg.algorithm in ("astar", "weighted_astar", "ehc"):
+    if cfg.algorithm in HEURISTIC_ALGORITHMS:
         heuristic = make_heuristic(cfg.heuristic, gp)
     if succ_cache is None:
         succ_cache = {}
@@ -132,9 +131,10 @@ def run_episode(
         if trace is not None:
             trace(event)
 
-    def run_phase(trust: bool, scorer: JoinScorer | None) -> str:
+    def run_phase(scorer: JoinScorer) -> str:
         """Returns 'success', 'budget', or 'no_plan'."""
         nonlocal nodes_total, failed, searches
+        trust = scorer.whitelist is None
         while True:
             if budget is not None and failed >= budget:
                 return "budget"
@@ -183,14 +183,15 @@ def run_episode(
             failed += 1
             exclusions.add(pair)
 
-    scorer = JoinScorer(registry, profiles) if cfg.use_feature_score else None
-    outcome = run_phase(True, scorer)
-    reject = scorer.rejected if scorer is not None else set()  # (o_a, join action) pairs
+    # with feature scoring off the gate never scores, so nothing is rejected
+    scorer = JoinScorer(registry, profiles)
+    outcome = run_phase(scorer)
+    reject = scorer.rejected  # (o_a, join action) pairs
     if outcome == "no_plan" and trust_policy == "switchable" and reject:
         # trusted planning is out of options: explore what the hard
         # constraints rejected, guided by shape alone
         phase2_whitelist = frozenset(reject)
-        outcome = run_phase(False, JoinScorer(registry, profiles, phase2_whitelist))
+        outcome = run_phase(JoinScorer(registry, profiles, phase2_whitelist))
 
     success = outcome == "success"
     status = STATUS_SUCCESS if success else (

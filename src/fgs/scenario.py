@@ -24,7 +24,6 @@ from .scoring import (
     ATTACH_PIERCE,
     MATERIAL_CLASSES,
     NEG_INF,
-    SCORE_PARAMS,
     JoinScorer,
     ObjectProfile,
     ToolSpec,
@@ -136,6 +135,7 @@ class LibraryObject:
 
 @dataclass(frozen=True)
 class _LibraryFile:
+    format_version: int
     objects: tuple[LibraryObject, ...]
 
 
@@ -175,7 +175,7 @@ def validate_scenario(sc: Scenario) -> None:
     attached, _ = can_attach(gt.pair, profiles)
     if not attached:
         raise ValidationError(f"{where}: ground-truth pair fails attachment under noiseless profiles")
-    if material_fit(gt.pair, spec, profiles, SCORE_PARAMS) == NEG_INF:
+    if material_fit(gt.pair, spec, profiles) == NEG_INF:
         raise ValidationError(f"{where}: ground-truth pair fails the material constraint")
 
 
@@ -252,12 +252,17 @@ def _list_of(check, into=tuple):
 
 def _record(cls, data, where: str):
     """An instance of *cls* read from a JSON object: every field through its
-    check in _CHECKS; an absent field takes its dataclass default."""
+    check in _CHECKS; an absent field takes its dataclass default, and a key
+    that names no field is an error."""
     data = _as_object(data, where)
+    checks = _CHECKS[cls]
+    for key in data:
+        if key not in checks:
+            raise ValidationError(f"{where}.{key}: unknown field")
     values = {}
     for f in fields(cls):
         if f.name in data:
-            values[f.name] = _CHECKS[cls][f.name](data[f.name], f"{where}.{f.name}")
+            values[f.name] = checks[f.name](data[f.name], f"{where}.{f.name}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"{where}.{f.name}: missing required field")
     return cls(**values)
@@ -311,7 +316,7 @@ _CHECKS = {
         role_tags=_list_of(_as_str),
         **_FLAGS,
     ),
-    _LibraryFile: dict(objects=_list_of(partial(_record, LibraryObject))),
+    _LibraryFile: dict(format_version=_as_int, objects=_list_of(partial(_record, LibraryObject))),
 }
 
 
@@ -411,7 +416,12 @@ def _misread_attachment(out: dict[str, ObjectProfile], gt: GroundTruth) -> None:
 
 def load_library(path) -> tuple[LibraryObject, ...]:
     path = Path(path)
-    return _record(_LibraryFile, _load_json(path), path.name).objects
+    library = _record(_LibraryFile, _load_json(path), path.name)
+    if library.format_version != FORMAT_VERSION:
+        raise ValidationError(
+            f"{path.name}.format_version: unsupported format_version {library.format_version}"
+        )
+    return library.objects
 
 
 def default_library() -> tuple[LibraryObject, ...]:
@@ -437,7 +447,8 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
         for o in library
         if gt_spec.action_part_role in o.role_tags and o.material in gt_spec.allowed_materials
     ]
-    grasp_pool = [o for o in library if "handle" in o.role_tags]
+    grasp_role = gt_spec.grasp_part_role
+    grasp_pool = [o for o in library if grasp_role in o.role_tags]
     if not action_pool or len(grasp_pool) < 1 or len(library) < n:
         raise ValidationError(
             f"object library too small to build a '{gt_tool}' scenario with {n} objects"
@@ -452,7 +463,7 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
     # can_attach reads only the capability flags, which library objects share
     attachable, _ = can_attach(("action", "grasp"), {"action": action_lib, "grasp": grasp_lib})
     magnet_override = not attachable
-    roles = sorted({s.action_part_role for s in specs} | {"handle"})
+    roles = sorted({role for s in specs for role in (s.action_part_role, s.grasp_part_role)})
     profiles = []
     for idx, lib in enumerate(lineup):
         oid = f"obj{idx}"
@@ -460,7 +471,7 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
         for role in roles:
             if lib is action_lib and role == gt_spec.action_part_role:
                 shape[role] = round(rng.uniform(*GT_SHAPE_RANGE), 6)
-            elif lib is grasp_lib and role == "handle":
+            elif lib is grasp_lib and role == grasp_role:
                 shape[role] = round(rng.uniform(*GT_SHAPE_RANGE), 6)
             else:
                 shape[role] = round(rng.uniform(*DISTRACTOR_SHAPE_RANGE), 6)

@@ -83,25 +83,15 @@ class ToolSpec:
             raise ConfigError(f"tool '{self.tool}': only two-part tools are supported")
 
 
-@dataclass(frozen=True)
-class ScoreParams:
-    lambda_shape: float = 1.0
-    lambda_material: float = 1.0
-    material_threshold: float = 0.6
-
-    def validate(self) -> None:
-        if self.lambda_shape < 0 or self.lambda_material < 0:
-            raise ConfigError("score weights must be non-negative")
-        if not 0.0 < self.material_threshold < 1.0:
-            raise ConfigError("material threshold must lie in (0, 1)")
-
-
-SCORE_PARAMS = ScoreParams()  # the weights and threshold every episode scores with
+# The paper's weights and material threshold; every episode scores with them.
+LAMBDA_SHAPE = 1.0
+LAMBDA_MATERIAL = 1.0
+MATERIAL_THRESHOLD = 0.6
 
 
 def shape_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
     """Product of role confidences: action part against the tool's action
-    role, grasp part against the handle role. Missing confidences count
+    role, grasp part against its grasp role. Missing confidences count
     as 0 and are logged."""
     action_obj, grasp_obj = profiles[o_a[0]], profiles[o_a[1]]
     score = 1.0
@@ -118,12 +108,12 @@ def shape_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
     return score
 
 
-def material_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile], params: ScoreParams) -> float:
+def material_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
     """Hard material constraint on the action part: the best confidence over
     the tool's allowed materials, or -inf when it falls below threshold."""
     action_obj = profiles[o_a[0]]
     z = max((action_obj.material_conf.get(c, 0.0) for c in sorted(spec.allowed_materials)), default=0.0)
-    if z >= params.material_threshold:
+    if z >= MATERIAL_THRESHOLD:
         return z
     return NEG_INF
 
@@ -146,35 +136,25 @@ def can_attach(o_a, profiles: dict[str, ObjectProfile]) -> tuple[bool, str | Non
 
 
 def feature_score(
-    action_name: str,
+    spec: ToolSpec,
     o_a: tuple[str, ...],
-    trust: bool,
-    reject,
-    registry: dict[str, ToolSpec],
     profiles: dict[str, ObjectProfile],
-    params: ScoreParams,
+    whitelist: frozenset | None,
 ) -> float:
-    """Score one transition's object permutation.
+    """phi of one join: *spec*'s join action on the ordered pair *o_a*.
 
-    Actions without objects score 0. With trust, attachment and material act
-    as hard constraints around the weighted shape+material sum. Without
-    trust, only combinations in *reject*, a set of (o_a, action_name) pairs,
-    are considered, by shape alone."""
-    if not o_a:
-        return 0.0
-    spec = registry.get(action_name)
-    if spec is None:
-        raise ConfigError(f"no tool spec registered for join action '{action_name}'")
-    if trust:
+    Trusted exactly when *whitelist* is None: attachment and material act as
+    hard constraints around the weighted shape+material sum. Untrusted, only
+    the (o_a, join action) pairs in *whitelist* are scored, by shape alone."""
+    if whitelist is None:
         attachable, _ = can_attach(o_a, profiles)
         if not attachable:
             return NEG_INF
-        material = material_fit(o_a, spec, profiles, params)
+        material = material_fit(o_a, spec, profiles)
         if material == NEG_INF:
             return NEG_INF
-        shape = shape_fit(o_a, spec, profiles)
-        return params.lambda_shape * shape + params.lambda_material * material
-    if (tuple(o_a), action_name) in reject:
+        return LAMBDA_SHAPE * shape_fit(o_a, spec, profiles) + LAMBDA_MATERIAL * material
+    if (o_a, spec.join_action_name) in whitelist:
         return shape_fit(o_a, spec, profiles)
     return NEG_INF
 
@@ -182,9 +162,8 @@ def feature_score(
 class JoinScorer:
     """Scores joins under one trust phase: trusted exactly when *whitelist*
     is None. The whitelist is the set of (o_a, join action) pairs that the
-    trusted phase rejected; untrusted, only those are scored, by shape alone.
-    While trusted, every join scored -inf is added to *rejected*, the next
-    phase's whitelist."""
+    trusted phase rejected. While trusted, every join scored -inf is added
+    to *rejected*, the next phase's whitelist."""
 
     def __init__(self, registry: dict[str, ToolSpec], profiles: dict[str, ObjectProfile],
                  whitelist: frozenset | None = None):
@@ -196,9 +175,10 @@ class JoinScorer:
         self.rejected: set[tuple[tuple[str, ...], str]] = set()
 
     def score(self, action_name: str, o_a: tuple[str, ...]) -> float:
-        trusted = self.whitelist is None
-        phi = feature_score(action_name, o_a, trusted, self.whitelist, self.registry,
-                            self.profiles, SCORE_PARAMS)
-        if phi == NEG_INF and trusted:
+        spec = self.registry.get(action_name)
+        if spec is None:
+            raise ConfigError(f"no tool spec registered for join action '{action_name}'")
+        phi = feature_score(spec, o_a, self.profiles, self.whitelist)
+        if phi == NEG_INF and self.whitelist is None:
             self.rejected.add((o_a, action_name))
         return phi

@@ -40,6 +40,7 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 ALGORITHMS = ("astar", "ucs", "weighted_astar", "ehc")
+HEURISTIC_ALGORITHMS = ("astar", "weighted_astar", "ehc")  # those that evaluate cfg.heuristic
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -130,7 +131,7 @@ def search(
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
 
-    needs_h = cfg.algorithm in ("astar", "weighted_astar")
+    needs_h = cfg.algorithm in HEURISTIC_ALGORITHMS
     if needs_h and heuristic is None:
         heuristic = make_heuristic(cfg.heuristic, gp)
 

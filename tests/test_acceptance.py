@@ -21,7 +21,7 @@ from fgs.bench import experiment_scenarios
 from fgs.cli import main as cli_main
 from fgs.episode import run_episode
 from fgs.scenario import TOOL_TABLE, scenario_from_json
-from fgs.scoring import ObjectProfile, ScoreParams, feature_score
+from fgs.scoring import ObjectProfile, feature_score
 from fgs.search import SearchConfig, search
 
 from .test_scoring import FIXTURES
@@ -89,16 +89,14 @@ def test_c02_score_equations_exact():
                           {"metal": mat}, has_magnet=attach)
         b = ObjectProfile("b", {"hammer_head": 0.0, "handle": handle}, {}, has_magnet=attach)
         reject = frozenset([(("a", "b"), "join-hammer")]) if in_reject else frozenset()
-        got = feature_score("join-hammer", ("a", "b"), trust, reject,
-                            {"join-hammer": TOOL_TABLE["hammer"]},
-                            {"a": a, "b": b}, ScoreParams())
+        got = feature_score(TOOL_TABLE["hammer"], ("a", "b"), {"a": a, "b": b},
+                            None if trust else reject)
         if expected == float("-inf"):
             if got != expected:
                 mismatches += 1
         elif abs(got - expected) > 1e-12:
             mismatches += 1
     rng = random.Random(16384)
-    registry = {"join-hammer": TOOL_TABLE["hammer"]}
     out_of_range = 0
     profiles_checked = 0
     while profiles_checked < 100_000:
@@ -117,8 +115,8 @@ def test_c02_score_equations_exact():
         profiles = {p.object_id: p for p in pair}
         reject = frozenset([(("a", "b"), "join-hammer")]) if rng.random() < 0.5 else frozenset()
         for trust in (True, False):
-            phi = feature_score("join-hammer", ("a", "b"), trust, reject,
-                                registry, profiles, ScoreParams())
+            phi = feature_score(TOOL_TABLE["hammer"], ("a", "b"), profiles,
+                                None if trust else reject)
             if phi != float("-inf") and not 0.0 <= phi <= 2.0:
                 out_of_range += 1
     report(2, "score equations and range",

@@ -82,11 +82,20 @@ def test_aggregate_denominators():
     assert curve[89] == pytest.approx(2 / 3)
 
 
-def test_budget_curves_monotone_and_recomputable(tmp_path):
+@pytest.fixture(scope="module")
+def cleaning_baselines(tmp_path_factory):
+    """The four-config cleaning baselines run, with its trace directory;
+    budgets only shape the report, so the records serve any budget sweep."""
+    trace_dir = tmp_path_factory.mktemp("cleaning-baselines")
+    cfg = ExperimentConfig(experiment="baselines", task_types=("cleaning",))
+    return collect_records(cfg, trace_dir=trace_dir), trace_dir
+
+
+def test_budget_curves_monotone_and_recomputable(cleaning_baselines):
+    records, trace_dir = cleaning_baselines
     cfg = ExperimentConfig(
         experiment="baselines", task_types=("cleaning",), budgets=tuple(range(0, 90, 10))
     )
-    records = collect_records(cfg, trace_dir=tmp_path)
     table = aggregate(records, cfg)
     by_config = {}
     for p in table.budget_points:
@@ -95,7 +104,7 @@ def test_budget_curves_monotone_and_recomputable(tmp_path):
         assert rates == sorted(rates)
     # recompute one point from the raw traces
     attempts_by_key = {}
-    for path in tmp_path.glob("*.jsonl"):
+    for path in trace_dir.glob("*.jsonl"):
         events = [json.loads(line) for line in path.read_text().splitlines()]
         accepted = any(e["event"] == "attempt" and e["accepted"] for e in events)
         failed = sum(1 for e in events if e["event"] == "attempt" and not e["accepted"])
@@ -150,10 +159,9 @@ def test_byte_identical_reports(tmp_path):
     assert len(a) == 2  # summary plus budget curves
 
 
-def test_cross_config_fairness_same_scenarios():
+def test_cross_config_fairness_same_scenarios(cleaning_baselines):
     records = collect_records(SMALL)
-    cfg4 = ExperimentConfig(experiment="baselines", task_types=("cleaning",))
-    records4 = collect_records(cfg4)
+    records4, _ = cleaning_baselines
     ids = {r.scenario_id for r in records}
     ids4 = {r.scenario_id for r in records4 if r.config_id == "FS+H"}
     assert ids == ids4

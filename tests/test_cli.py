@@ -81,6 +81,10 @@ MALFORMED_SCENARIOS = [
      r"objects\[0\]\.shape_conf\.handle: number out of range"),
     ("format-version-missing", ("format_version",), ...,
      r"case\.json\.format_version: missing required field"),
+    ("noise-misspelt-field", ("noise", "materal_fn_rate"), 1.0,
+     r"case\.json\.noise\.materal_fn_rate: unknown field"),
+    ("object-misspelt-field", ("objects", 0, "pierceble"), True,
+     r"case\.json\.objects\[0\]\.pierceble: unknown field"),
 ]
 
 

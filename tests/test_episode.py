@@ -22,7 +22,7 @@ def squeegee_setup():
 def test_oracle_judges_first_join_pair(squeegee_setup):
     gp, scenarios = squeegee_setup
     sc = scenarios[0]
-    oracle = ExecutionOracle(sc.ground_truth.pair, sc.ground_truth.tool)
+    oracle = ExecutionOracle(sc.ground_truth.pair)
     result = run_episode(gp, FSH, sc)
     accepted, pair = oracle.judge(result.final_plan)
     assert accepted and pair == sc.ground_truth.pair

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fgs.assets import benchmark_dir, data_dir
 from fgs.errors import FgsError, ValidationError
 from fgs.scenario import (
+    GT_SHAPE_RANGE,
     TASK_TOOLS,
     TOOL_TABLE,
     NoiseSpec,
@@ -27,7 +28,6 @@ from fgs.scenario import (
 from fgs.scoring import (
     MATERIAL_CLASSES,
     NEG_INF,
-    ScoreParams,
     can_attach,
     feature_score,
     material_fit,
@@ -83,6 +83,12 @@ MALFORMED_LIBRARIES = [
      r"objects\.json\.objects\[0\]\.material: unknown material 'glass'"),
     ("role-tags-string", _library_with(("objects", 0, "role_tags"), "handle"),
      r"objects\.json\.objects\[0\]\.role_tags: expected a list, got a string"),
+    ("entry-misspelt-field", _library_with(("objects", 0, "pierceble"), True),
+     r"objects\.json\.objects\[0\]\.pierceble: unknown field"),
+    ("format-version-missing", _library_with(("format_version",), ...),
+     r"objects\.json\.format_version: missing required field"),
+    ("format-version-unsupported", _library_with(("format_version",), 2),
+     r"objects\.json\.format_version: unsupported format_version 2"),
     ("top-level-list", "[]", r"objects\.json: expected an object, got a list"),
     ("truncated-json", LIBRARY_TEXT[: len(LIBRARY_TEXT) // 2], r"objects\.json: invalid JSON"),
 ]
@@ -105,6 +111,22 @@ def test_library_round_trips_through_checks(tmp_path):
     # absent optional fields take their defaults
     path.write_text(_library_with(("objects", 0, "role_tags"), ...), encoding="utf-8")
     assert load_library(path)[0].role_tags == ()
+
+
+def test_generator_reads_grasp_role_from_spec(monkeypatch):
+    # a spec whose grasp part is a 'grip', over a library tagged to match
+    monkeypatch.setitem(TOOL_TABLE, "hammer", replace(TOOL_TABLE["hammer"], grasp_part_role="grip"))
+    library = [
+        replace(o, role_tags=tuple("grip" if t == "handle" else t for t in o.role_tags))
+        for o in default_library()
+    ]
+    cases = generate_benchmark("woodworking", "hammer", 3, seed=5, library=library)
+    for sc in cases:
+        assert sc.tool_specs[0].grasp_part_role == "grip"
+        assert all(set(o.shape_conf) == {"hammer_head", "grip"} for o in sc.objects)
+        grasp = sc.profiles()[sc.ground_truth.grasp_part]
+        assert GT_SHAPE_RANGE[0] <= grasp.shape_conf["grip"] <= GT_SHAPE_RANGE[1]
+        assert scenario_from_json(scenario_to_json(sc)) == sc
 
 
 def test_generated_scenario_shape(squeegee_cases):
@@ -137,22 +159,18 @@ def test_unknown_tool_rejected():
 def test_ground_truth_uniquely_accepted(squeegee_cases):
     # among finite-score pairs, exactly one is the annotated (oracle) pair,
     # and it outranks every other permutation
-    params = ScoreParams()
     for sc in squeegee_cases:
         profiles = sc.profiles()
-        registry = sc.registry()
         ids = [o.object_id for o in sc.objects]
         gt = sc.ground_truth.pair
         spec = sc.spec_for_tool(sc.ground_truth.tool)
-        best = feature_score(spec.join_action_name, gt, True, set(), registry, profiles, params)
+        best = feature_score(spec, gt, profiles, None)
         assert best > 0
         for a in ids:
             for b in ids:
                 if a == b or (a, b) == gt:
                     continue
-                phi = feature_score(
-                    spec.join_action_name, (a, b), True, set(), registry, profiles, params
-                )
+                phi = feature_score(spec, (a, b), profiles, None)
                 assert phi < best
 
 
@@ -247,7 +265,7 @@ def test_material_false_negative_blocks_ground_truth(squeegee_cases):
     sc = replace(squeegee_cases[0], noise=NoiseSpec(seed=5, material_fn_rate=1.0))
     profiles = sense(sc, noise_on=True)
     spec = sc.spec_for_tool(sc.ground_truth.tool)
-    assert material_fit(sc.ground_truth.pair, spec, profiles, ScoreParams()) == NEG_INF
+    assert material_fit(sc.ground_truth.pair, spec, profiles) == NEG_INF
     # every confidence still a valid distribution
     for p in profiles.values():
         assert sum(p.material_conf.values()) <= 1.0 + 1e-9
@@ -259,7 +277,7 @@ def test_material_false_negative_when_tool_allows_every_class(squeegee_cases):
     spec = replace(sc.tool_specs[0], allowed_materials=frozenset(MATERIAL_CLASSES))
     sc = replace(sc, tool_specs=(spec,), noise=NoiseSpec(seed=5, material_fn_rate=1.0))
     profiles = sense(sc, noise_on=True)
-    assert material_fit(sc.ground_truth.pair, spec, profiles, ScoreParams()) == NEG_INF
+    assert material_fit(sc.ground_truth.pair, spec, profiles) == NEG_INF
     conf = profiles[sc.ground_truth.action_part].material_conf
     assert all(v <= 0.3 for v in conf.values())
     assert sum(conf.values()) < sum(sc.profiles()[sc.ground_truth.action_part].material_conf.values())

@@ -12,10 +12,8 @@ from fgs.scoring import (
     ATTACH_MAGNETIC,
     ATTACH_PIERCE,
     NEG_INF,
-    SCORE_PARAMS,
     JoinScorer,
     ObjectProfile,
-    ScoreParams,
     ToolSpec,
     can_attach,
     feature_score,
@@ -37,7 +35,6 @@ SQUEEGEE = ToolSpec(
     allowed_materials=frozenset({"foam"}),
     use_action="reach",
 )
-PARAMS = ScoreParams()
 
 
 def profile(oid, head=0.0, handle=0.0, role="hammer_head", materials=None, **flags):
@@ -93,28 +90,28 @@ def test_material_fit_max_over_allowed():
     a = profile("a", materials={"metal": 0.9, "wood": 0.05})
     b = profile("b")
     profiles, o_a = pair(a, b)
-    assert material_fit(o_a, HAMMER, profiles, PARAMS) == pytest.approx(0.9, abs=1e-12)
+    assert material_fit(o_a, HAMMER, profiles) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_material_fit_below_threshold():
     a = profile("a", materials={"metal": 0.5, "wood": 0.55})
     b = profile("b")
     profiles, o_a = pair(a, b)
-    assert material_fit(o_a, HAMMER, profiles, PARAMS) == NEG_INF
+    assert material_fit(o_a, HAMMER, profiles) == NEG_INF
 
 
 def test_material_fit_no_allowed_mass():
     a = profile("a", materials={"plastic": 0.9})
     b = profile("b")
     profiles, o_a = pair(a, b)
-    assert material_fit(o_a, HAMMER, profiles, PARAMS) == NEG_INF
+    assert material_fit(o_a, HAMMER, profiles) == NEG_INF
 
 
 def test_material_only_scores_action_part():
     a = profile("a", materials={"wood": 0.8})
     b = profile("b", materials={"plastic": 1.0})  # grasp part material is irrelevant
     profiles, o_a = pair(a, b)
-    assert material_fit(o_a, HAMMER, profiles, PARAMS) == pytest.approx(0.8)
+    assert material_fit(o_a, HAMMER, profiles) == pytest.approx(0.8)
 
 
 def test_attach_pierce_foam_with_rigid():
@@ -158,13 +155,9 @@ def test_attach_two_pierceable_no_pierce():
 REGISTRY = {"join-hammer": HAMMER, "join-squeegee": SQUEEGEE}
 
 
-def scored(a, b, trust=True, reject=None, params=PARAMS, action="join-hammer"):
+def scored(a, b, trust=True, reject=None):
     profiles, o_a = pair(a, b)
-    return feature_score(action, o_a, trust, reject or frozenset(), REGISTRY, profiles, params)
-
-
-def test_feature_score_empty_permutation_is_zero():
-    assert feature_score("move", (), True, frozenset(), REGISTRY, {}, PARAMS) == 0.0
+    return feature_score(HAMMER, o_a, profiles, None if trust else frozenset(reject or ()))
 
 
 def test_feature_score_weighted_sum():
@@ -183,13 +176,6 @@ def test_feature_score_material_absorbs():
     a = profile("a", head=0.9, materials={"metal": 0.2}, has_magnet=True)
     b = profile("b", handle=0.9, has_magnet=True)
     assert scored(a, b) == NEG_INF
-
-
-def test_feature_score_custom_weights():
-    a = profile("a", head=0.5, materials={"wood": 0.7}, pierceable=True)
-    b = profile("b", handle=0.4)
-    params = ScoreParams(lambda_shape=2.0, lambda_material=0.5)
-    assert scored(a, b, params=params) == pytest.approx(2.0 * 0.2 + 0.5 * 0.7, abs=1e-12)
 
 
 def test_no_trust_requires_reject_membership():
@@ -214,20 +200,13 @@ def test_unregistered_join_action_is_config_error():
     b = profile("b")
     profiles, o_a = pair(a, b)
     with pytest.raises(ConfigError, match="join-ladle"):
-        feature_score("join-ladle", o_a, True, frozenset(), REGISTRY, profiles, PARAMS)
+        JoinScorer(REGISTRY, profiles).score("join-ladle", o_a)
 
 
 def test_toolspec_unknown_material_rejected():
     spec = ToolSpec("x", "join-x", "x_head", frozenset({"adamantium"}), "use")
     with pytest.raises(ConfigError, match="adamantium"):
         spec.validate()
-
-
-def test_score_params_validation():
-    with pytest.raises(ConfigError):
-        ScoreParams(material_threshold=0.0).validate()
-    with pytest.raises(ConfigError):
-        ScoreParams(lambda_shape=-1.0).validate()
 
 
 # -- hand-computed fixture table (threshold t = 0.6, lambdas 1) ---------------
@@ -328,9 +307,7 @@ def test_join_scorer_matches_feature_score_on_bundled_scenarios(noise_on):
         trusted = JoinScorer(registry, profiles)
         direct = {}
         for action, pair in joins:
-            direct[action, pair] = feature_score(
-                action, pair, True, frozenset(), registry, profiles, SCORE_PARAMS
-            )
+            direct[action, pair] = feature_score(registry[action], pair, profiles, None)
             assert trusted.score(action, pair) == direct[action, pair], (path.name, action, pair)
         assert trusted.rejected == {
             (pair, action) for (action, pair), phi in direct.items() if phi == NEG_INF
@@ -338,7 +315,7 @@ def test_join_scorer_matches_feature_score_on_bundled_scenarios(noise_on):
         whitelist = frozenset(trusted.rejected)
         untrusted = JoinScorer(registry, profiles, whitelist)
         for action, pair in joins:
-            expected = feature_score(action, pair, False, whitelist, registry, profiles, SCORE_PARAMS)
+            expected = feature_score(registry[action], pair, profiles, whitelist)
             assert untrusted.score(action, pair) == expected, (path.name, action, pair)
         assert untrusted.rejected == set()
 
@@ -379,7 +356,7 @@ def test_material_fit_monotone_in_allowed_confidences(metal, wood, bump):
             "a": profile("a", materials={"metal": min(1.0, m), "wood": min(1.0, w)}),
             "b": profile("b"),
         }
-        return material_fit(("a", "b"), HAMMER, profiles, PARAMS)
+        return material_fit(("a", "b"), HAMMER, profiles)
 
     base = fit(metal, wood)
     for raised in (fit(metal + bump, wood), fit(metal, wood + bump)):

@@ -5,7 +5,7 @@ import pytest
 from fgs import scoring
 from fgs.errors import ConfigError
 from fgs.grounding import goal_satisfied
-from fgs.scoring import NEG_INF, JoinScorer
+from fgs.scoring import NEG_INF, JoinScorer, ToolSpec
 from fgs.search import (
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
@@ -103,10 +103,13 @@ def join_fanout_problem(phis):
 
 
 def table_scorer(monkeypatch, table, whitelist=None):
-    """A real JoinScorer whose feature_score reads phi from *table*, keyed by
-    object pair, so the scorer's own reject recording is what gets tested."""
-    monkeypatch.setattr(scoring, "feature_score", lambda action_name, o_a, *_: table[o_a])
-    return JoinScorer({}, {}, whitelist)
+    """A real JoinScorer, with a spec registered for each join{i}, whose
+    feature_score reads phi from *table*, keyed by object pair, so the
+    scorer's own reject recording is what gets tested."""
+    monkeypatch.setattr(scoring, "feature_score", lambda spec, o_a, *_: table[o_a])
+    registry = {f"join{i}": ToolSpec(f"tool{i}", f"join{i}", "head", frozenset({"metal"}), "use")
+                for i in range(len(table))}
+    return JoinScorer(registry, {}, whitelist)
 
 
 def test_higher_phi_join_wins_at_equal_g_plus_h(monkeypatch):
