@@ -102,7 +102,13 @@ def run_episode(
 ) -> EpisodeResult:
     """Drive one episode to success, exhaustion of both trust phases, or the
     failed-attempt budget. Once failed_attempts reaches the budget, no
-    further search is launched."""
+    further search is launched.
+
+    *succ_cache* is a dict the caller may share among the episodes over one
+    grounded problem *gp*: it holds successor lists under integer state keys
+    (grounding.successors) and, under each heuristic's name, that
+    heuristic's per-state values or landmark set (heuristics.make_heuristic).
+    It lives as long as the caller keeps it; None starts a fresh one."""
     if trust_policy not in ("fixed_true", "switchable"):
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:
@@ -111,11 +117,11 @@ def run_episode(
     profiles = sense(scenario, noise_on)
     registry = scenario.registry()
     oracle = ExecutionOracle(scenario.ground_truth.pair)
-    heuristic = None
-    if cfg.algorithm in HEURISTIC_ALGORITHMS:
-        heuristic = make_heuristic(cfg.heuristic, gp)
     if succ_cache is None:
         succ_cache = {}
+    heuristic = None
+    if cfg.algorithm in HEURISTIC_ALGORITHMS:
+        heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
 
     exclusions: set[tuple[str, ...]] = set()
     attempted: list[tuple[str, ...]] = []

@@ -137,7 +137,9 @@ def successors(gp: GroundProblem, state: State, cache: dict | None = None):
     """All (action_index, next_state) pairs, in action-index order.
 
     An optional cache dict may be shared by searches over the same problem;
-    it stores raw successors with no search-specific filtering.
+    it stores raw successors with no search-specific filtering, under the
+    integer state. The heuristics keep their tables in the same dict under
+    string keys (heuristics.make_heuristic).
     """
     if cache is not None:
         hit = cache.get(state)

@@ -26,12 +26,13 @@ class Heuristic:
     """Estimate interface: evaluate(state, parent_ctx) -> (value, ctx).
 
     parent_ctx is None for a search root; stateless heuristics return None
-    as their context.
+    as their context. *cache*, a dict shared by every heuristic and search
+    over *gp*, lets a heuristic keep what it computes under its own name.
     """
 
     name = "base"
 
-    def __init__(self, gp: GroundProblem):
+    def __init__(self, gp: GroundProblem, cache: dict | None = None):
         self.gp = gp
 
     def evaluate(self, state: State, parent_ctx=None):
@@ -85,11 +86,13 @@ def relaxed_exploration(
 
 
 class _RelaxationHeuristic(Heuristic):
-    """Memoised delete-relaxation estimate, computed once per state."""
+    """Memoised delete-relaxation estimate, computed once per state. The
+    estimate is a pure function of (problem, state), so the table lives in
+    *cache* under the heuristic's name and serves every episode sharing it."""
 
-    def __init__(self, gp: GroundProblem):
+    def __init__(self, gp: GroundProblem, cache: dict | None = None):
         super().__init__(gp)
-        self._cache: dict[State, float] = {}
+        self._cache: dict[State, float] = {} if cache is None else cache.setdefault(self.name, {})
 
     def evaluate(self, state, parent_ctx=None):
         h = self._cache.get(state)
@@ -242,9 +245,12 @@ def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
 class LandmarkCountHeuristic(Heuristic):
     name = "landmarks"
 
-    def __init__(self, gp: GroundProblem, landmark_set: LandmarkSet | None = None):
+    def __init__(self, gp: GroundProblem, cache: dict | None = None):
         super().__init__(gp)
-        self.landmark_set = landmark_set or discover_landmarks(gp)
+        cache = {} if cache is None else cache
+        if self.name not in cache:
+            cache[self.name] = discover_landmarks(gp)
+        self.landmark_set: LandmarkSet = cache[self.name]
         self._count = len(self.landmark_set.landmarks)
         self._mask = mask(self.landmark_set.landmarks)
         self._goal_mask = mask(self.landmark_set.goal_landmarks)
@@ -268,8 +274,12 @@ _HEURISTICS = {
 HEURISTIC_NAMES = tuple(sorted(_HEURISTICS))
 
 
-def make_heuristic(name: str, gp: GroundProblem) -> Heuristic:
+def make_heuristic(name: str, gp: GroundProblem, cache: dict | None = None) -> Heuristic:
+    """The heuristic *name* over *gp*. With *cache*, the dict that searches
+    over *gp* share (see grounding.successors), h_max, h_add and FF keep
+    their per-state values in it and the landmark heuristic its landmark
+    set, so later episodes reuse them."""
     cls = _HEURISTICS.get(name)
     if cls is None:
         raise ConfigError(f"unknown heuristic '{name}' (choose from {', '.join(HEURISTIC_NAMES)})")
-    return cls(gp)
+    return cls(gp, cache)

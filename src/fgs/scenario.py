@@ -448,13 +448,18 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
         if gt_spec.action_part_role in o.role_tags and o.material in gt_spec.allowed_materials
     ]
     grasp_role = gt_spec.grasp_part_role
-    grasp_pool = [o for o in library if grasp_role in o.role_tags]
-    if not action_pool or len(grasp_pool) < 1 or len(library) < n:
-        raise ValidationError(
-            f"object library too small to build a '{gt_tool}' scenario with {n} objects"
-        )
+    too_small = ValidationError(
+        f"object library too small to build a '{gt_tool}' scenario with {n} objects"
+    )
+    if not action_pool or len(library) < n:
+        raise too_small
     action_lib = rng.choice(action_pool)
-    grasp_lib = rng.choice([o for o in grasp_pool if o.library_id != action_lib.library_id])
+    grasp_pool = [
+        o for o in library if grasp_role in o.role_tags and o.library_id != action_lib.library_id
+    ]
+    if not grasp_pool:
+        raise too_small
+    grasp_lib = rng.choice(grasp_pool)
     rest = [o for o in library if o.library_id not in (action_lib.library_id, grasp_lib.library_id)]
     distractors = rng.sample(rest, n - 2)
     lineup = [action_lib, grasp_lib, *distractors]

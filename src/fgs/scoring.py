@@ -112,7 +112,7 @@ def material_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> flo
     """Hard material constraint on the action part: the best confidence over
     the tool's allowed materials, or -inf when it falls below threshold."""
     action_obj = profiles[o_a[0]]
-    z = max((action_obj.material_conf.get(c, 0.0) for c in sorted(spec.allowed_materials)), default=0.0)
+    z = max((action_obj.material_conf.get(c, 0.0) for c in spec.allowed_materials), default=0.0)
     if z >= MATERIAL_THRESHOLD:
         return z
     return NEG_INF

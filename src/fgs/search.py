@@ -124,7 +124,8 @@ def search(
 ) -> PlanResult:
     """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
     required when feature scoring is on. Exclusions are object permutations
-    never to revisit."""
+    never to revisit. *succ_cache*, shared by searches over *gp*, also holds
+    the heuristic's values when the search builds its own heuristic."""
     cfg.validate()
     if cfg.algorithm == "ehc":
         return search_ehc(gp, cfg, scorer, exclusions, heuristic, succ_cache)
@@ -133,7 +134,7 @@ def search(
 
     needs_h = cfg.algorithm in HEURISTIC_ALGORITHMS
     if needs_h and heuristic is None:
-        heuristic = make_heuristic(cfg.heuristic, gp)
+        heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
 
     gate = _join_gate(cfg, scorer, exclusions)
     expanded = 0
@@ -200,7 +201,7 @@ def search_ehc(
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
     if heuristic is None:
-        heuristic = make_heuristic(cfg.heuristic, gp)
+        heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
 
     gate = _join_gate(cfg, scorer, exclusions)
     expanded = 0

@@ -207,6 +207,23 @@ def test_bench_generate_malformed_library_exits_two(tmp_path, monkeypatch, capsy
     assert "objects.json.objects: missing required field" in capsys.readouterr().err
 
 
+def test_bench_generate_lone_grasp_object_exits_two(tmp_path, monkeypatch, capsys):
+    # the one hammer head is also the one handle, so no other object can be
+    # its grasp part
+    data = json.loads((data_dir() / "library" / "objects.json").read_text(encoding="utf-8"))
+    for obj in data["objects"]:
+        tags = [t for t in obj["role_tags"] if t not in ("hammer_head", "handle")]
+        obj["role_tags"] = ["hammer_head", "handle"] if obj["library_id"] == "metal_chunk" else tags
+    library = tmp_path / "library" / "objects.json"
+    library.parent.mkdir()
+    library.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
+    code = main(["bench", "--experiment", "baselines", "--generate", "--cases", "1",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert "object library too small" in capsys.readouterr().err
+
+
 def test_episode_adaptability_flag(capsys):
     code = main([
         "episode", *args_for("cleaning_either"),

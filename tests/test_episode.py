@@ -2,7 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from fgs.assets import load_task
+from fgs.assets import load_task, task_for_scenario
+from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
 from fgs.episode import ExecutionOracle, run_adaptability_episode, run_episode
 from fgs.errors import ConfigError
 from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark
@@ -172,3 +173,29 @@ def test_episode_deterministic(squeegee_setup):
     assert a.attempted == b.attempted
     assert a.nodes_total == b.nodes_total
     assert [x.name for x in a.final_plan] == [x.name for x in b.final_plan]
+
+
+def test_shared_cache_episodes_match_cold_episodes():
+    # One cache per task, shared by every episode over it, carries successor
+    # lists, h_max/h_add/FF values and landmark sets between episodes; the
+    # episodes must decide and count exactly as with a fresh cache each.
+    configs = [cfg for _, cfg in ALGORITHM_CONFIGS] + [
+        SearchConfig(algorithm="astar", heuristic=name, use_feature_score=True)
+        for name in ("hadd", "hmax")
+    ]
+    gps, shared = {}, {}
+    for sc in experiment_scenarios(ExperimentConfig(experiment="algorithms")):
+        task_id = task_for_scenario(sc.task_type, sc.tools).task_id
+        if task_id not in gps:
+            gps[task_id], shared[task_id] = load_task(task_id)[2], {}
+        for noise_on in (False, True):
+            for cfg in configs:
+                runs = []
+                for cache in (shared[task_id], {}):
+                    events = []
+                    result = run_episode(gps[task_id], cfg, sc, noise_on=noise_on, succ_cache=cache,
+                                         trace=events.append)
+                    runs.append((result, events))
+                assert runs[0] == runs[1], (sc.scenario_id, cfg, noise_on)
+    assert len(gps) == 6
+    assert all({"ff", "hadd", "hmax", "landmarks"} <= cache.keys() for cache in shared.values())

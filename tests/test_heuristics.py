@@ -195,7 +195,7 @@ def test_chain_landmarks_and_countdown():
     lms = discover_landmarks(gp)
     # every intermediate fact is needed; the initial fact is not a landmark
     assert len(lms.landmarks) == 4
-    heur = LandmarkCountHeuristic(gp, lms)
+    heur = LandmarkCountHeuristic(gp, {"landmarks": lms})
     value, ctx = heur.evaluate(gp.init)
     assert value == 4.0
     state = gp.init
@@ -364,6 +364,25 @@ def test_hadd_matches_reference_on_reachable_states(task_id):
     assert len(checked) > 50
     for state in checked:
         assert hadd.evaluate(state)[0] == reference_relaxed_cost(gp, state, sum)
+
+
+@pytest.mark.parametrize("task_id", sorted(TASKS))
+def test_shared_cache_matches_fresh_heuristics(task_id):
+    # h_max, h_add and FF built on one cache, beside its successor lists,
+    # return what fresh heuristics return, whichever of them saw a state
+    # first, and so do later heuristics that read the stored values.
+    _, _, gp = load_task(task_id)
+    states = _reachable_non_goal_states(gp)[sorted(TASKS).index(task_id) % 16 :: 16]
+    names = ("hmax", "hadd", "ff")
+    fresh = {name: make_heuristic(name, gp) for name in names}
+    cache: dict = {}
+    for rerun in (False, True):
+        shared = {name: make_heuristic(name, gp, cache) for name in names}
+        for i, state in enumerate(states):
+            assert successors(gp, state, cache) == successors(gp, state)
+            for name in names[i % 3 :] + names[: i % 3]:
+                assert shared[name].evaluate(state) == fresh[name].evaluate(state), (name, rerun)
+    assert {name: len(cache[name]) for name in names} == dict.fromkeys(names, len(states))
 
 
 def test_ff_counts_supporter_of_own_add():
