@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .episode import EpisodeResult, run_adaptability_episode, run_episode
+from .episode import EpisodeResult, run_episode
 from .grounding import GroundAction, GroundProblem, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
 from .scenario import Scenario, generate_benchmark, load_scenario, sense
@@ -27,7 +27,6 @@ __all__ = [
     "load_scenario",
     "parse_domain",
     "parse_problem",
-    "run_adaptability_episode",
     "run_episode",
     "search",
     "search_ehc",

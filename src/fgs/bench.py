@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .assets import benchmark_dir, load_task, task_for_scenario
-from .episode import run_adaptability_episode, run_episode
+from .episode import run_episode
 from .errors import ConfigError
 from .scenario import (
     TASK_TOOLS,
@@ -215,19 +215,8 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
         for config_id, search_cfg in configs:
             trace, fh = _trace_writer(trace_dir, scenario.scenario_id, config_id)
             try:
-                kwargs = dict(trust_policy=cfg.trust_policy, noise_on=cfg.noise_on,
-                              succ_cache=succ_cache, trace=trace)
-                adapt = {}  # the adaptability columns, left at their defaults otherwise
-                if cfg.experiment == "adaptability":
-                    outcome = run_adaptability_episode(gp, search_cfg, scenario, **kwargs)
-                    res = outcome.result
-                    adapt = dict(
-                        gt_tool=scenario.ground_truth.tool,
-                        chosen_tool=outcome.chosen_tool,
-                        use_action=outcome.use_action,
-                    )
-                else:
-                    res = run_episode(gp, search_cfg, scenario, **kwargs)
+                res = run_episode(gp, search_cfg, scenario, trust_policy=cfg.trust_policy,
+                                  noise_on=cfg.noise_on, succ_cache=succ_cache, trace=trace)
                 records.append(
                     EpisodeRecord(
                         scenario.scenario_id,
@@ -239,7 +228,9 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
                         res.nodes_first_search,
                         res.plan_length,
                         nodes_total=res.nodes_total,
-                        **adapt,
+                        gt_tool=scenario.ground_truth.tool,
+                        chosen_tool=res.chosen_tool,
+                        use_action=res.use_action,
                     )
                 )
             finally:

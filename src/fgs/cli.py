@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .assets import DATA_DIR_ENV
 from .bench import ExperimentConfig, emit_report, open_trace, run_experiment
-from .episode import check_alignment, run_adaptability_episode, run_episode
+from .episode import check_alignment, run_episode
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
@@ -57,6 +57,7 @@ def cmd_validate(args) -> int:
     domain, problem, gp = _load_model(args)
     if args.scenario:
         scenario = load_scenario(args.scenario)
+        check_alignment(gp, scenario)
         print(f"scenario {scenario.scenario_id}: {scenario.n} objects, "
               f"tools {', '.join(scenario.tools)}")
     print(f"domain {domain.name}: {len(domain.action_schemas)} schemas, "
@@ -92,19 +93,15 @@ def cmd_episode(args) -> int:
     cfg = _search_config(args)
     trace, trace_fh = open_trace(args.trace) if args.trace else (None, None)
     try:
-        kwargs = dict(
+        result = run_episode(
+            gp,
+            cfg,
+            scenario,
             trust_policy=TRUST_POLICIES[args.trust],
             budget=args.budget,
             noise_on=args.noise == "on",
             trace=trace,
         )
-        if args.adaptability:
-            outcome = run_adaptability_episode(gp, cfg, scenario, **kwargs)
-            result = outcome.result
-            extra = {"chosen_tool": outcome.chosen_tool, "use_action": outcome.use_action}
-        else:
-            result = run_episode(gp, cfg, scenario, **kwargs)
-            extra = {}
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -120,8 +117,9 @@ def cmd_episode(args) -> int:
         "trust_trace": result.trust_trace,
         "attempted": [list(p) for p in result.attempted],
         "plan": [a.name for a in result.final_plan] if result.final_plan else None,
-        **extra,
     }
+    if args.adaptability:
+        summary.update(chosen_tool=result.chosen_tool, use_action=result.use_action)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if result.success else EXIT_NO_SOLUTION
 

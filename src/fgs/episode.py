@@ -7,6 +7,10 @@ plans and some combinations were rejected by the hard constraints, trust is
 withdrawn and planning continues over exactly those rejected combinations
 (shape-guided), never switching back. Attempted combinations are never
 retried within an episode.
+
+The EpisodeResult is the one record of what an episode decided: its status,
+every attempted pair and search effort, and, on success, the tool the
+accepted plan builds and the task action it uses.
 """
 
 from __future__ import annotations
@@ -15,14 +19,11 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grounding import GroundAction, GroundProblem
-from .heuristics import make_heuristic
 from .scenario import Scenario, sense
 from .scoring import JoinScorer
-from .search import HEURISTIC_ALGORITHMS, SearchConfig, search
+from .search import STATUS_BUDGET, STATUS_EXHAUSTED, SearchConfig, search
 
 STATUS_SUCCESS = "success"
-STATUS_EXHAUSTED = "exhausted"
-STATUS_BUDGET = "budget"
 
 
 @dataclass(frozen=True)
@@ -43,18 +44,29 @@ class ExecutionOracle:
 
 @dataclass
 class EpisodeResult:
-    success: bool
-    status: str
+    status: str  # STATUS_SUCCESS, STATUS_EXHAUSTED or STATUS_BUDGET
     failed_attempts: int
-    nodes_total: int
-    plans: list[list[GroundAction]]
-    trust_trace: list[bool]
+    plans: list[list[GroundAction]]  # every plan proposed, the accepted one last
+    trust_trace: list[bool]  # per search
     reject_final: frozenset
-    plan_length: int | None
     attempted: tuple[tuple[str, ...], ...]  # every attempted pair, in order
+    nodes_per_search: tuple[int, ...]
     phase2_whitelist: frozenset | None = None
-    searches: int = 0
-    nodes_per_search: tuple[int, ...] = ()
+    chosen_tool: str | None = None  # the tool the accepted plan builds
+    use_action: str | None = None  # that tool's task action, when the plan uses it
+
+    @property
+    def success(self) -> bool:
+        return self.status == STATUS_SUCCESS
+
+    @property
+    def searches(self) -> int:
+        return len(self.nodes_per_search)
+
+    @property
+    def nodes_total(self) -> int:
+        """Expansions summed over every search, replans included."""
+        return sum(self.nodes_per_search)
 
     @property
     def nodes_first_search(self) -> int:
@@ -66,12 +78,10 @@ class EpisodeResult:
     def final_plan(self) -> list[GroundAction] | None:
         return self.plans[-1] if self.success and self.plans else None
 
-
-@dataclass
-class AdaptabilityOutcome:
-    chosen_tool: str | None
-    use_action: str | None
-    result: EpisodeResult
+    @property
+    def plan_length(self) -> int | None:
+        plan = self.final_plan
+        return None if plan is None else len(plan)
 
 
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
@@ -89,6 +99,17 @@ def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
                           f"'{scenario.scenario_id}'")
 
 
+def _tool_use(plan, scenario: Scenario, registry) -> tuple[str | None, str | None]:
+    """The tool that *plan*'s first registered join builds, and that tool's
+    task action when the plan performs it."""
+    for act in plan:
+        if act.o_a and act.schema_name in registry:
+            tool = registry[act.schema_name].tool
+            wanted = scenario.spec_for_tool(tool).use_action
+            return tool, wanted if any(a.schema_name == wanted for a in plan) else None
+    return None, None
+
+
 def run_episode(
     gp: GroundProblem,
     cfg: SearchConfig,
@@ -102,13 +123,16 @@ def run_episode(
 ) -> EpisodeResult:
     """Drive one episode to success, exhaustion of both trust phases, or the
     failed-attempt budget. Once failed_attempts reaches the budget, no
-    further search is launched.
+    further search is launched. A successful episode also reports the tool
+    its accepted plan builds and the task action it uses (chosen_tool,
+    use_action), which is what the adaptability experiment scores.
 
     *succ_cache* is a dict the caller may share among the episodes over one
     grounded problem *gp*: it holds successor lists under integer state keys
     (grounding.successors) and, under each heuristic's name, that
-    heuristic's per-state values or landmark set (heuristics.make_heuristic).
-    It lives as long as the caller keeps it; None starts a fresh one."""
+    heuristic's per-state values or landmark set, which every search of the
+    episode builds its heuristic on (heuristics.make_heuristic). It lives as
+    long as the caller keeps it; None starts a fresh one."""
     if trust_policy not in ("fixed_true", "switchable"):
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:
@@ -119,41 +143,31 @@ def run_episode(
     oracle = ExecutionOracle(scenario.ground_truth.pair)
     if succ_cache is None:
         succ_cache = {}
-    heuristic = None
-    if cfg.algorithm in HEURISTIC_ALGORITHMS:
-        heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
 
-    exclusions: set[tuple[str, ...]] = set()
     attempted: list[tuple[str, ...]] = []
     nodes_per_search: list[int] = []
     trust_trace: list[bool] = []
     plans: list[list[GroundAction]] = []
-    nodes_total = 0
-    failed = 0
-    searches = 0
-    phase2_whitelist: frozenset | None = None
 
     def emit(event: dict) -> None:
         if trace is not None:
             trace(event)
 
     def run_phase(scorer: JoinScorer) -> str:
-        """Returns 'success', 'budget', or 'no_plan'."""
-        nonlocal nodes_total, failed, searches
+        """Plan, judge and replan under *scorer*'s trust phase; returns the
+        episode status this phase ends in."""
         trust = scorer.whitelist is None
         while True:
+            failed = len(attempted)  # an accepted pair ends the episode
             if budget is not None and failed >= budget:
-                return "budget"
+                return STATUS_BUDGET
             result = search(
                 gp,
                 cfg,
                 scorer=scorer,
-                exclusions=frozenset(exclusions),
-                heuristic=heuristic,
+                exclusions=frozenset(attempted),
                 succ_cache=succ_cache,
             )
-            searches += 1
-            nodes_total += result.nodes_expanded
             nodes_per_search.append(result.nodes_expanded)
             trust_trace.append(trust)
             emit(
@@ -169,7 +183,7 @@ def run_episode(
                 }
             )
             if result.plan is None:
-                return "no_plan"
+                return STATUS_EXHAUSTED
             plans.append(result.plan)
             accepted, pair = oracle.judge(result.plan)
             if pair is not None:
@@ -185,63 +199,31 @@ def run_episode(
                 }
             )
             if accepted:
-                return "success"
-            failed += 1
-            exclusions.add(pair)
+                return STATUS_SUCCESS
 
     # with feature scoring off the gate never scores, so nothing is rejected
     scorer = JoinScorer(registry, profiles)
-    outcome = run_phase(scorer)
-    reject = scorer.rejected  # (o_a, join action) pairs
-    if outcome == "no_plan" and trust_policy == "switchable" and reject:
+    status = run_phase(scorer)
+    reject = frozenset(scorer.rejected)  # (o_a, join action) pairs
+    phase2_whitelist = None
+    if status == STATUS_EXHAUSTED and trust_policy == "switchable" and reject:
         # trusted planning is out of options: explore what the hard
         # constraints rejected, guided by shape alone
-        phase2_whitelist = frozenset(reject)
-        outcome = run_phase(JoinScorer(registry, profiles, phase2_whitelist))
+        phase2_whitelist = reject
+        status = run_phase(JoinScorer(registry, profiles, phase2_whitelist))
 
-    success = outcome == "success"
-    status = STATUS_SUCCESS if success else (
-        STATUS_BUDGET if outcome == "budget" else STATUS_EXHAUSTED
-    )
+    accepted_plan = plans[-1] if status == STATUS_SUCCESS else ()
+    chosen_tool, use_action = _tool_use(accepted_plan, scenario, registry)
     return EpisodeResult(
-        success=success,
         status=status,
-        failed_attempts=failed,
-        nodes_total=nodes_total,
+        # the ground-truth pair is attempted only once, and then accepted
+        failed_attempts=len(attempted) - (oracle.pair in attempted),
         plans=plans,
         trust_trace=trust_trace,
-        reject_final=frozenset(reject),
-        plan_length=len(plans[-1]) if success and plans else None,
+        reject_final=reject,
         attempted=tuple(attempted),
-        phase2_whitelist=phase2_whitelist,
-        searches=searches,
         nodes_per_search=tuple(nodes_per_search),
+        phase2_whitelist=phase2_whitelist,
+        chosen_tool=chosen_tool,
+        use_action=use_action,
     )
-
-
-def run_adaptability_episode(
-    gp: GroundProblem,
-    cfg: SearchConfig,
-    scenario: Scenario,
-    **kwargs,
-) -> AdaptabilityOutcome:
-    """Episode over a two-tool problem; reports which tool the accepted plan
-    constructs and which task action it uses."""
-    result = run_episode(gp, cfg, scenario, **kwargs)
-    plan = result.final_plan
-    if plan is None:
-        return AdaptabilityOutcome(None, None, result)
-    registry = scenario.registry()
-    chosen_tool = None
-    use_action = None
-    for act in plan:
-        if act.o_a and act.schema_name in registry:
-            chosen_tool = registry[act.schema_name].tool
-            break
-    if chosen_tool is not None:
-        wanted = scenario.spec_for_tool(chosen_tool).use_action
-        for act in plan:
-            if act.schema_name == wanted:
-                use_action = act.schema_name
-                break
-    return AdaptabilityOutcome(chosen_tool, use_action, result)

@@ -67,6 +67,7 @@ GT_SHAPE_RANGE = (0.70, 0.95)
 DISTRACTOR_SHAPE_RANGE = (0.0, 0.49)
 GT_MATERIAL_RANGE = (0.86, 0.95)
 DISTRACTOR_MATERIAL_RANGE = (0.35, 0.72)
+SCENARIO_OBJECTS = 10  # objects in every generated scenario
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,7 @@ def _residual_materials(dominant: str, conf: float) -> dict[str, float]:
 
 
 def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_tool: str,
-                    rng: random.Random, library, n: int, noise: NoiseSpec) -> Scenario:
+                    rng: random.Random, library, noise: NoiseSpec) -> Scenario:
     gt_spec = next(s for s in specs if s.tool == gt_tool)
     action_pool = [
         o
@@ -449,9 +450,9 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
     ]
     grasp_role = gt_spec.grasp_part_role
     too_small = ValidationError(
-        f"object library too small to build a '{gt_tool}' scenario with {n} objects"
+        f"object library too small to build a '{gt_tool}' scenario with {SCENARIO_OBJECTS} objects"
     )
-    if not action_pool or len(library) < n:
+    if not action_pool or len(library) < SCENARIO_OBJECTS:
         raise too_small
     action_lib = rng.choice(action_pool)
     grasp_pool = [
@@ -461,7 +462,7 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
         raise too_small
     grasp_lib = rng.choice(grasp_pool)
     rest = [o for o in library if o.library_id not in (action_lib.library_id, grasp_lib.library_id)]
-    distractors = rng.sample(rest, n - 2)
+    distractors = rng.sample(rest, SCENARIO_OBJECTS - 2)
     lineup = [action_lib, grasp_lib, *distractors]
     rng.shuffle(lineup)
 
@@ -504,7 +505,7 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
         scenario_id=scenario_id,
         task_type=task_type,
         tools=tuple(s.tool for s in specs),
-        n=n,
+        n=SCENARIO_OBJECTS,
         objects=tuple(profiles),
         ground_truth=GroundTruth(gt_action_id, gt_grasp_id, gt_tool),
         tool_specs=tuple(specs),
@@ -547,10 +548,9 @@ def generate_benchmark(
     seed: int,
     *,
     library=None,
-    n: int = 10,
     noise_overrides: dict[int, NoiseSpec] | None = None,
 ) -> list[Scenario]:
-    """Seeded single-tool scenarios: 10 objects, one valid combination, the
+    """Seeded single-tool scenarios: SCENARIO_OBJECTS objects, one valid combination, the
     rest distractors failing at least one of shape/material/attachment."""
     if tool not in TOOL_TABLE:
         raise ValidationError(f"unknown tool '{tool}'")
@@ -558,11 +558,11 @@ def generate_benchmark(
         raise ValidationError(f"tool '{tool}' is not registered for task type '{task_type}'")
     return _generate(
         task_type, [TOOL_TABLE[tool]], tool, f"gen:{seed}:{task_type}:{tool}",
-        cases, library, n, noise_overrides,
+        cases, library, noise_overrides,
     )
 
 
-def _generate(task_type, specs, label, rng_key, cases, library, n, noise_overrides):
+def _generate(task_type, specs, label, rng_key, cases, library, noise_overrides):
     """Case i is '<task_type>_<label>_case<i>', drawn from the rng seeded
     '<rng_key>:<i>'; its ground-truth tool cycles through *specs*."""
     library = library or default_library()
@@ -572,7 +572,7 @@ def _generate(task_type, specs, label, rng_key, cases, library, n, noise_overrid
         noise = (noise_overrides or {}).get(i) or NoiseSpec(seed=rng.randrange(2**31))
         gt_tool = specs[i % len(specs)].tool
         out.append(_build_scenario(
-            f"{task_type}_{label}_case{i:02d}", task_type, specs, gt_tool, rng, library, n, noise
+            f"{task_type}_{label}_case{i:02d}", task_type, specs, gt_tool, rng, library, noise
         ))
     return out
 
@@ -645,7 +645,6 @@ def generate_adaptability(
     seed: int,
     *,
     library=None,
-    n: int = 10,
     noise_overrides: dict[int, NoiseSpec] | None = None,
 ) -> list[Scenario]:
     """Two-tool scenarios: either tool's join could complete the task, but
@@ -656,5 +655,5 @@ def generate_adaptability(
         raise ValidationError(f"unknown task type '{task_type}'")
     return _generate(
         task_type, [TOOL_TABLE[t] for t in tools], "either", f"gen-adapt:{seed}:{task_type}",
-        cases, library, n, noise_overrides,
+        cases, library, noise_overrides,
     )

@@ -34,7 +34,7 @@ from .grounding import (
     mask,
     successors,
 )
-from .heuristics import Heuristic, make_heuristic
+from .heuristics import make_heuristic
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -119,22 +119,21 @@ def search(
     cfg: SearchConfig,
     scorer=None,
     exclusions: frozenset = frozenset(),
-    heuristic: Heuristic | None = None,
     succ_cache: dict | None = None,
 ) -> PlanResult:
     """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
     required when feature scoring is on. Exclusions are object permutations
-    never to revisit. *succ_cache*, shared by searches over *gp*, also holds
-    the heuristic's values when the search builds its own heuristic."""
+    never to revisit. *succ_cache*, shared by searches over *gp*, holds the
+    successor lists and the values of the heuristic each search builds on it
+    (heuristics.make_heuristic); None starts a fresh one."""
     cfg.validate()
     if cfg.algorithm == "ehc":
-        return search_ehc(gp, cfg, scorer, exclusions, heuristic, succ_cache)
+        return search_ehc(gp, cfg, scorer, exclusions, succ_cache)
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
 
     needs_h = cfg.algorithm in HEURISTIC_ALGORITHMS
-    if needs_h and heuristic is None:
-        heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
+    heuristic = make_heuristic(cfg.heuristic, gp, succ_cache) if needs_h else None
 
     gate = _join_gate(cfg, scorer, exclusions)
     expanded = 0
@@ -188,7 +187,6 @@ def search_ehc(
     cfg: SearchConfig,
     scorer=None,
     exclusions: frozenset = frozenset(),
-    heuristic: Heuristic | None = None,
     succ_cache: dict | None = None,
 ) -> PlanResult:
     """Enforced hill-climbing: breadth-first search from the current state
@@ -200,8 +198,7 @@ def search_ehc(
     cfg.validate()
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
-    if heuristic is None:
-        heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
+    heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
 
     gate = _join_gate(cfg, scorer, exclusions)
     expanded = 0

@@ -5,6 +5,7 @@ and asserts its stated tolerance. The heavyweight episode collections are
 shared through module-scoped fixtures.
 """
 
+import hashlib
 import random
 import time
 
@@ -16,6 +17,7 @@ from fgs.bench import (
     ExperimentConfig,
     aggregate,
     collect_records,
+    emit_report,
 )
 from fgs.bench import experiment_scenarios
 from fgs.cli import main as cli_main
@@ -242,6 +244,23 @@ def test_c07_budget_curves(baseline_run):
     )
     report(7, "budget curves", monotone and dominated,
            f"non-decreasing {monotone}, features-on dominates {dominated}")
+
+
+# sha256 of the report and budget file that `fgs bench --experiment
+# baselines --budget-sweep 0,1,2,5,10,89` writes, the paper's headline table;
+# regenerate only when a change to that table is intended
+PINNED_BASELINES_DIGESTS = {
+    "baselines.csv": "1a960c1d48cafd94f29f6a2a83fd63ea2189617d99cd5cfcd270089737f69262",
+    "baselines_budgets.csv": "ebe74c4282f1f7e743457762f3fefdb360fa52d007181321306a30344f8a9ba6",
+}
+
+
+def test_baselines_report_matches_pinned_digest(baseline_run, tmp_path):
+    records, _ = baseline_run
+    cfg = ExperimentConfig(experiment="baselines", budgets=(0, 1, 2, 5, 10, 89))
+    written = emit_report(aggregate(records, cfg), "csv", tmp_path / "baselines.csv")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == PINNED_BASELINES_DIGESTS
 
 
 def test_c08_alternative_algorithms(algorithm_records):

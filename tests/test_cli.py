@@ -34,6 +34,15 @@ def test_validate_ok(capsys):
     assert "cleaning-rake" in out and "ground actions" in out
 
 
+def test_validate_scenario_not_matching_problem_exits_two(capsys):
+    # the same check as `fgs episode` and `fgs plan`: the rake problem's join
+    # has no tool spec in a ladle scenario
+    code = main(["validate", *args_for("cleaning_rake"),
+                 "--scenario", str(BENCH / "cooking_ladle_case00.json")])
+    assert code == EXIT_USAGE
+    assert "join action(s) ['join-rake'] have no tool spec" in capsys.readouterr().err
+
+
 def test_validate_bad_pddl(tmp_path, capsys):
     bad = tmp_path / "bad.domain.pddl"
     bad.write_text("(define (domain broken) (:predicates (p ?x)) (:action a :parameters (?x) :precondition (or) :effect (p ?x)))")
@@ -233,8 +242,9 @@ def test_episode_adaptability_flag(capsys):
     ])
     assert code == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
-    assert summary["chosen_tool"] in ("rake", "squeegee")
-    assert summary["use_action"] in ("collect", "reach")
+    assert summary["chosen_tool"] == "rake"
+    assert summary["use_action"] == "collect"
+    assert summary["attempted"] == [["obj7", "obj3"]]
 
 
 def test_bench_deterministic_reports(tmp_path, capsys):

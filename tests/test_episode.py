@@ -4,7 +4,7 @@ import pytest
 
 from fgs.assets import load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
-from fgs.episode import ExecutionOracle, run_adaptability_episode, run_episode
+from fgs.episode import ExecutionOracle, run_episode
 from fgs.errors import ConfigError
 from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark
 from fgs.search import SearchConfig
@@ -145,11 +145,11 @@ def test_trace_events(squeegee_setup):
 def test_adaptability_reports_tool_and_action():
     _, _, gp = load_task("cooking_either")
     for sc in generate_adaptability("cooking", 4, seed=5):
-        outcome = run_adaptability_episode(gp, FSH, sc)
-        assert outcome.result.success
-        assert outcome.chosen_tool == sc.ground_truth.tool
+        result = run_episode(gp, FSH, sc)
+        assert result.success
+        assert result.chosen_tool == sc.ground_truth.tool
         expected_action = sc.spec_for_tool(sc.ground_truth.tool).use_action
-        assert outcome.use_action == expected_action
+        assert result.use_action == expected_action
 
 
 def test_adaptability_no_viable_tool_fails():
@@ -161,9 +161,25 @@ def test_adaptability_no_viable_tool_fails():
         replace(o, material_conf={"paper": 0.2}) for o in sc.objects
     )
     sc = replace(sc, objects=bad_objects)
-    outcome = run_adaptability_episode(gp, FSH, sc, trust_policy="fixed_true")
-    assert outcome.chosen_tool is None
-    assert not outcome.result.success
+    result = run_episode(gp, FSH, sc, trust_policy="fixed_true")
+    assert result.chosen_tool is None
+    assert not result.success
+
+
+def test_single_tool_episodes_report_their_tool():
+    # every successful episode names the tool its accepted plan builds, not
+    # only those of the adaptability experiment
+    caches = {}
+    for sc in experiment_scenarios(ExperimentConfig(experiment="baselines")):
+        task_id = task_for_scenario(sc.task_type, sc.tools).task_id
+        if task_id not in caches:
+            caches[task_id] = (load_task(task_id)[2], {})
+        gp, cache = caches[task_id]
+        result = run_episode(gp, FSH, sc, succ_cache=cache)
+        assert result.success, sc.scenario_id
+        assert result.chosen_tool == sc.tools[0]
+        assert result.use_action == sc.tool_specs[0].use_action
+    assert len(caches) == 6
 
 
 def test_episode_deterministic(squeegee_setup):
