@@ -93,14 +93,13 @@ class ExperimentConfig:
 class EpisodeRecord:
     scenario_id: str
     task_type: str
-    tool: str
+    tool: str  # the ground-truth tool
     config_id: str
     success: bool
     failed_attempts: int
     nodes: int  # initial planning run, the per-search effort the tables report
     plan_length: int | None
     nodes_total: int = 0  # summed over every replan
-    gt_tool: str | None = None
     chosen_tool: str | None = None
     use_action: str | None = None
 
@@ -228,7 +227,6 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
                         res.nodes_first_search,
                         res.plan_length,
                         nodes_total=res.nodes_total,
-                        gt_tool=scenario.ground_truth.tool,
                         chosen_tool=res.chosen_tool,
                         use_action=res.use_action,
                     )
@@ -249,7 +247,6 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
                     0,
                     0,
                     None,
-                    gt_tool=scenario.ground_truth.tool,
                     chosen_tool=guess,
                     use_action=None,
                 )
@@ -282,9 +279,7 @@ def aggregate(records: list[EpisodeRecord], cfg: ExperimentConfig) -> MetricsTab
                 ]
                 if not group:
                     continue
-                correct = sum(
-                    1 for r in group if r.success and r.chosen_tool == r.gt_tool
-                )
+                correct = sum(1 for r in group if r.success and r.chosen_tool == r.tool)
                 table.adapt_rows.append(AdaptRow(task_type, cid, correct, len(group)))
         return table
 

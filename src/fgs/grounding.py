@@ -12,8 +12,9 @@ permutation); other parameters may repeat freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import product
+from functools import cache, cached_property, reduce
+from itertools import groupby, product
+from operator import and_
 
 from .errors import GroundingError
 from .pddl import Atom, DomainDef, Literal, ProblemDef
@@ -77,13 +78,28 @@ class GroundProblem:
         return mask(self.goal_neg)
 
     @cached_property
-    def action_masks(self) -> tuple[tuple[State, State, State, State], ...]:
-        """Per action, (pre, neg, keep, adds): its positive and negative
-        preconditions, every atom it does not delete, and its add effects."""
-        return tuple(
-            (mask(act.pre_pos), mask(act.pre_neg), ~mask(act.dels), mask(act.adds))
-            for act in self.actions
-        )
+    def successor_runs(self) -> tuple[tuple[State, State, tuple], ...]:
+        """The actions as successors scans them: one (guard, guard_pre,
+        members) per run of consecutive actions of one schema. A state
+        passes the guard, state & guard == guard_pre, exactly when it holds
+        every positive and no negative precondition that all the run's
+        actions share. Each member is (index, pre | neg, pre, keep, adds):
+        the action applies exactly when state & (pre | neg) == pre, and keep
+        clears the atoms it deletes. An action whose positive and negative
+        preconditions overlap never applies, so no run holds it."""
+        runs = []
+        for _, group in groupby(enumerate(self.actions), key=lambda item: item[1].schema_name):
+            members = tuple(
+                (idx, mask(act.pre_pos | act.pre_neg), mask(act.pre_pos), ~mask(act.dels),
+                 mask(act.adds))
+                for idx, act in group
+                if not act.pre_pos & act.pre_neg
+            )
+            if members:
+                guard_pre = reduce(and_, (pre for _, _, pre, _, _ in members))
+                guard_neg = reduce(and_, (test ^ pre for _, test, pre, _, _ in members))
+                runs.append((guard_pre | guard_neg, guard_pre, members))
+        return tuple(runs)
 
     @cached_property
     def consumers(self) -> tuple[tuple[int, ...], ...]:
@@ -134,7 +150,9 @@ def goal_satisfied(state: State, gp: GroundProblem) -> bool:
 
 
 def successors(gp: GroundProblem, state: State, cache: dict | None = None):
-    """All (action_index, next_state) pairs, in action-index order.
+    """All (action_index, next_state) pairs, in action-index order. The
+    scan goes run by run through gp.successor_runs and skips each run whose
+    guard *state* fails.
 
     An optional cache dict may be shared by searches over the same problem;
     it stores raw successors with no search-specific filtering, under the
@@ -146,9 +164,10 @@ def successors(gp: GroundProblem, state: State, cache: dict | None = None):
         if hit is not None:
             return hit
     out = []
-    for idx, (pre, neg, keep, adds) in enumerate(gp.action_masks):
-        if state & pre == pre and not state & neg:
-            out.append((idx, state & keep | adds))
+    for guard, guard_pre, members in gp.successor_runs:
+        if state & guard == guard_pre:
+            out += [(idx, state & keep | adds)
+                    for idx, test, pre, keep, adds in members if state & test == pre]
     if cache is not None:
         cache[state] = out
     return out

@@ -1,4 +1,4 @@
-"""STRIPS-subset PDDL: parsing, validation, and serialization.
+"""STRIPS-subset PDDL: parsing and validation.
 
 Supported requirements: :strips, :typing (flat type list, no hierarchy),
 :negative-preconditions. Everything else (quantifiers, conditional effects,
@@ -534,54 +534,3 @@ def _validate_problem(problem: ProblemDef, domain: DomainDef) -> None:
         check_ground(atom[0], atom[1:], "init")
     for lit in problem.goal:
         check_ground(lit.predicate, lit.args, "goal")
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def _typed_list_str(entries) -> str:
-    return " ".join(f"{name} - {typ}" for name, typ in entries)
-
-
-def _literal_str(lit: Literal) -> str:
-    atom = f"({lit.predicate}{''.join(' ' + a for a in lit.args)})"
-    return f"(not {atom})" if lit.negated else atom
-
-
-def _conjunction_str(literals) -> str:
-    return "(and " + " ".join(_literal_str(l) for l in literals) + ")"
-
-
-def domain_to_pddl(domain: DomainDef) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    lines.append("  (:requirements " + " ".join(SUPPORTED_REQUIREMENTS) + ")")
-    if domain.types:
-        lines.append("  (:types " + " ".join(domain.types) + ")")
-    lines.append("  (:predicates")
-    for pred in domain.predicates:
-        params = "".join(f" {v} - {t}" for v, t in pred.params)
-        lines.append(f"    ({pred.name}{params})")
-    lines.append("  )")
-    for schema in domain.action_schemas:
-        lines.append(f"  (:action {schema.name}")
-        lines.append(f"    :parameters ({_typed_list_str(schema.params)})")
-        lines.append(f"    :precondition {_conjunction_str(schema.preconditions)}")
-        effects = [*schema.add_effects, *(replace(l, negated=True) for l in schema.del_effects)]
-        lines.append(f"    :effect {_conjunction_str(effects)}")
-        lines.append("  )")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def problem_to_pddl(problem: ProblemDef) -> str:
-    lines = [f"(define (problem {problem.name})"]
-    lines.append(f"  (:domain {problem.domain_name})")
-    if problem.objects:
-        lines.append(f"  (:objects {_typed_list_str(problem.objects)})")
-    lines.append("  (:init")
-    for atom in sorted(problem.init):
-        lines.append(f"    ({' '.join(atom)})")
-    lines.append("  )")
-    lines.append(f"  (:goal {_conjunction_str(problem.goal)})")
-    lines.append(")")
-    return "\n".join(lines) + "\n"

@@ -150,8 +150,10 @@ def validate_scenario(sc: Scenario) -> None:
     if not sc.tool_specs:
         raise ValidationError(f"{where}: tool_specs is empty")
     known_roles: set[str] = set()
-    for spec in sc.tool_specs:
+    for i, spec in enumerate(sc.tool_specs):
         spec.validate()
+        if any(other.tool == spec.tool for other in sc.tool_specs[:i]):
+            raise ValidationError(f"tool_specs[{i}].tool: duplicate tool '{spec.tool}'")
         known_roles.add(spec.action_part_role)
         known_roles.add(spec.grasp_part_role)
     spec_tools = tuple(spec.tool for spec in sc.tool_specs)

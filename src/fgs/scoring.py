@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import ConfigError, ValidationError
 
@@ -111,8 +112,8 @@ def shape_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
 def material_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> float:
     """Hard material constraint on the action part: the best confidence over
     the tool's allowed materials, or -inf when it falls below threshold."""
-    action_obj = profiles[o_a[0]]
-    z = max((action_obj.material_conf.get(c, 0.0) for c in spec.allowed_materials), default=0.0)
+    conf = profiles[o_a[0]].material_conf
+    z = max(map(conf.get, spec.allowed_materials, repeat(0.0)), default=0.0)
     if z >= MATERIAL_THRESHOLD:
         return z
     return NEG_INF

@@ -65,14 +65,6 @@ class SearchConfig:
 
 
 @dataclass
-class SearchNode:
-    state: State
-    g: float
-    parent: tuple["SearchNode", GroundAction] | None
-    ctx: object = None  # heuristic path bookkeeping
-
-
-@dataclass
 class PlanResult:
     plan: list[GroundAction] | None
     nodes_expanded: int
@@ -85,25 +77,26 @@ class PlanResult:
         return self.plan is not None
 
 
-def _combined_cost(cfg: SearchConfig, g: float, h: float, phi: float) -> float:
+def _combined_cost(cfg: SearchConfig):
+    """The f of *cfg*'s algorithm, as a function of (g, h, phi)."""
     if cfg.algorithm == "astar":
-        return max(0.0, g + h - phi)
+        return lambda g, h, phi: max(0.0, g + h - phi)
     if cfg.algorithm == "weighted_astar":
-        return max(0.0, g + cfg.weight * (h - phi))
+        weight = cfg.weight
+        return lambda g, h, phi: max(0.0, g + weight * (h - phi))
     if cfg.use_feature_score:  # feature-guided uniform cost
-        return g + (2.0 - phi)
-    return g
+        return lambda g, h, phi: g + (2.0 - phi)
+    return lambda g, h, phi: g
 
 
 def _join_gate(cfg: SearchConfig, scorer, exclusions: frozenset):
-    """The edge rule of both search loops: gate(act) is the phi of the edge
-    *act* generates (0 for non-joins), or None when the edge is skipped: its
-    join is in *exclusions* or scores -inf."""
+    """The join rule of both search loops: gate(act), for a join action
+    *act*, is the phi of the edge it generates, or None when the edge is
+    skipped: its join is in *exclusions* or scores -inf. A non-join edge
+    has phi 0, so the loops never pass one to the gate."""
     score = scorer.score if cfg.use_feature_score else None
 
     def gate(act: GroundAction) -> float | None:
-        if not act.o_a:
-            return 0.0
         if act.o_a in exclusions:
             return None
         if score is None:
@@ -125,61 +118,63 @@ def search(
     required when feature scoring is on. Exclusions are object permutations
     never to revisit. *succ_cache*, shared by searches over *gp*, holds the
     successor lists and the values of the heuristic each search builds on it
-    (heuristics.make_heuristic); None starts a fresh one."""
+    (heuristics.make_heuristic); None starts a fresh one.
+
+    Both loops bind successors, the heuristic's evaluate and the scorer
+    when the search starts, never at import, so a wrapper installed on
+    those names beforehand sees every call."""
     cfg.validate()
     if cfg.algorithm == "ehc":
         return search_ehc(gp, cfg, scorer, exclusions, succ_cache)
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
 
-    needs_h = cfg.algorithm in HEURISTIC_ALGORITHMS
-    heuristic = make_heuristic(cfg.heuristic, gp, succ_cache) if needs_h else None
-
+    evaluate = None
+    if cfg.algorithm in HEURISTIC_ALGORITHMS:
+        evaluate = make_heuristic(cfg.heuristic, gp, succ_cache).evaluate
     gate = _join_gate(cfg, scorer, exclusions)
-    expanded = 0
-    closed: list[State] = []
+    cost = _combined_cost(cfg)
+    expand, actions, budget = successors, gp.actions, cfg.node_budget
+    goal, goal_neg = gp.goal_mask, gp.goal_neg_mask
+    push, pop = heapq.heappush, heapq.heappop
+
     init = gp.init
-    if needs_h:
-        h0, ctx0 = heuristic.evaluate(init, None)
-    else:
-        h0, ctx0 = 0.0, None
+    h0, ctx0 = evaluate(init, None) if evaluate else (0.0, None)
     best_g: dict[State, float] = {init: 0.0}
     if h0 == INF:
         return PlanResult(None, 0, STATUS_EXHAUSTED, best_g, ())
-
-    root = SearchNode(init, 0.0, None, ctx0)
+    best_get = best_g.get
+    closed: list[State] = []  # its length is the expansion count
     seq = 0
-    heap: list[tuple] = [(_combined_cost(cfg, 0.0, h0, 0.0), h0, seq, root)]
+    # heap entries: (f, h, seq, state, g, path, ctx), where path is None at
+    # the root and (parent path, action) below it
+    heap: list[tuple] = [(cost(0.0, h0, 0.0), h0, seq, init, 0.0, None, ctx0)]
     while heap:
-        _, _, _, node = heapq.heappop(heap)
-        if node.g > best_g.get(node.state, INF):
+        _, _, _, state, g, path, ctx = pop(heap)
+        if g > best_get(state, INF):
             continue  # superseded by a cheaper path
-        if goal_satisfied(node.state, gp):
-            plan = extract_plan(node, gp)
-            return PlanResult(plan, expanded, STATUS_FOUND, best_g, tuple(closed))
-        if cfg.node_budget is not None and expanded >= cfg.node_budget:
-            return PlanResult(None, expanded, STATUS_BUDGET, best_g, tuple(closed))
-        expanded += 1
-        closed.append(node.state)
-        for action_idx, succ in successors(gp, node.state, succ_cache):
-            act = gp.actions[action_idx]
-            g2 = node.g + 1
-            if g2 >= best_g.get(succ, INF):
+        if state & goal == goal and not state & goal_neg:
+            plan = extract_plan(path, gp)
+            return PlanResult(plan, len(closed), STATUS_FOUND, best_g, tuple(closed))
+        if budget is not None and len(closed) >= budget:
+            return PlanResult(None, len(closed), STATUS_BUDGET, best_g, tuple(closed))
+        closed.append(state)
+        g2 = g + 1
+        for action_idx, succ in expand(gp, state, succ_cache):
+            if g2 >= best_get(succ, INF):
                 continue
             best_g[succ] = g2  # recorded before the feature gate, as in the transition rule
-            phi = gate(act)
+            act = actions[action_idx]
+            phi = gate(act) if act.o_a else 0.0
             if phi is None:
                 continue
-            if needs_h:
-                h2, ctx2 = heuristic.evaluate(succ, node.ctx)
-            else:
-                h2, ctx2 = 0.0, None
-            f2 = _combined_cost(cfg, g2, h2, phi)
+            h2, ctx2 = evaluate(succ, ctx) if evaluate else (0.0, None)
+            f2 = cost(g2, h2, phi)
             if f2 == INF:
                 continue
             seq += 1
-            heapq.heappush(heap, (f2, h2, seq, SearchNode(succ, g2, (node, act), ctx2)))
-    return PlanResult(None, expanded, STATUS_EXHAUSTED, best_g, tuple(closed))
+            push(heap, (f2, h2, seq, succ, g2, (path, act), ctx2))
+    return PlanResult(None, len(closed), STATUS_EXHAUSTED, best_g, tuple(closed))
 
 
 def search_ehc(
@@ -198,49 +193,50 @@ def search_ehc(
     cfg.validate()
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
-    heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
-
+    evaluate = make_heuristic(cfg.heuristic, gp, succ_cache).evaluate
     gate = _join_gate(cfg, scorer, exclusions)
+    expand, actions, budget = successors, gp.actions, cfg.node_budget
+    goal, goal_neg = gp.goal_mask, gp.goal_neg_mask
+
     expanded = 0
     state = gp.init
-    h0, ctx = heuristic.evaluate(state, None)
+    h0, ctx = evaluate(state, None)
     if h0 == INF:
         return PlanResult(None, 0, STATUS_EXHAUSTED)
     f_cur = h0  # the root has no generating edge, hence no feature term
     plan: list[GroundAction] = []
 
-    while not goal_satisfied(state, gp):
+    while not (state & goal == goal and not state & goal_neg):
         committed = None
         queue = deque([(state, ctx, ())])
         seen = {state}
         while queue and committed is None:
             s, c, path = queue.popleft()
-            if cfg.node_budget is not None and expanded >= cfg.node_budget:
+            if budget is not None and expanded >= budget:
                 return PlanResult(None, expanded, STATUS_BUDGET)
             expanded += 1
             best = None  # lowest-f improving successor of this expansion
-            for action_idx, succ in successors(gp, s, succ_cache):
+            for action_idx, succ in expand(gp, s, succ_cache):
                 if succ in seen:
                     continue
-                act = gp.actions[action_idx]
-                phi = gate(act)
+                act = actions[action_idx]
+                phi = gate(act) if act.o_a else 0.0
                 if phi is None:
                     continue
-                h2, c2 = heuristic.evaluate(succ, c)
+                h2, c2 = evaluate(succ, c)
                 if h2 == INF:
                     continue
                 seen.add(succ)
                 f2 = h2 - phi
                 step = path + ((act, succ, c2),)
-                if goal_satisfied(succ, gp):
+                if succ & goal == goal and not succ & goal_neg:
                     best = (0.0 - phi, succ, c2, step)
                     break
                 if f2 < f_cur and (best is None or f2 < best[0]):
                     best = (f2, succ, c2, step)
                 elif f2 >= f_cur:
                     queue.append((succ, c2, step))
-            if best is not None:
-                committed = best
+            committed = best
         if committed is None:
             return PlanResult(None, expanded, STATUS_EXHAUSTED)
         f_cur, state, ctx, step = committed
@@ -250,17 +246,15 @@ def search_ehc(
     return PlanResult(plan, expanded, STATUS_FOUND)
 
 
-def extract_plan(goal_node: SearchNode, gp: GroundProblem) -> list[GroundAction]:
-    """Reverse the parent chain and re-simulate it as a validity check."""
+def extract_plan(path, gp: GroundProblem) -> list[GroundAction]:
+    """The actions of a search path, (parent path, action) pairs ending in
+    None at the root, in order, re-simulated from gp.init as a validity
+    check."""
     actions: list[GroundAction] = []
-    node = goal_node
-    while node.parent is not None:
-        parent, act = node.parent
+    while path is not None:
+        path, act = path
         actions.append(act)
-        node = parent
     actions.reverse()
-    if node.state != gp.init:
-        raise InternalError("plan parent chain does not reach the initial state")
     _simulate(actions, gp)
     return actions
 

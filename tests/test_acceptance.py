@@ -286,7 +286,7 @@ def test_c09_adaptability():
 
     def correct(records, cid):
         return sum(1 for r in records if r.config_id == cid
-                   and r.success and r.chosen_tool == r.gt_tool)
+                   and r.success and r.chosen_tool == r.tool)
 
     # the task action must match the chosen tool as well
     actions_ok = all(

@@ -97,6 +97,18 @@ MALFORMED_SCENARIOS = [
 ]
 
 
+def test_validate_repeated_tool_exits_two(tmp_path, capsys):
+    # a second spec for one tool would be shadowed by the first
+    data = json.loads(CASE_TEXT)
+    data["tools"] = ["hammer", "hammer"]
+    data["tool_specs"].append(dict(data["tool_specs"][0], use_action="tighten"))
+    bad = tmp_path / "case.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["validate", *args_for("woodworking_hammer"), "--scenario", str(bad)])
+    assert code == EXIT_USAGE
+    assert "tool_specs[1].tool: duplicate tool 'hammer'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "path,value,message", [row[1:] for row in MALFORMED_SCENARIOS],
     ids=[row[0] for row in MALFORMED_SCENARIOS],

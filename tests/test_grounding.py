@@ -317,3 +317,24 @@ def test_bitset_matches_reference_on_random_models():
             goal_neg = frozenset(a for a in atoms if a not in goal_pos and rng.random() < 0.2)
             goal_gp = GroundProblem(gp.atoms, gp.atom_ids, gp.actions, gp.init, goal_pos, goal_neg)
             _check_state_against_reference(goal_gp, encode(ref_state), ref_state, range(len(gp.actions)))
+
+
+def test_guarded_scan_matches_reference_on_grouped_models():
+    # random_model gives every action its own schema; here runs of actions
+    # share guards, and some of their actions can never apply
+    import random
+
+    from .util import grouped_random_model
+
+    rng = random.Random(53)
+    shared = never = 0
+    for _ in range(80):
+        gp = grouped_random_model(rng, n_atoms=rng.randint(5, 10), n_runs=rng.randint(2, 5))
+        shared += sum(len(members) > 1 for _, _, members in gp.successor_runs)
+        never += sum(1 for act in gp.actions if act.pre_pos & act.pre_neg)
+        _walk_reachable_against_reference(gp, probe_stride=1)
+        atoms = range(len(gp.atoms))
+        for _ in range(40):
+            ref_state = frozenset(a for a in atoms if rng.random() < 0.4)
+            _check_state_against_reference(gp, encode(ref_state), ref_state, range(len(gp.actions)))
+    assert shared > 100 and never > 20

@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 
 from fgs.assets import data_dir
 from fgs.errors import FgsError, PddlParseError, ValidationError
-from fgs.pddl import (
-    Literal,
-    domain_to_pddl,
-    parse_domain,
-    parse_problem,
-    problem_to_pddl,
-)
+from fgs.pddl import Literal, parse_domain, parse_problem
+
+from .util import domain_to_pddl, problem_to_pddl
 
 MINIMAL_DOMAIN = """
 (define (domain tiny)

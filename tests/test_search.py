@@ -1,10 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from fgs import scoring
+from fgs import heuristics, scoring
+from fgs.assets import benchmark_dir, load_task, task_for_scenario
+from fgs.bench import ALGORITHM_CONFIGS, BASELINE_CONFIGS
 from fgs.errors import ConfigError
 from fgs.grounding import goal_satisfied
+from fgs.scenario import load_scenario, sense
 from fgs.scoring import NEG_INF, JoinScorer, ToolSpec
 from fgs.search import (
     STATUS_BUDGET,
@@ -24,6 +28,7 @@ from .util import (
     encode,
     make_ground_problem,
     random_model,
+    reference_search,
 )
 
 
@@ -298,3 +303,100 @@ def test_ehc_budget():
     result = search_ehc(gp, SearchConfig(algorithm="ehc", heuristic="zero", node_budget=3))
     assert result.status == STATUS_BUDGET
     assert result.nodes_expanded <= 3
+
+
+# -- the loops against verbatim copies of the loops they replaced ---------------
+
+# the baseline and algorithm configs, each distinct config once (A*+LM is
+# FS+H's), and the benchmark's A*+hadd and A*+hmax
+DIFFERENTIAL_CONFIGS = BASELINE_CONFIGS + tuple(
+    entry for entry in ALGORITHM_CONFIGS if entry[1] not in [c for _, c in BASELINE_CONFIGS]
+) + (
+    ("A*+hadd", SearchConfig(algorithm="astar", heuristic="hadd", use_feature_score=True)),
+    ("A*+hmax", SearchConfig(algorithm="astar", heuristic="hmax", use_feature_score=True)),
+)
+
+
+class RecordingScorer:
+    """A JoinScorer front that logs every score(action, o_a) call."""
+
+    def __init__(self, scorer, log):
+        self.scorer, self.log = scorer, log
+
+    def score(self, action_name, o_a):
+        self.log.append(("score", action_name, o_a))
+        return self.scorer.score(action_name, o_a)
+
+
+def _record_evaluations(monkeypatch, log):
+    """Log every evaluate(state, ctx) call of every heuristic class."""
+    for cls in (heuristics.ZeroHeuristic, heuristics.MaxHeuristic, heuristics.AddHeuristic,
+                heuristics.FFHeuristic, heuristics.LandmarkCountHeuristic):
+        def evaluate(self, state, parent_ctx=None, _original=cls.evaluate):
+            log.append(("evaluate", self.name, state, parent_ctx))
+            return _original(self, state, parent_ctx)
+
+        monkeypatch.setattr(cls, "evaluate", evaluate)
+
+
+def _compare_loops(log, gp, cfg, registry, profiles, whitelist, exclusions, cache, where):
+    """Run search and reference_search on one input at node budgets None,
+    0, 1 and 5, each under a fresh scorer, and assert they agree on every
+    result field and on every evaluate and score call. Returns the
+    unbudgeted result and the joins its scorer rejected."""
+    out = None
+    for budget in (None, 0, 1, 5):
+        runs = []
+        for run in (search, reference_search):
+            log.clear()
+            scorer = JoinScorer(registry, profiles, whitelist)
+            result = run(gp, replace(cfg, node_budget=budget), RecordingScorer(scorer, log),
+                         exclusions, cache)
+            runs.append((result, list(log), scorer.rejected))
+        (new, new_calls, new_rejected), (ref, ref_calls, ref_rejected) = runs
+        at = (*where, whitelist, exclusions, budget)
+        assert new.plan == ref.plan, at
+        assert new.nodes_expanded == ref.nodes_expanded, at
+        assert new.status == ref.status, at
+        assert new.g_values == ref.g_values, at
+        assert new.closed == ref.closed, at
+        assert new_calls == ref_calls, at
+        assert new_rejected == ref_rejected, at
+        out = out or (new, new_rejected)
+    return out
+
+
+def test_loops_match_reference_loops_on_bundled_scenarios(monkeypatch):
+    log: list = []
+    _record_evaluations(monkeypatch, log)
+    tasks: dict = {}
+    done: set = set()  # (task, config) pairs of unscored configs, already compared
+    for path in sorted(benchmark_dir().glob("*.json")):
+        scenario = load_scenario(path)
+        task_id = task_for_scenario(scenario.task_type, scenario.tools).task_id
+        if task_id not in tasks:
+            tasks[task_id] = (load_task(task_id)[2], {})
+        gp, cache = tasks[task_id]
+        registry = scenario.registry()
+        for noise_on in (False, True):
+            profiles = sense(scenario, noise_on)
+            if noise_on and profiles == sense(scenario, False):
+                continue  # the noise left this scenario's profiles as they were
+            for name, cfg in DIFFERENTIAL_CONFIGS:
+                # without scoring, a search depends on the task alone
+                if not cfg.use_feature_score:
+                    if (task_id, name) in done:
+                        continue
+                    done.add((task_id, name))
+                where = (scenario.scenario_id, noise_on, name)
+                args = (log, gp, cfg, registry, profiles)
+                # the episode's first search; its second, with the first
+                # plan's join excluded; and for the configs that withdraw
+                # trust in the benchmark (noise on, FS+H and FS), the
+                # untrusted phase over what the first search rejected
+                first, rejected = _compare_loops(*args, None, frozenset(), cache, where)
+                pair = next((act.o_a for act in first.plan or () if act.o_a), None)
+                if pair is not None:
+                    _compare_loops(*args, None, frozenset({pair}), cache, where)
+                if noise_on and name in ("FS+H", "FS") and rejected:
+                    _compare_loops(*args, frozenset(rejected), frozenset(), cache, where)

@@ -1,12 +1,28 @@
-"""Shared helpers: tiny model builders, brute-force search oracles, and naive
-frozenset references for the bitset state code."""
+"""Shared helpers: tiny model builders, brute-force search oracles, naive
+frozenset references for the bitset state code, PDDL serialization, and the
+search loops as they stood before the guarded successor scan."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
+from dataclasses import dataclass, replace
 
+from fgs.errors import ConfigError, InternalError
 from fgs.grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
+from fgs.heuristics import make_heuristic
+from fgs.pddl import SUPPORTED_REQUIREMENTS, DomainDef, Literal, ProblemDef
+from fgs.search import (
+    HEURISTIC_ALGORITHMS,
+    NEG_INF,
+    STATUS_BUDGET,
+    STATUS_EXHAUSTED,
+    STATUS_FOUND,
+    PlanResult,
+    SearchConfig,
+    _simulate,
+)
 
 
 def encode(atom_ids) -> State:
@@ -26,7 +42,7 @@ def make_ground_problem(atoms, actions, init, goal_pos, goal_neg=()):
     """Build a GroundProblem straight from atom names.
 
     actions: list of (name, pre_pos, pre_neg, adds, dels, o_a) with atom
-    names; o_a optional.
+    names; o_a optional. The first word of a name is the action's schema.
     """
     atoms = tuple(sorted(atoms))
     ids = {name: i for i, name in enumerate(atoms)}
@@ -41,7 +57,7 @@ def make_ground_problem(atoms, actions, init, goal_pos, goal_neg=()):
         ground_actions.append(
             GroundAction(
                 name=f"({name})",
-                schema_name=name,
+                schema_name=name.split()[0],
                 bound_objects=(),
                 o_a=o_a,
                 pre_pos=to_ids(pre_pos),
@@ -131,6 +147,30 @@ def random_model(rng: random.Random, n_atoms=8, n_actions=14):
         gp = make_ground_problem(atoms, actions, init, goal)
         if bfs_optimal_length(gp) is not None:
             return gp
+
+
+def grouped_random_model(rng: random.Random, n_atoms=8, n_runs=4):
+    """A random model whose actions come in runs of one schema, as ground
+    actions do: the actions of a run share some positive and negative
+    preconditions and add their own. About one action in six also has an
+    atom as both a positive and a negative precondition, so it never
+    applies. The goal is empty."""
+    atoms = [f"a{i}" for i in range(n_atoms)]
+    actions = []
+    for run in range(n_runs):
+        shared_pos = rng.sample(atoms, rng.randint(0, 2))
+        shared_neg = rng.sample([a for a in atoms if a not in shared_pos], rng.randint(0, 1))
+        free = [a for a in atoms if a not in shared_pos and a not in shared_neg]
+        for i in range(rng.randint(1, 6)):
+            pre_pos = shared_pos + rng.sample(free, rng.randint(0, 1))
+            pre_neg = shared_neg + rng.sample([a for a in free if a not in pre_pos], rng.randint(0, 1))
+            if rng.random() < 1 / 6:
+                clash = rng.choice(atoms)
+                pre_pos, pre_neg = pre_pos + [clash], pre_neg + [clash]
+            adds = rng.sample(atoms, rng.randint(1, 2))
+            dels = rng.sample([a for a in atoms if a not in adds], rng.randint(0, 2))
+            actions.append((f"run{run} x{i}", pre_pos, pre_neg, adds, dels))
+    return make_ground_problem(atoms, actions, rng.sample(atoms, rng.randint(1, 4)), [])
 
 
 # -- naive frozenset references for the transition code ------------------------
@@ -288,3 +328,247 @@ def reference_landmarks(gp: GroundProblem) -> frozenset[int]:
                 landmarks.add(p)
                 queue.append(p)
     return frozenset(landmarks)
+
+
+# -- PDDL serialization for the parser round-trip tests ------------------------
+
+
+def _typed_list_str(entries) -> str:
+    return " ".join(f"{name} - {typ}" for name, typ in entries)
+
+
+def _literal_str(lit: Literal) -> str:
+    atom = f"({lit.predicate}{''.join(' ' + a for a in lit.args)})"
+    return f"(not {atom})" if lit.negated else atom
+
+
+def _conjunction_str(literals) -> str:
+    return "(and " + " ".join(_literal_str(l) for l in literals) + ")"
+
+
+def domain_to_pddl(domain: DomainDef) -> str:
+    lines = [f"(define (domain {domain.name})"]
+    lines.append("  (:requirements " + " ".join(SUPPORTED_REQUIREMENTS) + ")")
+    if domain.types:
+        lines.append("  (:types " + " ".join(domain.types) + ")")
+    lines.append("  (:predicates")
+    for pred in domain.predicates:
+        params = "".join(f" {v} - {t}" for v, t in pred.params)
+        lines.append(f"    ({pred.name}{params})")
+    lines.append("  )")
+    for schema in domain.action_schemas:
+        lines.append(f"  (:action {schema.name}")
+        lines.append(f"    :parameters ({_typed_list_str(schema.params)})")
+        lines.append(f"    :precondition {_conjunction_str(schema.preconditions)}")
+        effects = [*schema.add_effects, *(replace(l, negated=True) for l in schema.del_effects)]
+        lines.append(f"    :effect {_conjunction_str(effects)}")
+        lines.append("  )")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def problem_to_pddl(problem: ProblemDef) -> str:
+    lines = [f"(define (problem {problem.name})"]
+    lines.append(f"  (:domain {problem.domain_name})")
+    if problem.objects:
+        lines.append(f"  (:objects {_typed_list_str(problem.objects)})")
+    lines.append("  (:init")
+    for atom in sorted(problem.init):
+        lines.append(f"    ({' '.join(atom)})")
+    lines.append("  )")
+    lines.append(f"  (:goal {_conjunction_str(problem.goal)})")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+# -- the search loops as they stood before the guarded successor scan -----------
+# search and search_ehc copied verbatim (renamed reference_search and
+# reference_search_ehc) with the helpers they call, kept as the oracle the
+# loops in fgs.search are checked against, call by call.
+
+@dataclass
+class SearchNode:
+    state: State
+    g: float
+    parent: tuple["SearchNode", GroundAction] | None
+    ctx: object = None  # heuristic path bookkeeping
+
+
+def _combined_cost(cfg: SearchConfig, g: float, h: float, phi: float) -> float:
+    if cfg.algorithm == "astar":
+        return max(0.0, g + h - phi)
+    if cfg.algorithm == "weighted_astar":
+        return max(0.0, g + cfg.weight * (h - phi))
+    if cfg.use_feature_score:  # feature-guided uniform cost
+        return g + (2.0 - phi)
+    return g
+
+
+def _join_gate(cfg: SearchConfig, scorer, exclusions: frozenset):
+    """The edge rule of both search loops: gate(act) is the phi of the edge
+    *act* generates (0 for non-joins), or None when the edge is skipped: its
+    join is in *exclusions* or scores -inf."""
+    score = scorer.score if cfg.use_feature_score else None
+
+    def gate(act: GroundAction) -> float | None:
+        if not act.o_a:
+            return 0.0
+        if act.o_a in exclusions:
+            return None
+        if score is None:
+            return 0.0
+        phi = score(act.schema_name, act.o_a)
+        return None if phi == NEG_INF else phi
+
+    return gate
+
+
+def reference_search(
+    gp: GroundProblem,
+    cfg: SearchConfig,
+    scorer=None,
+    exclusions: frozenset = frozenset(),
+    succ_cache: dict | None = None,
+) -> PlanResult:
+    """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
+    required when feature scoring is on. Exclusions are object permutations
+    never to revisit. *succ_cache*, shared by searches over *gp*, holds the
+    successor lists and the values of the heuristic each search builds on it
+    (heuristics.make_heuristic); None starts a fresh one."""
+    cfg.validate()
+    if cfg.algorithm == "ehc":
+        return reference_search_ehc(gp, cfg, scorer, exclusions, succ_cache)
+    if cfg.use_feature_score and scorer is None:
+        raise ConfigError("feature scoring enabled but no scorer provided")
+
+    needs_h = cfg.algorithm in HEURISTIC_ALGORITHMS
+    heuristic = make_heuristic(cfg.heuristic, gp, succ_cache) if needs_h else None
+
+    gate = _join_gate(cfg, scorer, exclusions)
+    expanded = 0
+    closed: list[State] = []
+    init = gp.init
+    if needs_h:
+        h0, ctx0 = heuristic.evaluate(init, None)
+    else:
+        h0, ctx0 = 0.0, None
+    best_g: dict[State, float] = {init: 0.0}
+    if h0 == INF:
+        return PlanResult(None, 0, STATUS_EXHAUSTED, best_g, ())
+
+    root = SearchNode(init, 0.0, None, ctx0)
+    seq = 0
+    heap: list[tuple] = [(_combined_cost(cfg, 0.0, h0, 0.0), h0, seq, root)]
+    while heap:
+        _, _, _, node = heapq.heappop(heap)
+        if node.g > best_g.get(node.state, INF):
+            continue  # superseded by a cheaper path
+        if goal_satisfied(node.state, gp):
+            plan = extract_plan(node, gp)
+            return PlanResult(plan, expanded, STATUS_FOUND, best_g, tuple(closed))
+        if cfg.node_budget is not None and expanded >= cfg.node_budget:
+            return PlanResult(None, expanded, STATUS_BUDGET, best_g, tuple(closed))
+        expanded += 1
+        closed.append(node.state)
+        for action_idx, succ in successors(gp, node.state, succ_cache):
+            act = gp.actions[action_idx]
+            g2 = node.g + 1
+            if g2 >= best_g.get(succ, INF):
+                continue
+            best_g[succ] = g2  # recorded before the feature gate, as in the transition rule
+            phi = gate(act)
+            if phi is None:
+                continue
+            if needs_h:
+                h2, ctx2 = heuristic.evaluate(succ, node.ctx)
+            else:
+                h2, ctx2 = 0.0, None
+            f2 = _combined_cost(cfg, g2, h2, phi)
+            if f2 == INF:
+                continue
+            seq += 1
+            heapq.heappush(heap, (f2, h2, seq, SearchNode(succ, g2, (node, act), ctx2)))
+    return PlanResult(None, expanded, STATUS_EXHAUSTED, best_g, tuple(closed))
+
+
+def reference_search_ehc(
+    gp: GroundProblem,
+    cfg: SearchConfig,
+    scorer=None,
+    exclusions: frozenset = frozenset(),
+    succ_cache: dict | None = None,
+) -> PlanResult:
+    """Enforced hill-climbing: breadth-first search from the current state
+    until an expansion yields strictly better f = h - phi, commit to the
+    best such successor, repeat. Fails when a plateau has no improving
+    descendant. Committing to the lowest-f improver (rather than whichever
+    improving state is generated first) is what lets the feature term steer
+    which objects get joined."""
+    cfg.validate()
+    if cfg.use_feature_score and scorer is None:
+        raise ConfigError("feature scoring enabled but no scorer provided")
+    heuristic = make_heuristic(cfg.heuristic, gp, succ_cache)
+
+    gate = _join_gate(cfg, scorer, exclusions)
+    expanded = 0
+    state = gp.init
+    h0, ctx = heuristic.evaluate(state, None)
+    if h0 == INF:
+        return PlanResult(None, 0, STATUS_EXHAUSTED)
+    f_cur = h0  # the root has no generating edge, hence no feature term
+    plan: list[GroundAction] = []
+
+    while not goal_satisfied(state, gp):
+        committed = None
+        queue = deque([(state, ctx, ())])
+        seen = {state}
+        while queue and committed is None:
+            s, c, path = queue.popleft()
+            if cfg.node_budget is not None and expanded >= cfg.node_budget:
+                return PlanResult(None, expanded, STATUS_BUDGET)
+            expanded += 1
+            best = None  # lowest-f improving successor of this expansion
+            for action_idx, succ in successors(gp, s, succ_cache):
+                if succ in seen:
+                    continue
+                act = gp.actions[action_idx]
+                phi = gate(act)
+                if phi is None:
+                    continue
+                h2, c2 = heuristic.evaluate(succ, c)
+                if h2 == INF:
+                    continue
+                seen.add(succ)
+                f2 = h2 - phi
+                step = path + ((act, succ, c2),)
+                if goal_satisfied(succ, gp):
+                    best = (0.0 - phi, succ, c2, step)
+                    break
+                if f2 < f_cur and (best is None or f2 < best[0]):
+                    best = (f2, succ, c2, step)
+                elif f2 >= f_cur:
+                    queue.append((succ, c2, step))
+            if best is not None:
+                committed = best
+        if committed is None:
+            return PlanResult(None, expanded, STATUS_EXHAUSTED)
+        f_cur, state, ctx, step = committed
+        plan.extend(act for act, _, _ in step)
+
+    _simulate(plan, gp)
+    return PlanResult(plan, expanded, STATUS_FOUND)
+
+
+def extract_plan(goal_node: SearchNode, gp: GroundProblem) -> list[GroundAction]:
+    """Reverse the parent chain and re-simulate it as a validity check."""
+    actions: list[GroundAction] = []
+    node = goal_node
+    while node.parent is not None:
+        parent, act = node.parent
+        actions.append(act)
+        node = parent
+    actions.reverse()
+    if node.state != gp.init:
+        raise InternalError("plan parent chain does not reach the initial state")
+    _simulate(actions, gp)
+    return actions
