@@ -7,7 +7,7 @@ from .grounding import GroundAction, GroundProblem, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem
 from .scenario import Scenario, generate_benchmark, load_scenario, sense
 from .scoring import ObjectProfile, ToolSpec, feature_score
-from .search import PlanResult, SearchConfig, search, search_ehc
+from .search import PlanResult, SearchConfig, search
 
 __all__ = [
     "DomainDef",
@@ -29,6 +29,5 @@ __all__ = [
     "parse_problem",
     "run_episode",
     "search",
-    "search_ehc",
     "sense",
 ]

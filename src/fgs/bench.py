@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assets import benchmark_dir, load_task, task_for_scenario
@@ -46,10 +46,6 @@ ADAPTABILITY_CONFIG = (
 )
 
 RANDOM_BASELINE_ID = "random"
-
-SUMMARY_HEADER = ("task", "tool", "config", "nodes_mean", "failed_attempts_mean", "success", "plan_length_mean")
-BUDGET_HEADER = ("config", "budget", "success_rate")
-ADAPT_HEADER = ("task", "config", "correct", "cases")
 
 
 @dataclass(frozen=True)
@@ -99,9 +95,12 @@ class EpisodeRecord:
     failed_attempts: int
     nodes: int  # initial planning run, the per-search effort the tables report
     plan_length: int | None
-    nodes_total: int = 0  # summed over every replan
     chosen_tool: str | None = None
     use_action: str | None = None
+
+
+# The row dataclasses are the report schema: a report's columns are the
+# fields of its rows, in declaration order.
 
 
 @dataclass
@@ -133,9 +132,8 @@ class AdaptRow:
 @dataclass
 class MetricsTable:
     kind: str  # "summary" or "adaptability"
-    rows: list[SummaryRow] = field(default_factory=list)
+    rows: list[SummaryRow | AdaptRow] = field(default_factory=list)  # AdaptRow for adaptability
     budget_points: list[BudgetPoint] = field(default_factory=list)
-    adapt_rows: list[AdaptRow] = field(default_factory=list)
 
 
 # -- scenario selection ----------------------------------------------------------
@@ -226,7 +224,6 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
                         res.failed_attempts,
                         res.nodes_first_search,
                         res.plan_length,
-                        nodes_total=res.nodes_total,
                         chosen_tool=res.chosen_tool,
                         use_action=res.use_action,
                     )
@@ -280,7 +277,7 @@ def aggregate(records: list[EpisodeRecord], cfg: ExperimentConfig) -> MetricsTab
                 if not group:
                     continue
                 correct = sum(1 for r in group if r.success and r.chosen_tool == r.tool)
-                table.adapt_rows.append(AdaptRow(task_type, cid, correct, len(group)))
+                table.rows.append(AdaptRow(task_type, cid, correct, len(group)))
         return table
 
     table = MetricsTable(kind="summary")
@@ -334,27 +331,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _table_rows(table: MetricsTable) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
-    if table.kind == "adaptability":
-        return ADAPT_HEADER, [
-            (r.task, r.config, _fmt(r.correct), _fmt(r.cases)) for r in table.adapt_rows
-        ]
-    return SUMMARY_HEADER, [
-        (
-            r.task,
-            r.tool,
-            r.config,
-            _fmt(r.nodes_mean),
-            _fmt(r.failed_attempts_mean),
-            _fmt(r.success),
-            _fmt(r.plan_length_mean),
-        )
-        for r in table.rows
-    ]
+def _header(row_type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(row_type))
 
 
-def _budget_rows(table: MetricsTable) -> list[tuple[str, ...]]:
-    return [(p.config, _fmt(p.budget), _fmt(p.success_rate)) for p in table.budget_points]
+def _cells(row) -> tuple[str, ...]:
+    """One report row: each field of *row*, formatted, in field order."""
+    return tuple(_fmt(getattr(row, f.name)) for f in fields(row))
 
 
 def emit_report(table: MetricsTable, fmt: str, path) -> list[Path]:
@@ -365,14 +348,17 @@ def emit_report(table: MetricsTable, fmt: str, path) -> list[Path]:
         raise ConfigError(f"unknown report format '{fmt}'")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header, rows = _table_rows(table)
+    header = _header(AdaptRow if table.kind == "adaptability" else SummaryRow)
+    rows = [_cells(row) for row in table.rows]
+    budget_header = _header(BudgetPoint)
+    budget_rows = [_cells(point) for point in table.budget_points]
     written = [path]
 
     if fmt == "json":
         payload = {
             "kind": table.kind,
             "rows": [dict(zip(header, row)) for row in rows],
-            "budget_curves": [dict(zip(BUDGET_HEADER, row)) for row in _budget_rows(table)],
+            "budget_curves": [dict(zip(budget_header, row)) for row in budget_rows],
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return written
@@ -391,6 +377,6 @@ def emit_report(table: MetricsTable, fmt: str, path) -> list[Path]:
     if table.budget_points:
         ext = "md" if fmt == "markdown" else fmt
         budget_path = path.with_name(f"{path.stem}_budgets.{ext}")
-        budget_path.write_text(render(BUDGET_HEADER, _budget_rows(table)), encoding="utf-8")
+        budget_path.write_text(render(budget_header, budget_rows), encoding="utf-8")
         written.append(budget_path)
     return written

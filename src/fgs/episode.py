@@ -26,32 +26,15 @@ from .search import STATUS_BUDGET, STATUS_EXHAUSTED, SearchConfig, search
 STATUS_SUCCESS = "success"
 
 
-@dataclass(frozen=True)
-class ExecutionOracle:
-    """Deterministic stand-in for physical construction and tool use: a plan
-    works exactly when its join uses the annotated ordered pair."""
-
-    pair: tuple[str, str]
-
-    def judge(self, plan) -> tuple[bool, tuple[str, ...] | None]:
-        """Return (accepted, attempted pair). Judged solely on the plan's
-        first join; plans that build nothing have nothing to fail."""
-        for act in plan:
-            if act.o_a:
-                return tuple(act.o_a) == self.pair, tuple(act.o_a)
-        return True, None
-
-
 @dataclass
 class EpisodeResult:
     status: str  # STATUS_SUCCESS, STATUS_EXHAUSTED or STATUS_BUDGET
     failed_attempts: int
-    plans: list[list[GroundAction]]  # every plan proposed, the accepted one last
+    final_plan: list[GroundAction] | None  # the accepted plan; None unless successful
     trust_trace: list[bool]  # per search
     reject_final: frozenset
     attempted: tuple[tuple[str, ...], ...]  # every attempted pair, in order
     nodes_per_search: tuple[int, ...]
-    phase2_whitelist: frozenset | None = None
     chosen_tool: str | None = None  # the tool the accepted plan builds
     use_action: str | None = None  # that tool's task action, when the plan uses it
 
@@ -75,8 +58,11 @@ class EpisodeResult:
         return self.nodes_per_search[0] if self.nodes_per_search else 0
 
     @property
-    def final_plan(self) -> list[GroundAction] | None:
-        return self.plans[-1] if self.success and self.plans else None
+    def phase2_whitelist(self) -> frozenset | None:
+        """The joins the untrusted phase planned over, or None when trust
+        was never withdrawn: that phase runs exactly on the trusted phase's
+        rejects, and always runs at least one search."""
+        return None if all(self.trust_trace) else self.reject_final
 
     @property
     def plan_length(self) -> int | None:
@@ -99,15 +85,11 @@ def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
                           f"'{scenario.scenario_id}'")
 
 
-def _tool_use(plan, scenario: Scenario, registry) -> tuple[str | None, str | None]:
-    """The tool that *plan*'s first registered join builds, and that tool's
-    task action when the plan performs it."""
-    for act in plan:
-        if act.o_a and act.schema_name in registry:
-            tool = registry[act.schema_name].tool
-            wanted = scenario.spec_for_tool(tool).use_action
-            return tool, wanted if any(a.schema_name == wanted for a in plan) else None
-    return None, None
+def first_join(plan) -> GroundAction | None:
+    """The first join of *plan*, or None when it builds nothing. Execution
+    is judged on this join alone: the attempt succeeds exactly when it
+    uses the annotated ordered pair, and it names the tool the plan builds."""
+    return next((act for act in plan if act.o_a), None)
 
 
 def run_episode(
@@ -140,14 +122,14 @@ def run_episode(
     check_alignment(gp, scenario)
     profiles = sense(scenario, noise_on)
     registry = scenario.registry()
-    oracle = ExecutionOracle(scenario.ground_truth.pair)
+    truth = scenario.ground_truth.pair
     if succ_cache is None:
         succ_cache = {}
 
     attempted: list[tuple[str, ...]] = []
     nodes_per_search: list[int] = []
     trust_trace: list[bool] = []
-    plans: list[list[GroundAction]] = []
+    final_plan: list[GroundAction] | None = None
 
     def emit(event: dict) -> None:
         if trace is not None:
@@ -156,6 +138,7 @@ def run_episode(
     def run_phase(scorer: JoinScorer) -> str:
         """Plan, judge and replan under *scorer*'s trust phase; returns the
         episode status this phase ends in."""
+        nonlocal final_plan
         trust = scorer.whitelist is None
         while True:
             failed = len(attempted)  # an accepted pair ends the episode
@@ -184,8 +167,9 @@ def run_episode(
             )
             if result.plan is None:
                 return STATUS_EXHAUSTED
-            plans.append(result.plan)
-            accepted, pair = oracle.judge(result.plan)
+            join = first_join(result.plan)
+            pair = None if join is None else join.o_a
+            accepted = pair is None or pair == truth
             if pair is not None:
                 attempted.append(pair)
             emit(
@@ -199,31 +183,34 @@ def run_episode(
                 }
             )
             if accepted:
+                final_plan = result.plan
                 return STATUS_SUCCESS
 
     # with feature scoring off the gate never scores, so nothing is rejected
     scorer = JoinScorer(registry, profiles)
     status = run_phase(scorer)
     reject = frozenset(scorer.rejected)  # (o_a, join action) pairs
-    phase2_whitelist = None
     if status == STATUS_EXHAUSTED and trust_policy == "switchable" and reject:
         # trusted planning is out of options: explore what the hard
         # constraints rejected, guided by shape alone
-        phase2_whitelist = reject
-        status = run_phase(JoinScorer(registry, profiles, phase2_whitelist))
+        status = run_phase(JoinScorer(registry, profiles, reject))
 
-    accepted_plan = plans[-1] if status == STATUS_SUCCESS else ()
-    chosen_tool, use_action = _tool_use(accepted_plan, scenario, registry)
+    chosen_tool = use_action = None
+    join = first_join(final_plan or ())
+    if join is not None:
+        spec = registry[join.schema_name]
+        chosen_tool = spec.tool
+        if any(act.schema_name == spec.use_action for act in final_plan):
+            use_action = spec.use_action
     return EpisodeResult(
         status=status,
         # the ground-truth pair is attempted only once, and then accepted
-        failed_attempts=len(attempted) - (oracle.pair in attempted),
-        plans=plans,
+        failed_attempts=len(attempted) - (truth in attempted),
+        final_plan=final_plan,
         trust_trace=trust_trace,
         reject_final=reject,
         attempted=tuple(attempted),
         nodes_per_search=tuple(nodes_per_search),
-        phase2_whitelist=phase2_whitelist,
         chosen_tool=chosen_tool,
         use_action=use_action,
     )

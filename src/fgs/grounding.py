@@ -186,10 +186,13 @@ def ground(
 ) -> GroundProblem:
     """Enumerate all type-consistent ground actions and index the atoms.
 
-    Static pruning drops actions whose static preconditions can never hold
-    and strips always-satisfied static conditions; it never changes the
-    reachable state space. The explosion guard raises once the total count
-    passes *max_ground_actions*, naming the schema with the most groundings.
+    One pass over each schema's groundings counts, guards, prunes and binds
+    them. The explosion guard counts every type-consistent grounding, pruned
+    or not, and raises once the total passes *max_ground_actions*, naming
+    the schema with the most groundings. Static pruning drops actions whose
+    static preconditions can never hold and strips always-satisfied static
+    conditions; it never changes the reachable state space. A grounding
+    whose add and delete effects overlap raises as soon as it is bound.
     """
     objects_by_type: dict[str, list[str]] = {"object": []}
     for obj, typ in problem.objects:
@@ -202,22 +205,19 @@ def ground(
         for lit in (*schema.add_effects, *schema.del_effects)
     }
 
-    def is_static(pred: str) -> bool:
-        return pred not in fluent_preds
-
     init_atoms = set(problem.init)
-    raw: list[tuple] = []  # (schema, binding tuple)
+    bound: list[tuple] = []  # (schema, combo, pre_pos, pre_neg, adds, dels), over atoms
     per_schema: dict[str, int] = {}
     total = 0
     for schema in domain.action_schemas:
         domains = [objects_by_type.get(typ, []) for _, typ in schema.params]
+        variables = [var for var, _ in schema.params]
         count = 0
         for combo in product(*domains):
             if schema.object_param_indices:
                 picked = [combo[i] for i in schema.object_param_indices]
                 if len(set(picked)) != len(picked):
                     continue
-            raw.append((schema, combo))
             count += 1
             total += 1
             if total > max_ground_actions:
@@ -228,52 +228,33 @@ def ground(
                     f"ground action count exceeds {max_ground_actions}; "
                     f"worst schema: '{worst}'"
                 )
-        per_schema[schema.name] = count
-
-    actions: list[GroundAction] = []
-    for schema, combo in raw:
-        binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
-        pre_pos_atoms, pre_neg_atoms = [], []
-        skip = False
-        for lit in schema.preconditions:
-            atom = _bind(lit, binding)
-            static = is_static(lit.predicate)
-            if lit.negated:
-                if prune_static and static:
-                    if atom in init_atoms:
-                        skip = True  # statically false forever
-                        break
+            binding = dict(zip(variables, combo))
+            pre_pos, pre_neg = [], []
+            for lit in schema.preconditions:
+                atom = _bind(lit, binding)
+                if prune_static and lit.predicate not in fluent_preds:
+                    # a static atom holds in every state exactly when it holds in init
+                    if (atom in init_atoms) == lit.negated:
+                        break  # statically false forever
                     continue  # statically true forever
-                pre_neg_atoms.append(atom)
+                (pre_neg if lit.negated else pre_pos).append(atom)
             else:
-                if prune_static and static:
-                    if atom not in init_atoms:
-                        skip = True
-                        break
-                    continue
-                pre_pos_atoms.append(atom)
-        if skip:
-            continue
-        adds = {_bind(lit, binding) for lit in schema.add_effects}
-        dels = {_bind(lit, binding) for lit in schema.del_effects}
-        overlap = adds & dels
-        if overlap:
-            raise GroundingError(
-                f"schema '{schema.name}' grounds to overlapping add/delete effects "
-                f"for {combo}: {sorted(overlap)}"
-            )
-        o_a = tuple(combo[i] for i in schema.object_param_indices)
-        actions.append(
-            _ProtoAction(schema.name, combo, o_a, pre_pos_atoms, pre_neg_atoms, adds, dels)
-        )
+                adds = {_bind(lit, binding) for lit in schema.add_effects}
+                dels = {_bind(lit, binding) for lit in schema.del_effects}
+                overlap = adds & dels
+                if overlap:
+                    raise GroundingError(
+                        f"schema '{schema.name}' grounds to overlapping add/delete effects "
+                        f"for {combo}: {sorted(overlap)}"
+                    )
+                bound.append((schema, combo, pre_pos, pre_neg, adds, dels))
+        per_schema[schema.name] = count
 
     universe: set[Atom] = set(problem.init)
     universe.update(lit.atom() for lit in problem.goal)
-    for act in actions:
-        universe.update(act.pre_pos)
-        universe.update(act.pre_neg)
-        universe.update(act.adds)
-        universe.update(act.dels)
+    for _, _, *atom_lists in bound:
+        for atom_list in atom_lists:
+            universe.update(atom_list)
     atoms = tuple(sorted(universe))
     atom_ids = {atom: i for i, atom in enumerate(atoms)}
 
@@ -282,16 +263,16 @@ def ground(
 
     ground_actions = tuple(
         GroundAction(
-            name="(" + " ".join((act.schema_name, *act.bound_objects)) + ")",
-            schema_name=act.schema_name,
-            bound_objects=tuple(act.bound_objects),
-            o_a=act.o_a,
-            pre_pos=ids(act.pre_pos),
-            pre_neg=ids(act.pre_neg),
-            adds=ids(act.adds),
-            dels=ids(act.dels),
+            name="(" + " ".join((schema.name, *combo)) + ")",
+            schema_name=schema.name,
+            bound_objects=combo,
+            o_a=tuple(combo[i] for i in schema.object_param_indices),
+            pre_pos=ids(pre_pos),
+            pre_neg=ids(pre_neg),
+            adds=ids(adds),
+            dels=ids(dels),
         )
-        for act in actions
+        for schema, combo, pre_pos, pre_neg, adds, dels in bound
     )
     goal_pos = ids(lit.atom() for lit in problem.goal if not lit.negated)
     goal_neg = ids(lit.atom() for lit in problem.goal if lit.negated)
@@ -303,14 +284,3 @@ def ground(
         goal_pos=goal_pos,
         goal_neg=goal_neg,
     )
-
-
-@dataclass
-class _ProtoAction:
-    schema_name: str
-    bound_objects: tuple
-    o_a: tuple
-    pre_pos: list
-    pre_neg: list
-    adds: set
-    dels: set

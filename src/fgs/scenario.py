@@ -154,6 +154,9 @@ def validate_scenario(sc: Scenario) -> None:
         spec.validate()
         if any(other.tool == spec.tool for other in sc.tool_specs[:i]):
             raise ValidationError(f"tool_specs[{i}].tool: duplicate tool '{spec.tool}'")
+        if any(other.join_action_name == spec.join_action_name for other in sc.tool_specs[:i]):
+            raise ValidationError(f"tool_specs[{i}].join_action_name: duplicate join action "
+                                  f"'{spec.join_action_name}'")
         known_roles.add(spec.action_part_role)
         known_roles.add(spec.grasp_part_role)
     spec_tools = tuple(spec.tool for spec in sc.tool_specs)

@@ -124,15 +124,15 @@ def search(
     when the search starts, never at import, so a wrapper installed on
     those names beforehand sees every call."""
     cfg.validate()
-    if cfg.algorithm == "ehc":
-        return search_ehc(gp, cfg, scorer, exclusions, succ_cache)
     if cfg.use_feature_score and scorer is None:
         raise ConfigError("feature scoring enabled but no scorer provided")
-
     evaluate = None
     if cfg.algorithm in HEURISTIC_ALGORITHMS:
         evaluate = make_heuristic(cfg.heuristic, gp, succ_cache).evaluate
     gate = _join_gate(cfg, scorer, exclusions)
+    if cfg.algorithm == "ehc":
+        return _hill_climb(gp, evaluate, gate, cfg.node_budget, succ_cache)
+
     cost = _combined_cost(cfg)
     expand, actions, budget = successors, gp.actions, cfg.node_budget
     goal, goal_neg = gp.goal_mask, gp.goal_neg_mask
@@ -177,25 +177,15 @@ def search(
     return PlanResult(None, len(closed), STATUS_EXHAUSTED, best_g, tuple(closed))
 
 
-def search_ehc(
-    gp: GroundProblem,
-    cfg: SearchConfig,
-    scorer=None,
-    exclusions: frozenset = frozenset(),
-    succ_cache: dict | None = None,
-) -> PlanResult:
+def _hill_climb(gp: GroundProblem, evaluate, gate, budget: int | None,
+                succ_cache: dict | None) -> PlanResult:
     """Enforced hill-climbing: breadth-first search from the current state
     until an expansion yields strictly better f = h - phi, commit to the
     best such successor, repeat. Fails when a plateau has no improving
     descendant. Committing to the lowest-f improver (rather than whichever
     improving state is generated first) is what lets the feature term steer
     which objects get joined."""
-    cfg.validate()
-    if cfg.use_feature_score and scorer is None:
-        raise ConfigError("feature scoring enabled but no scorer provided")
-    evaluate = make_heuristic(cfg.heuristic, gp, succ_cache).evaluate
-    gate = _join_gate(cfg, scorer, exclusions)
-    expand, actions, budget = successors, gp.actions, cfg.node_budget
+    expand, actions = successors, gp.actions
     goal, goal_neg = gp.goal_mask, gp.goal_neg_mask
 
     expanded = 0
@@ -208,7 +198,7 @@ def search_ehc(
 
     while not (state & goal == goal and not state & goal_neg):
         committed = None
-        queue = deque([(state, ctx, ())])
+        queue = deque([(state, ctx, ())])  # (state, ctx, actions since the last commit)
         seen = {state}
         while queue and committed is None:
             s, c, path = queue.popleft()
@@ -228,7 +218,7 @@ def search_ehc(
                     continue
                 seen.add(succ)
                 f2 = h2 - phi
-                step = path + ((act, succ, c2),)
+                step = path + (act,)
                 if succ & goal == goal and not succ & goal_neg:
                     best = (0.0 - phi, succ, c2, step)
                     break
@@ -240,7 +230,7 @@ def search_ehc(
         if committed is None:
             return PlanResult(None, expanded, STATUS_EXHAUSTED)
         f_cur, state, ctx, step = committed
-        plan.extend(act for act, _, _ in step)
+        plan.extend(step)
 
     _simulate(plan, gp)
     return PlanResult(plan, expanded, STATUS_FOUND)

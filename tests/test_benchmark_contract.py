@@ -5,13 +5,16 @@ seed 1729, a digest of what the episode decided and how many searches,
 expansions, heuristic evaluations and scoring calls it took. The benchmark
 fails a run whose counts differ. This test reruns a few of those episodes
 under the benchmark's own tracer, so a change that moves a pinned count
-fails here as well, not only in a benchmark run. ``perfbench`` is imported
-as it is, never modified.
+fails here as well, not only in a benchmark run. The reruns also pass
+through the benchmark's own output check and its per-episode totals, which
+read every ``EpisodeResult`` name the benchmark reads. ``perfbench`` is
+imported as it is, never modified.
 """
 
 import importlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 import fgs.assets
 import fgs.bench
 import fgs.episode
+import fgs.grounding
 import fgs.scenario
 
 SEARCH = importlib.import_module("fgs.search")  # the attribute fgs.search is the function
@@ -26,7 +30,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from layers import Tracer  # noqa: E402
-from workloads import WORKLOADS, episode_digest, resolve_config  # noqa: E402
+from run import _add_traced  # noqa: E402
+from workloads import WORKLOADS, check_episode, episode_digest, resolve_config  # noqa: E402
 
 EXPECTED = json.loads((PERFBENCH / "expected_1729.json").read_text(encoding="utf-8"))
 
@@ -42,8 +47,9 @@ EPISODES = [
 
 def _traced_episode(workload, key, tasks=None):
     """Rerun one seed-1729 episode under the benchmark's tracer: its pinned
-    counts, and the episode result. *tasks* maps a task id to the problem
-    and cache that its episodes share; without it the episode starts cold."""
+    counts, the episode result and the benchmark's output check of it.
+    *tasks* maps a task id to the problem and cache that its episodes
+    share; without it the episode starts cold."""
     config_name, scenario_id = key.split("|")
     cfg = resolve_config(fgs.bench, SEARCH, config_name)
     scenario = fgs.scenario.load_scenario(fgs.assets.benchmark_dir() / f"{scenario_id}.json")
@@ -68,15 +74,21 @@ def _traced_episode(workload, key, tasks=None):
         "h_evals": tracer.evals(),
         "score_calls": tracer.calls["scoring.score"],
     }
-    return counts, result
+    return counts, result, check_episode(fgs.grounding, gp, scenario, result)
 
 
 @pytest.mark.parametrize("workload,key,phase2", EPISODES, ids=[k for _, k, _ in EPISODES])
 def test_traced_episode_matches_seed_1729_record(workload, key, phase2):
     assert EXPECTED["seed"] == 1729
-    counts, result = _traced_episode(workload, key)
+    counts, result, faults = _traced_episode(workload, key)
     assert counts == EXPECTED["workloads"][workload]["episodes"][key]
-    assert (result.phase2_whitelist is not None) == phase2
+    assert faults == []
+    totals = Counter()
+    _add_traced(totals, result)
+    assert totals["phase2"] == phase2
+    assert totals["searches"] == counts["searches"]
+    assert totals["expanded"] == counts["expanded"]
+    assert totals["replan_expanded"] == counts["expanded"] - result.nodes_per_search[0]
 
 
 def test_every_hadd_episode_matches_seed_1729_record():

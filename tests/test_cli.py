@@ -109,6 +109,18 @@ def test_validate_repeated_tool_exits_two(tmp_path, capsys):
     assert "tool_specs[1].tool: duplicate tool 'hammer'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "episode"])
+def test_shared_join_action_exits_two(tmp_path, capsys, command):
+    data = json.loads((BENCH / "woodworking_either_case00.json").read_text(encoding="utf-8"))
+    data["tool_specs"][1]["join_action_name"] = "join-hammer"
+    bad = tmp_path / "case.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code = main([command, *args_for("woodworking_hammer"), "--scenario", str(bad)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tool_specs[1].join_action_name: duplicate join action 'join-hammer'" in err
+
+
 @pytest.mark.parametrize(
     "path,value,message", [row[1:] for row in MALFORMED_SCENARIOS],
     ids=[row[0] for row in MALFORMED_SCENARIOS],
@@ -257,6 +269,39 @@ def test_episode_adaptability_flag(capsys):
     assert summary["chosen_tool"] == "rake"
     assert summary["use_action"] == "collect"
     assert summary["attempted"] == [["obj7", "obj3"]]
+
+
+def test_episode_summary_with_trust_withdrawn_is_pinned(capsys):
+    # FS+H with noise on: eight trusted searches, then one over the reject set
+    code = main([
+        "episode", *args_for("woodworking_screwdriver"),
+        "--scenario", str(BENCH / "woodworking_screwdriver_case03.json"),
+        "--algorithm", "astar", "--heuristic", "landmarks", "--features", "on",
+        "--noise", "on", "--adaptability",
+    ])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "attempted": [["obj1", "obj8"], ["obj1", "obj3"], ["obj1", "obj4"], ["obj6", "obj3"],
+                      ["obj7", "obj3"], ["obj6", "obj4"], ["obj7", "obj4"], ["obj8", "obj1"]],
+        "chosen_tool": "screwdriver",
+        "failed_attempts": 7,
+        "nodes_first_search": 74,
+        "nodes_total": 743,
+        "plan": [
+            "(pick-up p1 storage)", "(move storage bench)", "(stage p1 bench)",
+            "(move bench rack)", "(pick-up p0 rack)", "(move rack bench)", "(stage p0 bench)",
+            "(align p0 p1 bench)", "(move bench storage)", "(fetch-fastener s1 storage)",
+            "(move storage bench)", "(set-screw s1 p0 p1 bench)",
+            "(join-screwdriver obj8 obj1)", "(tighten s1 p0 p1)",
+        ],
+        "plan_length": 14,
+        "scenario": "woodworking_screwdriver_case03",
+        "searches": 9,
+        "status": "success",
+        "success": True,
+        "trust_trace": [True] * 8 + [False],
+        "use_action": "tighten",
+    }
 
 
 def test_bench_deterministic_reports(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from fgs.assets import load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
-from fgs.episode import ExecutionOracle, run_episode
+from fgs.episode import first_join, run_episode
 from fgs.errors import ConfigError
 from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark
 from fgs.search import SearchConfig
@@ -23,11 +23,11 @@ def squeegee_setup():
 def test_oracle_judges_first_join_pair(squeegee_setup):
     gp, scenarios = squeegee_setup
     sc = scenarios[0]
-    oracle = ExecutionOracle(sc.ground_truth.pair)
     result = run_episode(gp, FSH, sc)
-    accepted, pair = oracle.judge(result.final_plan)
-    assert accepted and pair == sc.ground_truth.pair
-    assert oracle.judge([]) == (True, None)  # nothing built, nothing to fail
+    join = first_join(result.final_plan)
+    assert join.o_a == sc.ground_truth.pair == result.attempted[-1]
+    assert result.chosen_tool == sc.registry()[join.schema_name].tool
+    assert first_join([]) is None  # nothing built, nothing to fail
 
 
 def test_noiseless_episode_succeeds_quickly(squeegee_setup):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from collections import deque
+from dataclasses import fields
 
 import pytest
 
@@ -224,6 +227,36 @@ def test_atom_indexing_deterministic():
     assert a.atoms == b.atoms
     assert a.init == b.init
     assert [act.name for act in a.actions] == [act.name for act in b.actions]
+
+
+# sha256 of each bundled task's grounded model: its atoms, every ground
+# action's fields in declaration order, the initial state and the goals
+GROUNDED_MODEL_DIGESTS = {
+    "cleaning_either": "772275dcee6295b5ae71a18f42570cb8db6e88af0166c6dd6d7066502094b70f",
+    "cleaning_rake": "1259be7bf48382ffe03216659a7fc99a1cac232b2c4c49a904c960cd505f4c13",
+    "cleaning_squeegee": "c29aee93e057249c6dabf46419e8d6024f32485b32686deb13860af44fdfaabf",
+    "cooking_either": "222bd34d2be94c87d7fd2492336d0702c661bf01eec6a3f598051ede9dda7aa7",
+    "cooking_ladle": "a9cc3a01763664a4c396d34a7dcc7fd090e23f32f6b7f3ff71fef2104f3fbc9c",
+    "cooking_spatula": "77434fa4c02e0cf909a08a1de4d628505e4bb7937075a903380447097ebc8ed5",
+    "woodworking_either": "f9b2cd161d4b9aaea31f01af810589d0e7ad1e7e183c3dbf32df826e49e3299c",
+    "woodworking_hammer": "f55e9220e68e4e499e2f0ef3053452e0405d220133ec249762720448b999e0f1",
+    "woodworking_screwdriver": "834dfe715559739fb9f9c9c511fa546fdffcf44b5ee818c6692b3fb2c0df0f6b",
+}
+
+
+@pytest.mark.parametrize("task_id", sorted(TASKS))
+def test_grounded_model_matches_pinned_digest(task_id):
+    _, _, gp = load_task(task_id)
+    payload = [
+        gp.atoms,
+        [[getattr(act, f.name) for f in fields(act)] for act in gp.actions],
+        gp.init,
+        gp.goal_pos,
+        gp.goal_neg,
+    ]
+    # frozensets of atom indices are written as sorted lists
+    digest = hashlib.sha256(json.dumps(payload, default=sorted).encode()).hexdigest()
+    assert digest == GROUNDED_MODEL_DIGESTS[task_id]
 
 
 def test_frame_semantics_on_random_models():

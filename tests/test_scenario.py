@@ -189,6 +189,16 @@ def test_two_ground_truths_rejected(squeegee_cases):
         scenario_from_json(data)
 
 
+def test_shared_join_action_rejected():
+    # one join action for two tools: the registry would score it with the
+    # last spec alone
+    data = json.loads((benchmark_dir() / "woodworking_either_case00.json").read_text(encoding="utf-8"))
+    data["tool_specs"][1]["join_action_name"] = "join-hammer"
+    with pytest.raises(ValidationError,
+                       match=r"tool_specs\[1\]\.join_action_name: duplicate join action 'join-hammer'"):
+        scenario_from_json(data)
+
+
 def test_bad_confidence_named_with_path(squeegee_cases):
     data = scenario_to_json(squeegee_cases[0])
     data["objects"][3]["shape_conf"]["handle"] = 1.7

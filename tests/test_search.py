@@ -17,7 +17,6 @@ from fgs.search import (
     PlanResult,
     SearchConfig,
     search,
-    search_ehc,
 )
 
 from .util import (
@@ -250,7 +249,7 @@ def test_determinism_bitwise():
 
 def test_ehc_monotone_chain():
     gp = chain_problem(5)
-    result = search_ehc(gp, SearchConfig(algorithm="ehc", heuristic="ff"))
+    result = search(gp, SearchConfig(algorithm="ehc", heuristic="ff"))
     assert result.found
     assert len(result.plan) == 5
     # each commit expands roughly one state along the chain
@@ -268,13 +267,13 @@ def test_ehc_dead_end_fails():
         ["s"],
         ["g"],
     )
-    result = search_ehc(gp, SearchConfig(algorithm="ehc", heuristic="hadd"))
+    result = search(gp, SearchConfig(algorithm="ehc", heuristic="hadd"))
     assert result.status == STATUS_EXHAUSTED
 
 
 def test_ehc_goal_at_init():
     gp = make_ground_problem(["p"], [("a", [], [], ["p"], [])], ["p"], ["p"])
-    result = search_ehc(gp, SearchConfig(algorithm="ehc", heuristic="ff"))
+    result = search(gp, SearchConfig(algorithm="ehc", heuristic="ff"))
     assert result.plan == []
     assert result.nodes_expanded == 0
 
@@ -285,7 +284,7 @@ def test_ehc_phi_boost_commits_first(monkeypatch):
     gp = join_fanout_problem([0.0, 1.4])
     table = {("x0", "y0"): 0.0, ("x1", "y1"): 1.4}
     cfg = SearchConfig(algorithm="ehc", heuristic="zero", use_feature_score=True)
-    result = search_ehc(gp, cfg, scorer=table_scorer(monkeypatch, table))
+    result = search(gp, cfg, scorer=table_scorer(monkeypatch, table))
     assert result.found
     assert any(a.schema_name == "join1" for a in result.plan)
     assert all(a.schema_name != "join0" for a in result.plan)
@@ -300,7 +299,7 @@ def test_ehc_via_search_dispatch():
 
 def test_ehc_budget():
     gp = chain_problem(40)
-    result = search_ehc(gp, SearchConfig(algorithm="ehc", heuristic="zero", node_budget=3))
+    result = search(gp, SearchConfig(algorithm="ehc", heuristic="zero", node_budget=3))
     assert result.status == STATUS_BUDGET
     assert result.nodes_expanded <= 3
 
