@@ -58,7 +58,7 @@ def cmd_validate(args) -> int:
     if args.scenario:
         scenario = load_scenario(args.scenario)
         check_alignment(gp, scenario)
-        print(f"scenario {scenario.scenario_id}: {scenario.n} objects, "
+        print(f"scenario {scenario.scenario_id}: {len(scenario.objects)} objects, "
               f"tools {', '.join(scenario.tools)}")
     print(f"domain {domain.name}: {len(domain.action_schemas)} schemas, "
           f"{len(domain.predicates)} predicates")

@@ -71,10 +71,17 @@ class EpisodeResult:
 
 
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
+    """Every grounded join binds two tool parts, both objects of *scenario*,
+    and its schema has a tool spec there: scoring reads an ordered pair."""
     registry = scenario.registry()
     object_ids = {o.object_id for o in scenario.objects}
-    join_schemas = {act.schema_name for act in gp.actions if act.o_a}
-    missing = sorted(join_schemas - registry.keys())
+    # one grounding's tool parts per join schema: all its groundings bind as many
+    joins = {act.schema_name: act.o_a for act in gp.actions if act.o_a}
+    odd = sorted(name for name, o_a in joins.items() if len(o_a) != 2)
+    if odd:
+        raise ConfigError(f"join action(s) {odd} do not bind exactly two tool parts; "
+                          "only two-part tools are supported")
+    missing = sorted(joins.keys() - registry.keys())
     if missing:
         raise ConfigError(f"join action(s) {missing} have no tool spec in scenario "
                           f"'{scenario.scenario_id}'")

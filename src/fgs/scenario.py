@@ -6,17 +6,19 @@ the annotated ground-truth pair, and a seeded noise spec. Profiles carry
 network *outputs*, never raw features; noise is injected here so scoring
 stays deterministic.
 
-Scenario files are JSON with a format_version field; see the README for the
-field table.
+Scenario files are JSON with a format_version field. The record dataclasses
+are the schema: each field is read through the check its annotation implies
+(see the README for the field table).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import partial
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache, partial
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import InternalError, ValidationError
 from .scoring import (
@@ -70,6 +72,47 @@ DISTRACTOR_MATERIAL_RANGE = (0.35, 0.72)
 SCENARIO_OBJECTS = 10  # objects in every generated scenario
 
 
+# -- the JSON boundary -----------------------------------------------------------
+# Each check takes (value, field path) and returns the value or raises a
+# ValidationError naming the path. A record field is read by the check its
+# annotation implies, or by the one named in its metadata.
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a number", type(None): "null"}
+
+
+def _typed(kind: str, *types):
+    def check(value, where: str):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            got = _JSON_KINDS.get(type(value), type(value).__name__)
+            raise ValidationError(f"{where}: expected {kind}, got {got}")
+        return value
+
+    return check
+
+
+_as_object = _typed("an object", dict)
+_as_list = _typed("a list", list)
+_as_number = _typed("a number", int, float)
+
+
+def _as_float(value, where: str) -> float:
+    try:
+        return float(_as_number(value, where))
+    except OverflowError:
+        raise ValidationError(f"{where}: number out of range") from None
+
+
+_SCALARS = {str: _typed("a string", str), bool: _typed("a boolean", bool),
+            int: _typed("an integer", int), float: _as_float}
+
+
+def _as_material(value, where: str) -> str:
+    if _SCALARS[str](value, where) not in MATERIAL_CLASSES:
+        raise ValidationError(f"{where}: unknown material '{value}'")
+    return value
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     seed: int = 0
@@ -97,17 +140,31 @@ class GroundTruth:
         return (self.action_part, self.grasp_part)
 
 
+def _as_ground_truth(value, where: str) -> GroundTruth:
+    """One ground-truth object, or a list holding exactly one."""
+    if isinstance(value, list):
+        if len(value) != 1:
+            raise ValidationError(
+                f"{where}: exactly one ground-truth pair required, got {len(value)}"
+            )
+        value, where = value[0], f"{where}[0]"
+    return _record(GroundTruth, value, where)
+
+
 @dataclass(frozen=True)
 class Scenario:
     format_version: int
     scenario_id: str
     task_type: str
-    tools: tuple[str, ...]  # candidate tools; one entry unless both can finish the task
-    n: int
     objects: tuple[ObjectProfile, ...]
-    ground_truth: GroundTruth
+    ground_truth: GroundTruth = field(metadata={"check": _as_ground_truth})
     tool_specs: tuple[ToolSpec, ...]
     noise: NoiseSpec = NoiseSpec()
+
+    @property
+    def tools(self) -> tuple[str, ...]:
+        """The candidate tools, one per spec; one unless both can finish the task."""
+        return tuple(spec.tool for spec in self.tool_specs)
 
     def profiles(self) -> dict[str, ObjectProfile]:
         return {o.object_id: o for o in self.objects}
@@ -126,7 +183,7 @@ class Scenario:
 class LibraryObject:
     library_id: str
     display_name: str
-    material: str
+    material: str = field(metadata={"check": _as_material})
     role_tags: tuple[str, ...] = ()
     pierceable: bool = False
     can_grasp_others: bool = False
@@ -145,8 +202,6 @@ def validate_scenario(sc: Scenario) -> None:
     sc.noise.validate()
     if sc.format_version != FORMAT_VERSION:
         raise ValidationError(f"{where}: unsupported format_version {sc.format_version}")
-    if sc.n != len(sc.objects):
-        raise ValidationError(f"{where}: n={sc.n} but {len(sc.objects)} objects listed")
     if not sc.tool_specs:
         raise ValidationError(f"{where}: tool_specs is empty")
     known_roles: set[str] = set()
@@ -159,9 +214,6 @@ def validate_scenario(sc: Scenario) -> None:
                                   f"'{spec.join_action_name}'")
         known_roles.add(spec.action_part_role)
         known_roles.add(spec.grasp_part_role)
-    spec_tools = tuple(spec.tool for spec in sc.tool_specs)
-    if tuple(sc.tools) != spec_tools:
-        raise ValidationError(f"{where}: tools {sc.tools} do not match tool_specs {spec_tools}")
     ids = set()
     for i, obj in enumerate(sc.objects):
         obj.validate(known_roles, where=f"objects[{i}]")
@@ -206,62 +258,41 @@ def scenario_to_json(sc: Scenario) -> dict:
     return _to_json(sc)
 
 
-# Type checks at the JSON boundary: each takes (value, field path) and
-# returns the value or raises a ValidationError naming the path.
-
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
-               int: "an integer", float: "a number", type(None): "null"}
-
-
-def _typed(kind: str, *types):
-    def check(value, where: str):
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            got = _JSON_KINDS.get(type(value), type(value).__name__)
-            raise ValidationError(f"{where}: expected {kind}, got {got}")
-        return value
-
-    return check
+@cache
+def _field_checks(cls) -> dict:
+    """The check of each field of the record type *cls*."""
+    hints = get_type_hints(cls)
+    return {f.name: f.metadata.get("check") or _check_for(hints[f.name])
+            for f in fields(cls)}
 
 
-_as_str = _typed("a string", str)
-_as_bool = _typed("a boolean", bool)
-_as_int = _typed("an integer", int)
-_as_object = _typed("an object", dict)
-_as_list = _typed("a list", list)
-_as_number = _typed("a number", int, float)
-
-
-def _as_float(value, where: str) -> float:
-    try:
-        return float(_as_number(value, where))
-    except OverflowError:
-        raise ValidationError(f"{where}: number out of range") from None
-
-
-def _as_conf_map(value, where: str) -> dict[str, float]:
-    return {k: _as_float(v, f"{where}.{k}") for k, v in _as_object(value, where).items()}
-
-
-def _as_material(value, where: str) -> str:
-    if _as_str(value, where) not in MATERIAL_CLASSES:
-        raise ValidationError(f"{where}: unknown material '{value}'")
-    return value
-
-
-def _list_of(check, into=tuple):
-    """A check for a JSON list whose every item passes *check*."""
-    def check_list(value, where: str):
-        return into(check(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where)))
-
-    return check_list
+def _check_for(tp):
+    """The check for a field annotated *tp*: a scalar, dict[str, X], a
+    tuple[X, ...] or frozenset[X] read from a list, or a record."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if is_dataclass(tp):
+        return partial(_record, tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is dict:
+        value_check = _check_for(args[1])
+        return lambda value, where: {
+            k: value_check(v, f"{where}.{k}") for k, v in _as_object(value, where).items()
+        }
+    if origin in (tuple, frozenset):
+        item_check = _check_for(args[0])
+        return lambda value, where: origin(
+            item_check(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where))
+        )
+    raise InternalError(f"no JSON check for a field of type {tp}")
 
 
 def _record(cls, data, where: str):
     """An instance of *cls* read from a JSON object: every field through its
-    check in _CHECKS; an absent field takes its dataclass default, and a key
-    that names no field is an error."""
+    check; an absent field takes its dataclass default, and a key that
+    names no field is an error."""
     data = _as_object(data, where)
-    checks = _CHECKS[cls]
+    checks = _field_checks(cls)
     for key in data:
         if key not in checks:
             raise ValidationError(f"{where}.{key}: unknown field")
@@ -272,58 +303,6 @@ def _record(cls, data, where: str):
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"{where}.{f.name}: missing required field")
     return cls(**values)
-
-
-def _as_ground_truth(value, where: str) -> GroundTruth:
-    """One ground-truth object, or a list holding exactly one."""
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise ValidationError(
-                f"{where}: exactly one ground-truth pair required, got {len(value)}"
-            )
-        value, where = value[0], f"{where}[0]"
-    return _record(GroundTruth, value, where)
-
-
-_FLAGS = dict.fromkeys(("pierceable", "can_grasp_others", "can_be_grasped", "has_magnet"), _as_bool)
-
-_CHECKS = {
-    ObjectProfile: dict(
-        object_id=_as_str, shape_conf=_as_conf_map, material_conf=_as_conf_map, **_FLAGS
-    ),
-    ToolSpec: dict(
-        tool=_as_str,
-        join_action_name=_as_str,
-        action_part_role=_as_str,
-        allowed_materials=_list_of(_as_str, frozenset),
-        use_action=_as_str,
-        grasp_part_role=_as_str,
-        num_parts=_as_int,
-    ),
-    GroundTruth: dict(action_part=_as_str, grasp_part=_as_str, tool=_as_str),
-    NoiseSpec: dict(
-        seed=_as_int, material_fn_rate=_as_float, attach_fn_rate=_as_float, shape_jitter=_as_float
-    ),
-    Scenario: dict(
-        format_version=_as_int,
-        scenario_id=_as_str,
-        task_type=_as_str,
-        tools=_list_of(_as_str),
-        n=_as_int,
-        objects=_list_of(partial(_record, ObjectProfile)),
-        ground_truth=_as_ground_truth,
-        tool_specs=_list_of(partial(_record, ToolSpec)),
-        noise=partial(_record, NoiseSpec),
-    ),
-    LibraryObject: dict(
-        library_id=_as_str,
-        display_name=_as_str,
-        material=_as_material,
-        role_tags=_list_of(_as_str),
-        **_FLAGS,
-    ),
-    _LibraryFile: dict(format_version=_as_int, objects=_list_of(partial(_record, LibraryObject))),
-}
 
 
 def scenario_from_json(data, where: str = "scenario") -> Scenario:
@@ -509,8 +488,6 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
         format_version=FORMAT_VERSION,
         scenario_id=scenario_id,
         task_type=task_type,
-        tools=tuple(s.tool for s in specs),
-        n=SCENARIO_OBJECTS,
         objects=tuple(profiles),
         ground_truth=GroundTruth(gt_action_id, gt_grasp_id, gt_tool),
         tool_specs=tuple(specs),

@@ -72,7 +72,6 @@ class ToolSpec:
     allowed_materials: frozenset[str]
     use_action: str  # the task action this tool enables, e.g. "hit"
     grasp_part_role: str = "handle"
-    num_parts: int = 2
 
     def validate(self) -> None:
         if not self.allowed_materials:
@@ -80,8 +79,6 @@ class ToolSpec:
         unknown = self.allowed_materials - set(MATERIAL_CLASSES)
         if unknown:
             raise ConfigError(f"tool '{self.tool}': unknown materials {sorted(unknown)}")
-        if self.num_parts != 2:
-            raise ConfigError(f"tool '{self.tool}': only two-part tools are supported")
 
 
 # The paper's weights and material threshold; every episode scores with them.
@@ -168,8 +165,6 @@ class JoinScorer:
 
     def __init__(self, registry: dict[str, ToolSpec], profiles: dict[str, ObjectProfile],
                  whitelist: frozenset | None = None):
-        for spec in registry.values():
-            spec.validate()
         self.registry = registry
         self.profiles = profiles
         self.whitelist = whitelist

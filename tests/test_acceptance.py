@@ -167,8 +167,6 @@ def _everything_goes_scenario():
         "format_version": 1,
         "scenario_id": "ceiling_worst_case",
         "task_type": "woodworking",
-        "tools": ["hammer"],
-        "n": 10,
         "objects": objects,
         "ground_truth": {"action_part": "obj9", "grasp_part": "obj8", "tool": "hammer"},
         "tool_specs": [{

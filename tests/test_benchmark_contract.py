@@ -30,7 +30,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from layers import Tracer  # noqa: E402
-from run import _add_traced  # noqa: E402
+from run import Inputs, _add_traced, bundled_suite_faults  # noqa: E402
 from workloads import WORKLOADS, check_episode, episode_digest, resolve_config  # noqa: E402
 
 EXPECTED = json.loads((PERFBENCH / "expected_1729.json").read_text(encoding="utf-8"))
@@ -43,6 +43,13 @@ EPISODES = [
     ("trust-switch", "FS+H|woodworking_screwdriver_case03", True),
     ("trust-switch", "FS|cleaning_rake_case03", True),
 ]
+
+
+def test_bundled_files_match_the_benchmark_generator():
+    # the benchmark regenerates the seed-1729 suite and fails a run whose
+    # bundled files differ from it
+    inputs = Inputs({"scenario": fgs.scenario, "assets": fgs.assets}, {}, [])
+    assert bundled_suite_faults(inputs, EXPECTED["seed"]) == []
 
 
 def _traced_episode(workload, key, tasks=None):

@@ -72,8 +72,9 @@ def test_validate_non_utf8_pddl_exits_two(tmp_path, capsys):
 # and a value of ... removes the field.
 CASE_TEXT = (BENCH / "woodworking_hammer_case00.json").read_text(encoding="utf-8")
 MALFORMED_SCENARIOS = [
-    ("n-string", ("n",), "ten", r"\.n: expected an integer, got a string"),
-    ("n-null", ("n",), None, r"\.n: expected an integer, got null"),
+    ("seed-string", ("noise", "seed"), "ten",
+     r"\.noise\.seed: expected an integer, got a string"),
+    ("seed-null", ("noise", "seed"), None, r"\.noise\.seed: expected an integer, got null"),
     ("shape-conf-string", ("objects", 0, "shape_conf", "handle"), "0.4",
      r"objects\[0\]\.shape_conf\.handle: expected a number, got a string"),
     ("material-conf-list", ("objects", 0, "material_conf"), [1],
@@ -83,7 +84,8 @@ MALFORMED_SCENARIOS = [
     ("objects-string", ("objects",), "nope", r"\.objects: expected a list, got a string"),
     ("pierceable-string", ("objects", 0, "pierceable"), "false",
      r"objects\[0\]\.pierceable: expected a boolean, got a string"),
-    ("n-fraction", ("n",), 10.7, r"\.n: expected an integer, got a number"),
+    ("seed-fraction", ("noise", "seed"), 10.7,
+     r"\.noise\.seed: expected an integer, got a number"),
     ("allowed-materials-string", ("tool_specs", 0, "allowed_materials"), "metal",
      r"tool_specs\[0\]\.allowed_materials: expected a list, got a string"),
     ("confidence-overflows-float", ("objects", 0, "shape_conf", "handle"), 10**400,
@@ -94,13 +96,13 @@ MALFORMED_SCENARIOS = [
      r"case\.json\.noise\.materal_fn_rate: unknown field"),
     ("object-misspelt-field", ("objects", 0, "pierceble"), True,
      r"case\.json\.objects\[0\]\.pierceble: unknown field"),
+    ("legacy-n", ("n",), 10, r"case\.json\.n: unknown field"),
 ]
 
 
 def test_validate_repeated_tool_exits_two(tmp_path, capsys):
     # a second spec for one tool would be shadowed by the first
     data = json.loads(CASE_TEXT)
-    data["tools"] = ["hammer", "hammer"]
     data["tool_specs"].append(dict(data["tool_specs"][0], use_action="tighten"))
     bad = tmp_path / "case.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
@@ -119,6 +121,35 @@ def test_shared_join_action_exits_two(tmp_path, capsys, command):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "tool_specs[1].join_action_name: duplicate join action 'join-hammer'" in err
+
+
+RAKE_DOMAIN = (DOMAINS / "cleaning_rake.domain.pddl").read_text(encoding="utf-8")
+RAKE_PARTS = "(?head - tool-part ?grip - tool-part)"
+# the rake domain with a join that binds one or three tool parts
+RAKE_VARIANTS = {
+    "one-part": RAKE_DOMAIN.replace(RAKE_PARTS, "(?head - tool-part)").replace("?grip", "?head"),
+    "three-part": RAKE_DOMAIN.replace(RAKE_PARTS, RAKE_PARTS[:-1] + " ?brace - tool-part)"),
+}
+ARITY_COMMANDS = {
+    "validate": [],
+    "plan": ["--features", "on"],
+    "episode": ["--features", "on"],
+}
+
+
+@pytest.mark.parametrize("command", ARITY_COMMANDS)
+@pytest.mark.parametrize("variant", RAKE_VARIANTS)
+def test_join_without_two_parts_exits_two(tmp_path, capsys, variant, command):
+    # scoring reads an ordered pair, and only a pair can match the ground truth
+    assert RAKE_VARIANTS[variant] != RAKE_DOMAIN
+    domain = tmp_path / "rake.domain.pddl"
+    domain.write_text(RAKE_VARIANTS[variant], encoding="utf-8")
+    code = main([command, "--domain", str(domain),
+                 "--problem", str(DOMAINS / "cleaning_rake.problem.pddl"),
+                 "--scenario", str(BENCH / "cleaning_rake_case00.json"),
+                 *ARITY_COMMANDS[command]])
+    assert code == EXIT_USAGE
+    assert "join-rake" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

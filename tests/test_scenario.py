@@ -1,7 +1,8 @@
 import copy
+import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -131,7 +132,6 @@ def test_generator_reads_grasp_role_from_spec(monkeypatch):
 
 def test_generated_scenario_shape(squeegee_cases):
     sc = squeegee_cases[0]
-    assert sc.n == 10
     assert len(sc.objects) == 10
     assert {o.object_id for o in sc.objects} == {f"obj{i}" for i in range(10)}
     assert sc.tools == ("squeegee",)
@@ -222,8 +222,6 @@ def test_minimal_two_object_scenario():
         "format_version": 1,
         "scenario_id": "tiny",
         "task_type": "cleaning",
-        "tools": ["squeegee"],
-        "n": 2,
         "objects": [
             {
                 "object_id": "obj0",
@@ -250,7 +248,8 @@ def test_minimal_two_object_scenario():
         "noise": {"seed": 0},
     }
     sc = scenario_from_json(data)
-    assert sc.n == 2
+    assert len(sc.objects) == 2
+    assert sc.tools == ("squeegee",)
 
 
 # -- sensing --------------------------------------------------------------------
@@ -350,6 +349,39 @@ def test_bundled_noise_arming_counts():
     assert all(sc.noise.shape_jitter > 0 for sc in adapt)
 
 
+def _sha256(value) -> str:
+    text = json.dumps(value, sort_keys=True, default=sorted)  # a frozenset as a sorted list
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+SPEC_FIELDS = ("tool", "join_action_name", "action_part_role", "allowed_materials", "use_action",
+               "grasp_part_role")
+
+
+def test_bundled_scenarios_load_to_pinned_values():
+    # every value the program reads from the bundled files, pinned
+    loaded = [
+        {
+            "scenario_id": sc.scenario_id,
+            "task_type": sc.task_type,
+            "tools": sc.tools,
+            "objects": [asdict(o) for o in sc.objects],
+            "ground_truth": asdict(sc.ground_truth),
+            "tool_specs": [{name: getattr(spec, name) for name in SPEC_FIELDS}
+                           for spec in sc.tool_specs],
+            "noise": asdict(sc.noise),
+        }
+        for sc in map(load_scenario, sorted(benchmark_dir().glob("*.json")))
+    ]
+    assert len(loaded) == 90
+    assert _sha256(loaded) == "6d670e0d4be2ea850dbf192447fe7c5bfb7b7f4893cb99316e7ae835397a7583"
+
+
+def test_default_library_loads_to_pinned_values():
+    assert (_sha256([asdict(o) for o in default_library()])
+            == "2295b411cfd0e22c931a4694ac19def2f66b3a8b1331eca9490647cacfafe9a2")
+
+
 # -- the JSON boundary ---------------------------------------------------------
 
 json_values = st.recursive(
@@ -362,9 +394,7 @@ BUNDLED_CASE = json.loads((benchmark_dir() / "woodworking_hammer_case00.json").r
 FIELD_PATHS = [
     ("format_version",),
     ("scenario_id",),
-    ("tools",),
-    ("tools", 0),
-    ("n",),
+    ("task_type",),
     ("objects",),
     ("objects", 0),
     ("objects", 0, "object_id"),
@@ -373,13 +403,15 @@ FIELD_PATHS = [
     ("objects", 0, "material_conf"),
     ("objects", 0, "material_conf", "wood"),
     ("objects", 0, "pierceable"),
+    ("objects", 0, "has_magnet"),
     ("ground_truth",),
     ("ground_truth", "action_part"),
+    ("ground_truth", "grasp_part"),
     ("ground_truth", "tool"),
     ("tool_specs",),
     ("tool_specs", 0),
     ("tool_specs", 0, "allowed_materials"),
-    ("tool_specs", 0, "num_parts"),
+    ("tool_specs", 0, "grasp_part_role"),
     ("noise",),
     ("noise", "seed"),
     ("noise", "shape_jitter"),
