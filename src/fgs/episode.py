@@ -73,20 +73,16 @@ class EpisodeResult:
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
     """Every grounded join binds two tool parts, both objects of *scenario*,
     and its schema has a tool spec there: scoring reads an ordered pair."""
-    registry = scenario.registry()
-    object_ids = {o.object_id for o in scenario.objects}
-    # one grounding's tool parts per join schema: all its groundings bind as many
-    joins = {act.schema_name: act.o_a for act in gp.actions if act.o_a}
-    odd = sorted(name for name, o_a in joins.items() if len(o_a) != 2)
+    parts, referenced = gp.joins
+    odd = sorted(name for name, n in parts.items() if n != 2)
     if odd:
         raise ConfigError(f"join action(s) {odd} do not bind exactly two tool parts; "
                           "only two-part tools are supported")
-    missing = sorted(joins.keys() - registry.keys())
+    missing = sorted(parts.keys() - scenario.registry().keys())
     if missing:
         raise ConfigError(f"join action(s) {missing} have no tool spec in scenario "
                           f"'{scenario.scenario_id}'")
-    referenced = {obj for act in gp.actions for obj in act.o_a}
-    unknown = sorted(referenced - object_ids)
+    unknown = sorted(referenced - {o.object_id for o in scenario.objects})
     if unknown:
         raise ConfigError(f"grounded joins reference objects {unknown} missing from scenario "
                           f"'{scenario.scenario_id}'")

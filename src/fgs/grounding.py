@@ -87,19 +87,71 @@ class GroundProblem:
         the action applies exactly when state & (pre | neg) == pre, and keep
         clears the atoms it deletes. An action whose positive and negative
         preconditions overlap never applies, so no run holds it."""
+        masks = self.relaxed_masks
         runs = []
         for _, group in groupby(enumerate(self.actions), key=lambda item: item[1].schema_name):
             members = tuple(
-                (idx, mask(act.pre_pos | act.pre_neg), mask(act.pre_pos), ~mask(act.dels),
-                 mask(act.adds))
+                (idx, pre | mask(act.pre_neg), pre, ~mask(act.dels), adds)
                 for idx, act in group
                 if not act.pre_pos & act.pre_neg
+                for pre, adds in (masks[idx],)
             )
             if members:
                 guard_pre = reduce(and_, (pre for _, _, pre, _, _ in members))
                 guard_neg = reduce(and_, (test ^ pre for _, test, pre, _, _ in members))
                 runs.append((guard_pre | guard_neg, guard_pre, members))
         return tuple(runs)
+
+    @cached_property
+    def relaxed_masks(self) -> tuple[tuple[State, State], ...]:
+        """Per action, (pre, adds): the masks of its positive preconditions
+        and of its adds, all the delete relaxation reads of it.
+        successor_runs holds these same int objects."""
+        return tuple((mask(act.pre_pos), mask(act.adds)) for act in self.actions)
+
+    @cached_property
+    def relaxed_runs(self) -> tuple[tuple[State, tuple[tuple[State, State], ...]], ...]:
+        """The actions as the relaxed exploration scans them: one (guard,
+        members) per run of consecutive actions of one schema, where members
+        are the actions' relaxed_masks and the guard is the AND of their
+        pre masks. A state that fails the guard enables none of the run.
+        Unlike successor_runs it keeps every action: the relaxation ignores
+        negative preconditions, so overlapping ones do not stop an action."""
+        masks = self.relaxed_masks
+        runs = []
+        for _, group in groupby(enumerate(self.actions), key=lambda item: item[1].schema_name):
+            members = tuple(masks[idx] for idx, _ in group)
+            runs.append((reduce(and_, (pre for pre, _ in members)), members))
+        return tuple(runs)
+
+    @cached_property
+    def goal_relevant(self) -> State:
+        """The mask of the goal-relevant atoms: the positive goal atoms
+        closed backwards over the positive preconditions of their achievers.
+        An action that adds a relevant atom has only relevant preconditions,
+        so the additive cost of a goal atom never reads the cost of an
+        irrelevant one."""
+        relevant = set(self.goal_pos)
+        stack = list(relevant)
+        while stack:
+            for idx in self.achievers[stack.pop()]:
+                fresh = self.actions[idx].pre_pos - relevant
+                relevant |= fresh
+                stack += fresh
+        return mask(relevant)
+
+    @cached_property
+    def relevant_adds(self) -> tuple[tuple[int, ...], ...]:
+        """Per action, the goal-relevant atoms it adds, in ascending order."""
+        relevant = self.goal_relevant
+        return tuple(tuple(atom_indices(adds & relevant)) for _, adds in self.relaxed_masks)
+
+    @cached_property
+    def joins(self) -> tuple[dict[str, int], frozenset[str]]:
+        """The join schemas, each with the number of tool parts its
+        groundings bind, and every object some join binds."""
+        parts = {act.schema_name: len(act.o_a) for act in self.actions if act.o_a}
+        return parts, frozenset(obj for act in self.actions for obj in act.o_a)
 
     @cached_property
     def consumers(self) -> tuple[tuple[int, ...], ...]:

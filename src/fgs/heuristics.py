@@ -3,8 +3,14 @@
 All estimates work on the delete relaxation: negative preconditions and
 negative goal literals are treated as satisfied, which keeps h_max a lower
 bound on true cost. Unit action costs throughout. One layered exploration,
-relaxed_exploration, backs h_max, FF and landmark discovery; h_add settles
-atom costs in one bucket-queue Dijkstra pass of its own.
+relaxed_layers, backs h_max, FF and landmark discovery: its layers are
+bitsets, grown by one mask test per action over the guarded schema runs of
+GroundProblem.relaxed_runs. Layer k holds exactly the atoms of level at
+most k in the relaxed planning graph, so h_max is the index of the goal's
+layer and FF's plan is extracted from the masks. h_add settles atom costs
+in one bucket-queue Dijkstra pass of its own over the goal-relevant atoms
+only (GroundProblem.goal_relevant): no other atom's cost feeds a goal
+atom's, so leaving them out gives the same sum.
 
 The landmark heuristic counts discovered-but-unachieved landmarks plus goal
 landmarks that were achieved and then undone (required again); landmark
@@ -15,6 +21,8 @@ bitset of accepted landmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .errors import ConfigError
 from .grounding import GroundProblem, State, atom_indices, mask
@@ -46,43 +54,52 @@ class ZeroHeuristic(Heuristic):
         return 0.0, None
 
 
-def relaxed_exploration(
-    gp: GroundProblem, state: State, banned: int | None = None, goal: frozenset[int] | None = None
-) -> dict[int, int]:
-    """Layered delete-relaxed reachability from *state*.
+def relaxed_layers(
+    gp: GroundProblem, state: State, banned: int | None = None, goal: State | None = None
+) -> list[State]:
+    """Layered delete-relaxed reachability from *state*: the masks
+    L[0] = state, L[1], ..., each the one before plus the adds of every
+    action whose positive preconditions it holds. An atom's level, the
+    first layer holding it, is its h_max cost under unit cost.
 
-    Returns the first level of every reached atom (0 for atoms of *state*).
-    An action fires in the layer after its last precondition is reached:
-    each action counts its unreached preconditions, and only the consumers
-    of newly reached atoms are counted down (semi-naive evaluation).
-    *banned* is struck from every add list. With *goal*, exploration stops
-    at the first layer holding every goal atom; otherwise it runs to the
-    fixpoint. Under unit cost an atom's level is its h_max cost.
+    Each layer scans gp.relaxed_runs: a run whose guard fails is skipped
+    whole, and an action that has fired leaves the scan, since its adds
+    are in every later layer. *banned* is struck from every add. With
+    *goal*, a mask, the layers stop at the first that holds it; they
+    always stop at the fixpoint, which is never repeated.
     """
-    actions = gp.actions
-    consumers = gp.consumers
-    initial = atom_indices(state)
-    level_of = dict.fromkeys(initial, 0)
-    waiting = list(gp.precondition_counts)
-    fire = list(gp.precondition_free)
-    new = initial
-    level = 0
-    while True:
-        for f in new:
-            for idx in consumers[f]:
-                waiting[idx] -= 1
-                if not waiting[idx]:
-                    fire.append(idx)
-        if not fire or (goal is not None and goal <= level_of.keys()):
-            return level_of
-        level += 1
-        new = []
-        for idx in fire:
-            for f in actions[idx].adds:
-                if f not in level_of and f != banned:
-                    level_of[f] = level
-                    new.append(f)
-        fire = []
+    keep = -1 if banned is None else ~(1 << banned)
+    layers = [state]
+    reached = state
+    guarded = gp.relaxed_runs  # runs whose guard has not yet passed
+    unfired: list[tuple[State, State]] = []  # the other runs' unfired actions
+    while goal is None or reached & goal != goal:
+        added = 0
+        waiting = []
+        for member in unfired:
+            if reached & member[0] == member[0]:
+                added |= member[1]
+            else:
+                waiting.append(member)
+        still_guarded = []
+        for run in guarded:
+            guard = run[0]
+            if reached & guard != guard:
+                still_guarded.append(run)
+                continue
+            for member in run[1]:
+                if reached & member[0] == member[0]:
+                    added |= member[1]
+                else:
+                    waiting.append(member)
+        grown = reached | added & keep
+        if grown == reached:
+            break
+        reached = grown
+        layers.append(reached)
+        unfired = waiting
+        guarded = still_guarded
+    return layers
 
 
 class _RelaxationHeuristic(Heuristic):
@@ -110,11 +127,9 @@ class MaxHeuristic(_RelaxationHeuristic):
     name = "hmax"
 
     def _estimate(self, state):
-        goal = self.gp.goal_pos
-        level_of = relaxed_exploration(self.gp, state, goal=goal)
-        if not goal <= level_of.keys():
-            return INF
-        return float(max(level_of[g] for g in goal))
+        goal = self.gp.goal_mask
+        layers = relaxed_layers(self.gp, state, goal=goal)
+        return float(len(layers) - 1) if layers[-1] & goal == goal else INF
 
 
 class AddHeuristic(_RelaxationHeuristic):
@@ -127,21 +142,22 @@ class AddHeuristic(_RelaxationHeuristic):
     unsettled preconditions and keeps 1 plus the sum of the settled ones;
     when its last precondition settles, its adds are queued at that price.
     A price is at least 1 above the cost being settled, so under unit cost a
-    bucket queue (cost -> atoms) pops in order without a heap.
+    bucket queue (cost -> atoms) pops in order without a heap. Only
+    goal-relevant atoms are queued, in *state* and in adds alike.
     """
 
     name = "hadd"
 
     def _estimate(self, state):
         gp = self.gp
-        actions = gp.actions
+        adds = gp.relevant_adds
         consumers = gp.consumers
         goal = gp.goal_pos
         waiting = list(gp.precondition_counts)
         price = [1] * len(waiting)
         buckets = {
-            0: atom_indices(state),
-            1: [f for idx in gp.precondition_free for f in actions[idx].adds],
+            0: atom_indices(state & gp.goal_relevant),
+            1: [f for idx in gp.precondition_free for f in adds[idx]],
         }
         settled: set[int] = set()
         unsettled_goals = len(goal)
@@ -163,9 +179,9 @@ class AddHeuristic(_RelaxationHeuristic):
                     if not waiting[idx]:
                         p = price[idx]
                         if p in buckets:
-                            buckets[p].extend(actions[idx].adds)
+                            buckets[p].extend(adds[idx])
                         else:
-                            buckets[p] = list(actions[idx].adds)
+                            buckets[p] = list(adds[idx])
         return INF
 
 
@@ -177,34 +193,41 @@ class FFHeuristic(_RelaxationHeuristic):
 
     def _estimate(self, state):
         gp = self.gp
-        actions = gp.actions
-        level_of = relaxed_exploration(gp, state, goal=gp.goal_pos)
-        if not gp.goal_pos <= level_of.keys():
+        goal = gp.goal_mask
+        layers = relaxed_layers(gp, state, goal=goal)
+        if layers[-1] & goal != goal:
             return INF
-        max_level = max(level_of[g] for g in gp.goal_pos)
-        needed: dict[int, set[int]] = {lv: set() for lv in range(max_level + 1)}
-        for g in gp.goal_pos:
-            needed[level_of[g]].add(g)
+        masks = gp.relaxed_masks
+        achievers = gp.achievers
+        # fresh[k]: the atoms of level k; needed[k]: those the plan needs
+        fresh = [state] + [layers[k] & ~layers[k - 1] for k in range(1, len(layers))]
+        needed = [goal & atoms for atoms in fresh]
         plan_length = 0
-        for level in range(max_level, 0, -1):
+        for level in range(len(layers) - 1, 0, -1):
             # A supporter acts one layer below the facts it is chosen for, so
             # its add effects cover only needs at this level; a need at a
             # lower level gets its own supporter.
-            covered: set[int] = set()
-            for fact in sorted(needed[level]):
-                if fact in covered:
+            below = layers[level - 1]
+            covered = 0
+            for fact in atom_indices(needed[level]):
+                if covered >> fact & 1:
                     continue
                 # The lowest-index achiever one level down; one exists
                 # because the fact first appeared at this level.
-                supporter = next(
-                    idx for idx in gp.achievers[fact]
-                    if all(level_of.get(p, INF) < level for p in actions[idx].pre_pos)
-                )
+                for idx in achievers[fact]:
+                    pre, adds = masks[idx]
+                    if pre & below == pre:
+                        break
                 plan_length += 1
-                covered |= actions[supporter].adds
-                for p in actions[supporter].pre_pos:
-                    if level_of[p] > 0:
-                        needed[level_of[p]].add(p)
+                covered |= adds
+                # file each precondition outside *state* under its own level
+                pre &= ~state
+                k = 1
+                while pre:
+                    part = pre & fresh[k]
+                    needed[k] |= part
+                    pre ^= part
+                    k += 1
         return float(plan_length)
 
 
@@ -221,20 +244,20 @@ def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
     """Backchain from the goal: if every possible first achiever of a known
     landmark shares a precondition, that precondition is a landmark too."""
     init = gp.init
+    masks = gp.relaxed_masks
     landmarks: set[int] = set()
     queue = [g for g in sorted(gp.goal_pos) if not init >> g & 1]
     landmarks.update(queue)
     while queue:
         lm = queue.pop(0)
-        pres = [gp.actions[idx].pre_pos for idx in gp.achievers[lm]]
+        pres = [masks[idx][0] for idx in gp.achievers[lm]]
         # Exploring past the layer that holds every achiever precondition
         # cannot change which achievers are reachable.
-        level_of = relaxed_exploration(gp, init, banned=lm, goal=frozenset().union(*pres))
-        achiever_pres = [pre for pre in pres if pre <= level_of.keys()]
+        reached = relaxed_layers(gp, init, banned=lm, goal=reduce(or_, pres, 0))[-1]
+        achiever_pres = [pre for pre in pres if pre & reached == pre]
         if not achiever_pres:
             continue
-        common = frozenset.intersection(*achiever_pres)
-        for p in sorted(common):
+        for p in atom_indices(reduce(and_, achiever_pres)):
             if not init >> p & 1 and p not in landmarks:
                 landmarks.add(p)
                 queue.append(p)

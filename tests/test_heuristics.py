@@ -5,14 +5,14 @@ import pytest
 
 from fgs.assets import TASKS, load_task
 from fgs.errors import ConfigError
-from fgs.grounding import apply_action, goal_satisfied, successors
+from fgs.grounding import apply_action, atom_indices, goal_satisfied, successors
 from fgs.heuristics import (
     INF,
     FFHeuristic,
     LandmarkCountHeuristic,
     discover_landmarks,
     make_heuristic,
-    relaxed_exploration,
+    relaxed_layers,
 )
 from fgs.search import SearchConfig, search
 
@@ -157,7 +157,13 @@ def test_ff_dominates_hmax_and_zero_iff_goal():
 
 def test_rpg_layers_monotone():
     gp = chain_problem(5)
-    level_of = relaxed_exploration(gp, gp.init)
+    layers = relaxed_layers(gp, gp.init)
+    assert layers[0] == gp.init
+    assert all(lower & upper == lower for lower, upper in zip(layers, layers[1:]))
+    level_of = {
+        atom: next(level for level, layer in enumerate(layers) if layer >> atom & 1)
+        for atom in atom_indices(layers[-1])
+    }
     assert [level_of[i] for i in range(6)] == [0, 1, 2, 3, 4, 5]
 
     def deepest_precondition(idx):
@@ -172,10 +178,10 @@ def test_rpg_layers_monotone():
             assert level - 1 in depths
             assert min(depths) >= level - 1
     # with a goal it stops at the goal's layer; a banned atom is never reached
-    partial = relaxed_exploration(gp, gp.init, goal=frozenset({2}))
-    assert max(partial.values()) == 2
-    cut = relaxed_exploration(gp, gp.init, banned=3)
-    assert sorted(cut) == [0, 1, 2]
+    partial = relaxed_layers(gp, gp.init, goal=encode({2}))
+    assert len(partial) - 1 == 2
+    cut = relaxed_layers(gp, gp.init, banned=3)
+    assert atom_indices(cut[-1]) == [0, 1, 2]
 
 
 def test_ff_infinity_only_when_relaxed_unreachable():
@@ -355,15 +361,14 @@ def _reachable_non_goal_states(gp):
 
 @pytest.mark.parametrize("task_id", sorted(TASKS))
 def test_hadd_matches_reference_on_reachable_states(task_id):
-    # Every 16th reachable non-goal state, offset per task: the reference
-    # takes about 0.3 ms a state, and all 50,880 would add about 15 s.
+    # h_add, h_max and FF on every 16th reachable non-goal state, offset per
+    # task: the references take about 1 ms a state, and all 50,880 would
+    # add about a minute.
     _, _, gp = load_task(task_id)
     states = _reachable_non_goal_states(gp)
-    hadd = make_heuristic("hadd", gp)
     checked = states[sorted(TASKS).index(task_id) % 16 :: 16]
     assert len(checked) > 50
-    for state in checked:
-        assert hadd.evaluate(state)[0] == reference_relaxed_cost(gp, state, sum)
+    _check_against_reference(gp, checked)
 
 
 @pytest.mark.parametrize("task_id", sorted(TASKS))
@@ -396,3 +401,37 @@ def test_ff_counts_supporter_of_own_add():
     )
     assert h("hmax", gp) == 2.0
     assert h("ff", gp) == 2.0
+
+
+def test_relaxation_fires_actions_no_state_applies():
+    # `clash` needs s both held and not held: no state applies it, so the
+    # successor scan holds no run with it, but the relaxation ignores
+    # negative preconditions and fires it. `free` has no precondition, and
+    # nothing reaches w, so u is out of reach whatever the state.
+    def model(goal):
+        return make_ground_problem(
+            ["s", "p", "q", "g", "u", "w"],
+            [
+                ("clash", ["s"], ["s"], ["p"], []),
+                ("free", [], [], ["q"], []),
+                ("finish", ["p", "q"], [], ["g"], ["s"]),
+                ("stuck", ["w"], [], ["u"], []),
+            ],
+            ["s"],
+            goal,
+        )
+
+    gp = model(["g"])
+    clash = next(i for i, act in enumerate(gp.actions) if act.schema_name == "clash")
+    assert all(idx != clash for _, _, members in gp.successor_runs for idx, *_ in members)
+    assert (h("hmax", gp), h("ff", gp), h("hadd", gp)) == (2.0, 3.0, 3.0)
+    assert discover_landmarks(gp).landmarks == {gp.atom_ids[(a,)] for a in ("p", "q", "g")}
+    every_state = [encode(a for a in range(6) if bits >> a & 1) for bits in range(64)]
+    for goal in (["g"], ["g", "u"], ["u"]):
+        gp = model(goal)
+        _check_against_reference(gp, every_state)
+        assert discover_landmarks(gp).landmarks == reference_landmarks(gp)
+        for banned in range(len(gp.atoms)):
+            reached = relaxed_layers(gp, gp.init, banned=banned)[-1]
+            assert reached == encode(reference_reachable_without(gp, banned))
+    assert h("hmax", gp) == h("ff", gp) == h("hadd", gp) == INF
