@@ -68,6 +68,9 @@ class ExperimentConfig:
             raise ConfigError("cases_per_tool must be >= 1")
         if self.configs is not None and not self.configs:
             raise ConfigError("configs must be nonempty")
+        if self.budgets is not None and self.experiment == "adaptability":
+            raise ConfigError("budget curves cover the baselines and algorithms experiments, "
+                              "not adaptability")
         for budget in self.budgets or ():
             if budget < 0:
                 raise ConfigError(f"budget must be non-negative, got {budget}")

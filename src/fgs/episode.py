@@ -72,7 +72,9 @@ class EpisodeResult:
 
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
     """Every grounded join binds two tool parts, both objects of *scenario*,
-    and its schema has a tool spec there: scoring reads an ordered pair."""
+    and its schema has a tool spec there: scoring reads an ordered pair.
+    The domain must also ground the join of the ground-truth tool, or no
+    plan could build it."""
     parts, referenced = gp.joins
     odd = sorted(name for name, n in parts.items() if n != 2)
     if odd:
@@ -86,6 +88,11 @@ def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
     if unknown:
         raise ConfigError(f"grounded joins reference objects {unknown} missing from scenario "
                           f"'{scenario.scenario_id}'")
+    truth = scenario.ground_truth.tool
+    join = scenario.spec_for_tool(truth).join_action_name
+    if join not in parts:
+        raise ConfigError(f"scenario '{scenario.scenario_id}' has ground-truth tool '{truth}', "
+                          f"but the domain grounds no '{join}' action")
 
 
 def first_join(plan) -> GroundAction | None:

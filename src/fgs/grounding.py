@@ -1,17 +1,17 @@
 """Grounding a typed STRIPS domain/problem into a propositional model.
 
-A state is an int bitset over the atoms: bit i is set exactly when atom i
-holds, and GroundProblem.state_atoms decodes it. Actions keep their
-preconditions and effects as frozensets of atom indices; the problem derives
-bit masks from them. Atom indexing is lexicographic over the atom tuples, so
-two runs over the same inputs produce bit-identical models. Object
-parameters of join actions must bind distinct objects (an ordered
-permutation); other parameters may repeat freely.
+A set of atoms is an int bit mask: bit i is set exactly when atom i is in
+the set. A state is such a mask, and so are each ground action's
+preconditions and effects and the goal; GroundProblem.state_atoms decodes a
+state. Atom indexing is lexicographic over the atom tuples, so two runs
+over the same inputs produce bit-identical models. Object parameters of
+join actions must bind distinct objects (an ordered permutation); other
+parameters may repeat freely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import groupby, product
 from operator import and_
@@ -22,14 +22,6 @@ from .pddl import Atom, DomainDef, Literal, ProblemDef
 State = int  # bit i set iff atom i holds
 
 DEFAULT_MAX_GROUND_ACTIONS = 200_000
-
-
-def mask(atoms) -> State:
-    """The bitset of the atom indices in *atoms*."""
-    bits = 0
-    for atom in atoms:
-        bits |= 1 << atom
-    return bits
 
 
 @cache
@@ -52,99 +44,67 @@ def atom_indices(state: State) -> list[int]:
 class GroundAction:
     name: str  # pretty form: "(schema obj ...)"
     schema_name: str
-    bound_objects: tuple[str, ...]
     o_a: tuple[str, ...]  # ordered object permutation; empty for non-tool actions
-    pre_pos: frozenset[int]
-    pre_neg: frozenset[int]
-    adds: frozenset[int]
-    dels: frozenset[int]
+    pre: State  # positive preconditions
+    neg: State  # negative preconditions
+    adds: State
+    dels: State
 
 
 @dataclass(frozen=True)
 class GroundProblem:
     atoms: tuple[Atom, ...]
-    atom_ids: dict[Atom, int] = field(compare=False)
     actions: tuple[GroundAction, ...] = ()
     init: State = 0
-    goal_pos: frozenset[int] = frozenset()
-    goal_neg: frozenset[int] = frozenset()
+    goal: State = 0  # atoms the goal requires
+    goal_neg: State = 0  # atoms the goal forbids
 
     @cached_property
-    def goal_mask(self) -> State:
-        return mask(self.goal_pos)
+    def atom_ids(self) -> dict[Atom, int]:
+        return {atom: i for i, atom in enumerate(self.atoms)}
 
     @cached_property
-    def goal_neg_mask(self) -> State:
-        return mask(self.goal_neg)
-
-    @cached_property
-    def successor_runs(self) -> tuple[tuple[State, State, tuple], ...]:
-        """The actions as successors scans them: one (guard, guard_pre,
-        members) per run of consecutive actions of one schema. A state
-        passes the guard, state & guard == guard_pre, exactly when it holds
-        every positive and no negative precondition that all the run's
-        actions share. Each member is (index, pre | neg, pre, keep, adds):
-        the action applies exactly when state & (pre | neg) == pre, and keep
-        clears the atoms it deletes. An action whose positive and negative
-        preconditions overlap never applies, so no run holds it."""
-        masks = self.relaxed_masks
+    def runs(self) -> tuple[tuple[State, State, tuple], ...]:
+        """The one scan index over the actions: a (guard, guard_pre, members)
+        per run of consecutive actions of one schema. Each member is
+        (index, pre ^ neg, pre, ~dels, adds); the action applies exactly when
+        state & (pre ^ neg) == pre, which no state passes when pre and neg
+        overlap. guard_pre is the AND of the members' pre, and a state that
+        applies a member passes state & guard == guard_pre, where the guard
+        adds the negative preconditions all members share. successors tests
+        the full guard; the delete relaxation, which ignores negative
+        preconditions, tests state & guard_pre == guard_pre."""
         runs = []
         for _, group in groupby(enumerate(self.actions), key=lambda item: item[1].schema_name):
-            members = tuple(
-                (idx, pre | mask(act.pre_neg), pre, ~mask(act.dels), adds)
-                for idx, act in group
-                if not act.pre_pos & act.pre_neg
-                for pre, adds in (masks[idx],)
-            )
-            if members:
-                guard_pre = reduce(and_, (pre for _, _, pre, _, _ in members))
-                guard_neg = reduce(and_, (test ^ pre for _, test, pre, _, _ in members))
-                runs.append((guard_pre | guard_neg, guard_pre, members))
-        return tuple(runs)
-
-    @cached_property
-    def relaxed_masks(self) -> tuple[tuple[State, State], ...]:
-        """Per action, (pre, adds): the masks of its positive preconditions
-        and of its adds, all the delete relaxation reads of it.
-        successor_runs holds these same int objects."""
-        return tuple((mask(act.pre_pos), mask(act.adds)) for act in self.actions)
-
-    @cached_property
-    def relaxed_runs(self) -> tuple[tuple[State, tuple[tuple[State, State], ...]], ...]:
-        """The actions as the relaxed exploration scans them: one (guard,
-        members) per run of consecutive actions of one schema, where members
-        are the actions' relaxed_masks and the guard is the AND of their
-        pre masks. A state that fails the guard enables none of the run.
-        Unlike successor_runs it keeps every action: the relaxation ignores
-        negative preconditions, so overlapping ones do not stop an action."""
-        masks = self.relaxed_masks
-        runs = []
-        for _, group in groupby(enumerate(self.actions), key=lambda item: item[1].schema_name):
-            members = tuple(masks[idx] for idx, _ in group)
-            runs.append((reduce(and_, (pre for pre, _ in members)), members))
+            acts = list(group)
+            members = tuple((idx, act.pre ^ act.neg, act.pre, ~act.dels, act.adds)
+                            for idx, act in acts)
+            guard_pre = reduce(and_, (act.pre for _, act in acts))
+            guard_neg = reduce(and_, (act.neg for _, act in acts))
+            runs.append((guard_pre | guard_neg, guard_pre, members))
         return tuple(runs)
 
     @cached_property
     def goal_relevant(self) -> State:
-        """The mask of the goal-relevant atoms: the positive goal atoms
-        closed backwards over the positive preconditions of their achievers.
-        An action that adds a relevant atom has only relevant preconditions,
-        so the additive cost of a goal atom never reads the cost of an
+        """The mask of the goal-relevant atoms: the goal atoms closed
+        backwards over the positive preconditions of their achievers. An
+        action that adds a relevant atom has only relevant preconditions, so
+        the additive cost of a goal atom never reads the cost of an
         irrelevant one."""
-        relevant = set(self.goal_pos)
-        stack = list(relevant)
+        relevant = self.goal
+        stack = atom_indices(relevant)
         while stack:
             for idx in self.achievers[stack.pop()]:
-                fresh = self.actions[idx].pre_pos - relevant
+                fresh = self.actions[idx].pre & ~relevant
                 relevant |= fresh
-                stack += fresh
-        return mask(relevant)
+                stack += atom_indices(fresh)
+        return relevant
 
     @cached_property
     def relevant_adds(self) -> tuple[tuple[int, ...], ...]:
         """Per action, the goal-relevant atoms it adds, in ascending order."""
         relevant = self.goal_relevant
-        return tuple(tuple(atom_indices(adds & relevant)) for _, adds in self.relaxed_masks)
+        return tuple(tuple(atom_indices(act.adds & relevant)) for act in self.actions)
 
     @cached_property
     def joins(self) -> tuple[dict[str, int], frozenset[str]]:
@@ -156,7 +116,7 @@ class GroundProblem:
     @cached_property
     def consumers(self) -> tuple[tuple[int, ...], ...]:
         """Per atom, the indices of actions with it as a positive precondition."""
-        return self._index_by_atom(lambda act: act.pre_pos)
+        return self._index_by_atom(lambda act: act.pre)
 
     @cached_property
     def achievers(self) -> tuple[tuple[int, ...], ...]:
@@ -166,17 +126,17 @@ class GroundProblem:
     @cached_property
     def precondition_free(self) -> tuple[int, ...]:
         """Indices of actions with no positive precondition."""
-        return tuple(idx for idx, act in enumerate(self.actions) if not act.pre_pos)
+        return tuple(idx for idx, act in enumerate(self.actions) if not act.pre)
 
     @cached_property
     def precondition_counts(self) -> tuple[int, ...]:
         """Per action, the number of its positive preconditions."""
-        return tuple(len(act.pre_pos) for act in self.actions)
+        return tuple(act.pre.bit_count() for act in self.actions)
 
-    def _index_by_atom(self, atoms_of) -> tuple[tuple[int, ...], ...]:
+    def _index_by_atom(self, mask_of) -> tuple[tuple[int, ...], ...]:
         index: list[list[int]] = [[] for _ in self.atoms]
         for idx, act in enumerate(self.actions):
-            for atom in atoms_of(act):
+            for atom in atom_indices(mask_of(act)):
                 index[atom].append(idx)
         return tuple(map(tuple, index))
 
@@ -185,26 +145,25 @@ class GroundProblem:
 
 
 def applicable(state: State, action: GroundAction) -> bool:
-    pre = mask(action.pre_pos)
-    return state & pre == pre and not state & mask(action.pre_neg)
+    return state & action.pre == action.pre and not state & action.neg
 
 
 def apply_action(state: State, action: GroundAction) -> State:
-    """Transition function; the caller must ensure applicability."""
+    """Transition function: the successor of *state* under *action*.
+    Raises GroundingError when *action* is not applicable in *state*."""
     if not applicable(state, action):
         raise GroundingError(f"action {action.name} is not applicable in this state")
-    return state & ~mask(action.dels) | mask(action.adds)
+    return state & ~action.dels | action.adds
 
 
 def goal_satisfied(state: State, gp: GroundProblem) -> bool:
-    goal = gp.goal_mask
-    return state & goal == goal and not state & gp.goal_neg_mask
+    return state & gp.goal == gp.goal and not state & gp.goal_neg
 
 
 def successors(gp: GroundProblem, state: State, cache: dict | None = None):
     """All (action_index, next_state) pairs, in action-index order. The
-    scan goes run by run through gp.successor_runs and skips each run whose
-    guard *state* fails.
+    scan goes run by run through gp.runs and skips each run whose guard
+    *state* fails.
 
     An optional cache dict may be shared by searches over the same problem;
     it stores raw successors with no search-specific filtering, under the
@@ -216,7 +175,7 @@ def successors(gp: GroundProblem, state: State, cache: dict | None = None):
         if hit is not None:
             return hit
     out = []
-    for guard, guard_pre, members in gp.successor_runs:
+    for guard, guard_pre, members in gp.runs:
         if state & guard == guard_pre:
             out += [(idx, state & keep | adds)
                     for idx, test, pre, keep, adds in members if state & test == pre]
@@ -258,7 +217,7 @@ def ground(
     }
 
     init_atoms = set(problem.init)
-    bound: list[tuple] = []  # (schema, combo, pre_pos, pre_neg, adds, dels), over atoms
+    bound: list[tuple] = []  # (schema, combo, pre, neg, adds, dels), over atoms
     per_schema: dict[str, int] = {}
     total = 0
     for schema in domain.action_schemas:
@@ -281,7 +240,7 @@ def ground(
                     f"worst schema: '{worst}'"
                 )
             binding = dict(zip(variables, combo))
-            pre_pos, pre_neg = [], []
+            pre, neg = [], []
             for lit in schema.preconditions:
                 atom = _bind(lit, binding)
                 if prune_static and lit.predicate not in fluent_preds:
@@ -289,7 +248,7 @@ def ground(
                     if (atom in init_atoms) == lit.negated:
                         break  # statically false forever
                     continue  # statically true forever
-                (pre_neg if lit.negated else pre_pos).append(atom)
+                (neg if lit.negated else pre).append(atom)
             else:
                 adds = {_bind(lit, binding) for lit in schema.add_effects}
                 dels = {_bind(lit, binding) for lit in schema.del_effects}
@@ -299,7 +258,7 @@ def ground(
                         f"schema '{schema.name}' grounds to overlapping add/delete effects "
                         f"for {combo}: {sorted(overlap)}"
                     )
-                bound.append((schema, combo, pre_pos, pre_neg, adds, dels))
+                bound.append((schema, combo, pre, neg, adds, dels))
         per_schema[schema.name] = count
 
     universe: set[Atom] = set(problem.init)
@@ -310,29 +269,28 @@ def ground(
     atoms = tuple(sorted(universe))
     atom_ids = {atom: i for i, atom in enumerate(atoms)}
 
-    def ids(atoms_iter) -> frozenset[int]:
-        return frozenset(atom_ids[a] for a in atoms_iter)
+    def mask(atoms_iter) -> State:
+        bits = 0
+        for atom in atoms_iter:
+            bits |= 1 << atom_ids[atom]
+        return bits
 
     ground_actions = tuple(
         GroundAction(
             name="(" + " ".join((schema.name, *combo)) + ")",
             schema_name=schema.name,
-            bound_objects=combo,
             o_a=tuple(combo[i] for i in schema.object_param_indices),
-            pre_pos=ids(pre_pos),
-            pre_neg=ids(pre_neg),
-            adds=ids(adds),
-            dels=ids(dels),
+            pre=mask(pre),
+            neg=mask(neg),
+            adds=mask(adds),
+            dels=mask(dels),
         )
-        for schema, combo, pre_pos, pre_neg, adds, dels in bound
+        for schema, combo, pre, neg, adds, dels in bound
     )
-    goal_pos = ids(lit.atom() for lit in problem.goal if not lit.negated)
-    goal_neg = ids(lit.atom() for lit in problem.goal if lit.negated)
     return GroundProblem(
         atoms=atoms,
-        atom_ids=atom_ids,
         actions=ground_actions,
-        init=mask(ids(problem.init)),
-        goal_pos=goal_pos,
-        goal_neg=goal_neg,
+        init=mask(problem.init),
+        goal=mask(lit.atom() for lit in problem.goal if not lit.negated),
+        goal_neg=mask(lit.atom() for lit in problem.goal if lit.negated),
     )

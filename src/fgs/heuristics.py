@@ -2,12 +2,14 @@
 
 All estimates work on the delete relaxation: negative preconditions and
 negative goal literals are treated as satisfied, which keeps h_max a lower
-bound on true cost. Unit action costs throughout. One layered exploration,
+bound on true cost. Unit action costs throughout. Sets of atoms are the bit
+masks of the grounded model (see grounding). One layered exploration,
 relaxed_layers, backs h_max, FF and landmark discovery: its layers are
-bitsets, grown by one mask test per action over the guarded schema runs of
-GroundProblem.relaxed_runs. Layer k holds exactly the atoms of level at
-most k in the relaxed planning graph, so h_max is the index of the goal's
-layer and FF's plan is extracted from the masks. h_add settles atom costs
+masks, grown by one mask test per action over the schema runs of
+GroundProblem.runs, each tested on its guard_pre alone. Layer k holds
+exactly the atoms of level at most k in the relaxed planning graph, so
+h_max is the index of the goal's layer and FF's plan is extracted from the
+masks. h_add settles atom costs
 in one bucket-queue Dijkstra pass of its own over the goal-relevant atoms
 only (GroundProblem.goal_relevant): no other atom's cost feeds a goal
 atom's, so leaving them out gives the same sum.
@@ -25,7 +27,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .errors import ConfigError
-from .grounding import GroundProblem, State, atom_indices, mask
+from .grounding import GroundProblem, State, atom_indices
 
 INF = float("inf")
 
@@ -62,34 +64,34 @@ def relaxed_layers(
     action whose positive preconditions it holds. An atom's level, the
     first layer holding it, is its h_max cost under unit cost.
 
-    Each layer scans gp.relaxed_runs: a run whose guard fails is skipped
-    whole, and an action that has fired leaves the scan, since its adds
-    are in every later layer. *banned* is struck from every add. With
+    Each layer scans gp.runs: a run whose guard_pre the layer lacks is
+    skipped whole, and an action that has fired leaves the scan, since its
+    adds are in every later layer. *banned* is struck from every add. With
     *goal*, a mask, the layers stop at the first that holds it; they
     always stop at the fixpoint, which is never repeated.
     """
     keep = -1 if banned is None else ~(1 << banned)
     layers = [state]
     reached = state
-    guarded = gp.relaxed_runs  # runs whose guard has not yet passed
-    unfired: list[tuple[State, State]] = []  # the other runs' unfired actions
+    guarded = gp.runs  # runs whose guard_pre has not yet passed
+    unfired: list[tuple] = []  # the other runs' unfired members
     while goal is None or reached & goal != goal:
         added = 0
         waiting = []
         for member in unfired:
-            if reached & member[0] == member[0]:
-                added |= member[1]
+            if reached & member[2] == member[2]:
+                added |= member[4]
             else:
                 waiting.append(member)
         still_guarded = []
         for run in guarded:
-            guard = run[0]
+            guard = run[1]
             if reached & guard != guard:
                 still_guarded.append(run)
                 continue
-            for member in run[1]:
-                if reached & member[0] == member[0]:
-                    added |= member[1]
+            for member in run[2]:
+                if reached & member[2] == member[2]:
+                    added |= member[4]
                 else:
                     waiting.append(member)
         grown = reached | added & keep
@@ -114,7 +116,7 @@ class _RelaxationHeuristic(Heuristic):
     def evaluate(self, state, parent_ctx=None):
         h = self._cache.get(state)
         if h is None:
-            goal = self.gp.goal_mask
+            goal = self.gp.goal
             h = 0.0 if state & goal == goal else self._estimate(state)
             self._cache[state] = h
         return h, None
@@ -127,7 +129,7 @@ class MaxHeuristic(_RelaxationHeuristic):
     name = "hmax"
 
     def _estimate(self, state):
-        goal = self.gp.goal_mask
+        goal = self.gp.goal
         layers = relaxed_layers(self.gp, state, goal=goal)
         return float(len(layers) - 1) if layers[-1] & goal == goal else INF
 
@@ -152,7 +154,7 @@ class AddHeuristic(_RelaxationHeuristic):
         gp = self.gp
         adds = gp.relevant_adds
         consumers = gp.consumers
-        goal = gp.goal_pos
+        goal = gp.goal
         waiting = list(gp.precondition_counts)
         price = [1] * len(waiting)
         buckets = {
@@ -160,7 +162,7 @@ class AddHeuristic(_RelaxationHeuristic):
             1: [f for idx in gp.precondition_free for f in adds[idx]],
         }
         settled: set[int] = set()
-        unsettled_goals = len(goal)
+        unsettled_goals = goal.bit_count()
         total = 0
         while buckets:
             cost = min(buckets)
@@ -168,7 +170,7 @@ class AddHeuristic(_RelaxationHeuristic):
                 if f in settled:
                     continue
                 settled.add(f)
-                if f in goal:
+                if goal >> f & 1:
                     total += cost
                     unsettled_goals -= 1
                     if not unsettled_goals:
@@ -193,11 +195,11 @@ class FFHeuristic(_RelaxationHeuristic):
 
     def _estimate(self, state):
         gp = self.gp
-        goal = gp.goal_mask
+        goal = gp.goal
         layers = relaxed_layers(gp, state, goal=goal)
         if layers[-1] & goal != goal:
             return INF
-        masks = gp.relaxed_masks
+        actions = gp.actions
         achievers = gp.achievers
         # fresh[k]: the atoms of level k; needed[k]: those the plan needs
         fresh = [state] + [layers[k] & ~layers[k - 1] for k in range(1, len(layers))]
@@ -215,11 +217,12 @@ class FFHeuristic(_RelaxationHeuristic):
                 # The lowest-index achiever one level down; one exists
                 # because the fact first appeared at this level.
                 for idx in achievers[fact]:
-                    pre, adds = masks[idx]
+                    act = actions[idx]
+                    pre = act.pre
                     if pre & below == pre:
                         break
                 plan_length += 1
-                covered |= adds
+                covered |= act.adds
                 # file each precondition outside *state* under its own level
                 pre &= ~state
                 k = 1
@@ -233,36 +236,34 @@ class FFHeuristic(_RelaxationHeuristic):
 
 @dataclass(frozen=True)
 class LandmarkSet:
-    """Atoms every delete-relaxed plan must achieve (initial-state facts are
-    excluded since they need no achieving)."""
+    """The mask of the atoms every delete-relaxed plan must achieve
+    (initial-state facts are excluded since they need no achieving), and of
+    those among them that the goal requires."""
 
-    landmarks: frozenset[int]
-    goal_landmarks: frozenset[int]
+    landmarks: State
+    goal_landmarks: State
 
 
 def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
     """Backchain from the goal: if every possible first achiever of a known
     landmark shares a precondition, that precondition is a landmark too."""
     init = gp.init
-    masks = gp.relaxed_masks
-    landmarks: set[int] = set()
-    queue = [g for g in sorted(gp.goal_pos) if not init >> g & 1]
-    landmarks.update(queue)
+    actions = gp.actions
+    landmarks = gp.goal & ~init
+    queue = atom_indices(landmarks)
     while queue:
         lm = queue.pop(0)
-        pres = [masks[idx][0] for idx in gp.achievers[lm]]
+        pres = [actions[idx].pre for idx in gp.achievers[lm]]
         # Exploring past the layer that holds every achiever precondition
         # cannot change which achievers are reachable.
         reached = relaxed_layers(gp, init, banned=lm, goal=reduce(or_, pres, 0))[-1]
         achiever_pres = [pre for pre in pres if pre & reached == pre]
         if not achiever_pres:
             continue
-        for p in atom_indices(reduce(and_, achiever_pres)):
-            if not init >> p & 1 and p not in landmarks:
-                landmarks.add(p)
-                queue.append(p)
-    lm_frozen = frozenset(landmarks)
-    return LandmarkSet(lm_frozen, lm_frozen & gp.goal_pos)
+        fresh = reduce(and_, achiever_pres) & ~init & ~landmarks
+        landmarks |= fresh
+        queue += atom_indices(fresh)
+    return LandmarkSet(landmarks, landmarks & gp.goal)
 
 
 class LandmarkCountHeuristic(Heuristic):
@@ -274,14 +275,14 @@ class LandmarkCountHeuristic(Heuristic):
         if self.name not in cache:
             cache[self.name] = discover_landmarks(gp)
         self.landmark_set: LandmarkSet = cache[self.name]
-        self._count = len(self.landmark_set.landmarks)
-        self._mask = mask(self.landmark_set.landmarks)
-        self._goal_mask = mask(self.landmark_set.goal_landmarks)
+        self._landmarks = self.landmark_set.landmarks
+        self._count = self._landmarks.bit_count()
+        self._goal_landmarks = self.landmark_set.goal_landmarks
 
     def evaluate(self, state, parent_ctx=None):
-        achieved_now = self._mask & state
+        achieved_now = self._landmarks & state
         accepted = achieved_now if parent_ctx is None else parent_ctx | achieved_now
-        required_again = accepted & self._goal_mask & ~state
+        required_again = accepted & self._goal_landmarks & ~state
         h = self._count - accepted.bit_count() + required_again.bit_count()
         return float(h), accepted
 

@@ -24,14 +24,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, InternalError
+from .errors import ConfigError, GroundingError, InternalError
 from .grounding import (
     GroundAction,
     GroundProblem,
     State,
-    applicable,
+    apply_action,
     goal_satisfied,
-    mask,
     successors,
 )
 from .heuristics import make_heuristic
@@ -135,7 +134,7 @@ def search(
 
     cost = _combined_cost(cfg)
     expand, actions, budget = successors, gp.actions, cfg.node_budget
-    goal, goal_neg = gp.goal_mask, gp.goal_neg_mask
+    goal, goal_neg = gp.goal, gp.goal_neg
     push, pop = heapq.heappush, heapq.heappop
 
     init = gp.init
@@ -186,7 +185,7 @@ def _hill_climb(gp: GroundProblem, evaluate, gate, budget: int | None,
     improving state is generated first) is what lets the feature term steer
     which objects get joined."""
     expand, actions = successors, gp.actions
-    goal, goal_neg = gp.goal_mask, gp.goal_neg_mask
+    goal, goal_neg = gp.goal, gp.goal_neg
 
     expanded = 0
     state = gp.init
@@ -252,9 +251,10 @@ def extract_plan(path, gp: GroundProblem) -> list[GroundAction]:
 def _simulate(plan, gp: GroundProblem) -> State:
     state = gp.init
     for act in plan:
-        if not applicable(state, act):
-            raise InternalError(f"extracted plan is invalid at {act.name}")
-        state = state & ~mask(act.dels) | mask(act.adds)
+        try:
+            state = apply_action(state, act)
+        except GroundingError as exc:
+            raise InternalError(f"extracted plan is invalid at {act.name}") from exc
     if not goal_satisfied(state, gp):
         raise InternalError("extracted plan does not reach the goal")
     return state

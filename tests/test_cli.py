@@ -152,6 +152,19 @@ def test_join_without_two_parts_exits_two(tmp_path, capsys, variant, command):
     assert "join-rake" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ARITY_COMMANDS)
+def test_unbuildable_ground_truth_tool_exits_two(capsys, command):
+    # the hammer domain grounds no join-screwdriver, so no plan can build
+    # this scenario's ground-truth screwdriver
+    search_flags = [] if command == "validate" else ["--algorithm", "astar", "--heuristic", "landmarks"]
+    code = main([command, *args_for("woodworking_hammer"),
+                 "--scenario", str(BENCH / "woodworking_either_case01.json"),
+                 *ARITY_COMMANDS[command], *search_flags])
+    assert code == EXIT_USAGE
+    assert ("scenario 'woodworking_either_case01' has ground-truth tool 'screwdriver', "
+            "but the domain grounds no 'join-screwdriver' action") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "path,value,message", [row[1:] for row in MALFORMED_SCENARIOS],
     ids=[row[0] for row in MALFORMED_SCENARIOS],
@@ -250,6 +263,15 @@ def test_bench_negative_budget_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")])
     assert code == EXIT_USAGE
     assert "budget must be non-negative, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_adaptability_budget_sweep_exits_two(tmp_path, capsys):
+    # the adaptability report counts tool choices and has no budget curve
+    code = main(["bench", "--experiment", "adaptability", "--budget-sweep", "0,1",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert "budget curves cover the baselines and algorithms experiments" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

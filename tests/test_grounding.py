@@ -1,7 +1,6 @@
 import hashlib
 import json
 from collections import deque
-from dataclasses import fields
 
 import pytest
 
@@ -112,7 +111,7 @@ def test_static_pruning_drops_impossible_actions():
         domain,
     )
     gp = ground(domain, problem)
-    names = {a.bound_objects for a in gp.actions}
+    names = {tuple(a.name[1:-1].split()[1:]) for a in gp.actions}  # the bound objects
     assert ("x", "y") in names and ("y", "z") in names
     assert ("x", "z") not in names  # blocked: negative static precondition false forever
     assert ("y", "x") not in names  # no road: positive static precondition false forever
@@ -151,10 +150,11 @@ def test_applicable_and_apply_semantics():
     assert applicable(gp.init, act)
     succ = apply_action(gp.init, act)
     succ_ids, init_ids = decode(succ), decode(gp.init)
-    assert act.adds <= succ_ids
-    assert not act.dels & succ_ids
+    adds, dels = decode(act.adds), decode(act.dels)
+    assert adds <= succ_ids
+    assert not dels & succ_ids
     # frame: untouched atoms persist
-    assert succ_ids - act.adds == init_ids - act.dels - act.adds
+    assert succ_ids - adds == init_ids - dels - adds
     # has-tool now blocks every other join
     assert not any(applicable(succ, a) for a in gp.actions)
     with pytest.raises(GroundingError):
@@ -180,7 +180,7 @@ def test_goal_satisfied_cases():
     assert not goal_satisfied(gp.init, gp)
     done = apply_action(gp.init, gp.actions[0])
     assert goal_satisfied(done, gp)
-    empty_goal = GroundProblem(gp.atoms, gp.atom_ids, gp.actions, gp.init)
+    empty_goal = GroundProblem(gp.atoms, gp.actions, gp.init)
     assert goal_satisfied(gp.init, empty_goal)
 
 
@@ -230,7 +230,8 @@ def test_atom_indexing_deterministic():
 
 
 # sha256 of each bundled task's grounded model: its atoms, every ground
-# action's fields in declaration order, the initial state and the goals
+# action's name, schema, bound objects, permutation, positive and negative
+# preconditions, adds and deletes, the initial state and the goals
 GROUNDED_MODEL_DIGESTS = {
     "cleaning_either": "772275dcee6295b5ae71a18f42570cb8db6e88af0166c6dd6d7066502094b70f",
     "cleaning_rake": "1259be7bf48382ffe03216659a7fc99a1cac232b2c4c49a904c960cd505f4c13",
@@ -249,13 +250,17 @@ def test_grounded_model_matches_pinned_digest(task_id):
     _, _, gp = load_task(task_id)
     payload = [
         gp.atoms,
-        [[getattr(act, f.name) for f in fields(act)] for act in gp.actions],
+        [
+            [act.name, act.schema_name, act.name[1:-1].split()[1:], act.o_a]
+            + [sorted(decode(m)) for m in (act.pre, act.neg, act.adds, act.dels)]
+            for act in gp.actions
+        ],
         gp.init,
-        gp.goal_pos,
-        gp.goal_neg,
+        sorted(decode(gp.goal)),
+        sorted(decode(gp.goal_neg)),
     ]
-    # frozensets of atom indices are written as sorted lists
-    digest = hashlib.sha256(json.dumps(payload, default=sorted).encode()).hexdigest()
+    # sets of atom indices are written as sorted lists
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert digest == GROUNDED_MODEL_DIGESTS[task_id]
 
 
@@ -276,10 +281,11 @@ def test_frame_semantics_on_random_models():
                 continue
             idx, succ = rng.choice(succs)
             act = gp.actions[idx]
-            touched = act.adds | act.dels
+            adds, dels = decode(act.adds), decode(act.dels)
+            touched = adds | dels
             succ_ids, state_ids = decode(succ), decode(state)
             assert succ_ids - touched == state_ids - touched
-            assert act.adds <= succ_ids and not (act.dels & succ_ids)
+            assert adds <= succ_ids and not (dels & succ_ids)
             seen.append(succ)
 
 
@@ -348,7 +354,7 @@ def test_bitset_matches_reference_on_random_models():
             ref_state = frozenset(a for a in atoms if rng.random() < 0.4)
             goal_pos = frozenset(a for a in atoms if rng.random() < 0.2)
             goal_neg = frozenset(a for a in atoms if a not in goal_pos and rng.random() < 0.2)
-            goal_gp = GroundProblem(gp.atoms, gp.atom_ids, gp.actions, gp.init, goal_pos, goal_neg)
+            goal_gp = GroundProblem(gp.atoms, gp.actions, gp.init, encode(goal_pos), encode(goal_neg))
             _check_state_against_reference(goal_gp, encode(ref_state), ref_state, range(len(gp.actions)))
 
 
@@ -363,8 +369,8 @@ def test_guarded_scan_matches_reference_on_grouped_models():
     shared = never = 0
     for _ in range(80):
         gp = grouped_random_model(rng, n_atoms=rng.randint(5, 10), n_runs=rng.randint(2, 5))
-        shared += sum(len(members) > 1 for _, _, members in gp.successor_runs)
-        never += sum(1 for act in gp.actions if act.pre_pos & act.pre_neg)
+        shared += sum(len(members) > 1 for _, _, members in gp.runs)
+        never += sum(1 for act in gp.actions if act.pre & act.neg)
         _walk_reachable_against_reference(gp, probe_stride=1)
         atoms = range(len(gp.atoms))
         for _ in range(40):

@@ -5,7 +5,7 @@ import pytest
 
 from fgs.assets import TASKS, load_task
 from fgs.errors import ConfigError
-from fgs.grounding import apply_action, atom_indices, goal_satisfied, successors
+from fgs.grounding import GroundProblem, apply_action, atom_indices, goal_satisfied, successors
 from fgs.heuristics import (
     INF,
     FFHeuristic,
@@ -21,6 +21,7 @@ from .util import (
     chain_problem,
     decode,
     encode,
+    grouped_random_model,
     make_ground_problem,
     random_model,
     reference_ff,
@@ -167,7 +168,7 @@ def test_rpg_layers_monotone():
     assert [level_of[i] for i in range(6)] == [0, 1, 2, 3, 4, 5]
 
     def deepest_precondition(idx):
-        return max((level_of.get(p, INF) for p in gp.actions[idx].pre_pos), default=0)
+        return max((level_of.get(p, INF) for p in decode(gp.actions[idx].pre)), default=0)
 
     # an action fires one layer after its last precondition and gives each of
     # its new atoms the next level: an atom at level L has an achiever whose
@@ -200,14 +201,14 @@ def test_chain_landmarks_and_countdown():
     gp = chain_problem(4)
     lms = discover_landmarks(gp)
     # every intermediate fact is needed; the initial fact is not a landmark
-    assert len(lms.landmarks) == 4
+    assert len(decode(lms.landmarks)) == 4
     heur = LandmarkCountHeuristic(gp, {"landmarks": lms})
     value, ctx = heur.evaluate(gp.init)
     assert value == 4.0
     state = gp.init
     expected = 4.0
     for act in gp.actions:  # adv0, adv1, ... in order: each achieves one landmark
-        state = encode((decode(state) - act.dels) | act.adds)
+        state = encode((decode(state) - decode(act.dels)) | decode(act.adds))
         expected -= 1.0
         value, ctx = heur.evaluate(state, ctx)
         assert value == expected
@@ -221,9 +222,9 @@ def test_landmark_soundness_by_ablation():
     for _ in range(10):
         gp = random_model(rng)
         lms = discover_landmarks(gp)
-        for lm in lms.landmarks:
+        for lm in decode(lms.landmarks):
             facts = reference_reachable_without(gp, lm)
-            assert not gp.goal_pos <= facts, "landmark is not actually required"
+            assert not decode(gp.goal) <= facts, "landmark is not actually required"
 
 
 def test_required_again_counts():
@@ -311,14 +312,14 @@ def _check_against_reference(gp, states):
 
 def _check_landmarks_on_optimal_plan(gp):
     lms = discover_landmarks(gp)
-    assert lms.landmarks == reference_landmarks(gp)
+    assert decode(lms.landmarks) == reference_landmarks(gp)
     plan = search(gp, SearchConfig(algorithm="ucs")).plan
     visited = set(decode(gp.init))
     state = gp.init
     for act in plan:
         state = apply_action(state, act)
         visited |= decode(state)
-    assert lms.landmarks <= visited
+    assert decode(lms.landmarks) <= visited
 
 
 def test_exploration_matches_reference_on_random_models():
@@ -334,6 +335,29 @@ def test_exploration_matches_reference_on_random_models():
         _check_landmarks_on_optimal_plan(gp)
         saw_dead_end |= any(h("hmax", gp, s) == INF for s in arbitrary)
     assert saw_dead_end  # the inf cases were exercised
+
+
+def test_exploration_matches_reference_on_grouped_models():
+    # random_model gives every action its own schema; here runs of actions
+    # share guards, and some of their actions can never apply, yet the
+    # relaxation fires them
+    rng = random.Random(61)
+    shared = never = 0
+    for _ in range(40):
+        base = grouped_random_model(rng, n_atoms=rng.randint(5, 10), n_runs=rng.randint(2, 5))
+        atoms = range(len(base.atoms))
+        goal = encode(rng.sample(atoms, rng.randint(1, 3)))
+        gp = GroundProblem(base.atoms, base.actions, base.init, goal)
+        shared += sum(len(members) > 1 for _, _, members in gp.runs)
+        never += sum(1 for act in gp.actions if act.pre & act.neg)
+        arbitrary = [encode(a for a in atoms if rng.random() < 0.3) for _ in range(10)]
+        _check_against_reference(gp, _random_walk_states(gp, rng, walks=3, max_depth=6) + arbitrary)
+        assert decode(discover_landmarks(gp).landmarks) == reference_landmarks(gp)
+        for banned in atoms:
+            reached = relaxed_layers(gp, gp.init, banned=banned)[-1]
+            assert reached == encode(reference_reachable_without(gp, banned))
+        _check_landmark_count_along_walks(gp, rng, walks=3, max_depth=6)
+    assert shared > 100 and never > 50
 
 
 @pytest.mark.parametrize("task_id", sorted(TASKS))
@@ -404,9 +428,9 @@ def test_ff_counts_supporter_of_own_add():
 
 
 def test_relaxation_fires_actions_no_state_applies():
-    # `clash` needs s both held and not held: no state applies it, so the
-    # successor scan holds no run with it, but the relaxation ignores
-    # negative preconditions and fires it. `free` has no precondition, and
+    # `clash` needs s both held and not held: no state applies it, so no
+    # successor list holds it, but the relaxation ignores negative
+    # preconditions and fires it. `free` has no precondition, and
     # nothing reaches w, so u is out of reach whatever the state.
     def model(goal):
         return make_ground_problem(
@@ -423,14 +447,14 @@ def test_relaxation_fires_actions_no_state_applies():
 
     gp = model(["g"])
     clash = next(i for i, act in enumerate(gp.actions) if act.schema_name == "clash")
-    assert all(idx != clash for _, _, members in gp.successor_runs for idx, *_ in members)
-    assert (h("hmax", gp), h("ff", gp), h("hadd", gp)) == (2.0, 3.0, 3.0)
-    assert discover_landmarks(gp).landmarks == {gp.atom_ids[(a,)] for a in ("p", "q", "g")}
     every_state = [encode(a for a in range(6) if bits >> a & 1) for bits in range(64)]
+    assert all(idx != clash for state in every_state for idx, _ in successors(gp, state))
+    assert (h("hmax", gp), h("ff", gp), h("hadd", gp)) == (2.0, 3.0, 3.0)
+    assert decode(discover_landmarks(gp).landmarks) == {gp.atom_ids[(a,)] for a in ("p", "q", "g")}
     for goal in (["g"], ["g", "u"], ["u"]):
         gp = model(goal)
         _check_against_reference(gp, every_state)
-        assert discover_landmarks(gp).landmarks == reference_landmarks(gp)
+        assert decode(discover_landmarks(gp).landmarks) == reference_landmarks(gp)
         for banned in range(len(gp.atoms)):
             reached = relaxed_layers(gp, gp.init, banned=banned)[-1]
             assert reached == encode(reference_reachable_without(gp, banned))

@@ -34,8 +34,8 @@ from .util import (
 def simulate(gp, plan):
     state = decode(gp.init)
     for act in plan:
-        assert act.pre_pos <= state and not (act.pre_neg & state)
-        state = (state - act.dels) | act.adds
+        assert decode(act.pre) <= state and not (decode(act.neg) & state)
+        state = (state - decode(act.dels)) | decode(act.adds)
     return encode(state)
 
 

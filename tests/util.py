@@ -8,6 +8,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cache
 
 from fgs.errors import ConfigError, InternalError
 from fgs.grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
@@ -33,8 +34,11 @@ def encode(atom_ids) -> State:
     return state
 
 
+@cache
 def decode(state: State) -> frozenset[int]:
-    """The atom indices a bitset state holds, read bit by bit."""
+    """The atom indices a bitset state or mask holds, read bit by bit. The
+    references read each action's masks through it on every state, so each
+    mask is decoded once."""
     return frozenset(i for i in range(state.bit_length()) if state >> i & 1)
 
 
@@ -47,8 +51,8 @@ def make_ground_problem(atoms, actions, init, goal_pos, goal_neg=()):
     atoms = tuple(sorted(atoms))
     ids = {name: i for i, name in enumerate(atoms)}
 
-    def to_ids(names):
-        return frozenset(ids[n] for n in names)
+    def to_mask(names):
+        return encode(ids[n] for n in names)
 
     ground_actions = []
     for entry in actions:
@@ -58,22 +62,19 @@ def make_ground_problem(atoms, actions, init, goal_pos, goal_neg=()):
             GroundAction(
                 name=f"({name})",
                 schema_name=name.split()[0],
-                bound_objects=(),
                 o_a=o_a,
-                pre_pos=to_ids(pre_pos),
-                pre_neg=to_ids(pre_neg),
-                adds=to_ids(adds),
-                dels=to_ids(dels),
+                pre=to_mask(pre_pos),
+                neg=to_mask(pre_neg),
+                adds=to_mask(adds),
+                dels=to_mask(dels),
             )
         )
-    atom_tuples = tuple((a,) for a in atoms)
     return GroundProblem(
-        atoms=atom_tuples,
-        atom_ids={t: i for i, t in enumerate(atom_tuples)},
+        atoms=tuple((a,) for a in atoms),
         actions=tuple(ground_actions),
-        init=encode(to_ids(init)),
-        goal_pos=to_ids(goal_pos),
-        goal_neg=to_ids(goal_neg),
+        init=to_mask(init),
+        goal=to_mask(goal_pos),
+        goal_neg=to_mask(goal_neg),
     )
 
 
@@ -133,13 +134,19 @@ def random_model(rng: random.Random, n_atoms=8, n_actions=14):
         init = rng.sample(atoms, rng.randint(1, 3))
         gp = make_ground_problem(atoms, actions, init, [])
         # walk a few random steps to pick a genuinely reachable goal; the walk
-        # runs on frozensets, whose iteration order fixes the goal sample
-        state = frozenset(gp.atom_ids[(a,)] for a in init)
+        # runs on frozensets built from the sampled names in order, whose
+        # iteration order fixes the goal sample
+        def ids(names):
+            return frozenset(gp.atom_ids[(n,)] for n in names)
+
+        steps = [tuple(map(ids, entry[1:])) for entry in actions]
+        state = ids(init)
         for _ in range(rng.randint(1, 6)):
-            succs = reference_successors(gp, state)
+            succs = [(state - dels) | adds for pre, neg, adds, dels in steps
+                     if pre <= state and not neg & state]
             if not succs:
                 break
-            _, state = rng.choice(succs)
+            state = rng.choice(succs)
         goal_atoms = [gp.atoms[i][0] for i in state]
         if not goal_atoms:
             continue
@@ -175,19 +182,19 @@ def grouped_random_model(rng: random.Random, n_atoms=8, n_runs=4):
 
 # -- naive frozenset references for the transition code ------------------------
 # States here are frozensets of atom indices, as in the simple implementation
-# the bitset encoding replaced.
+# the bitset encoding replaced; the model's masks are read through decode.
 
 
 def reference_applicable(state: frozenset[int], act: GroundAction) -> bool:
-    return act.pre_pos <= state and not (act.pre_neg & state)
+    return decode(act.pre) <= state and not (decode(act.neg) & state)
 
 
 def reference_apply(state: frozenset[int], act: GroundAction) -> frozenset[int]:
-    return (state - act.dels) | act.adds
+    return (state - decode(act.dels)) | decode(act.adds)
 
 
 def reference_goal_satisfied(state: frozenset[int], gp: GroundProblem) -> bool:
-    return gp.goal_pos <= state and not (gp.goal_neg & state)
+    return decode(gp.goal) <= state and not (decode(gp.goal_neg) & state)
 
 
 def reference_successors(gp: GroundProblem, state: frozenset[int]):
@@ -200,10 +207,11 @@ def reference_successors(gp: GroundProblem, state: frozenset[int]):
 
 def reference_landmark_count(landmark_set, state: frozenset[int], accepted: frozenset[int] | None):
     """The landmark count heuristic on frozensets: (h, accepted landmarks)."""
-    achieved_now = landmark_set.landmarks & state
+    landmarks = decode(landmark_set.landmarks)
+    achieved_now = landmarks & state
     accepted = achieved_now if accepted is None else accepted | achieved_now
-    required_again = (accepted & landmark_set.goal_landmarks) - state
-    return float(len(landmark_set.landmarks) - len(accepted) + len(required_again)), accepted
+    required_again = (accepted & decode(landmark_set.goal_landmarks)) - state
+    return float(len(landmarks) - len(accepted) + len(required_again)), accepted
 
 
 # -- naive delete-relaxation references ----------------------------------------
@@ -221,18 +229,20 @@ def reference_relaxed_cost(gp: GroundProblem, state: State, combine) -> float:
     while changed:
         changed = False
         for act in gp.actions:
-            if not act.pre_pos <= costs.keys():
+            pre = decode(act.pre)
+            if not pre <= costs.keys():
                 continue
-            new = (combine(costs[p] for p in act.pre_pos) if act.pre_pos else 0.0) + 1.0
-            for f in act.adds:
+            new = (combine(costs[p] for p in pre) if pre else 0.0) + 1.0
+            for f in decode(act.adds):
                 if costs.get(f, INF) > new:
                     costs[f] = new
                     changed = True
-    if not gp.goal_pos:
+    goal = decode(gp.goal)
+    if not goal:
         return 0.0
-    if not gp.goal_pos <= costs.keys():
+    if not goal <= costs.keys():
         return INF
-    return combine(costs[g] for g in gp.goal_pos)
+    return combine(costs[g] for g in goal)
 
 
 def reference_rpg(gp: GroundProblem, state: State):
@@ -242,17 +252,17 @@ def reference_rpg(gp: GroundProblem, state: State):
     fact_level = {f: 0 for f in decode(state)}
     action_level: dict[int, int] = {}
     level = 0
-    while not gp.goal_pos <= fact_level.keys():
+    while not decode(gp.goal) <= fact_level.keys():
         new_actions = [
             idx
             for idx, act in enumerate(gp.actions)
-            if idx not in action_level and act.pre_pos <= fact_level.keys()
+            if idx not in action_level and decode(act.pre) <= fact_level.keys()
         ]
         for idx in new_actions:
             action_level[idx] = level
         grew = False
         for idx in new_actions:
-            for f in gp.actions[idx].adds:
+            for f in decode(gp.actions[idx].adds):
                 if f not in fact_level:
                     fact_level[f] = level + 1
                     grew = True
@@ -266,14 +276,15 @@ def reference_ff(gp: GroundProblem, state: State) -> float:
     """Greedy relaxed-plan length over reference_rpg; each needed fact takes
     the lowest-index achiever from the action layer one level down, unless
     a supporter already chosen at its level adds it."""
-    if gp.goal_pos <= decode(state):
+    goal = decode(gp.goal)
+    if goal <= decode(state):
         return 0.0
     fact_level, action_level = reference_rpg(gp, state)
-    if not gp.goal_pos <= fact_level.keys():
+    if not goal <= fact_level.keys():
         return INF
-    max_level = max(fact_level[g] for g in gp.goal_pos)
+    max_level = max(fact_level[g] for g in goal)
     needed = {lv: set() for lv in range(max_level + 1)}
-    for g in gp.goal_pos:
+    for g in goal:
         needed[fact_level[g]].add(g)
     plan_length = 0
     for level in range(max_level, 0, -1):
@@ -284,11 +295,11 @@ def reference_ff(gp: GroundProblem, state: State) -> float:
             supporter = min(
                 idx
                 for idx, act in enumerate(gp.actions)
-                if fact in act.adds and action_level.get(idx) == level - 1
+                if fact in decode(act.adds) and action_level.get(idx) == level - 1
             )
             plan_length += 1
-            covered |= gp.actions[supporter].adds
-            for p in gp.actions[supporter].pre_pos:
+            covered |= decode(gp.actions[supporter].adds)
+            for p in decode(gp.actions[supporter].pre):
                 if fact_level[p] > 0:
                     needed[fact_level[p]].add(p)
     return float(plan_length)
@@ -302,8 +313,8 @@ def reference_reachable_without(gp: GroundProblem, banned: int) -> set[int]:
     while changed:
         changed = False
         for act in gp.actions:
-            if act.pre_pos <= facts:
-                new = (act.adds - {banned}) - facts
+            if decode(act.pre) <= facts:
+                new = (decode(act.adds) - {banned}) - facts
                 if new:
                     facts |= new
                     changed = True
@@ -313,13 +324,15 @@ def reference_reachable_without(gp: GroundProblem, banned: int) -> set[int]:
 def reference_landmarks(gp: GroundProblem) -> frozenset[int]:
     """Backchaining landmark discovery over reference_reachable_without."""
     init = decode(gp.init)
-    landmarks = {g for g in gp.goal_pos if g not in init}
+    landmarks = {g for g in decode(gp.goal) if g not in init}
     queue = sorted(landmarks)
     while queue:
         lm = queue.pop(0)
         reached = reference_reachable_without(gp, lm)
         achiever_pres = [
-            act.pre_pos for act in gp.actions if lm in act.adds and act.pre_pos <= reached
+            decode(act.pre)
+            for act in gp.actions
+            if lm in decode(act.adds) and decode(act.pre) <= reached
         ]
         if not achiever_pres:
             continue
