@@ -71,9 +71,12 @@ class ExperimentConfig:
         if self.budgets is not None and self.experiment == "adaptability":
             raise ConfigError("budget curves cover the baselines and algorithms experiments, "
                               "not adaptability")
-        for budget in self.budgets or ():
+        budgets = self.budgets or ()
+        for budget in budgets:
             if budget < 0:
                 raise ConfigError(f"budget must be non-negative, got {budget}")
+            if budgets.count(budget) > 1:
+                raise ConfigError(f"budget {budget} is repeated in the budget sweep (--budget-sweep)")
         for t in self.task_types:
             if t not in TASK_TOOLS:
                 raise ConfigError(f"unknown task type '{t}'")

@@ -142,7 +142,12 @@ def cmd_bench(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    """A comma-separated list of integers; an empty item or list is an error."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

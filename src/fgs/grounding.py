@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import groupby, product
-from operator import and_
+from operator import and_, or_
 
 from .errors import GroundingError
 from .pddl import Atom, DomainDef, Literal, ProblemDef
@@ -64,16 +64,18 @@ class GroundProblem:
         return {atom: i for i, atom in enumerate(self.atoms)}
 
     @cached_property
-    def runs(self) -> tuple[tuple[State, State, tuple], ...]:
-        """The one scan index over the actions: a (guard, guard_pre, members)
-        per run of consecutive actions of one schema. Each member is
+    def runs(self) -> tuple[tuple[State, State, tuple, State], ...]:
+        """The one scan index over the actions: a (guard, guard_pre, members,
+        union) per run of consecutive actions of one schema. Each member is
         (index, pre ^ neg, pre, ~dels, adds); the action applies exactly when
         state & (pre ^ neg) == pre, which no state passes when pre and neg
         overlap. guard_pre is the AND of the members' pre, and a state that
         applies a member passes state & guard == guard_pre, where the guard
         adds the negative preconditions all members share. successors tests
         the full guard; the delete relaxation, which ignores negative
-        preconditions, tests state & guard_pre == guard_pre."""
+        preconditions, tests state & guard_pre == guard_pre, and skips a run
+        once its union, the OR of the members' adds, holds no atom it still
+        needs."""
         runs = []
         for _, group in groupby(enumerate(self.actions), key=lambda item: item[1].schema_name):
             acts = list(group)
@@ -81,7 +83,8 @@ class GroundProblem:
                             for idx, act in acts)
             guard_pre = reduce(and_, (act.pre for _, act in acts))
             guard_neg = reduce(and_, (act.neg for _, act in acts))
-            runs.append((guard_pre | guard_neg, guard_pre, members))
+            union = reduce(or_, (act.adds for _, act in acts))
+            runs.append((guard_pre | guard_neg, guard_pre, members, union))
         return tuple(runs)
 
     @cached_property
@@ -101,12 +104,6 @@ class GroundProblem:
         return relevant
 
     @cached_property
-    def relevant_adds(self) -> tuple[tuple[int, ...], ...]:
-        """Per action, the goal-relevant atoms it adds, in ascending order."""
-        relevant = self.goal_relevant
-        return tuple(tuple(atom_indices(act.adds & relevant)) for act in self.actions)
-
-    @cached_property
     def joins(self) -> tuple[dict[str, int], frozenset[str]]:
         """The join schemas, each with the number of tool parts its
         groundings bind, and every object some join binds."""
@@ -114,29 +111,26 @@ class GroundProblem:
         return parts, frozenset(obj for act in self.actions for obj in act.o_a)
 
     @cached_property
-    def consumers(self) -> tuple[tuple[int, ...], ...]:
-        """Per atom, the indices of actions with it as a positive precondition."""
-        return self._index_by_atom(lambda act: act.pre)
+    def consumers(self) -> tuple[tuple[tuple[int, State, tuple[int, ...]], ...], ...]:
+        """Per atom, an (index, pre, relevant adds) for each action that has
+        it as a positive precondition and adds a goal-relevant atom; the
+        relevant adds are those atoms' indices in ascending order."""
+        relevant = self.goal_relevant
+        index: list[list[tuple]] = [[] for _ in self.atoms]
+        for idx, act in enumerate(self.actions):
+            adds = act.adds & relevant
+            if adds:
+                entry = (idx, act.pre, tuple(atom_indices(adds)))
+                for atom in atom_indices(act.pre):
+                    index[atom].append(entry)
+        return tuple(map(tuple, index))
 
     @cached_property
     def achievers(self) -> tuple[tuple[int, ...], ...]:
         """Per atom, the indices of actions that add it, in ascending order."""
-        return self._index_by_atom(lambda act: act.adds)
-
-    @cached_property
-    def precondition_free(self) -> tuple[int, ...]:
-        """Indices of actions with no positive precondition."""
-        return tuple(idx for idx, act in enumerate(self.actions) if not act.pre)
-
-    @cached_property
-    def precondition_counts(self) -> tuple[int, ...]:
-        """Per action, the number of its positive preconditions."""
-        return tuple(act.pre.bit_count() for act in self.actions)
-
-    def _index_by_atom(self, mask_of) -> tuple[tuple[int, ...], ...]:
         index: list[list[int]] = [[] for _ in self.atoms]
         for idx, act in enumerate(self.actions):
-            for atom in atom_indices(mask_of(act)):
+            for atom in atom_indices(act.adds):
                 index[atom].append(idx)
         return tuple(map(tuple, index))
 
@@ -175,7 +169,7 @@ def successors(gp: GroundProblem, state: State, cache: dict | None = None):
         if hit is not None:
             return hit
     out = []
-    for guard, guard_pre, members in gp.runs:
+    for guard, guard_pre, members, _ in gp.runs:
         if state & guard == guard_pre:
             out += [(idx, state & keep | adds)
                     for idx, test, pre, keep, adds in members if state & test == pre]

@@ -6,13 +6,14 @@ bound on true cost. Unit action costs throughout. Sets of atoms are the bit
 masks of the grounded model (see grounding). One layered exploration,
 relaxed_layers, backs h_max, FF and landmark discovery: its layers are
 masks, grown by one mask test per action over the schema runs of
-GroundProblem.runs, each tested on its guard_pre alone. Layer k holds
-exactly the atoms of level at most k in the relaxed planning graph, so
-h_max is the index of the goal's layer and FF's plan is extracted from the
-masks. h_add settles atom costs
-in one bucket-queue Dijkstra pass of its own over the goal-relevant atoms
-only (GroundProblem.goal_relevant): no other atom's cost feeds a goal
-atom's, so leaving them out gives the same sum.
+GroundProblem.runs, each tested on its guard_pre alone. Only goal-relevant
+atoms (GroundProblem.goal_relevant) feed a goal atom's cost, so with a
+goal, layer k holds the state plus exactly the goal-relevant atoms of level
+at most k in the relaxed planning graph, and a run or action leaves the
+scan once the goal-relevant atoms it adds are reached. h_max is the index
+of the goal's layer and FF's plan is extracted from the masks. h_add
+settles the goal-relevant atoms' costs in one bucket-queue Dijkstra pass
+of its own, seeded with the atoms one layer of that scan adds.
 
 The landmark heuristic counts discovered-but-unachieved landmarks plus goal
 landmarks that were achieved and then undone (required again); landmark
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .errors import ConfigError
+from .errors import ConfigError, InternalError
 from .grounding import GroundProblem, State, atom_indices
 
 INF = float("inf")
@@ -56,6 +57,48 @@ class ZeroHeuristic(Heuristic):
         return 0.0, None
 
 
+def _next_layer(guarded, unfired, reached: State, missing: State):
+    """One layer of the pruned scan: (added, guarded, unfired) after it.
+
+    *added* is the OR of the adds of every action, among the runs in
+    *guarded* and the members in *unfired*, that can still add an atom of
+    *missing* and whose positive preconditions *reached* holds. A run
+    whose union holds no atom of *missing* is dropped before its guard_pre
+    is tested, and so is a member whose adds hold none, since *missing*
+    only shrinks; a run's scan ends once the members fired so far cover
+    its union's missing atoms. The runs whose guard_pre failed and the
+    members that did not fire come back for the next layer."""
+    added = 0
+    waiting = []
+    for member in unfired:
+        adds = member[4]
+        if adds & missing:
+            if reached & member[2] == member[2]:
+                added |= adds
+            else:
+                waiting.append(member)
+    still_guarded = []
+    for run in guarded:
+        wanted = run[3] & missing
+        if not wanted:
+            continue
+        guard = run[1]
+        if reached & guard != guard:
+            still_guarded.append(run)
+            continue
+        fired = 0
+        for member in run[2]:
+            adds = member[4]
+            if reached & member[2] == member[2]:
+                fired |= adds
+                if fired & wanted == wanted:
+                    break
+            elif adds & missing:
+                waiting.append(member)
+        added |= fired
+    return added, still_guarded, waiting
+
+
 def relaxed_layers(
     gp: GroundProblem, state: State, banned: int | None = None, goal: State | None = None
 ) -> list[State]:
@@ -65,42 +108,32 @@ def relaxed_layers(
     first layer holding it, is its h_max cost under unit cost.
 
     Each layer scans gp.runs: a run whose guard_pre the layer lacks is
-    skipped whole, and an action that has fired leaves the scan, since its
-    adds are in every later layer. *banned* is struck from every add. With
-    *goal*, a mask, the layers stop at the first that holds it; they
-    always stop at the fixpoint, which is never repeated.
+    skipped whole, and an action leaves the scan once it has fired or its
+    adds hold no atom still missing. *banned* is struck from every add.
+    With *goal*, a mask of goal-relevant atoms (GroundProblem.goal_relevant),
+    only goal-relevant atoms are added, so layer k holds *state* plus the
+    goal-relevant atoms of level at most k; the layers stop at the first
+    that holds *goal*. They always stop at the fixpoint, which is never
+    repeated.
     """
-    keep = -1 if banned is None else ~(1 << banned)
+    if goal is None:
+        keep = -1
+    else:
+        keep = gp.goal_relevant
+        if goal & ~keep:
+            raise InternalError("relaxed_layers: goal holds atoms that are not goal-relevant")
+    if banned is not None:
+        keep &= ~(1 << banned)
     layers = [state]
     reached = state
-    guarded = gp.runs  # runs whose guard_pre has not yet passed
-    unfired: list[tuple] = []  # the other runs' unfired members
+    guarded, unfired = gp.runs, ()
     while goal is None or reached & goal != goal:
-        added = 0
-        waiting = []
-        for member in unfired:
-            if reached & member[2] == member[2]:
-                added |= member[4]
-            else:
-                waiting.append(member)
-        still_guarded = []
-        for run in guarded:
-            guard = run[1]
-            if reached & guard != guard:
-                still_guarded.append(run)
-                continue
-            for member in run[2]:
-                if reached & member[2] == member[2]:
-                    added |= member[4]
-                else:
-                    waiting.append(member)
+        added, guarded, unfired = _next_layer(guarded, unfired, reached, keep & ~reached)
         grown = reached | added & keep
         if grown == reached:
             break
         reached = grown
         layers.append(reached)
-        unfired = waiting
-        guarded = still_guarded
     return layers
 
 
@@ -140,50 +173,54 @@ class AddHeuristic(_RelaxationHeuristic):
     atom has settled.
 
     An atom costs 0 in *state*, else the least over its achievers of 1 plus
-    the sum of the achiever's precondition costs. Each action counts its
-    unsettled preconditions and keeps 1 plus the sum of the settled ones;
-    when its last precondition settles, its adds are queued at that price.
-    A price is at least 1 above the cost being settled, so under unit cost a
-    bucket queue (cost -> atoms) pops in order without a heap. Only
-    goal-relevant atoms are queued, in *state* and in adds alike.
+    the sum of the achiever's precondition costs. Only goal-relevant atoms
+    are priced: the atoms one action away from *state* cost 1 and come
+    from one layer of the pruned scan behind relaxed_layers; after that,
+    each settled atom visits its consumers (GroundProblem.consumers), which
+    add its cost to their price and, once every precondition has settled,
+    queue their relevant adds at that price. An atom outside *state* is
+    queued only below its best queued price. A price is at least 1 above
+    the cost being settled, so under unit cost a bucket queue (cost ->
+    atoms) pops in order without a heap.
     """
 
     name = "hadd"
 
     def _estimate(self, state):
         gp = self.gp
-        adds = gp.relevant_adds
         consumers = gp.consumers
         goal = gp.goal
-        waiting = list(gp.precondition_counts)
-        price = [1] * len(waiting)
-        buckets = {
-            0: atom_indices(state & gp.goal_relevant),
-            1: [f for idx in gp.precondition_free for f in adds[idx]],
-        }
-        settled: set[int] = set()
-        unsettled_goals = goal.bit_count()
+        missing = gp.goal_relevant & ~state
+        ones = atom_indices(_next_layer(gp.runs, (), state, missing)[0] & missing)
+        best = dict.fromkeys(ones, 1)  # per queued atom, its lowest price
+        buckets = {1: ones}
+        price: dict[int, int] = {}
+        settled = state
+        unsettled_goals = (goal & ~state).bit_count()
         total = 0
         while buckets:
             cost = min(buckets)
             for f in buckets.pop(cost):
-                if f in settled:
-                    continue
-                settled.add(f)
+                if best[f] != cost:
+                    continue  # superseded by a lower price
+                settled |= 1 << f
                 if goal >> f & 1:
                     total += cost
                     unsettled_goals -= 1
                     if not unsettled_goals:
                         return float(total)
-                for idx in consumers[f]:
-                    price[idx] += cost
-                    waiting[idx] -= 1
-                    if not waiting[idx]:
-                        p = price[idx]
-                        if p in buckets:
-                            buckets[p].extend(adds[idx])
-                        else:
-                            buckets[p] = list(adds[idx])
+                for idx, pre, adds in consumers[f]:
+                    p = price.get(idx, 1) + cost
+                    if settled & pre != pre:
+                        price[idx] = p
+                        continue
+                    for a in adds:
+                        if p < best.get(a, INF) and not state >> a & 1:
+                            best[a] = p
+                            if p in buckets:
+                                buckets[p].append(a)
+                            else:
+                                buckets[p] = [a]
         return INF
 
 

@@ -275,6 +275,24 @@ def test_bench_adaptability_budget_sweep_exits_two(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("sweep", [",", "", "1,,2", "1,", "x"])
+def test_bench_malformed_budget_sweep_exits_two(sweep, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--experiment", "algorithms", f"--budget-sweep={sweep}",
+              "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --budget-sweep: expected comma-separated integers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bench_repeated_budget_exits_two(tmp_path, capsys):
+    code = main(["bench", "--experiment", "algorithms", "--budget-sweep", "2,0,2",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert "budget 2 is repeated in the budget sweep (--budget-sweep)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_plan_non_finite_weight_exits_two(weight, capsys):
     code = main(["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", weight])

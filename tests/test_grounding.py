@@ -369,7 +369,7 @@ def test_guarded_scan_matches_reference_on_grouped_models():
     shared = never = 0
     for _ in range(80):
         gp = grouped_random_model(rng, n_atoms=rng.randint(5, 10), n_runs=rng.randint(2, 5))
-        shared += sum(len(members) > 1 for _, _, members in gp.runs)
+        shared += sum(len(members) > 1 for _, _, members, _ in gp.runs)
         never += sum(1 for act in gp.actions if act.pre & act.neg)
         _walk_reachable_against_reference(gp, probe_stride=1)
         atoms = range(len(gp.atoms))

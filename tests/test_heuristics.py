@@ -1,10 +1,11 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
 from fgs.assets import TASKS, load_task
-from fgs.errors import ConfigError
+from fgs.errors import ConfigError, InternalError
 from fgs.grounding import GroundProblem, apply_action, atom_indices, goal_satisfied, successors
 from fgs.heuristics import (
     INF,
@@ -348,7 +349,7 @@ def test_exploration_matches_reference_on_grouped_models():
         atoms = range(len(base.atoms))
         goal = encode(rng.sample(atoms, rng.randint(1, 3)))
         gp = GroundProblem(base.atoms, base.actions, base.init, goal)
-        shared += sum(len(members) > 1 for _, _, members in gp.runs)
+        shared += sum(len(members) > 1 for _, _, members, _ in gp.runs)
         never += sum(1 for act in gp.actions if act.pre & act.neg)
         arbitrary = [encode(a for a in atoms if rng.random() < 0.3) for _ in range(10)]
         _check_against_reference(gp, _random_walk_states(gp, rng, walks=3, max_depth=6) + arbitrary)
@@ -459,3 +460,85 @@ def test_relaxation_fires_actions_no_state_applies():
             reached = relaxed_layers(gp, gp.init, banned=banned)[-1]
             assert reached == encode(reference_reachable_without(gp, banned))
     assert h("hmax", gp) == h("ff", gp) == h("hadd", gp) == INF
+
+
+# -- the goal-relevant pruning of the scan ---------------------------------------
+
+
+def _check_pruned_scan(gp, states):
+    """h_max, h_add and FF against the references on *states*; from each
+    state as the initial one, the landmarks against the reference; and,
+    with each atom of a run's union banned, the full layers against the
+    reference and the goal-pruned layers against the full ones cut down to
+    the state plus the goal-relevant atoms and stopped at the goal."""
+    _check_against_reference(gp, states)
+    relevant = gp.goal_relevant
+    unions = 0
+    for _, _, _, union in gp.runs:
+        unions |= union
+    for state in states:
+        start = replace(gp, init=state)
+        assert decode(discover_landmarks(start).landmarks) == reference_landmarks(start)
+        for banned in [None, *atom_indices(unions)]:
+            full = relaxed_layers(gp, state, banned=banned)
+            if banned is not None:
+                assert full[-1] == encode(reference_reachable_without(start, banned))
+            expected = []
+            for layer in full:
+                layer &= state | relevant
+                if expected and layer == expected[-1]:
+                    break
+                expected.append(layer)
+                if layer & gp.goal == gp.goal:
+                    break
+            assert relaxed_layers(gp, state, banned=banned, goal=gp.goal) == expected
+
+
+def _wide_run_model(goal):
+    # Like a join-* schema: four members in one run, each adding the shared
+    # goal-relevant has plus an atom of its own that no goal needs. Only
+    # join0 adds bonus, and it needs p0, which needs has: the run's scan must
+    # not end at the first has while bonus is still missing.
+    parts = range(4)
+    actions = [(f"get p{i}", ["s"], [], [f"p{i}"], []) for i in parts[1:]]
+    actions.append(("make p0", ["has"], [], ["p0"], []))
+    actions += [
+        (f"join {i}", ["s", f"p{i}"], [], ["has", f"x{i}", *(["bonus"] if i == 0 else [])], [])
+        for i in parts
+    ]
+    actions.append(("use", ["has", "bonus"], [], ["g"], ["has"]))
+    atoms = ["s", "has", "bonus", "g", *(f"p{i}" for i in parts), *(f"x{i}" for i in parts)]
+    return make_ground_problem(atoms, actions, ["s"], goal)
+
+
+def test_pruned_scan_matches_reference_on_a_wide_run():
+    # every state for the goal g; every fifth for two more goals
+    for goal, step in ((["g"], 1), (["has"], 5), (["g", "x2"], 5)):
+        gp = _wide_run_model(goal)
+        width = max(len(members) for _, _, members, _ in gp.runs)
+        assert width == 4 and gp.goal_relevant != (1 << len(gp.atoms)) - 1
+        n = len(gp.atoms)
+        states = [encode(a for a in range(n) if bits >> a & 1) for bits in range(0, 1 << n, step)]
+        _check_pruned_scan(gp, states)
+    # get p1, join 1, make p0, join 0, use: has costs 2, p0 3, bonus 4
+    gp = _wide_run_model(["g"])
+    assert (h("hmax", gp), h("hadd", gp), h("ff", gp)) == (5.0, 7.0, 5.0)
+
+
+def test_pruned_scan_matches_reference_on_grouped_models():
+    rng = random.Random(1616)
+    for _ in range(40):
+        base = grouped_random_model(rng, n_atoms=rng.randint(5, 10), n_runs=rng.randint(2, 5))
+        atoms = range(len(base.atoms))
+        goal = encode(rng.sample(atoms, rng.randint(1, 3)))
+        gp = GroundProblem(base.atoms, base.actions, base.init, goal)
+        arbitrary = [encode(a for a in atoms if rng.random() < 0.3) for _ in range(10)]
+        _check_pruned_scan(gp, _random_walk_states(gp, rng, walks=3, max_depth=6) + arbitrary)
+
+
+def test_relaxed_layers_rejects_a_goal_outside_the_relevant_atoms():
+    gp = _wide_run_model(["g"])
+    irrelevant = encode([gp.atom_ids[("x1",)]])
+    assert not irrelevant & gp.goal_relevant
+    with pytest.raises(InternalError, match="not goal-relevant"):
+        relaxed_layers(gp, gp.init, goal=gp.goal | irrelevant)
