@@ -53,11 +53,19 @@ def _search_config(args) -> SearchConfig:
     )
 
 
+def _load_scenario(args, gp):
+    """The --scenario file checked against the grounded problem, or None."""
+    if not args.scenario:
+        return None
+    scenario = load_scenario(args.scenario)
+    check_alignment(gp, scenario)
+    return scenario
+
+
 def cmd_validate(args) -> int:
     domain, problem, gp = _load_model(args)
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-        check_alignment(gp, scenario)
+    scenario = _load_scenario(args, gp)
+    if scenario is not None:
         print(f"scenario {scenario.scenario_id}: {len(scenario.objects)} objects, "
               f"tools {', '.join(scenario.tools)}")
     print(f"domain {domain.name}: {len(domain.action_schemas)} schemas, "
@@ -70,12 +78,11 @@ def cmd_validate(args) -> int:
 def cmd_plan(args) -> int:
     _, _, gp = _load_model(args)
     cfg = _search_config(args)
+    scenario = _load_scenario(args, gp)
     scorer = None
     if cfg.use_feature_score:
-        if not args.scenario:
+        if scenario is None:
             raise ConfigError("--features on requires --scenario")
-        scenario = load_scenario(args.scenario)
-        check_alignment(gp, scenario)
         scorer = JoinScorer(scenario.registry(), sense(scenario, args.noise == "on"))
     result = search(gp, cfg, scorer=scorer)
     log.info("search status=%s nodes=%d", result.status, result.nodes_expanded)
@@ -182,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="run a single search and print the plan")
     add_model_args(p)
     add_search_args(p)
-    p.add_argument("--scenario", help="scenario JSON file (needed with --features on)")
+    p.add_argument("--scenario", help="scenario JSON file, checked against the problem "
+                   "(needed with --features on)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("episode", help="run a plan-execute-replan episode")

@@ -1,14 +1,15 @@
 """File-driven stand-ins for perception: object profiles, scenarios, noise.
 
 A scenario bundles the candidate objects' perception outputs (shape/material
-confidences plus capability flags), the tool specs its join actions need,
-the annotated ground-truth pair, and a seeded noise spec. Profiles carry
+confidences plus capability flags), the names of its candidate tools, the
+annotated ground-truth pair, and a seeded noise spec. Profiles carry
 network *outputs*, never raw features; noise is injected here so scoring
 stays deterministic.
 
 Scenario files are JSON with a format_version field. The record dataclasses
 are the schema: each field is read through the check its annotation implies
-(see the README for the field table).
+(see the README for the field table). A tool's spec is domain knowledge,
+not part of the file: every scenario reads it from TOOL_TABLE by name.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .scoring import (
     material_fit,
 )
 
-FORMAT_VERSION = 1
+SCENARIO_FORMAT_VERSION = 2
+LIBRARY_FORMAT_VERSION = 1
 
 TOOL_TABLE: dict[str, ToolSpec] = {
     "hammer": ToolSpec(
@@ -113,6 +115,15 @@ def _as_material(value, where: str) -> str:
     return value
 
 
+def _format_version(supported: int):
+    def check(value, where: str) -> int:
+        if _SCALARS[int](value, where) != supported:
+            raise ValidationError(f"{where}: unsupported format_version {value}")
+        return value
+
+    return check
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     seed: int = 0
@@ -153,30 +164,26 @@ def _as_ground_truth(value, where: str) -> GroundTruth:
 
 @dataclass(frozen=True)
 class Scenario:
-    format_version: int
+    # checked first, so a file of another version fails on its version alone
+    format_version: int = field(metadata={"check": _format_version(SCENARIO_FORMAT_VERSION)})
     scenario_id: str
     task_type: str
     objects: tuple[ObjectProfile, ...]
     ground_truth: GroundTruth = field(metadata={"check": _as_ground_truth})
-    tool_specs: tuple[ToolSpec, ...]
+    tools: tuple[str, ...]  # TOOL_TABLE names; one unless both can finish the task
     noise: NoiseSpec = NoiseSpec()
-
-    @property
-    def tools(self) -> tuple[str, ...]:
-        """The candidate tools, one per spec; one unless both can finish the task."""
-        return tuple(spec.tool for spec in self.tool_specs)
 
     def profiles(self) -> dict[str, ObjectProfile]:
         return {o.object_id: o for o in self.objects}
 
     def registry(self) -> dict[str, ToolSpec]:
-        return {spec.join_action_name: spec for spec in self.tool_specs}
+        """The spec of each candidate tool, by its join action name."""
+        return {TOOL_TABLE[t].join_action_name: TOOL_TABLE[t] for t in self.tools}
 
     def spec_for_tool(self, tool: str) -> ToolSpec:
-        for spec in self.tool_specs:
-            if spec.tool == tool:
-                return spec
-        raise ValidationError(f"scenario '{self.scenario_id}' has no spec for tool '{tool}'")
+        if tool not in self.tools:
+            raise ValidationError(f"scenario '{self.scenario_id}' has no tool '{tool}'")
+        return TOOL_TABLE[tool]
 
 
 @dataclass(frozen=True)
@@ -193,27 +200,22 @@ class LibraryObject:
 
 @dataclass(frozen=True)
 class _LibraryFile:
-    format_version: int
+    format_version: int = field(metadata={"check": _format_version(LIBRARY_FORMAT_VERSION)})
     objects: tuple[LibraryObject, ...]
 
 
 def validate_scenario(sc: Scenario) -> None:
     where = f"scenario '{sc.scenario_id}'"
     sc.noise.validate()
-    if sc.format_version != FORMAT_VERSION:
-        raise ValidationError(f"{where}: unsupported format_version {sc.format_version}")
-    if not sc.tool_specs:
-        raise ValidationError(f"{where}: tool_specs is empty")
-    known_roles: set[str] = set()
-    for i, spec in enumerate(sc.tool_specs):
-        spec.validate()
-        if any(other.tool == spec.tool for other in sc.tool_specs[:i]):
-            raise ValidationError(f"tool_specs[{i}].tool: duplicate tool '{spec.tool}'")
-        if any(other.join_action_name == spec.join_action_name for other in sc.tool_specs[:i]):
-            raise ValidationError(f"tool_specs[{i}].join_action_name: duplicate join action "
-                                  f"'{spec.join_action_name}'")
-        known_roles.add(spec.action_part_role)
-        known_roles.add(spec.grasp_part_role)
+    if not sc.tools:
+        raise ValidationError("tools: no candidate tool")
+    for i, tool in enumerate(sc.tools):
+        if tool not in TOOL_TABLE:
+            raise ValidationError(f"tools[{i}]: unknown tool '{tool}'")
+        if tool in sc.tools[:i]:
+            raise ValidationError(f"tools[{i}]: duplicate tool '{tool}'")
+    known_roles = {role for spec in sc.registry().values()
+                   for role in (spec.action_part_role, spec.grasp_part_role)}
     ids = set()
     for i, obj in enumerate(sc.objects):
         obj.validate(known_roles, where=f"objects[{i}]")
@@ -241,12 +243,10 @@ def validate_scenario(sc: Scenario) -> None:
 
 
 def _to_json(value):
-    """The JSON form of a record: its dataclass fields in order, a frozenset
-    as a sorted list, a tuple as a list, a dict with its keys sorted."""
+    """The JSON form of a record: its dataclass fields in order, a tuple as
+    a list, a dict with its keys sorted."""
     if is_dataclass(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, frozenset):
-        return sorted(value)
     if isinstance(value, (tuple, list)):
         return [_to_json(v) for v in value]
     if isinstance(value, dict):
@@ -267,8 +267,8 @@ def _field_checks(cls) -> dict:
 
 
 def _check_for(tp):
-    """The check for a field annotated *tp*: a scalar, dict[str, X], a
-    tuple[X, ...] or frozenset[X] read from a list, or a record."""
+    """The check for a field annotated *tp*: a scalar, dict[str, X],
+    tuple[X, ...] read from a list, or a record."""
     if tp in _SCALARS:
         return _SCALARS[tp]
     if is_dataclass(tp):
@@ -279,9 +279,9 @@ def _check_for(tp):
         return lambda value, where: {
             k: value_check(v, f"{where}.{k}") for k, v in _as_object(value, where).items()
         }
-    if origin in (tuple, frozenset):
+    if origin is tuple:
         item_check = _check_for(args[0])
-        return lambda value, where: origin(
+        return lambda value, where: tuple(
             item_check(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where))
         )
     raise InternalError(f"no JSON check for a field of type {tp}")
@@ -289,19 +289,19 @@ def _check_for(tp):
 
 def _record(cls, data, where: str):
     """An instance of *cls* read from a JSON object: every field through its
-    check; an absent field takes its dataclass default, and a key that
-    names no field is an error."""
+    check, in field order; an absent field takes its dataclass default,
+    and a key that names no field is an error."""
     data = _as_object(data, where)
     checks = _field_checks(cls)
-    for key in data:
-        if key not in checks:
-            raise ValidationError(f"{where}.{key}: unknown field")
     values = {}
     for f in fields(cls):
         if f.name in data:
             values[f.name] = checks[f.name](data[f.name], f"{where}.{f.name}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"{where}.{f.name}: missing required field")
+    for key in data:
+        if key not in checks:
+            raise ValidationError(f"{where}.{key}: unknown field")
     return cls(**values)
 
 
@@ -365,15 +365,14 @@ def sense(scenario: Scenario, noise_on: bool) -> dict[str, ObjectProfile]:
 
 def _misread_material(profile: ObjectProfile, spec: ToolSpec) -> ObjectProfile:
     """Drop every allowed-material confidence below threshold, moving the
-    lost mass onto a class the tool cannot use; when the tool allows every
-    class, the lost mass is dropped."""
+    lost mass onto a class the tool cannot use (every table tool leaves one
+    out)."""
     conf = dict(profile.material_conf)
-    sink = next((c for c in MATERIAL_CLASSES if c not in spec.allowed_materials), None)
+    sink = next(c for c in MATERIAL_CLASSES if c not in spec.allowed_materials)
     for cls in sorted(spec.allowed_materials):
         v = conf.get(cls, 0.0)
         if v > 0.3:
-            if sink is not None:
-                conf[sink] = conf.get(sink, 0.0) + (v - 0.3)
+            conf[sink] = conf.get(sink, 0.0) + (v - 0.3)
             conf[cls] = 0.3
     return replace(profile, material_conf=conf)
 
@@ -401,12 +400,7 @@ def _misread_attachment(out: dict[str, ObjectProfile], gt: GroundTruth) -> None:
 
 def load_library(path) -> tuple[LibraryObject, ...]:
     path = Path(path)
-    library = _record(_LibraryFile, _load_json(path), path.name)
-    if library.format_version != FORMAT_VERSION:
-        raise ValidationError(
-            f"{path.name}.format_version: unsupported format_version {library.format_version}"
-        )
-    return library.objects
+    return _record(_LibraryFile, _load_json(path), path.name).objects
 
 
 def default_library() -> tuple[LibraryObject, ...]:
@@ -424,9 +418,9 @@ def _residual_materials(dominant: str, conf: float) -> dict[str, float]:
     return {dominant: conf, order[0]: round(rest * 0.35, 6), order[1]: round(rest * 0.2, 6)}
 
 
-def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_tool: str,
+def _build_scenario(scenario_id: str, task_type: str, tools: tuple[str, ...], gt_tool: str,
                     rng: random.Random, library, noise: NoiseSpec) -> Scenario:
-    gt_spec = next(s for s in specs if s.tool == gt_tool)
+    gt_spec = TOOL_TABLE[gt_tool]
     action_pool = [
         o
         for o in library
@@ -453,7 +447,8 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
     # can_attach reads only the capability flags, which library objects share
     attachable, _ = can_attach(("action", "grasp"), {"action": action_lib, "grasp": grasp_lib})
     magnet_override = not attachable
-    roles = sorted({role for s in specs for role in (s.action_part_role, s.grasp_part_role)})
+    roles = sorted({role for t in tools
+                    for role in (TOOL_TABLE[t].action_part_role, TOOL_TABLE[t].grasp_part_role)})
     profiles = []
     for idx, lib in enumerate(lineup):
         oid = f"obj{idx}"
@@ -485,12 +480,12 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
             gt_grasp_id = oid
 
     sc = Scenario(
-        format_version=FORMAT_VERSION,
+        format_version=SCENARIO_FORMAT_VERSION,
         scenario_id=scenario_id,
         task_type=task_type,
         objects=tuple(profiles),
         ground_truth=GroundTruth(gt_action_id, gt_grasp_id, gt_tool),
-        tool_specs=tuple(specs),
+        tools=tools,
         noise=noise,
     )
     validate_scenario(sc)
@@ -501,24 +496,25 @@ def _build_scenario(scenario_id: str, task_type: str, specs: list[ToolSpec], gt_
 def _check_ground_truth_ranks_first(sc: Scenario) -> None:
     """Generator self-check: under noiseless trusted scoring, the annotated
     pair must strictly outrank every other (pair, join) combination."""
-    score = JoinScorer(sc.registry(), sc.profiles()).score
+    registry = sc.registry()
+    score = JoinScorer(registry, sc.profiles()).score
     gt = sc.ground_truth
     gt_action = sc.spec_for_tool(gt.tool).join_action_name
     ids = [o.object_id for o in sc.objects]
     best = score(gt_action, gt.pair)
     if best == NEG_INF:
         raise InternalError(f"{sc.scenario_id}: ground-truth pair scores -inf")
-    for spec in sc.tool_specs:
+    for join in registry:
         for a in ids:
             for b in ids:
                 if a == b:
                     continue
-                if (a, b) == gt.pair and spec.join_action_name == gt_action:
+                if (a, b) == gt.pair and join == gt_action:
                     continue
-                phi = score(spec.join_action_name, (a, b))
+                phi = score(join, (a, b))
                 if phi >= best:
                     raise InternalError(
-                        f"{sc.scenario_id}: pair ({a},{b}) via {spec.join_action_name} "
+                        f"{sc.scenario_id}: pair ({a},{b}) via {join} "
                         f"scores {phi:.4f} >= ground truth {best:.4f}"
                     )
 
@@ -539,22 +535,22 @@ def generate_benchmark(
     if tool not in TASK_TOOLS.get(task_type, ()):
         raise ValidationError(f"tool '{tool}' is not registered for task type '{task_type}'")
     return _generate(
-        task_type, [TOOL_TABLE[tool]], tool, f"gen:{seed}:{task_type}:{tool}",
+        task_type, (tool,), tool, f"gen:{seed}:{task_type}:{tool}",
         cases, library, noise_overrides,
     )
 
 
-def _generate(task_type, specs, label, rng_key, cases, library, noise_overrides):
+def _generate(task_type, tools, label, rng_key, cases, library, noise_overrides):
     """Case i is '<task_type>_<label>_case<i>', drawn from the rng seeded
-    '<rng_key>:<i>'; its ground-truth tool cycles through *specs*."""
+    '<rng_key>:<i>'; its ground-truth tool cycles through *tools*."""
     library = library or default_library()
     out = []
     for i in range(cases):
         rng = random.Random(f"{rng_key}:{i}")
         noise = (noise_overrides or {}).get(i) or NoiseSpec(seed=rng.randrange(2**31))
-        gt_tool = specs[i % len(specs)].tool
         out.append(_build_scenario(
-            f"{task_type}_{label}_case{i:02d}", task_type, specs, gt_tool, rng, library, noise
+            f"{task_type}_{label}_case{i:02d}", task_type, tools, tools[i % len(tools)], rng,
+            library, noise,
         ))
     return out
 
@@ -636,6 +632,6 @@ def generate_adaptability(
     if tools is None:
         raise ValidationError(f"unknown task type '{task_type}'")
     return _generate(
-        task_type, [TOOL_TABLE[t] for t in tools], "either", f"gen-adapt:{seed}:{task_type}",
+        task_type, tools, "either", f"gen-adapt:{seed}:{task_type}",
         cases, library, noise_overrides,
     )

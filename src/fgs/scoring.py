@@ -73,13 +73,6 @@ class ToolSpec:
     use_action: str  # the task action this tool enables, e.g. "hit"
     grasp_part_role: str = "handle"
 
-    def validate(self) -> None:
-        if not self.allowed_materials:
-            raise ConfigError(f"tool '{self.tool}': allowed_materials is empty")
-        unknown = self.allowed_materials - set(MATERIAL_CLASSES)
-        if unknown:
-            raise ConfigError(f"tool '{self.tool}': unknown materials {sorted(unknown)}")
-
 
 # The paper's weights and material threshold; every episode scores with them.
 LAMBDA_SHAPE = 1.0

@@ -162,20 +162,13 @@ def _everything_goes_scenario():
             "can_be_grasped": True,
             "has_magnet": True,
         })
-    spec = TOOL_TABLE["hammer"]
     return scenario_from_json({
-        "format_version": 1,
+        "format_version": 2,
         "scenario_id": "ceiling_worst_case",
         "task_type": "woodworking",
         "objects": objects,
         "ground_truth": {"action_part": "obj9", "grasp_part": "obj8", "tool": "hammer"},
-        "tool_specs": [{
-            "tool": spec.tool,
-            "join_action_name": spec.join_action_name,
-            "action_part_role": spec.action_part_role,
-            "allowed_materials": sorted(spec.allowed_materials),
-            "use_action": spec.use_action,
-        }],
+        "tools": ["hammer"],
         "noise": {"seed": 0},
     })
 

@@ -2,16 +2,17 @@ import copy
 import json
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgs.assets import data_dir
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from fgs.heuristics import HEURISTIC_NAMES
-from fgs.scoring import MATERIAL_CLASSES
+from fgs.scenario import TOOL_TABLE
 
 from .test_pddl import mutated_tokens
 from .test_scenario import FIELD_PATHS, json_values
@@ -71,6 +72,11 @@ def test_validate_non_utf8_pddl_exits_two(tmp_path, capsys):
 # expected message); with a path of None the value is the whole file text,
 # and a value of ... removes the field.
 CASE_TEXT = (BENCH / "woodworking_hammer_case00.json").read_text(encoding="utf-8")
+# the same case as a version-1 file: whole tool specs in place of tool names
+V1_CASE = {k: v for k, v in json.loads(CASE_TEXT).items() if k != "tools"}
+V1_CASE.update(format_version=1, tool_specs=[
+    dict(asdict(TOOL_TABLE["hammer"]), allowed_materials=sorted(TOOL_TABLE["hammer"].allowed_materials))
+])
 MALFORMED_SCENARIOS = [
     ("seed-string", ("noise", "seed"), "ten",
      r"\.noise\.seed: expected an integer, got a string"),
@@ -86,8 +92,11 @@ MALFORMED_SCENARIOS = [
      r"objects\[0\]\.pierceable: expected a boolean, got a string"),
     ("seed-fraction", ("noise", "seed"), 10.7,
      r"\.noise\.seed: expected an integer, got a number"),
-    ("allowed-materials-string", ("tool_specs", 0, "allowed_materials"), "metal",
-     r"tool_specs\[0\]\.allowed_materials: expected a list, got a string"),
+    ("tools-string", ("tools",), "hammer", r"case\.json\.tools: expected a list, got a string"),
+    ("tool-unknown", ("tools", 0), "mallet", r"tools\[0\]: unknown tool 'mallet'"),
+    ("tools-empty", ("tools",), [], r"tools: no candidate tool"),
+    ("format-version-1", None, json.dumps(V1_CASE),
+     r"error: case\.json\.format_version: unsupported format_version 1\n$"),
     ("confidence-overflows-float", ("objects", 0, "shape_conf", "handle"), 10**400,
      r"objects\[0\]\.shape_conf\.handle: number out of range"),
     ("format-version-missing", ("format_version",), ...,
@@ -101,26 +110,13 @@ MALFORMED_SCENARIOS = [
 
 
 def test_validate_repeated_tool_exits_two(tmp_path, capsys):
-    # a second spec for one tool would be shadowed by the first
     data = json.loads(CASE_TEXT)
-    data["tool_specs"].append(dict(data["tool_specs"][0], use_action="tighten"))
+    data["tools"].append("hammer")
     bad = tmp_path / "case.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
     code = main(["validate", *args_for("woodworking_hammer"), "--scenario", str(bad)])
     assert code == EXIT_USAGE
-    assert "tool_specs[1].tool: duplicate tool 'hammer'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["validate", "episode"])
-def test_shared_join_action_exits_two(tmp_path, capsys, command):
-    data = json.loads((BENCH / "woodworking_either_case00.json").read_text(encoding="utf-8"))
-    data["tool_specs"][1]["join_action_name"] = "join-hammer"
-    bad = tmp_path / "case.json"
-    bad.write_text(json.dumps(data), encoding="utf-8")
-    code = main([command, *args_for("woodworking_hammer"), "--scenario", str(bad)])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "tool_specs[1].join_action_name: duplicate join action 'join-hammer'" in err
+    assert "tools[1]: duplicate tool 'hammer'" in capsys.readouterr().err
 
 
 RAKE_DOMAIN = (DOMAINS / "cleaning_rake.domain.pddl").read_text(encoding="utf-8")
@@ -208,6 +204,18 @@ def test_plan_prints_actions(capsys):
 def test_plan_features_need_scenario(capsys):
     code = main(["plan", *args_for("cooking_spatula"), "--features", "on"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("case", ["truncated", "other-problem"])
+def test_plan_checks_scenario_with_features_off(tmp_path, capsys, case):
+    # the file is read and matched to the problem even when no score needs it
+    text = CASE_TEXT if case == "other-problem" else CASE_TEXT[: len(CASE_TEXT) // 2]
+    scenario = tmp_path / "case.json"
+    scenario.write_text(text, encoding="utf-8")
+    code = main(["plan", *args_for("cleaning_rake"), "--features", "off", "--scenario", str(scenario)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert ("case.json: invalid JSON" if case == "truncated" else "have no tool spec") in err
 
 
 def test_plan_unsolvable_exits_one(tmp_path, capsys):
@@ -412,11 +420,6 @@ def test_usage_error_on_unknown_flag():
 RAKE_DOMAIN = (DOMAINS / "cleaning_rake.domain.pddl").read_text(encoding="utf-8")
 RAKE_PROBLEM = (DOMAINS / "cleaning_rake.problem.pddl").read_text(encoding="utf-8")
 RAKE_CASE = json.loads((BENCH / "cleaning_rake_case00.json").read_text(encoding="utf-8"))
-# A valid file whose tool allows every material class, with a material false
-# negative that always fires: no class is left to take the lost mass.
-ALL_MATERIALS_CASE = copy.deepcopy(RAKE_CASE)
-ALL_MATERIALS_CASE["tool_specs"][0]["allowed_materials"] = sorted(MATERIAL_CLASSES)
-ALL_MATERIALS_CASE["noise"]["material_fn_rate"] = 1.0
 
 # Mostly legal values: each flag has at most one that argparse rejects.
 # The last three flags are for episode only.
@@ -454,7 +457,7 @@ def command_lines(command):
 def input_files(draw):
     """Valid domain, problem and scenario texts, at most one of them mutated:
     PDDL by its tokens, the scenario by one field replaced or removed."""
-    case = copy.deepcopy(draw(st.sampled_from((RAKE_CASE, ALL_MATERIALS_CASE))))
+    case = copy.deepcopy(RAKE_CASE)
     corrupt = draw(st.sampled_from((None, "domain", "problem", "scenario")))
     if corrupt == "scenario":
         path = draw(st.sampled_from(FIELD_PATHS))
@@ -475,10 +478,6 @@ def input_files(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(line=st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(command_lines), files=input_files())
-@example(
-    line=["episode", "--features", "on", "--noise", "on"],
-    files={"domain": RAKE_DOMAIN, "problem": RAKE_PROBLEM, "scenario": json.dumps(ALL_MATERIALS_CASE)},
-)
 def test_cli_fuzz_ends_in_an_exit_code(line, files):
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(line)

@@ -178,7 +178,7 @@ def test_single_tool_episodes_report_their_tool():
         result = run_episode(gp, FSH, sc, succ_cache=cache)
         assert result.success, sc.scenario_id
         assert result.chosen_tool == sc.tools[0]
-        assert result.use_action == sc.tool_specs[0].use_action
+        assert result.use_action == sc.spec_for_tool(sc.tools[0]).use_action
     assert len(caches) == 6
 
 

@@ -90,6 +90,8 @@ MALFORMED_LIBRARIES = [
      r"objects\.json\.format_version: missing required field"),
     ("format-version-unsupported", _library_with(("format_version",), 2),
      r"objects\.json\.format_version: unsupported format_version 2"),
+    ("format-version-string", _library_with(("format_version",), "1"),
+     r"objects\.json\.format_version: expected an integer, got a string"),
     ("top-level-list", "[]", r"objects\.json: expected an object, got a list"),
     ("truncated-json", LIBRARY_TEXT[: len(LIBRARY_TEXT) // 2], r"objects\.json: invalid JSON"),
 ]
@@ -123,7 +125,7 @@ def test_generator_reads_grasp_role_from_spec(monkeypatch):
     ]
     cases = generate_benchmark("woodworking", "hammer", 3, seed=5, library=library)
     for sc in cases:
-        assert sc.tool_specs[0].grasp_part_role == "grip"
+        assert sc.spec_for_tool("hammer").grasp_part_role == "grip"
         assert all(set(o.shape_conf) == {"hammer_head", "grip"} for o in sc.objects)
         grasp = sc.profiles()[sc.ground_truth.grasp_part]
         assert GT_SHAPE_RANGE[0] <= grasp.shape_conf["grip"] <= GT_SHAPE_RANGE[1]
@@ -189,14 +191,16 @@ def test_two_ground_truths_rejected(squeegee_cases):
         scenario_from_json(data)
 
 
-def test_shared_join_action_rejected():
-    # one join action for two tools: the registry would score it with the
-    # last spec alone
-    data = json.loads((benchmark_dir() / "woodworking_either_case00.json").read_text(encoding="utf-8"))
-    data["tool_specs"][1]["join_action_name"] = "join-hammer"
-    with pytest.raises(ValidationError,
-                       match=r"tool_specs\[1\]\.join_action_name: duplicate join action 'join-hammer'"):
-        scenario_from_json(data)
+def test_tool_table_is_consistent():
+    # the table is the one copy of every tool spec that scenarios name
+    assert {t for tools in TASK_TOOLS.values() for t in tools} <= TOOL_TABLE.keys()
+    joins = [spec.join_action_name for spec in TOOL_TABLE.values()]
+    assert len(set(joins)) == len(joins)
+    for name, spec in TOOL_TABLE.items():
+        assert spec.tool == name
+        assert spec.allowed_materials and spec.allowed_materials <= set(MATERIAL_CLASSES)
+        # a material false negative moves the lost mass onto a class left out
+        assert set(MATERIAL_CLASSES) - spec.allowed_materials
 
 
 def test_bad_confidence_named_with_path(squeegee_cases):
@@ -217,9 +221,8 @@ def test_gt_must_pass_hard_constraints(squeegee_cases):
 
 
 def test_minimal_two_object_scenario():
-    spec = TOOL_TABLE["squeegee"]
     data = {
-        "format_version": 1,
+        "format_version": 2,
         "scenario_id": "tiny",
         "task_type": "cleaning",
         "objects": [
@@ -236,15 +239,7 @@ def test_minimal_two_object_scenario():
             },
         ],
         "ground_truth": {"action_part": "obj0", "grasp_part": "obj1", "tool": "squeegee"},
-        "tool_specs": [
-            {
-                "tool": spec.tool,
-                "join_action_name": spec.join_action_name,
-                "action_part_role": spec.action_part_role,
-                "allowed_materials": sorted(spec.allowed_materials),
-                "use_action": spec.use_action,
-            }
-        ],
+        "tools": ["squeegee"],
         "noise": {"seed": 0},
     }
     sc = scenario_from_json(data)
@@ -280,18 +275,6 @@ def test_material_false_negative_blocks_ground_truth(squeegee_cases):
         assert sum(p.material_conf.values()) <= 1.0 + 1e-9
 
 
-def test_material_false_negative_when_tool_allows_every_class(squeegee_cases):
-    # no class is left to take the lost mass, so it is dropped
-    sc = squeegee_cases[0]
-    spec = replace(sc.tool_specs[0], allowed_materials=frozenset(MATERIAL_CLASSES))
-    sc = replace(sc, tool_specs=(spec,), noise=NoiseSpec(seed=5, material_fn_rate=1.0))
-    profiles = sense(sc, noise_on=True)
-    assert material_fit(sc.ground_truth.pair, spec, profiles) == NEG_INF
-    conf = profiles[sc.ground_truth.action_part].material_conf
-    assert all(v <= 0.3 for v in conf.values())
-    assert sum(conf.values()) < sum(sc.profiles()[sc.ground_truth.action_part].material_conf.values())
-
-
 def test_attach_false_negative_blocks_ground_truth(squeegee_cases):
     sc = replace(squeegee_cases[0], noise=NoiseSpec(seed=5, attach_fn_rate=1.0))
     profiles = sense(sc, noise_on=True)
@@ -321,8 +304,7 @@ def test_adaptability_two_tools_alternating():
     cases = generate_adaptability("woodworking", 4, seed=3)
     assert [sc.ground_truth.tool for sc in cases] == ["hammer", "screwdriver"] * 2
     for sc in cases:
-        assert set(sc.tools) == set(TASK_TOOLS["woodworking"])
-        assert len(sc.tool_specs) == 2
+        assert sc.tools == TASK_TOOLS["woodworking"]
 
 
 def test_benchmark_suite_matches_bundled():
@@ -359,7 +341,8 @@ SPEC_FIELDS = ("tool", "join_action_name", "action_part_role", "allowed_material
 
 
 def test_bundled_scenarios_load_to_pinned_values():
-    # every value the program reads from the bundled files, pinned
+    # every value the program reads for the bundled scenarios, pinned; the
+    # specs come from TOOL_TABLE and equal those the version-1 files stored
     loaded = [
         {
             "scenario_id": sc.scenario_id,
@@ -367,8 +350,8 @@ def test_bundled_scenarios_load_to_pinned_values():
             "tools": sc.tools,
             "objects": [asdict(o) for o in sc.objects],
             "ground_truth": asdict(sc.ground_truth),
-            "tool_specs": [{name: getattr(spec, name) for name in SPEC_FIELDS}
-                           for spec in sc.tool_specs],
+            "tool_specs": [{name: getattr(sc.spec_for_tool(tool), name) for name in SPEC_FIELDS}
+                           for tool in sc.tools],
             "noise": asdict(sc.noise),
         }
         for sc in map(load_scenario, sorted(benchmark_dir().glob("*.json")))
@@ -408,10 +391,8 @@ FIELD_PATHS = [
     ("ground_truth", "action_part"),
     ("ground_truth", "grasp_part"),
     ("ground_truth", "tool"),
-    ("tool_specs",),
-    ("tool_specs", 0),
-    ("tool_specs", 0, "allowed_materials"),
-    ("tool_specs", 0, "grasp_part_role"),
+    ("tools",),
+    ("tools", 0),
     ("noise",),
     ("noise", "seed"),
     ("noise", "shape_jitter"),

@@ -203,12 +203,6 @@ def test_unregistered_join_action_is_config_error():
         JoinScorer(REGISTRY, profiles).score("join-ladle", o_a)
 
 
-def test_toolspec_unknown_material_rejected():
-    spec = ToolSpec("x", "join-x", "x_head", frozenset({"adamantium"}), "use")
-    with pytest.raises(ConfigError, match="adamantium"):
-        spec.validate()
-
-
 # -- hand-computed fixture table (threshold t = 0.6, lambdas 1) ---------------
 
 FIXTURES = [
