@@ -1,8 +1,9 @@
 """Benchmark harness: baseline comparison, alternative algorithms, and
 adaptability, each over the bundled fixed scenarios (regression mode) or
-freshly generated ones. Aggregation is a deterministic fold over episode
-records ordered by (scenario, config); identical configurations produce
-byte-identical reports.
+freshly generated ones. Each episode's record is its `episode` trace event
+(episode.episode_event) tagged with its config; aggregation is a
+deterministic fold over those records ordered by (scenario, config), so
+identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import json
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assets import benchmark_dir, load_task, task_for_scenario
-from .episode import run_episode
+from .episode import STATUS_SUCCESS, EpisodeResult, episode_event, run_episode
 from .errors import ConfigError
 from .scenario import (
     TASK_TOOLS,
@@ -23,7 +25,7 @@ from .scenario import (
     generate_benchmark,
     load_scenario,
 )
-from .search import SearchConfig
+from .search import STATUS_EXHAUSTED, SearchConfig
 
 EXPERIMENTS = ("baselines", "algorithms", "adaptability")
 
@@ -52,7 +54,6 @@ RANDOM_BASELINE_ID = "random"
 class ExperimentConfig:
     experiment: str
     task_types: tuple[str, ...] = ("cleaning", "cooking", "woodworking")
-    tools: tuple[str, ...] | None = None
     cases_per_tool: int = 10
     configs: tuple[tuple[str, SearchConfig], ...] | None = None
     trust_policy: str = "switchable"
@@ -89,20 +90,6 @@ class ExperimentConfig:
         if self.experiment == "algorithms":
             return ALGORITHM_CONFIGS
         return (ADAPTABILITY_CONFIG,)
-
-
-@dataclass
-class EpisodeRecord:
-    scenario_id: str
-    task_type: str
-    tool: str  # the ground-truth tool
-    config_id: str
-    success: bool
-    failed_attempts: int
-    nodes: int  # initial planning run, the per-search effort the tables report
-    plan_length: int | None
-    chosen_tool: str | None = None
-    use_action: str | None = None
 
 
 # The row dataclasses are the report schema: a report's columns are the
@@ -166,11 +153,7 @@ def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
         for t in task_types:
             out.extend(generate_adaptability(t, cfg.cases_per_tool, cfg.seed))
         return sorted(out, key=lambda s: s.scenario_id)
-    pairs = []
-    for t in task_types:
-        for tool in TASK_TOOLS[t]:
-            if cfg.tools is None or tool in cfg.tools:
-                pairs.append((t, tool))
+    pairs = [(t, tool) for t in task_types for tool in TASK_TOOLS[t]]
     if cfg.regression:
         return _bundled_scenarios(pairs)
     out = []
@@ -180,13 +163,6 @@ def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
 
 
 # -- episode collection ------------------------------------------------------------
-
-
-def _trace_writer(trace_dir: Path | None, scenario_id: str, config_id: str):
-    if trace_dir is None:
-        return None, None
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "-", config_id)
-    return open_trace(trace_dir / f"{scenario_id}__{safe}.jsonl")
 
 
 def open_trace(path):
@@ -200,7 +176,46 @@ def open_trace(path):
     return write, fh
 
 
-def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> list[EpisodeRecord]:
+@contextmanager
+def _episode_trace(records: list, trace_dir: Path | None, scenario_id: str, config_id: str):
+    """One episode's trace callback: it appends the `episode` event, tagged
+    with *config_id*, to *records*, and writes every event to the episode's
+    file under *trace_dir*, when given, which is closed on exit."""
+    write = fh = None
+    if trace_dir is not None:
+        safe = re.sub(r"[^A-Za-z0-9_.-]", "-", config_id)
+        write, fh = open_trace(trace_dir / f"{scenario_id}__{safe}.jsonl")
+
+    def trace(event: dict) -> None:
+        if event["event"] == "episode":
+            event = dict(event, config=config_id)
+            records.append(event)
+        if write is not None:
+            write(event)
+
+    try:
+        yield trace
+    finally:
+        if fh is not None:
+            fh.close()
+
+
+def _random_guess(cfg: ExperimentConfig, scenario: Scenario) -> EpisodeResult:
+    """The random baseline's episode: a seeded guess among the candidate
+    tools and no search. A wrong guess leaves no option, like an exhausted
+    search."""
+    rng = random.Random(f"random-baseline:{cfg.seed}:{scenario.scenario_id}")
+    guess = rng.choice(sorted(scenario.tools))
+    status = STATUS_SUCCESS if guess == scenario.ground_truth.tool else STATUS_EXHAUSTED
+    return EpisodeResult(status=status, failed_attempts=0, final_plan=None, trust_trace=[],
+                         reject_final=frozenset(), attempted=(), nodes_per_search=(),
+                         chosen_tool=guess)
+
+
+def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> list[dict]:
+    """Run every episode of the experiment; returns each episode's
+    `episode` event tagged with its `config`. With *trace_dir*, each
+    episode's trace is written there, that record its last line."""
     cfg.validate()
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
@@ -208,7 +223,7 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
     scenarios = experiment_scenarios(cfg)
     configs = cfg.resolved_configs()
     gp_cache: dict[str, tuple] = {}
-    records: list[EpisodeRecord] = []
+    records: list[dict] = []
     for scenario in scenarios:
         task = task_for_scenario(scenario.task_type, scenario.tools)
         if task.task_id not in gp_cache:
@@ -216,44 +231,13 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
             gp_cache[task.task_id] = (gp, {})
         gp, succ_cache = gp_cache[task.task_id]
         for config_id, search_cfg in configs:
-            trace, fh = _trace_writer(trace_dir, scenario.scenario_id, config_id)
-            try:
-                res = run_episode(gp, search_cfg, scenario, trust_policy=cfg.trust_policy,
-                                  noise_on=cfg.noise_on, succ_cache=succ_cache, trace=trace)
-                records.append(
-                    EpisodeRecord(
-                        scenario.scenario_id,
-                        scenario.task_type,
-                        scenario.ground_truth.tool,
-                        config_id,
-                        res.success,
-                        res.failed_attempts,
-                        res.nodes_first_search,
-                        res.plan_length,
-                        chosen_tool=res.chosen_tool,
-                        use_action=res.use_action,
-                    )
-                )
-            finally:
-                if fh is not None:
-                    fh.close()
+            with _episode_trace(records, trace_dir, scenario.scenario_id, config_id) as trace:
+                run_episode(gp, search_cfg, scenario, trust_policy=cfg.trust_policy,
+                            noise_on=cfg.noise_on, succ_cache=succ_cache, trace=trace)
         if cfg.experiment == "adaptability":
-            rng = random.Random(f"random-baseline:{cfg.seed}:{scenario.scenario_id}")
-            guess = rng.choice(sorted(scenario.tools))
-            records.append(
-                EpisodeRecord(
-                    scenario.scenario_id,
-                    scenario.task_type,
-                    scenario.ground_truth.tool,
-                    RANDOM_BASELINE_ID,
-                    guess == scenario.ground_truth.tool,
-                    0,
-                    0,
-                    None,
-                    chosen_tool=guess,
-                    use_action=None,
-                )
-            )
+            with _episode_trace(records, trace_dir, scenario.scenario_id,
+                                RANDOM_BASELINE_ID) as trace:
+                trace(episode_event(scenario, _random_guess(cfg, scenario)))
     return records
 
 
@@ -267,55 +251,51 @@ def _mean(values) -> float | None:
     return sum(values) / len(values)
 
 
-def aggregate(records: list[EpisodeRecord], cfg: ExperimentConfig) -> MetricsTable:
-    """Fold episode records into the metrics table. Means over nodes, failed
-    attempts, and plan length use only successful episodes; success counts
-    and budget curves use all episodes."""
+def aggregate(records: list[dict], cfg: ExperimentConfig) -> MetricsTable:
+    """Fold episode records, the config-tagged `episode` events, into the
+    metrics table. Means over first-search nodes, failed attempts, and plan
+    length use only successful episodes; success counts and budget curves
+    use all episodes."""
     config_ids = [cid for cid, _ in cfg.resolved_configs()]
     if cfg.experiment == "adaptability":
         config_ids = config_ids + [RANDOM_BASELINE_ID]
         table = MetricsTable(kind="adaptability")
         for task_type in sorted(cfg.task_types):
             for cid in config_ids:
-                group = [
-                    r for r in records if r.task_type == task_type and r.config_id == cid
-                ]
+                group = [r for r in records if r["task"] == task_type and r["config"] == cid]
                 if not group:
                     continue
-                correct = sum(1 for r in group if r.success and r.chosen_tool == r.tool)
+                correct = sum(1 for r in group if r["success"] and r["chosen_tool"] == r["tool"])
                 table.rows.append(AdaptRow(task_type, cid, correct, len(group)))
         return table
 
     table = MetricsTable(kind="summary")
-    keys = sorted({(r.task_type, r.tool) for r in records})
+    keys = sorted({(r["task"], r["tool"]) for r in records})
     for task_type, tool in keys:
         for cid in config_ids:
-            group = [
-                r
-                for r in records
-                if r.task_type == task_type and r.tool == tool and r.config_id == cid
-            ]
+            group = [r for r in records
+                     if r["task"] == task_type and r["tool"] == tool and r["config"] == cid]
             if not group:
                 continue
-            wins = [r for r in group if r.success]
+            wins = [r for r in group if r["success"]]
             table.rows.append(
                 SummaryRow(
                     task=task_type,
                     tool=tool,
                     config=cid,
-                    nodes_mean=_mean(r.nodes for r in wins),
-                    failed_attempts_mean=_mean(r.failed_attempts for r in wins),
+                    nodes_mean=_mean(r["nodes_first_search"] for r in wins),
+                    failed_attempts_mean=_mean(r["failed_attempts"] for r in wins),
                     success=len(wins),
-                    plan_length_mean=_mean(r.plan_length for r in wins),
+                    plan_length_mean=_mean(r["plan_length"] for r in wins),
                 )
             )
     if cfg.budgets:
         for cid in config_ids:
-            group = [r for r in records if r.config_id == cid]
+            group = [r for r in records if r["config"] == cid]
             if not group:
                 continue
             for budget in cfg.budgets:
-                hits = sum(1 for r in group if r.success and r.failed_attempts <= budget)
+                hits = sum(1 for r in group if r["success"] and r["failed_attempts"] <= budget)
                 table.budget_points.append(BudgetPoint(cid, budget, hits / len(group)))
     return table
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .assets import DATA_DIR_ENV
 from .bench import ExperimentConfig, emit_report, open_trace, run_experiment
-from .episode import check_alignment, run_episode
+from .episode import check_alignment, episode_event, run_episode
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
@@ -112,21 +112,12 @@ def cmd_episode(args) -> int:
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    summary = {
-        "scenario": scenario.scenario_id,
-        "success": result.success,
-        "status": result.status,
-        "failed_attempts": result.failed_attempts,
-        "nodes_total": result.nodes_total,
-        "nodes_first_search": result.nodes_first_search,
-        "searches": result.searches,
-        "plan_length": result.plan_length,
-        "trust_trace": result.trust_trace,
-        "attempted": [list(p) for p in result.attempted],
-        "plan": [a.name for a in result.final_plan] if result.final_plan else None,
-    }
-    if args.adaptability:
-        summary.update(chosen_tool=result.chosen_tool, use_action=result.use_action)
+    summary = dict(
+        episode_event(scenario, result),
+        plan=[a.name for a in result.final_plan] if result.final_plan else None,
+        attempted=[list(p) for p in result.attempted],
+        trust_trace=result.trust_trace,
+    )
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if result.success else EXIT_NO_SOLUTION
 
@@ -200,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trust", default="switchable", choices=tuple(TRUST_POLICIES))
     p.add_argument("--budget", type=int, default=None, help="max failed construction attempts")
     p.add_argument("--trace", help="write a JSON-lines episode trace to this file")
-    p.add_argument("--adaptability", action="store_true",
-                   help="report the chosen tool and task action")
     p.set_defaults(func=cmd_episode)
 
     p = sub.add_parser("bench", help="run a benchmark experiment and write a report")

@@ -10,7 +10,9 @@ retried within an episode.
 
 The EpisodeResult is the one record of what an episode decided: its status,
 every attempted pair and search effort, and, on success, the tool the
-accepted plan builds and the task action it uses.
+accepted plan builds and the task action it uses. episode_event turns it
+into the episode's summary, the last event of its trace, which the bench
+reports fold and `fgs episode` prints.
 """
 
 from __future__ import annotations
@@ -70,6 +72,28 @@ class EpisodeResult:
         return None if plan is None else len(plan)
 
 
+def episode_event(scenario: Scenario, result: EpisodeResult) -> dict:
+    """The episode's summary: the last event of its trace, the record the
+    bench reports fold, and what `fgs episode` prints. `tool` is the
+    ground-truth tool; `nodes_first_search` is the per-search effort the
+    summary tables report, `nodes_total` the effort summed over replans."""
+    return {
+        "event": "episode",
+        "scenario": scenario.scenario_id,
+        "task": scenario.task_type,
+        "tool": scenario.ground_truth.tool,
+        "status": result.status,
+        "success": result.success,
+        "failed_attempts": result.failed_attempts,
+        "searches": result.searches,
+        "nodes_first_search": result.nodes_first_search,
+        "nodes_total": result.nodes_total,
+        "plan_length": result.plan_length,
+        "chosen_tool": result.chosen_tool,
+        "use_action": result.use_action,
+    }
+
+
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
     """Every grounded join binds two tool parts, both objects of *scenario*,
     and its schema has a tool spec there: scoring reads an ordered pair.
@@ -117,7 +141,9 @@ def run_episode(
     failed-attempt budget. Once failed_attempts reaches the budget, no
     further search is launched. A successful episode also reports the tool
     its accepted plan builds and the task action it uses (chosen_tool,
-    use_action), which is what the adaptability experiment scores.
+    use_action), which is what the adaptability experiment scores. With a
+    *trace* callback, each search and attempt is passed to it as an event
+    dict, and episode_event last; without one, no event is built.
 
     *succ_cache* is a dict the caller may share among the episodes over one
     grounded problem *gp*: it holds successor lists under integer state keys
@@ -141,10 +167,6 @@ def run_episode(
     trust_trace: list[bool] = []
     final_plan: list[GroundAction] | None = None
 
-    def emit(event: dict) -> None:
-        if trace is not None:
-            trace(event)
-
     def run_phase(scorer: JoinScorer) -> str:
         """Plan, judge and replan under *scorer*'s trust phase; returns the
         episode status this phase ends in."""
@@ -163,18 +185,11 @@ def run_episode(
             )
             nodes_per_search.append(result.nodes_expanded)
             trust_trace.append(trust)
-            emit(
-                {
-                    "event": "search",
-                    "scenario": scenario.scenario_id,
-                    "trust": trust,
-                    "algorithm": cfg.algorithm,
-                    "heuristic": cfg.heuristic,
-                    "status": result.status,
-                    "nodes": result.nodes_expanded,
-                    "plan_length": None if result.plan is None else len(result.plan),
-                }
-            )
+            if trace is not None:
+                trace({"event": "search", "scenario": scenario.scenario_id, "trust": trust,
+                       "algorithm": cfg.algorithm, "heuristic": cfg.heuristic,
+                       "status": result.status, "nodes": result.nodes_expanded,
+                       "plan_length": None if result.plan is None else len(result.plan)})
             if result.plan is None:
                 return STATUS_EXHAUSTED
             join = first_join(result.plan)
@@ -182,16 +197,10 @@ def run_episode(
             accepted = pair is None or pair == truth
             if pair is not None:
                 attempted.append(pair)
-            emit(
-                {
-                    "event": "attempt",
-                    "scenario": scenario.scenario_id,
-                    "trust": trust,
-                    "pair": list(pair) if pair else None,
-                    "accepted": accepted,
-                    "failed_attempts": failed + (0 if accepted else 1),
-                }
-            )
+            if trace is not None:
+                trace({"event": "attempt", "scenario": scenario.scenario_id, "trust": trust,
+                       "pair": list(pair) if pair else None, "accepted": accepted,
+                       "failed_attempts": failed + (0 if accepted else 1)})
             if accepted:
                 final_plan = result.plan
                 return STATUS_SUCCESS
@@ -212,7 +221,7 @@ def run_episode(
         chosen_tool = spec.tool
         if any(act.schema_name == spec.use_action for act in final_plan):
             use_action = spec.use_action
-    return EpisodeResult(
+    episode = EpisodeResult(
         status=status,
         # the ground-truth pair is attempted only once, and then accepted
         failed_attempts=len(attempted) - (truth in attempted),
@@ -224,3 +233,6 @@ def run_episode(
         chosen_tool=chosen_tool,
         use_action=use_action,
     )
+    if trace is not None:
+        trace(episode_event(scenario, episode))
+    return episode

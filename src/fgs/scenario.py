@@ -204,39 +204,40 @@ class _LibraryFile:
     objects: tuple[LibraryObject, ...]
 
 
-def validate_scenario(sc: Scenario) -> None:
-    where = f"scenario '{sc.scenario_id}'"
-    sc.noise.validate()
+def validate_scenario(sc: Scenario, where: str) -> None:
+    """Check what the field types cannot; every message starts with *where*,
+    the file name or scenario id, and names the field path."""
+    sc.noise.validate(f"{where}.noise")
     if not sc.tools:
-        raise ValidationError("tools: no candidate tool")
+        raise ValidationError(f"{where}.tools: no candidate tool")
     for i, tool in enumerate(sc.tools):
         if tool not in TOOL_TABLE:
-            raise ValidationError(f"tools[{i}]: unknown tool '{tool}'")
+            raise ValidationError(f"{where}.tools[{i}]: unknown tool '{tool}'")
         if tool in sc.tools[:i]:
-            raise ValidationError(f"tools[{i}]: duplicate tool '{tool}'")
+            raise ValidationError(f"{where}.tools[{i}]: duplicate tool '{tool}'")
     known_roles = {role for spec in sc.registry().values()
                    for role in (spec.action_part_role, spec.grasp_part_role)}
     ids = set()
     for i, obj in enumerate(sc.objects):
-        obj.validate(known_roles, where=f"objects[{i}]")
+        obj.validate(known_roles, f"{where}.objects[{i}]")
         if obj.object_id in ids:
-            raise ValidationError(f"objects[{i}]: duplicate object_id '{obj.object_id}'")
+            raise ValidationError(f"{where}.objects[{i}]: duplicate object_id '{obj.object_id}'")
         ids.add(obj.object_id)
     gt = sc.ground_truth
     if gt.tool not in sc.tools:
-        raise ValidationError(f"ground_truth.tool: '{gt.tool}' not among candidate tools")
+        raise ValidationError(f"{where}.ground_truth.tool: '{gt.tool}' not among candidate tools")
     for field_name, part in (("action_part", gt.action_part), ("grasp_part", gt.grasp_part)):
         if part not in ids:
-            raise ValidationError(f"ground_truth.{field_name}: unknown object '{part}'")
+            raise ValidationError(f"{where}.ground_truth.{field_name}: unknown object '{part}'")
     if gt.action_part == gt.grasp_part:
-        raise ValidationError("ground_truth: action and grasp parts must differ")
+        raise ValidationError(f"{where}.ground_truth: action and grasp parts must differ")
     profiles = sc.profiles()
     spec = sc.spec_for_tool(gt.tool)
     attached, _ = can_attach(gt.pair, profiles)
     if not attached:
-        raise ValidationError(f"{where}: ground-truth pair fails attachment under noiseless profiles")
+        raise ValidationError(f"{where}.ground_truth: pair fails attachment under noiseless profiles")
     if material_fit(gt.pair, spec, profiles) == NEG_INF:
-        raise ValidationError(f"{where}: ground-truth pair fails the material constraint")
+        raise ValidationError(f"{where}.ground_truth: pair fails the material constraint")
 
 
 # -- JSON round trip -----------------------------------------------------------
@@ -307,7 +308,7 @@ def _record(cls, data, where: str):
 
 def scenario_from_json(data, where: str = "scenario") -> Scenario:
     sc = _record(Scenario, data, where)
-    validate_scenario(sc)
+    validate_scenario(sc, where)
     return sc
 
 
@@ -488,7 +489,7 @@ def _build_scenario(scenario_id: str, task_type: str, tools: tuple[str, ...], gt
         tools=tools,
         noise=noise,
     )
-    validate_scenario(sc)
+    validate_scenario(sc, scenario_id)
     _check_ground_truth_ranks_first(sc)
     return sc
 

@@ -44,22 +44,21 @@ class ObjectProfile:
     can_be_grasped: bool = False
     has_magnet: bool = False
 
-    def validate(self, known_roles: set[str] | None = None, where: str = "") -> None:
-        prefix = where or f"profile '{self.object_id}'"
+    def validate(self, known_roles: set[str], where: str) -> None:
         for role, conf in self.shape_conf.items():
             if not 0.0 <= conf <= 1.0:
-                raise ValidationError(f"{prefix}.shape_conf.{role}: {conf} not in [0, 1]")
-            if known_roles is not None and role not in known_roles:
-                raise ValidationError(f"{prefix}.shape_conf: unknown part role '{role}'")
+                raise ValidationError(f"{where}.shape_conf.{role}: {conf} not in [0, 1]")
+            if role not in known_roles:
+                raise ValidationError(f"{where}.shape_conf: unknown part role '{role}'")
         total = 0.0
         for cls, conf in self.material_conf.items():
             if cls not in MATERIAL_CLASSES:
-                raise ValidationError(f"{prefix}.material_conf: unknown material '{cls}'")
+                raise ValidationError(f"{where}.material_conf: unknown material '{cls}'")
             if not 0.0 <= conf <= 1.0:
-                raise ValidationError(f"{prefix}.material_conf.{cls}: {conf} not in [0, 1]")
+                raise ValidationError(f"{where}.material_conf.{cls}: {conf} not in [0, 1]")
             total += conf
         if total > 1.0 + 1e-9:
-            raise ValidationError(f"{prefix}.material_conf sums to {total:.4f} > 1")
+            raise ValidationError(f"{where}.material_conf sums to {total:.4f} > 1")
 
 
 @dataclass(frozen=True)

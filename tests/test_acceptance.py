@@ -56,11 +56,11 @@ def _mean(values):
     return sum(values) / len(values)
 
 
-def _config_means(records, attr="nodes"):
+def _config_means(records, key="nodes_first_search"):
     out = {}
-    for cid in {r.config_id for r in records}:
-        wins = [r for r in records if r.config_id == cid and r.success]
-        out[cid] = _mean(getattr(r, attr) for r in wins)
+    for cid in {r["config"] for r in records}:
+        wins = [r for r in records if r["config"] == cid and r["success"]]
+        out[cid] = _mean(r[key] for r in wins)
     return out
 
 
@@ -138,7 +138,7 @@ def test_c03_attempt_reduction(baseline_run):
 
 def test_c04_node_expansion_ordering(baseline_run):
     records, _ = baseline_run
-    means = _config_means(records, "nodes")
+    means = _config_means(records, "nodes_first_search")
     informed = max(means["FS+H"], means["H"])
     uninformed = min(means["FS"], means["UCS"])
     ratio = means["FS+H"] / means["H"]
@@ -175,7 +175,7 @@ def _everything_goes_scenario():
 
 def test_c05_brute_force_ceiling(baseline_run):
     records, _ = baseline_run
-    ceiling_ok = all(r.failed_attempts <= 89 for r in records)
+    ceiling_ok = all(r["failed_attempts"] <= 89 for r in records)
     _, _, gp = load_task("woodworking_hammer")
     scenario = _everything_goes_scenario()
     cfg = SearchConfig(algorithm="astar", heuristic="landmarks")  # no feature constraints
@@ -183,7 +183,7 @@ def test_c05_brute_force_ceiling(baseline_run):
     worst_ok = (result.success and len(result.attempted) == 90
                 and result.failed_attempts == 89)
     report(5, "brute-force ceiling", ceiling_ok and worst_ok,
-           f"max failed {max(r.failed_attempts for r in records)}, "
+           f"max failed {max(r['failed_attempts'] for r in records)}, "
            f"worst case attempted {len(result.attempted)}")
 
 
@@ -255,7 +255,7 @@ def test_baselines_report_matches_pinned_digest(baseline_run, tmp_path):
 
 
 def test_c08_alternative_algorithms(algorithm_records):
-    nodes = _config_means(algorithm_records, "nodes")
+    nodes = _config_means(algorithm_records, "nodes_first_search")
     lengths = _config_means(algorithm_records, "plan_length")
     failed = _config_means(algorithm_records, "failed_attempts")
     ok = (
@@ -276,13 +276,13 @@ def test_c09_adaptability():
     noisy = collect_records(ExperimentConfig(experiment="adaptability", noise_on=True))
 
     def correct(records, cid):
-        return sum(1 for r in records if r.config_id == cid
-                   and r.success and r.chosen_tool == r.tool)
+        return sum(1 for r in records if r["config"] == cid
+                   and r["success"] and r["chosen_tool"] == r["tool"])
 
     # the task action must match the chosen tool as well
     actions_ok = all(
-        r.use_action == TOOL_TABLE[r.chosen_tool].use_action
-        for r in clean if r.config_id == ADAPTABILITY_CONFIG[0] and r.success
+        r["use_action"] == TOOL_TABLE[r["chosen_tool"]].use_action
+        for r in clean if r["config"] == ADAPTABILITY_CONFIG[0] and r["success"]
     )
     clean_correct = correct(clean, ADAPTABILITY_CONFIG[0])
     noisy_correct = correct(noisy, ADAPTABILITY_CONFIG[0])

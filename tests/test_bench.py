@@ -5,7 +5,7 @@ import pytest
 
 from fgs.bench import (
     BASELINE_CONFIGS,
-    EpisodeRecord,
+    EXPERIMENTS,
     ExperimentConfig,
     MetricsTable,
     SummaryRow,
@@ -44,31 +44,33 @@ def test_bundled_scenario_selection():
 
 def test_generated_mode_respects_cases():
     cfg = ExperimentConfig(
-        experiment="baselines", task_types=("cleaning",), tools=("squeegee",),
+        experiment="baselines", task_types=("cleaning",),
         cases_per_tool=2, configs=FSH_ONLY, regression=False, seed=5,
     )
     scenarios = experiment_scenarios(cfg)
-    assert len(scenarios) == 2
+    assert sorted(s.ground_truth.tool for s in scenarios) == ["rake", "rake", "squeegee", "squeegee"]
 
 
 def test_collect_records_and_fairness(tmp_path):
     records = collect_records(SMALL, trace_dir=tmp_path)
     assert len(records) == 20
-    assert all(r.success for r in records)
-    # one trace file per (scenario, config), each attempt/search logged
+    assert all(r["success"] for r in records)
+    # one trace file per (scenario, config), each attempt/search logged and
+    # the episode's record last
     traces = sorted(tmp_path.glob("*.jsonl"))
     assert len(traces) == 20
     events = [json.loads(line) for line in traces[0].read_text().splitlines()]
-    assert {e["event"] for e in events} <= {"search", "attempt"}
+    assert {e["event"] for e in events[:-1]} <= {"search", "attempt"}
     assert sum(e["event"] == "search" for e in events) >= 1
+    assert events[-1] == records[0]
 
 
 def test_aggregate_denominators():
     cfg = ExperimentConfig(experiment="baselines", configs=FSH_ONLY, budgets=(0, 1, 89))
+    keys = ("scenario", "success", "failed_attempts", "nodes_first_search", "plan_length")
     records = [
-        EpisodeRecord("s1", "cleaning", "rake", "FS+H", True, 1, 10, 8),
-        EpisodeRecord("s2", "cleaning", "rake", "FS+H", True, 3, 20, 8),
-        EpisodeRecord("s3", "cleaning", "rake", "FS+H", False, 7, 30, None),
+        dict(zip(keys, values), task="cleaning", tool="rake", config="FS+H")
+        for values in (("s1", True, 1, 10, 8), ("s2", True, 3, 20, 8), ("s3", False, 7, 30, None))
     ]
     table = aggregate(records, cfg)
     row = table.rows[0]
@@ -114,6 +116,32 @@ def test_budget_curves_monotone_and_recomputable(cleaning_baselines):
         mine = [v for k, v in attempts_by_key.items() if k.endswith(f"__{safe}")]
         rate = sum(1 for ok, failed in mine if ok and failed <= 10) / len(mine)
         assert rate == dict(((p.config, p.budget), p.success_rate) for p in table.budget_points)[(cid, 10)]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_reports_rebuild_from_trace_files_alone(cleaning_baselines, tmp_path, experiment):
+    # the last line of every trace file is the episode's record, so folding
+    # those lines alone writes the same report and budget file, the
+    # adaptability random row included
+    budgets = None if experiment == "adaptability" else (0, 1, 2, 5, 10, 89)
+    cfg = ExperimentConfig(experiment=experiment, task_types=("cleaning",), budgets=budgets)
+    if experiment == "baselines":
+        records, trace_dir = cleaning_baselines
+    else:
+        trace_dir = tmp_path / "traces"
+        records = collect_records(cfg, trace_dir=trace_dir)
+    events = [json.loads(path.read_text().splitlines()[-1])
+              for path in sorted(trace_dir.glob("*.jsonl"))]
+
+    def key(record):
+        return record["scenario"], record["config"]
+
+    assert sorted(events, key=key) == sorted(records, key=key)
+    for fmt in ("csv", "json", "markdown"):
+        written = emit_report(aggregate(records, cfg), fmt, tmp_path / "bench" / f"r.{fmt}")
+        rebuilt = emit_report(aggregate(events, cfg), fmt, tmp_path / "rebuilt" / f"r.{fmt}")
+        assert len(written) == (2 if budgets and fmt != "json" else 1)
+        assert [p.read_bytes() for p in rebuilt] == [p.read_bytes() for p in written]
 
 
 def test_reports_csv_json_markdown_agree(tmp_path):
@@ -162,8 +190,8 @@ def test_byte_identical_reports(tmp_path):
 def test_cross_config_fairness_same_scenarios(cleaning_baselines):
     records = collect_records(SMALL)
     records4, _ = cleaning_baselines
-    ids = {r.scenario_id for r in records}
-    ids4 = {r.scenario_id for r in records4 if r.config_id == "FS+H"}
+    ids = {r["scenario"] for r in records}
+    ids4 = {r["scenario"] for r in records4 if r["config"] == "FS+H"}
     assert ids == ids4
     assert len(BASELINE_CONFIGS) == 4
 
@@ -173,10 +201,10 @@ def test_cross_config_fairness_same_scenarios(cleaning_baselines):
 # output of `fgs bench`; any change to these reports or traces changes the
 # digest. Regenerate only when a change to the output is intended.
 PINNED_OUTPUT_DIGESTS = {
-    ("algorithms", "on"): "67aa0b250d26c4048537ffa8e01cf1bc2ee5507ac8ad6874df7b4fc62b0ee0ce",
-    ("algorithms", "off"): "0f82eb6d352f109bad6be6d01ee99745fd543c698f6db360b161c6621e3431c1",
-    ("adaptability", "on"): "efc31e054ce0ff1bf01fe149b75d07a7ae17943e0f801a3836e59bad2ee3bdbd",
-    ("adaptability", "off"): "bd63b65cd9fd80f1f82654d30da7ca764fc14d371c00260f548577e14ce1b6b6",
+    ("algorithms", "on"): "37bc4a4e6bbe8c1f76cb5f27568b47da18e4bf9aaafde8e9501c474ab15a96f6",
+    ("algorithms", "off"): "3fddfdb0e45332ea52580623f751a7ca5be63766fb4037d332088d1f9cad46d1",
+    ("adaptability", "on"): "0d6f5f620d3b28b066113d67cb6f6e174beb0a71faba546359efc0884cc33823",
+    ("adaptability", "off"): "6ef59af3b604da20a576fe1a97c3ca6a33cddf5d2edced9785670c72583e4b86",
 }
 
 

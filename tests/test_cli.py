@@ -79,26 +79,45 @@ V1_CASE.update(format_version=1, tool_specs=[
 ])
 MALFORMED_SCENARIOS = [
     ("seed-string", ("noise", "seed"), "ten",
-     r"\.noise\.seed: expected an integer, got a string"),
-    ("seed-null", ("noise", "seed"), None, r"\.noise\.seed: expected an integer, got null"),
+     r"case\.json\.noise\.seed: expected an integer, got a string"),
+    ("seed-null", ("noise", "seed"), None,
+     r"case\.json\.noise\.seed: expected an integer, got null"),
     ("shape-conf-string", ("objects", 0, "shape_conf", "handle"), "0.4",
-     r"objects\[0\]\.shape_conf\.handle: expected a number, got a string"),
+     r"case\.json\.objects\[0\]\.shape_conf\.handle: expected a number, got a string"),
     ("material-conf-list", ("objects", 0, "material_conf"), [1],
-     r"objects\[0\]\.material_conf: expected an object, got a list"),
+     r"case\.json\.objects\[0\]\.material_conf: expected an object, got a list"),
     ("truncated-json", None, CASE_TEXT[: len(CASE_TEXT) // 2], r"case\.json: invalid JSON"),
     ("deeply-nested-json", None, "[" * 100_000 + "]" * 100_000, r"case\.json: invalid JSON"),
-    ("objects-string", ("objects",), "nope", r"\.objects: expected a list, got a string"),
+    ("objects-string", ("objects",), "nope", r"case\.json\.objects: expected a list, got a string"),
     ("pierceable-string", ("objects", 0, "pierceable"), "false",
-     r"objects\[0\]\.pierceable: expected a boolean, got a string"),
+     r"case\.json\.objects\[0\]\.pierceable: expected a boolean, got a string"),
     ("seed-fraction", ("noise", "seed"), 10.7,
-     r"\.noise\.seed: expected an integer, got a number"),
+     r"case\.json\.noise\.seed: expected an integer, got a number"),
+    ("noise-rate-range", ("noise", "material_fn_rate"), 1.5,
+     r"case\.json\.noise\.material_fn_rate: 1\.5 not in \[0, 1\]"),
+    ("noise-jitter-range", ("noise", "shape_jitter"), 0.9,
+     r"case\.json\.noise\.shape_jitter: 0\.9 not in \[0, 0\.5\]"),
     ("tools-string", ("tools",), "hammer", r"case\.json\.tools: expected a list, got a string"),
-    ("tool-unknown", ("tools", 0), "mallet", r"tools\[0\]: unknown tool 'mallet'"),
-    ("tools-empty", ("tools",), [], r"tools: no candidate tool"),
+    ("tool-unknown", ("tools", 0), "mallet", r"case\.json\.tools\[0\]: unknown tool 'mallet'"),
+    ("tools-empty", ("tools",), [], r"case\.json\.tools: no candidate tool"),
     ("format-version-1", None, json.dumps(V1_CASE),
      r"error: case\.json\.format_version: unsupported format_version 1\n$"),
     ("confidence-overflows-float", ("objects", 0, "shape_conf", "handle"), 10**400,
-     r"objects\[0\]\.shape_conf\.handle: number out of range"),
+     r"case\.json\.objects\[0\]\.shape_conf\.handle: number out of range"),
+    ("confidence-range", ("objects", 0, "shape_conf", "handle"), 2.0,
+     r"case\.json\.objects\[0\]\.shape_conf\.handle: 2\.0 not in \[0, 1\]"),
+    ("shape-role-unknown", ("objects", 0, "shape_conf", "rake_head"), 0.5,
+     r"case\.json\.objects\[0\]\.shape_conf: unknown part role 'rake_head'"),
+    ("object-id-repeated", ("objects", 1, "object_id"), "obj0",
+     r"case\.json\.objects\[1\]: duplicate object_id 'obj0'"),
+    ("ground-truth-tool-other", ("ground_truth", "tool"), "rake",
+     r"case\.json\.ground_truth\.tool: 'rake' not among candidate tools"),
+    ("ground-truth-part-unknown", ("ground_truth", "grasp_part"), "obj99",
+     r"case\.json\.ground_truth\.grasp_part: unknown object 'obj99'"),
+    ("ground-truth-same-parts", ("ground_truth", "grasp_part"), "obj2",
+     r"case\.json\.ground_truth: action and grasp parts must differ"),
+    ("ground-truth-material", ("objects", 2, "material_conf"), {"plastic": 0.9},
+     r"case\.json\.ground_truth: pair fails the material constraint"),
     ("format-version-missing", ("format_version",), ...,
      r"case\.json\.format_version: missing required field"),
     ("noise-misspelt-field", ("noise", "materal_fn_rate"), 1.0,
@@ -116,7 +135,7 @@ def test_validate_repeated_tool_exits_two(tmp_path, capsys):
     bad.write_text(json.dumps(data), encoding="utf-8")
     code = main(["validate", *args_for("woodworking_hammer"), "--scenario", str(bad)])
     assert code == EXIT_USAGE
-    assert "tools[1]: duplicate tool 'hammer'" in capsys.readouterr().err
+    assert "case.json.tools[1]: duplicate tool 'hammer'" in capsys.readouterr().err
 
 
 RAKE_DOMAIN = (DOMAINS / "cleaning_rake.domain.pddl").read_text(encoding="utf-8")
@@ -240,7 +259,10 @@ def test_episode_json_summary(capsys, tmp_path):
     assert summary["success"] is True
     assert summary["plan"][0].startswith("(")
     events = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert {e["event"] for e in events} == {"search", "attempt"}
+    assert {e["event"] for e in events[:-1]} == {"search", "attempt"}
+    # the printed summary is the trace's closing episode event, plus detail
+    details = ("plan", "attempted", "trust_trace")
+    assert events[-1] == {k: v for k, v in summary.items() if k not in details}
 
 
 def test_episode_negative_budget_exits_two(capsys):
@@ -336,12 +358,11 @@ def test_bench_generate_lone_grasp_object_exits_two(tmp_path, monkeypatch, capsy
     assert "object library too small" in capsys.readouterr().err
 
 
-def test_episode_adaptability_flag(capsys):
+def test_episode_prints_chosen_tool(capsys):
     code = main([
         "episode", *args_for("cleaning_either"),
         "--scenario", str(BENCH / "cleaning_either_case00.json"),
         "--algorithm", "astar", "--heuristic", "landmarks", "--features", "on",
-        "--adaptability",
     ])
     assert code == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
@@ -356,13 +377,14 @@ def test_episode_summary_with_trust_withdrawn_is_pinned(capsys):
         "episode", *args_for("woodworking_screwdriver"),
         "--scenario", str(BENCH / "woodworking_screwdriver_case03.json"),
         "--algorithm", "astar", "--heuristic", "landmarks", "--features", "on",
-        "--noise", "on", "--adaptability",
+        "--noise", "on",
     ])
     assert code == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {
         "attempted": [["obj1", "obj8"], ["obj1", "obj3"], ["obj1", "obj4"], ["obj6", "obj3"],
                       ["obj7", "obj3"], ["obj6", "obj4"], ["obj7", "obj4"], ["obj8", "obj1"]],
         "chosen_tool": "screwdriver",
+        "event": "episode",
         "failed_attempts": 7,
         "nodes_first_search": 74,
         "nodes_total": 743,
@@ -378,6 +400,8 @@ def test_episode_summary_with_trust_withdrawn_is_pinned(capsys):
         "searches": 9,
         "status": "success",
         "success": True,
+        "task": "woodworking",
+        "tool": "screwdriver",
         "trust_trace": [True] * 8 + [False],
         "use_action": "tighten",
     }
@@ -422,7 +446,7 @@ RAKE_PROBLEM = (DOMAINS / "cleaning_rake.problem.pddl").read_text(encoding="utf-
 RAKE_CASE = json.loads((BENCH / "cleaning_rake_case00.json").read_text(encoding="utf-8"))
 
 # Mostly legal values: each flag has at most one that argparse rejects.
-# The last three flags are for episode only.
+# The last two flags are for episode only.
 FLAG_VALUES = {
     "--algorithm": ("astar", "wastar", "ucs", "ehc", "dfs"),
     "--heuristic": HEURISTIC_NAMES,
@@ -432,23 +456,21 @@ FLAG_VALUES = {
     "--node-budget": ("0", "1", "50", "-1"),
     "--trust": ("fixed", "switchable"),
     "--budget": ("0", "2", "-3", "x"),
-    "--adaptability": (),
 }
 COMMAND_FLAGS = {
     "validate": (),
-    "plan": tuple(FLAG_VALUES)[:-3],
+    "plan": tuple(FLAG_VALUES)[:-2],
     "episode": tuple(FLAG_VALUES),
 }
 
 
 def command_lines(command):
-    """*command* and a few of its flags, each with a value unless it is a switch."""
+    """*command* and a few of its flags, each with a value."""
     names = COMMAND_FLAGS[command]
     if not names:
         return st.just([command])
     args = st.sampled_from(names).flatmap(
-        lambda f: st.tuples(st.just(f), st.sampled_from(FLAG_VALUES[f])) if FLAG_VALUES[f]
-        else st.just((f,))
+        lambda f: st.tuples(st.just(f), st.sampled_from(FLAG_VALUES[f]))
     )
     return st.lists(args, max_size=4).map(lambda flags: [command, *(a for f in flags for a in f)])
 

@@ -4,7 +4,7 @@ import pytest
 
 from fgs.assets import load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
-from fgs.episode import first_join, run_episode
+from fgs.episode import episode_event, first_join, run_episode
 from fgs.errors import ConfigError
 from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark
 from fgs.search import SearchConfig
@@ -133,13 +133,17 @@ def test_misaligned_scenario_is_config_error(squeegee_setup):
 def test_trace_events(squeegee_setup):
     gp, scenarios = squeegee_setup
     events = []
-    run_episode(gp, FSH, scenarios[0], trace=events.append)
-    kinds = {e["event"] for e in events}
+    result = run_episode(gp, FSH, scenarios[0], trace=events.append)
+    kinds = {e["event"] for e in events[:-1]}
     assert kinds == {"search", "attempt"}
     searches = [e for e in events if e["event"] == "search"]
     attempts = [e for e in events if e["event"] == "attempt"]
-    assert len(searches) >= 1 and len(attempts) >= 1
+    assert len(searches) == result.searches and len(attempts) >= 1
     assert attempts[-1]["accepted"] is True
+    # the episode's summary closes the trace
+    assert events[-1] == episode_event(scenarios[0], result)
+    assert events[-1]["searches"] == len(searches)
+    assert events[-1]["failed_attempts"] == attempts[-1]["failed_attempts"]
 
 
 def test_adaptability_reports_tool_and_action():
