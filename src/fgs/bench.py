@@ -1,9 +1,11 @@
 """Benchmark harness: baseline comparison, alternative algorithms, and
 adaptability, each over the bundled fixed scenarios (regression mode) or
 freshly generated ones. Each episode's record is its `episode` trace event
-(episode.episode_event) tagged with its config; aggregation is a
-deterministic fold over those records ordered by (scenario, config), so
-identical configurations produce byte-identical reports.
+(episode.episode_event), built from the run's EpisodeResult and tagged with
+its config; the rest of its trace is built from the same result only when a
+trace directory is given. Aggregation is a deterministic fold over those
+records ordered by (scenario, config), so identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assets import benchmark_dir, load_task, task_for_scenario
-from .episode import STATUS_SUCCESS, EpisodeResult, episode_event, run_episode
+from .episode import STATUS_SUCCESS, EpisodeResult, episode_event, run_episode, trace_events
 from .errors import ConfigError
 from .scenario import (
     TASK_TOOLS,
@@ -66,7 +67,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}' (choose from {EXPERIMENTS})")
         if self.cases_per_tool < 1:
-            raise ConfigError("cases_per_tool must be >= 1")
+            raise ConfigError(f"cases_per_tool must be >= 1, got {self.cases_per_tool} (--cases)")
         if self.configs is not None and not self.configs:
             raise ConfigError("configs must be nonempty")
         if self.budgets is not None and self.experiment == "adaptability":
@@ -75,7 +76,7 @@ class ExperimentConfig:
         budgets = self.budgets or ()
         for budget in budgets:
             if budget < 0:
-                raise ConfigError(f"budget must be non-negative, got {budget}")
+                raise ConfigError(f"budget must be non-negative, got {budget} (--budget-sweep)")
             if budgets.count(budget) > 1:
                 raise ConfigError(f"budget {budget} is repeated in the budget sweep (--budget-sweep)")
         for t in self.task_types:
@@ -165,39 +166,10 @@ def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
 # -- episode collection ------------------------------------------------------------
 
 
-def open_trace(path):
-    """Open *path* for a JSON-lines episode trace: returns the episode's
-    trace callback and the file handle, which the caller closes."""
-    fh = open(path, "w", encoding="utf-8")
-
-    def write(event: dict) -> None:
-        fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-    return write, fh
-
-
-@contextmanager
-def _episode_trace(records: list, trace_dir: Path | None, scenario_id: str, config_id: str):
-    """One episode's trace callback: it appends the `episode` event, tagged
-    with *config_id*, to *records*, and writes every event to the episode's
-    file under *trace_dir*, when given, which is closed on exit."""
-    write = fh = None
-    if trace_dir is not None:
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "-", config_id)
-        write, fh = open_trace(trace_dir / f"{scenario_id}__{safe}.jsonl")
-
-    def trace(event: dict) -> None:
-        if event["event"] == "episode":
-            event = dict(event, config=config_id)
-            records.append(event)
-        if write is not None:
-            write(event)
-
-    try:
-        yield trace
-    finally:
-        if fh is not None:
-            fh.close()
+def write_trace(path, events) -> None:
+    """Write *events* to *path* as a JSON-lines trace, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(event, sort_keys=True) + "\n" for event in events)
 
 
 def _random_guess(cfg: ExperimentConfig, scenario: Scenario) -> EpisodeResult:
@@ -207,15 +179,15 @@ def _random_guess(cfg: ExperimentConfig, scenario: Scenario) -> EpisodeResult:
     rng = random.Random(f"random-baseline:{cfg.seed}:{scenario.scenario_id}")
     guess = rng.choice(sorted(scenario.tools))
     status = STATUS_SUCCESS if guess == scenario.ground_truth.tool else STATUS_EXHAUSTED
-    return EpisodeResult(status=status, failed_attempts=0, final_plan=None, trust_trace=[],
-                         reject_final=frozenset(), attempted=(), nodes_per_search=(),
-                         chosen_tool=guess)
+    return EpisodeResult(status=status, final_plan=None, reject_final=frozenset(),
+                         search_log=(), chosen_tool=guess)
 
 
 def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> list[dict]:
     """Run every episode of the experiment; returns each episode's
     `episode` event tagged with its `config`. With *trace_dir*, each
-    episode's trace is written there, that record its last line."""
+    episode's trace (episode.trace_events) is written there, that record
+    its last line."""
     cfg.validate()
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
@@ -224,6 +196,17 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
     configs = cfg.resolved_configs()
     gp_cache: dict[str, tuple] = {}
     records: list[dict] = []
+
+    def keep(scenario: Scenario, config_id: str, search_cfg: SearchConfig | None,
+             result: EpisodeResult) -> None:
+        record = dict(episode_event(scenario, result), config=config_id)
+        records.append(record)
+        if trace_dir is not None:
+            events = trace_events(scenario, search_cfg, result)
+            events[-1] = record
+            safe = re.sub(r"[^A-Za-z0-9_.-]", "-", config_id)
+            write_trace(trace_dir / f"{scenario.scenario_id}__{safe}.jsonl", events)
+
     for scenario in scenarios:
         task = task_for_scenario(scenario.task_type, scenario.tools)
         if task.task_id not in gp_cache:
@@ -231,13 +214,11 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
             gp_cache[task.task_id] = (gp, {})
         gp, succ_cache = gp_cache[task.task_id]
         for config_id, search_cfg in configs:
-            with _episode_trace(records, trace_dir, scenario.scenario_id, config_id) as trace:
-                run_episode(gp, search_cfg, scenario, trust_policy=cfg.trust_policy,
-                            noise_on=cfg.noise_on, succ_cache=succ_cache, trace=trace)
+            keep(scenario, config_id, search_cfg,
+                 run_episode(gp, search_cfg, scenario, trust_policy=cfg.trust_policy,
+                             noise_on=cfg.noise_on, succ_cache=succ_cache))
         if cfg.experiment == "adaptability":
-            with _episode_trace(records, trace_dir, scenario.scenario_id,
-                                RANDOM_BASELINE_ID) as trace:
-                trace(episode_event(scenario, _random_guess(cfg, scenario)))
+            keep(scenario, RANDOM_BASELINE_ID, None, _random_guess(cfg, scenario))
     return records
 
 

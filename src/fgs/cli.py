@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .assets import DATA_DIR_ENV
-from .bench import ExperimentConfig, emit_report, open_trace, run_experiment
-from .episode import check_alignment, episode_event, run_episode
+from .bench import ExperimentConfig, emit_report, run_experiment, write_trace
+from .episode import check_alignment, episode_event, run_episode, trace_events
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
@@ -98,20 +98,16 @@ def cmd_episode(args) -> int:
     _, _, gp = _load_model(args)
     scenario = load_scenario(args.scenario)
     cfg = _search_config(args)
-    trace, trace_fh = open_trace(args.trace) if args.trace else (None, None)
-    try:
-        result = run_episode(
-            gp,
-            cfg,
-            scenario,
-            trust_policy=TRUST_POLICIES[args.trust],
-            budget=args.budget,
-            noise_on=args.noise == "on",
-            trace=trace,
-        )
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    result = run_episode(
+        gp,
+        cfg,
+        scenario,
+        trust_policy=TRUST_POLICIES[args.trust],
+        budget=args.budget,
+        noise_on=args.noise == "on",
+    )
+    if args.trace:  # before the summary, so an unwritable trace leaves stdout empty
+        write_trace(args.trace, trace_events(scenario, cfg, result))
     summary = dict(
         episode_event(scenario, result),
         plan=[a.name for a in result.final_plan] if result.final_plan else None,

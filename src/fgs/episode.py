@@ -9,15 +9,18 @@ withdrawn and planning continues over exactly those rejected combinations
 retried within an episode.
 
 The EpisodeResult is the one record of what an episode decided: its status,
-every attempted pair and search effort, and, on success, the tool the
-accepted plan builds and the task action it uses. episode_event turns it
-into the episode's summary, the last event of its trace, which the bench
-reports fold and `fgs episode` prints.
+one SearchRecord per search (trust, status, effort, the pair its plan
+attempts and whether it was accepted), and, on success, the tool the
+accepted plan builds and the task action it uses. The episode's trace is a
+function of that record: trace_events returns each search and attempt event
+in order, then episode_event, the episode's summary, which the bench reports
+fold and `fgs episode` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .grounding import GroundAction, GroundProblem
@@ -28,15 +31,23 @@ from .search import STATUS_BUDGET, STATUS_EXHAUSTED, SearchConfig, search
 STATUS_SUCCESS = "success"
 
 
+class SearchRecord(NamedTuple):
+    """One search of an episode and the attempt its plan makes."""
+
+    trust: bool  # the search ran in the trusted phase
+    status: str  # the search's own status (search.STATUS_*)
+    nodes: int  # nodes expanded
+    plan_length: int | None  # None when the search found no plan
+    pair: tuple[str, ...] | None  # the pair the plan's first join attempts; None without one
+    accepted: bool  # the plan was accepted: its join used the ground-truth pair, or it had none
+
+
 @dataclass
 class EpisodeResult:
     status: str  # STATUS_SUCCESS, STATUS_EXHAUSTED or STATUS_BUDGET
-    failed_attempts: int
     final_plan: list[GroundAction] | None  # the accepted plan; None unless successful
-    trust_trace: list[bool]  # per search
     reject_final: frozenset
-    attempted: tuple[tuple[str, ...], ...]  # every attempted pair, in order
-    nodes_per_search: tuple[int, ...]
+    search_log: tuple[SearchRecord, ...]  # every search, in order
     chosen_tool: str | None = None  # the tool the accepted plan builds
     use_action: str | None = None  # that tool's task action, when the plan uses it
 
@@ -46,25 +57,43 @@ class EpisodeResult:
 
     @property
     def searches(self) -> int:
-        return len(self.nodes_per_search)
+        return len(self.search_log)
+
+    @property
+    def nodes_per_search(self) -> tuple[int, ...]:
+        return tuple(s.nodes for s in self.search_log)
+
+    @property
+    def trust_trace(self) -> list[bool]:
+        """Per search, whether it ran with sensors trusted."""
+        return [s.trust for s in self.search_log]
+
+    @property
+    def attempted(self) -> tuple[tuple[str, ...], ...]:
+        """Every attempted pair, in order."""
+        return tuple(s.pair for s in self.search_log if s.pair is not None)
+
+    @property
+    def failed_attempts(self) -> int:
+        return sum(1 for s in self.search_log if s.pair is not None and not s.accepted)
 
     @property
     def nodes_total(self) -> int:
         """Expansions summed over every search, replans included."""
-        return sum(self.nodes_per_search)
+        return sum(s.nodes for s in self.search_log)
 
     @property
     def nodes_first_search(self) -> int:
         """Expansion count of the initial planning run, before any
         replanning; the per-search effort the benchmark tables report."""
-        return self.nodes_per_search[0] if self.nodes_per_search else 0
+        return self.search_log[0].nodes if self.search_log else 0
 
     @property
     def phase2_whitelist(self) -> frozenset | None:
         """The joins the untrusted phase planned over, or None when trust
         was never withdrawn: that phase runs exactly on the trusted phase's
         rejects, and always runs at least one search."""
-        return None if all(self.trust_trace) else self.reject_final
+        return None if all(s.trust for s in self.search_log) else self.reject_final
 
     @property
     def plan_length(self) -> int | None:
@@ -92,6 +121,27 @@ def episode_event(scenario: Scenario, result: EpisodeResult) -> dict:
         "chosen_tool": result.chosen_tool,
         "use_action": result.use_action,
     }
+
+
+def trace_events(scenario: Scenario, cfg: SearchConfig | None, result: EpisodeResult) -> list[dict]:
+    """The episode's trace: a `search` event per search, each search that
+    found a plan followed by its `attempt` event, and episode_event last.
+    *cfg* names each search's algorithm and heuristic; a result with no
+    search needs none."""
+    sid = scenario.scenario_id
+    events = []
+    failed = 0
+    for s in result.search_log:
+        events.append({"event": "search", "scenario": sid, "trust": s.trust,
+                       "algorithm": cfg.algorithm, "heuristic": cfg.heuristic,
+                       "status": s.status, "nodes": s.nodes, "plan_length": s.plan_length})
+        if s.plan_length is not None:
+            failed += not s.accepted
+            events.append({"event": "attempt", "scenario": sid, "trust": s.trust,
+                           "pair": list(s.pair) if s.pair else None, "accepted": s.accepted,
+                           "failed_attempts": failed})
+    events.append(episode_event(scenario, result))
+    return events
 
 
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
@@ -135,15 +185,15 @@ def run_episode(
     budget: int | None = None,
     noise_on: bool = False,
     succ_cache: dict | None = None,
-    trace=None,
 ) -> EpisodeResult:
-    """Drive one episode to success, exhaustion of both trust phases, or the
-    failed-attempt budget. Once failed_attempts reaches the budget, no
-    further search is launched. A successful episode also reports the tool
-    its accepted plan builds and the task action it uses (chosen_tool,
-    use_action), which is what the adaptability experiment scores. With a
-    *trace* callback, each search and attempt is passed to it as an event
-    dict, and episode_event last; without one, no event is built.
+    """Drive one episode to success, exhaustion of both trust phases, the
+    failed-attempt budget or the node budget. Once failed_attempts reaches
+    the budget, no further search is launched; a search cut by
+    cfg.node_budget ends the episode with that status, and only an
+    exhausted trusted phase withdraws trust. A successful episode also
+    reports the tool its accepted plan builds and the task action it uses
+    (chosen_tool, use_action), which is what the adaptability experiment
+    scores.
 
     *succ_cache* is a dict the caller may share among the episodes over one
     grounded problem *gp*: it holds successor lists under integer state keys
@@ -154,7 +204,7 @@ def run_episode(
     if trust_policy not in ("fixed_true", "switchable"):
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:
-        raise ConfigError(f"budget must be non-negative, got {budget}")
+        raise ConfigError(f"budget must be non-negative, got {budget} (--budget)")
     check_alignment(gp, scenario)
     profiles = sense(scenario, noise_on)
     registry = scenario.registry()
@@ -163,8 +213,7 @@ def run_episode(
         succ_cache = {}
 
     attempted: list[tuple[str, ...]] = []
-    nodes_per_search: list[int] = []
-    trust_trace: list[bool] = []
+    log: list[SearchRecord] = []
     final_plan: list[GroundAction] | None = None
 
     def run_phase(scorer: JoinScorer) -> str:
@@ -173,37 +222,23 @@ def run_episode(
         nonlocal final_plan
         trust = scorer.whitelist is None
         while True:
-            failed = len(attempted)  # an accepted pair ends the episode
-            if budget is not None and failed >= budget:
+            # an accepted pair ends the episode, so every attempt so far failed
+            if budget is not None and len(attempted) >= budget:
                 return STATUS_BUDGET
-            result = search(
-                gp,
-                cfg,
-                scorer=scorer,
-                exclusions=frozenset(attempted),
-                succ_cache=succ_cache,
-            )
-            nodes_per_search.append(result.nodes_expanded)
-            trust_trace.append(trust)
-            if trace is not None:
-                trace({"event": "search", "scenario": scenario.scenario_id, "trust": trust,
-                       "algorithm": cfg.algorithm, "heuristic": cfg.heuristic,
-                       "status": result.status, "nodes": result.nodes_expanded,
-                       "plan_length": None if result.plan is None else len(result.plan)})
-            if result.plan is None:
-                return STATUS_EXHAUSTED
-            join = first_join(result.plan)
+            result = search(gp, cfg, scorer=scorer, exclusions=frozenset(attempted),
+                            succ_cache=succ_cache)
+            plan = result.plan
+            join = first_join(plan or ())
             pair = None if join is None else join.o_a
-            accepted = pair is None or pair == truth
-            if pair is not None:
-                attempted.append(pair)
-            if trace is not None:
-                trace({"event": "attempt", "scenario": scenario.scenario_id, "trust": trust,
-                       "pair": list(pair) if pair else None, "accepted": accepted,
-                       "failed_attempts": failed + (0 if accepted else 1)})
+            accepted = plan is not None and (pair is None or pair == truth)
+            log.append(SearchRecord(trust, result.status, result.nodes_expanded,
+                                    None if plan is None else len(plan), pair, accepted))
+            if plan is None:
+                return result.status  # STATUS_EXHAUSTED or STATUS_BUDGET
             if accepted:
-                final_plan = result.plan
+                final_plan = plan
                 return STATUS_SUCCESS
+            attempted.append(pair)
 
     # with feature scoring off the gate never scores, so nothing is rejected
     scorer = JoinScorer(registry, profiles)
@@ -221,18 +256,4 @@ def run_episode(
         chosen_tool = spec.tool
         if any(act.schema_name == spec.use_action for act in final_plan):
             use_action = spec.use_action
-    episode = EpisodeResult(
-        status=status,
-        # the ground-truth pair is attempted only once, and then accepted
-        failed_attempts=len(attempted) - (truth in attempted),
-        final_plan=final_plan,
-        trust_trace=trust_trace,
-        reject_final=reject,
-        attempted=tuple(attempted),
-        nodes_per_search=tuple(nodes_per_search),
-        chosen_tool=chosen_tool,
-        use_action=use_action,
-    )
-    if trace is not None:
-        trace(episode_event(scenario, episode))
-    return episode
+    return EpisodeResult(status, final_plan, reject, tuple(log), chosen_tool, use_action)

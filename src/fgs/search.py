@@ -58,9 +58,9 @@ class SearchConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm '{self.algorithm}' (choose from {ALGORITHMS})")
         if not (math.isfinite(self.weight) and self.weight >= 1.0):
-            raise ConfigError(f"weighted search weight must be a finite number >= 1, got {self.weight}")
+            raise ConfigError(f"weighted search weight must be a finite number >= 1, got {self.weight} (--weight)")
         if self.node_budget is not None and self.node_budget < 0:
-            raise ConfigError("node_budget must be non-negative")
+            raise ConfigError(f"node_budget must be non-negative, got {self.node_budget} (--node-budget)")
 
 
 @dataclass

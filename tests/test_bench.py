@@ -63,6 +63,8 @@ def test_collect_records_and_fairness(tmp_path):
     assert {e["event"] for e in events[:-1]} <= {"search", "attempt"}
     assert sum(e["event"] == "search" for e in events) >= 1
     assert events[-1] == records[0]
+    # the records come from the episode results, with or without traces
+    assert collect_records(SMALL) == records
 
 
 def test_aggregate_denominators():

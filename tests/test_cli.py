@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgs.assets import data_dir
+from fgs.assets import data_dir, load_task
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
+from fgs.episode import run_episode, trace_events
 from fgs.heuristics import HEURISTIC_NAMES
-from fgs.scenario import TOOL_TABLE
+from fgs.scenario import TOOL_TABLE, load_scenario
+from fgs.search import SearchConfig
 
 from .test_pddl import mutated_tokens
 from .test_scenario import FIELD_PATHS, json_values
@@ -259,10 +261,45 @@ def test_episode_json_summary(capsys, tmp_path):
     assert summary["success"] is True
     assert summary["plan"][0].startswith("(")
     events = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert {e["event"] for e in events[:-1]} == {"search", "attempt"}
+    # the trace file is the library's trace of the same episode
+    cfg = SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True)
+    scenario = load_scenario(BENCH / "woodworking_hammer_case00.json")
+    result = run_episode(load_task("woodworking_hammer")[2], cfg, scenario)
+    assert events == trace_events(scenario, cfg, result)
     # the printed summary is the trace's closing episode event, plus detail
     details = ("plan", "attempted", "trust_trace")
     assert events[-1] == {k: v for k, v in summary.items() if k not in details}
+
+
+def test_episode_unwritable_trace_exits_three(tmp_path, capsys):
+    code = main([
+        "episode", *args_for("woodworking_hammer"),
+        "--scenario", str(BENCH / "woodworking_hammer_case00.json"),
+        "--trace", str(tmp_path / "missing" / "trace.jsonl"),
+    ])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "i/o error" in captured.err
+
+
+EPISODE_ARGS = [*args_for("cleaning_rake"), "--scenario", str(BENCH / "cleaning_rake_case00.json")]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--node-budget", ["plan", *args_for("cleaning_rake"), "--node-budget", "-1"]),
+    ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1"]),
+    ("--budget", ["episode", *EPISODE_ARGS, "--budget", "-1"]),
+    ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "0.5"]),
+    ("--cases", ["bench", "--experiment", "baselines", "--generate", "--cases", "0"]),
+    ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-1"]),
+])
+def test_flag_errors_name_the_flag(flag, argv, tmp_path, capsys):
+    if argv[0] == "bench":
+        argv = [*argv, "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == EXIT_USAGE
+    assert f"({flag})" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_episode_negative_budget_exits_two(capsys):

@@ -1,13 +1,19 @@
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from fgs.assets import load_task, task_for_scenario
+from fgs import grounding
+from fgs.assets import benchmark_dir, load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
-from fgs.episode import episode_event, first_join, run_episode
+from fgs.episode import episode_event, first_join, run_episode, trace_events
 from fgs.errors import ConfigError
-from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark
+from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark, load_scenario
 from fgs.search import SearchConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import check_episode  # noqa: E402
 
 FSH = SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True)
 H = SearchConfig(algorithm="astar", heuristic="landmarks")
@@ -132,18 +138,74 @@ def test_misaligned_scenario_is_config_error(squeegee_setup):
 
 def test_trace_events(squeegee_setup):
     gp, scenarios = squeegee_setup
-    events = []
-    result = run_episode(gp, FSH, scenarios[0], trace=events.append)
+    result = run_episode(gp, FSH, scenarios[0])
+    events = trace_events(scenarios[0], FSH, result)
     kinds = {e["event"] for e in events[:-1]}
     assert kinds == {"search", "attempt"}
     searches = [e for e in events if e["event"] == "search"]
     attempts = [e for e in events if e["event"] == "attempt"]
     assert len(searches) == result.searches and len(attempts) >= 1
+    assert [e["nodes"] for e in searches] == list(result.nodes_per_search)
+    assert [e["trust"] for e in searches] == result.trust_trace
+    assert [tuple(e["pair"]) for e in attempts] == list(result.attempted)
     assert attempts[-1]["accepted"] is True
     # the episode's summary closes the trace
     assert events[-1] == episode_event(scenarios[0], result)
     assert events[-1]["searches"] == len(searches)
     assert events[-1]["failed_attempts"] == attempts[-1]["failed_attempts"]
+
+
+def _bundled(scenario_id):
+    sc = load_scenario(benchmark_dir() / f"{scenario_id}.json")
+    return load_task(task_for_scenario(sc.task_type, sc.tools).task_id)[2], sc
+
+
+def test_node_budget_cut_keeps_trust():
+    # the trusted phase is cut off, not out of plans: the episode ends with
+    # the search's own status, and trust is never withdrawn
+    gp, sc = _bundled("cleaning_rake_case03")
+    result = run_episode(gp, replace(FSH, node_budget=30), sc, noise_on=True)
+    assert result.status == "budget"
+    assert result.search_log[-1].status == "budget"
+    assert result.searches > 1
+    assert result.trust_trace == [True] * result.searches
+    assert result.phase2_whitelist is None
+
+
+# Paths the pinned bench and episode digests do not cover: fixed trust, the
+# failed-attempt budget, EHC, features off and the node budget.
+TRACE_PATHS = {
+    "fixed-trust": (FSH, {"trust_policy": "fixed_true"}),
+    "attempt-budget": (H, {"budget": 3}),
+    "ehc": (SearchConfig(algorithm="ehc", heuristic="ff", use_feature_score=True), {}),
+    "features-off": (H, {}),
+    "node-budget": (replace(FSH, node_budget=30), {}),
+}
+
+
+@pytest.mark.parametrize("noise_on", [False, True])
+@pytest.mark.parametrize("path", sorted(TRACE_PATHS))
+@pytest.mark.parametrize("scenario_id", ["cleaning_rake_case03", "woodworking_screwdriver_case03"])
+def test_trace_events_follow_the_search_log(scenario_id, path, noise_on):
+    gp, sc = _bundled(scenario_id)
+    cfg, kwargs = TRACE_PATHS[path]
+    result = run_episode(gp, cfg, sc, noise_on=noise_on, **kwargs)
+    events = trace_events(sc, cfg, result)
+    assert events[-1] == episode_event(sc, result)
+    body = events[:-1]
+    # each search, followed by an attempt exactly when it found a plan
+    searches = [e for e in body if e["event"] == "search"]
+    expected = []
+    for e in searches:
+        expected += ["search"] + (["attempt"] if e["plan_length"] is not None else [])
+    assert [e["event"] for e in body] == expected
+    assert len(searches) == result.searches
+    assert [e["status"] for e in searches] == [s.status for s in result.search_log]
+    attempts = [e for e in body if e["event"] == "attempt"]
+    assert [tuple(e["pair"]) for e in attempts if e["pair"]] == list(result.attempted)
+    last_failed = attempts[-1]["failed_attempts"] if attempts else 0
+    assert last_failed == result.failed_attempts
+    assert check_episode(grounding, gp, sc, result) == []
 
 
 def test_adaptability_reports_tool_and_action():
@@ -212,10 +274,8 @@ def test_shared_cache_episodes_match_cold_episodes():
             for cfg in configs:
                 runs = []
                 for cache in (shared[task_id], {}):
-                    events = []
-                    result = run_episode(gps[task_id], cfg, sc, noise_on=noise_on, succ_cache=cache,
-                                         trace=events.append)
-                    runs.append((result, events))
+                    result = run_episode(gps[task_id], cfg, sc, noise_on=noise_on, succ_cache=cache)
+                    runs.append((result, trace_events(sc, cfg, result)))
                 assert runs[0] == runs[1], (sc.scenario_id, cfg, noise_on)
     assert len(gps) == 6
     assert all({"ff", "hadd", "hmax", "landmarks"} <= cache.keys() for cache in shared.values())
