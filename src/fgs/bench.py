@@ -1,9 +1,10 @@
 """Benchmark harness: baseline comparison, alternative algorithms, and
 adaptability, each over the bundled fixed scenarios (regression mode) or
-freshly generated ones. Each episode's record is its `episode` trace event
-(episode.episode_event), built from the run's EpisodeResult and tagged with
-its config; the rest of its trace is built from the same result only when a
-trace directory is given. Aggregation is a deterministic fold over those
+the same kinds of scenario drawn by their generator at any seed. Each
+episode's record is its `episode` trace event (episode.episode_event),
+built from the run's EpisodeResult and tagged with its config; the rest of
+its trace is built from the same result only when a trace directory is
+given. Aggregation is a deterministic fold over those
 records ordered by (scenario, config), so identical configurations produce
 byte-identical reports.
 """
@@ -20,9 +21,9 @@ from .assets import benchmark_dir, load_task, task_for_scenario
 from .episode import STATUS_SUCCESS, EpisodeResult, episode_event, run_episode, trace_events
 from .errors import ConfigError
 from .scenario import (
+    BENCH_CASES_PER_TOOL,
     TASK_TOOLS,
     Scenario,
-    generate_adaptability,
     generate_benchmark,
     load_scenario,
 )
@@ -55,7 +56,7 @@ RANDOM_BASELINE_ID = "random"
 class ExperimentConfig:
     experiment: str
     task_types: tuple[str, ...] = ("cleaning", "cooking", "woodworking")
-    cases_per_tool: int = 10
+    cases_per_tool: int | None = None  # generated mode only; None draws BENCH_CASES_PER_TOOL
     configs: tuple[tuple[str, SearchConfig], ...] | None = None
     trust_policy: str = "switchable"
     budgets: tuple[int, ...] | None = None
@@ -66,8 +67,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}' (choose from {EXPERIMENTS})")
-        if self.cases_per_tool < 1:
-            raise ConfigError(f"cases_per_tool must be >= 1, got {self.cases_per_tool} (--cases)")
+        if self.cases_per_tool is not None:
+            if self.regression:
+                raise ConfigError("cases per tool apply only to generated scenarios; "
+                                  "add --generate (--cases)")
+            if self.cases_per_tool < 1:
+                raise ConfigError(f"cases_per_tool must be >= 1, got {self.cases_per_tool} (--cases)")
         if self.configs is not None and not self.configs:
             raise ConfigError("configs must be nonempty")
         if self.budgets is not None and self.experiment == "adaptability":
@@ -133,11 +138,11 @@ class MetricsTable:
 # -- scenario selection ----------------------------------------------------------
 
 
-def _bundled_scenarios(prefix_tool_pairs) -> list[Scenario]:
+def _bundled_scenarios(kinds) -> list[Scenario]:
     base = benchmark_dir()
     out = []
-    for task_type, tool in prefix_tool_pairs:
-        pattern = f"{task_type}_{tool}_case*.json"
+    for task_type, label in kinds:
+        pattern = f"{task_type}_{label}_case*.json"
         files = sorted(base.glob(pattern))
         if not files:
             raise ConfigError(f"no bundled scenarios matching {pattern} under {base}")
@@ -146,20 +151,14 @@ def _bundled_scenarios(prefix_tool_pairs) -> list[Scenario]:
 
 
 def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
-    task_types = tuple(sorted(cfg.task_types))
-    if cfg.experiment == "adaptability":
-        if cfg.regression:
-            return _bundled_scenarios((t, "either") for t in task_types)
-        out = []
-        for t in task_types:
-            out.extend(generate_adaptability(t, cfg.cases_per_tool, cfg.seed))
-        return sorted(out, key=lambda s: s.scenario_id)
-    pairs = [(t, tool) for t in task_types for tool in TASK_TOOLS[t]]
+    """The bundled scenarios of the experiment's kinds (task type, tool or
+    'either'), or in generated mode the same kinds drawn at cfg.seed."""
+    kinds = [(t, label) for t in sorted(cfg.task_types)
+             for label in (("either",) if cfg.experiment == "adaptability" else TASK_TOOLS[t])]
     if cfg.regression:
-        return _bundled_scenarios(pairs)
-    out = []
-    for t, tool in pairs:
-        out.extend(generate_benchmark(t, tool, cfg.cases_per_tool, cfg.seed))
+        return _bundled_scenarios(kinds)
+    cases = cfg.cases_per_tool or BENCH_CASES_PER_TOOL
+    out = [sc for t, label in kinds for sc in generate_benchmark(t, label, cases, cfg.seed)]
     return sorted(out, key=lambda s: s.scenario_id)
 
 

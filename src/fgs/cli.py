@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .assets import DATA_DIR_ENV
 from .bench import ExperimentConfig, emit_report, run_experiment, write_trace
-from .episode import check_alignment, episode_event, run_episode, trace_events
+from .episode import TRUST_POLICIES, check_alignment, episode_event, run_episode, trace_events
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
@@ -32,9 +32,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 log = logging.getLogger("fgs")
-
-# --trust values to the episode trust policies they select
-TRUST_POLICIES = {"fixed": "fixed_true", "switchable": "switchable"}
 
 
 def _load_model(args):
@@ -102,7 +99,7 @@ def cmd_episode(args) -> int:
         gp,
         cfg,
         scenario,
-        trust_policy=TRUST_POLICIES[args.trust],
+        trust_policy=args.trust,
         budget=args.budget,
         noise_on=args.noise == "on",
     )
@@ -122,7 +119,7 @@ def cmd_bench(args) -> int:
     cfg = ExperimentConfig(
         experiment=args.experiment,
         cases_per_tool=args.cases,
-        trust_policy=TRUST_POLICIES[args.trust],
+        trust_policy=args.trust,
         budgets=tuple(args.budget_sweep) if args.budget_sweep else None,
         seed=args.seed,
         noise_on=args.noise == "on",
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     add_search_args(p)
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--trust", default="switchable", choices=tuple(TRUST_POLICIES))
+    p.add_argument("--trust", default="switchable", choices=TRUST_POLICIES)
     p.add_argument("--budget", type=int, default=None, help="max failed construction attempts")
     p.add_argument("--trace", help="write a JSON-lines episode trace to this file")
     p.set_defaults(func=cmd_episode)
@@ -194,10 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", default="csv", choices=("csv", "json", "markdown"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=10, help="cases per tool when generating")
+    p.add_argument("--cases", type=int, default=None,
+                   help="cases per tool with --generate (default 10)")
     p.add_argument("--generate", action="store_true",
-                   help="generate fresh scenarios instead of the bundled fixed ones")
-    p.add_argument("--trust", default="switchable", choices=tuple(TRUST_POLICIES))
+                   help="draw the suite's scenarios at --seed instead of the bundled ones")
+    p.add_argument("--trust", default="switchable", choices=TRUST_POLICIES)
     p.add_argument("--noise", default="off", choices=("on", "off"))
     p.add_argument("--budget-sweep", type=_int_list, default=None,
                    help="comma-separated budgets for success-rate curves, e.g. 0,1,2,5,10,89")

@@ -29,6 +29,9 @@ from .scoring import JoinScorer
 from .search import STATUS_BUDGET, STATUS_EXHAUSTED, SearchConfig, search
 
 STATUS_SUCCESS = "success"
+# "fixed" keeps trust for the whole episode; "switchable" withdraws it once
+# trusted planning is exhausted
+TRUST_POLICIES = ("fixed", "switchable")
 
 
 class SearchRecord(NamedTuple):
@@ -201,7 +204,7 @@ def run_episode(
     heuristic's per-state values or landmark set, which every search of the
     episode builds its heuristic on (heuristics.make_heuristic). It lives as
     long as the caller keeps it; None starts a fresh one."""
-    if trust_policy not in ("fixed_true", "switchable"):
+    if trust_policy not in TRUST_POLICIES:
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:
         raise ConfigError(f"budget must be non-negative, got {budget} (--budget)")

@@ -10,6 +10,12 @@ Scenario files are JSON with a format_version field. The record dataclasses
 are the schema: each field is read through the check its annotation implies
 (see the README for the field table). A tool's spec is domain knowledge,
 not part of the file: every scenario reads it from TOOL_TABLE by name.
+
+One generator draws every scenario. build_benchmark_suite(seed) is the
+regression suite, whose noise arms a few single-tool cases with a sure
+false negative; at BENCH_SEED it is the bundled files. generate_benchmark
+draws one kind of that suite at any number of cases, one tool's cases or a
+task type's two-tool cases, and is what `fgs bench --generate` runs.
 """
 
 from __future__ import annotations
@@ -520,42 +526,6 @@ def _check_ground_truth_ranks_first(sc: Scenario) -> None:
                     )
 
 
-def generate_benchmark(
-    task_type: str,
-    tool: str,
-    cases: int,
-    seed: int,
-    *,
-    library=None,
-    noise_overrides: dict[int, NoiseSpec] | None = None,
-) -> list[Scenario]:
-    """Seeded single-tool scenarios: SCENARIO_OBJECTS objects, one valid combination, the
-    rest distractors failing at least one of shape/material/attachment."""
-    if tool not in TOOL_TABLE:
-        raise ValidationError(f"unknown tool '{tool}'")
-    if tool not in TASK_TOOLS.get(task_type, ()):
-        raise ValidationError(f"tool '{tool}' is not registered for task type '{task_type}'")
-    return _generate(
-        task_type, (tool,), tool, f"gen:{seed}:{task_type}:{tool}",
-        cases, library, noise_overrides,
-    )
-
-
-def _generate(task_type, tools, label, rng_key, cases, library, noise_overrides):
-    """Case i is '<task_type>_<label>_case<i>', drawn from the rng seeded
-    '<rng_key>:<i>'; its ground-truth tool cycles through *tools*."""
-    library = library or default_library()
-    out = []
-    for i in range(cases):
-        rng = random.Random(f"{rng_key}:{i}")
-        noise = (noise_overrides or {}).get(i) or NoiseSpec(seed=rng.randrange(2**31))
-        out.append(_build_scenario(
-            f"{task_type}_{label}_case{i:02d}", task_type, tools, tools[i % len(tools)], rng,
-            library, noise,
-        ))
-    return out
-
-
 BENCH_SEED = 1729
 BENCH_CASES_PER_TOOL = 10
 BENCH_MATERIAL_ARMED = 4  # single-tool scenarios with a forced material false negative
@@ -563,76 +533,66 @@ BENCH_ATTACH_ARMED = 4  # and with a forced attachment false negative
 ADAPT_NOISE = dict(material_fn_rate=0.05, attach_fn_rate=0.05, shape_jitter=0.02)
 
 
-def _derived_noise_seed(seed: int, scenario_id: str) -> int:
-    return random.Random(f"noise:{seed}:{scenario_id}").randrange(2**31)
+def generate_benchmark(task_type: str, label: str, cases: int, seed: int, *,
+                       library=None) -> list[Scenario]:
+    """Cases 0..cases-1 of one kind of the suite drawn at *seed*: *label* is
+    one of the task's tools, or 'either' for the two-tool scenarios. At
+    BENCH_CASES_PER_TOOL cases it is that kind of build_benchmark_suite(seed)."""
+    if label != "either" and label not in TOOL_TABLE:
+        raise ValidationError(f"unknown tool '{label}'")
+    if task_type not in TASK_TOOLS:
+        raise ValidationError(f"unknown task type '{task_type}'")
+    if label not in (*TASK_TOOLS[task_type], "either"):
+        raise ValidationError(f"tool '{label}' is not registered for task type '{task_type}'")
+    armed = {} if label == "either" else _armed_noise(seed, cases)
+    return _generate(task_type, label, cases, seed, library or default_library(), armed)
 
 
 def build_benchmark_suite(seed: int = BENCH_SEED, *, library=None) -> list[Scenario]:
-    """The fixed regression suite: ten scenarios per tool plus ten two-tool
-    scenarios per task type. A fixed subset of the single-tool scenarios
-    carries always-firing sensor false negatives on the ground-truth pair
-    (inactive until an episode runs with noise on); the two-tool scenarios
-    carry mild probabilistic noise."""
+    """The regression suite: BENCH_CASES_PER_TOOL scenarios per tool plus as
+    many two-tool scenarios per task type. At BENCH_SEED it is the bundled
+    suite."""
     library = library or default_library()
-    single_ids = [
-        f"{task}_{tool}_case{i:02d}"
-        for task in sorted(TASK_TOOLS)
-        for tool in TASK_TOOLS[task]
-        for i in range(BENCH_CASES_PER_TOOL)
-    ]
-    armed = random.Random(f"bench-noise:{seed}").sample(
-        sorted(single_ids), BENCH_MATERIAL_ARMED + BENCH_ATTACH_ARMED
-    )
-    material_armed = set(armed[:BENCH_MATERIAL_ARMED])
-    attach_armed = set(armed[BENCH_MATERIAL_ARMED:])
-
-    out: list[Scenario] = []
-    for task in sorted(TASK_TOOLS):
-        for tool in TASK_TOOLS[task]:
-            overrides = {}
-            for i in range(BENCH_CASES_PER_TOOL):
-                sid = f"{task}_{tool}_case{i:02d}"
-                noise_seed = _derived_noise_seed(seed, sid)
-                if sid in material_armed:
-                    overrides[i] = NoiseSpec(seed=noise_seed, material_fn_rate=1.0)
-                elif sid in attach_armed:
-                    overrides[i] = NoiseSpec(seed=noise_seed, attach_fn_rate=1.0)
-            out.extend(
-                generate_benchmark(
-                    task, tool, BENCH_CASES_PER_TOOL, seed,
-                    library=library, noise_overrides=overrides,
-                )
-            )
-        adapt_overrides = {
-            i: NoiseSpec(
-                seed=_derived_noise_seed(seed, f"{task}_either_case{i:02d}"), **ADAPT_NOISE
-            )
-            for i in range(BENCH_CASES_PER_TOOL)
-        }
-        out.extend(
-            generate_adaptability(
-                task, BENCH_CASES_PER_TOOL, seed,
-                library=library, noise_overrides=adapt_overrides,
-            )
-        )
+    armed = _armed_noise(seed, BENCH_CASES_PER_TOOL)
+    out = [sc for task in sorted(TASK_TOOLS) for label in (*TASK_TOOLS[task], "either")
+           for sc in _generate(task, label, BENCH_CASES_PER_TOOL, seed, library, armed)]
     return sorted(out, key=lambda s: s.scenario_id)
 
 
-def generate_adaptability(
-    task_type: str,
-    cases: int,
-    seed: int,
-    *,
-    library=None,
-    noise_overrides: dict[int, NoiseSpec] | None = None,
-) -> list[Scenario]:
-    """Two-tool scenarios: either tool's join could complete the task, but
-    the objects only afford one of them. Ground truth alternates between the
-    task's two tools."""
-    tools = TASK_TOOLS.get(task_type)
-    if tools is None:
-        raise ValidationError(f"unknown task type '{task_type}'")
-    return _generate(
-        task_type, tools, "either", f"gen-adapt:{seed}:{task_type}",
-        cases, library, noise_overrides,
-    )
+def _armed_noise(seed: int, cases: int) -> dict[str, dict]:
+    """Single-tool ids, drawn across every kind at *cases*, given a sure false
+    negative: up to BENCH_MATERIAL_ARMED material, then BENCH_ATTACH_ARMED attachment."""
+    single_ids = sorted(f"{task}_{tool}_case{i:02d}"
+                        for task in TASK_TOOLS for tool in TASK_TOOLS[task] for i in range(cases))
+    drawn = random.Random(f"bench-noise:{seed}").sample(
+        single_ids, min(len(single_ids), BENCH_MATERIAL_ARMED + BENCH_ATTACH_ARMED))
+    return {sid: dict(material_fn_rate=1.0) if k < BENCH_MATERIAL_ARMED
+            else dict(attach_fn_rate=1.0) for k, sid in enumerate(drawn)}
+
+
+def _generate(task_type: str, label: str, cases: int, seed: int, library, armed) -> list[Scenario]:
+    """Case i is '<task_type>_<label>_case<i>', drawn from its own seeded rng.
+
+    Single-tool cases hold SCENARIO_OBJECTS objects, one valid combination
+    and the rest distractors failing at least one of shape, material and
+    attachment; those named in *armed* (_armed_noise) carry its false
+    negative on the ground-truth pair, which fires whenever an episode runs
+    with noise on. Two-tool cases ('either') could be finished by either of
+    the task's tools, but their objects afford only the ground-truth one,
+    which alternates between the two; they carry the mild noise ADAPT_NOISE."""
+    if label == "either":
+        tools, rng_key = TASK_TOOLS[task_type], f"gen-adapt:{seed}:{task_type}"
+    else:
+        tools, rng_key = (label,), f"gen:{seed}:{task_type}:{label}"
+    out = []
+    for i in range(cases):
+        sid = f"{task_type}_{label}_case{i:02d}"
+        rng = random.Random(f"{rng_key}:{i}")
+        rates = ADAPT_NOISE if label == "either" else armed.get(sid)
+        if rates is None:  # an unarmed case draws its noise seed before its objects
+            noise = NoiseSpec(seed=rng.randrange(2**31))
+        else:
+            noise = NoiseSpec(seed=random.Random(f"noise:{seed}:{sid}").randrange(2**31), **rates)
+        out.append(_build_scenario(sid, task_type, tools, tools[i % len(tools)], rng, library,
+                                   noise))
+    return out

@@ -194,7 +194,7 @@ def single_tool_scenarios():
 
 def test_c06_trust_switch_rescue(single_tool_scenarios):
     gps = {}
-    outcomes = {"fixed_true": [], "switchable": []}
+    outcomes = {"fixed": [], "switchable": []}
     whitelists_ok = True
     for sc in single_tool_scenarios:
         task_id = f"{sc.task_type}_{sc.tools[0]}"
@@ -208,10 +208,10 @@ def test_c06_trust_switch_rescue(single_tool_scenarios):
             if policy == "switchable" and result.phase2_whitelist is not None:
                 if result.phase2_whitelist != result.reject_final:
                     whitelists_ok = False
-    fixed_wins = sum(r.success for r in outcomes["fixed_true"])
+    fixed_wins = sum(r.success for r in outcomes["fixed"])
     switch_wins = sum(r.success for r in outcomes["switchable"])
     rescued = sum(
-        1 for fixed, switched in zip(outcomes["fixed_true"], outcomes["switchable"])
+        1 for fixed, switched in zip(outcomes["fixed"], outcomes["switchable"])
         if switched.success and not fixed.success
     )
     ok = fixed_wins == 52 and switch_wins == 60 and rescued == 8 and whitelists_ok

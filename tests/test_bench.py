@@ -31,6 +31,8 @@ def test_config_validation():
         ExperimentConfig(experiment="baselines", task_types=("gardening",)).validate()
     with pytest.raises(ConfigError, match="nonempty"):
         ExperimentConfig(experiment="baselines", configs=()).validate()
+    with pytest.raises(ConfigError, match="--generate"):
+        ExperimentConfig(experiment="baselines", cases_per_tool=2).validate()
 
 
 def test_bundled_scenario_selection():

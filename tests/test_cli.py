@@ -293,6 +293,7 @@ EPISODE_ARGS = [*args_for("cleaning_rake"), "--scenario", str(BENCH / "cleaning_
     ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "0.5"]),
     ("--cases", ["bench", "--experiment", "baselines", "--generate", "--cases", "0"]),
     ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-1"]),
+    ("--cases", ["bench", "--experiment", "algorithms", "--cases", "2"]),
 ])
 def test_flag_errors_name_the_flag(flag, argv, tmp_path, capsys):
     if argv[0] == "bench":
@@ -468,6 +469,26 @@ def test_bench_generated_mode_seeded(tmp_path):
     main(argv + ["--seed", "4", "--out", str(tmp_path / "c.json")])
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert json.loads((tmp_path / "a.json").read_text())["kind"] == "adaptability"
+
+
+def test_bench_generated_mode_applies_noise(tmp_path):
+    argv = ["bench", "--experiment", "algorithms", "--generate", "--cases", "2", "--seed", "3"]
+    for noise in ("off", "on"):
+        assert main([*argv, "--noise", noise, "--out", str(tmp_path / f"{noise}.csv")]) == EXIT_OK
+    assert (tmp_path / "off.csv").read_bytes() != (tmp_path / "on.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["algorithms", "adaptability"])
+def test_bench_generated_at_the_bundled_seed_is_the_regression_run(experiment, tmp_path):
+    argv = ["bench", "--experiment", experiment, "--seed", "1729", "--noise", "on"]
+    for run, extra in (("bundled", []), ("drawn", ["--generate", "--cases", "10"])):
+        assert main([*argv, *extra, "--out", str(tmp_path / f"{run}.csv"),
+                     "--trace-dir", str(tmp_path / run)]) == EXIT_OK
+    assert (tmp_path / "bundled.csv").read_bytes() == (tmp_path / "drawn.csv").read_bytes()
+    traces = sorted(p.name for p in (tmp_path / "bundled").iterdir())
+    assert traces == sorted(p.name for p in (tmp_path / "drawn").iterdir())
+    for name in traces:
+        assert (tmp_path / "bundled" / name).read_bytes() == (tmp_path / "drawn" / name).read_bytes()
 
 
 def test_usage_error_on_unknown_flag():

@@ -9,7 +9,7 @@ from fgs.assets import benchmark_dir, load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
 from fgs.episode import episode_event, first_join, run_episode, trace_events
 from fgs.errors import ConfigError
-from fgs.scenario import NoiseSpec, generate_adaptability, generate_benchmark, load_scenario
+from fgs.scenario import NoiseSpec, generate_benchmark, load_scenario
 from fgs.search import SearchConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -90,7 +90,7 @@ def test_negative_budget_rejected(squeegee_setup):
 def test_material_false_negative_fixed_trust_fails(squeegee_setup):
     gp, scenarios = squeegee_setup
     sc = replace(scenarios[0], noise=NoiseSpec(seed=9, material_fn_rate=1.0))
-    result = run_episode(gp, FSH, sc, noise_on=True, trust_policy="fixed_true")
+    result = run_episode(gp, FSH, sc, noise_on=True, trust_policy="fixed")
     assert not result.success
     assert result.status == "exhausted"
     assert sc.ground_truth.pair not in result.attempted
@@ -115,7 +115,7 @@ def test_trust_switch_rescues(squeegee_setup):
 def test_attach_false_negative_rescued(squeegee_setup):
     gp, scenarios = squeegee_setup
     sc = replace(scenarios[1], noise=NoiseSpec(seed=9, attach_fn_rate=1.0))
-    fixed = run_episode(gp, FSH, sc, noise_on=True, trust_policy="fixed_true")
+    fixed = run_episode(gp, FSH, sc, noise_on=True, trust_policy="fixed")
     switched = run_episode(gp, FSH, sc, noise_on=True, trust_policy="switchable")
     assert not fixed.success and switched.success
 
@@ -175,7 +175,7 @@ def test_node_budget_cut_keeps_trust():
 # Paths the pinned bench and episode digests do not cover: fixed trust, the
 # failed-attempt budget, EHC, features off and the node budget.
 TRACE_PATHS = {
-    "fixed-trust": (FSH, {"trust_policy": "fixed_true"}),
+    "fixed-trust": (FSH, {"trust_policy": "fixed"}),
     "attempt-budget": (H, {"budget": 3}),
     "ehc": (SearchConfig(algorithm="ehc", heuristic="ff", use_feature_score=True), {}),
     "features-off": (H, {}),
@@ -210,7 +210,7 @@ def test_trace_events_follow_the_search_log(scenario_id, path, noise_on):
 
 def test_adaptability_reports_tool_and_action():
     _, _, gp = load_task("cooking_either")
-    for sc in generate_adaptability("cooking", 4, seed=5):
+    for sc in generate_benchmark("cooking", "either", 4, seed=5):
         result = run_episode(gp, FSH, sc)
         assert result.success
         assert result.chosen_tool == sc.ground_truth.tool
@@ -220,14 +220,14 @@ def test_adaptability_reports_tool_and_action():
 
 def test_adaptability_no_viable_tool_fails():
     _, _, gp = load_task("cooking_either")
-    sc = generate_adaptability("cooking", 1, seed=5)[0]
+    sc = generate_benchmark("cooking", "either", 1, seed=5)[0]
     # corrupt every object's material below threshold: nothing passes trust,
     # and the no-trust whitelist rescue eventually proposes pairs anyway
     bad_objects = tuple(
         replace(o, material_conf={"paper": 0.2}) for o in sc.objects
     )
     sc = replace(sc, objects=bad_objects)
-    result = run_episode(gp, FSH, sc, trust_policy="fixed_true")
+    result = run_episode(gp, FSH, sc, trust_policy="fixed")
     assert result.chosen_tool is None
     assert not result.success
 

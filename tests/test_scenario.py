@@ -17,7 +17,6 @@ from fgs.scenario import (
     NoiseSpec,
     build_benchmark_suite,
     default_library,
-    generate_adaptability,
     generate_benchmark,
     load_library,
     load_scenario,
@@ -301,7 +300,7 @@ def test_noise_spec_validation():
 
 
 def test_adaptability_two_tools_alternating():
-    cases = generate_adaptability("woodworking", 4, seed=3)
+    cases = generate_benchmark("woodworking", "either", 4, seed=3)
     assert [sc.ground_truth.tool for sc in cases] == ["hammer", "screwdriver"] * 2
     for sc in cases:
         assert sc.tools == TASK_TOOLS["woodworking"]
@@ -329,6 +328,40 @@ def test_bundled_noise_arming_counts():
     adapt = [sc for sc in suite if len(sc.tools) == 2]
     assert len(adapt) == 30
     assert all(sc.noise.shape_jitter > 0 for sc in adapt)
+
+
+@pytest.mark.parametrize("task", sorted(TASK_TOOLS))
+def test_generated_kinds_are_the_bundled_files(task):
+    # each kind of the suite, drawn alone at the suite's seed, is its bundled files
+    for label in (*TASK_TOOLS[task], "either"):
+        drawn = generate_benchmark(task, label, 10, seed=1729)
+        files = sorted(benchmark_dir().glob(f"{task}_{label}_case*.json"))
+        assert [scenario_to_json(sc) for sc in drawn] == [json.loads(p.read_text()) for p in files]
+
+
+@pytest.mark.parametrize("cases, material, attach", [(1, 4, 2), (2, 4, 4)])
+def test_generated_kinds_arm_at_most_four_and_four(cases, material, attach):
+    # the arming draw spans every single-tool kind, for any number of cases
+    single = [sc for task in sorted(TASK_TOOLS) for tool in TASK_TOOLS[task]
+              for sc in generate_benchmark(task, tool, cases, seed=3)]
+    assert sum(sc.noise.material_fn_rate == 1.0 for sc in single) == material
+    assert sum(sc.noise.attach_fn_rate == 1.0 for sc in single) == attach
+    assert all(sc.noise.shape_jitter > 0
+               for sc in generate_benchmark("cooking", "either", cases, seed=3))
+
+
+# The suite at seeds other than 1729, whose suite the bundled files pin:
+# perfbench times suites drawn at seeds derived from its own.
+SUITE_DIGESTS = {
+    0: "84926db455825960ca19b20afbf4e5e2b4c91ce1f6667f5d06dd1152f4f87500",
+    7: "47b98a502e168a35c1687f099d598993ce0f1b1e7dcc6c99b81afd94c8905cef",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_DIGESTS))
+def test_suite_at_other_seeds_is_pinned(seed):
+    text = json.dumps([scenario_to_json(sc) for sc in build_benchmark_suite(seed)], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SUITE_DIGESTS[seed]
 
 
 def _sha256(value) -> str:
