@@ -33,10 +33,10 @@ from .scoring import (
     ATTACH_PIERCE,
     MATERIAL_CLASSES,
     NEG_INF,
-    JoinScorer,
     ObjectProfile,
     ToolSpec,
     can_attach,
+    feature_score,
     material_fit,
 )
 
@@ -503,12 +503,11 @@ def _build_scenario(scenario_id: str, task_type: str, tools: tuple[str, ...], gt
 def _check_ground_truth_ranks_first(sc: Scenario) -> None:
     """Generator self-check: under noiseless trusted scoring, the annotated
     pair must strictly outrank every other (pair, join) combination."""
-    registry = sc.registry()
-    score = JoinScorer(registry, sc.profiles()).score
+    registry, profiles = sc.registry(), sc.profiles()
     gt = sc.ground_truth
     gt_action = sc.spec_for_tool(gt.tool).join_action_name
     ids = [o.object_id for o in sc.objects]
-    best = score(gt_action, gt.pair)
+    best = feature_score(registry[gt_action], gt.pair, profiles, None)
     if best == NEG_INF:
         raise InternalError(f"{sc.scenario_id}: ground-truth pair scores -inf")
     for join in registry:
@@ -518,7 +517,7 @@ def _check_ground_truth_ranks_first(sc: Scenario) -> None:
                     continue
                 if (a, b) == gt.pair and join == gt_action:
                     continue
-                phi = score(join, (a, b))
+                phi = feature_score(registry[join], (a, b), profiles, None)
                 if phi >= best:
                     raise InternalError(
                         f"{sc.scenario_id}: pair ({a},{b}) via {join} "
@@ -548,11 +547,11 @@ def generate_benchmark(task_type: str, label: str, cases: int, seed: int, *,
     return _generate(task_type, label, cases, seed, library or default_library(), armed)
 
 
-def build_benchmark_suite(seed: int = BENCH_SEED, *, library=None) -> list[Scenario]:
+def build_benchmark_suite(seed: int = BENCH_SEED) -> list[Scenario]:
     """The regression suite: BENCH_CASES_PER_TOOL scenarios per tool plus as
     many two-tool scenarios per task type. At BENCH_SEED it is the bundled
     suite."""
-    library = library or default_library()
+    library = default_library()
     armed = _armed_noise(seed, BENCH_CASES_PER_TOOL)
     out = [sc for task in sorted(TASK_TOOLS) for label in (*TASK_TOOLS[task], "either")
            for sc in _generate(task, label, BENCH_CASES_PER_TOOL, seed, library, armed)]

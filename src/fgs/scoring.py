@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .errors import ConfigError, ValidationError
 
@@ -102,7 +101,11 @@ def material_fit(o_a, spec: ToolSpec, profiles: dict[str, ObjectProfile]) -> flo
     """Hard material constraint on the action part: the best confidence over
     the tool's allowed materials, or -inf when it falls below threshold."""
     conf = profiles[o_a[0]].material_conf
-    z = max(map(conf.get, spec.allowed_materials, repeat(0.0)), default=0.0)
+    z = 0.0
+    for material in spec.allowed_materials:
+        c = conf.get(material, 0.0)
+        if c > z:
+            z = c
     if z >= MATERIAL_THRESHOLD:
         return z
     return NEG_INF
@@ -152,21 +155,43 @@ def feature_score(
 class JoinScorer:
     """Scores joins under one trust phase: trusted exactly when *whitelist*
     is None. The whitelist is the set of (o_a, join action) pairs that the
-    trusted phase rejected. While trusted, every join scored -inf is added
-    to *rejected*, the next phase's whitelist."""
+    trusted phase rejected. While trusted, every join scored -inf is
+    recorded in *rejected*, the next phase's whitelist."""
 
     def __init__(self, registry: dict[str, ToolSpec], profiles: dict[str, ObjectProfile],
                  whitelist: frozenset | None = None):
         self.registry = registry
         self.profiles = profiles
         self.whitelist = whitelist
-        self.rejected: set[tuple[tuple[str, ...], str]] = set()
+        self._rejected: dict = {}  # ground action name -> the rejected join action
 
-    def score(self, action_name: str, o_a: tuple[str, ...]) -> float:
-        spec = self.registry.get(action_name)
-        if spec is None:
-            raise ConfigError(f"no tool spec registered for join action '{action_name}'")
-        phi = feature_score(spec, o_a, self.profiles, self.whitelist)
-        if phi == NEG_INF and self.whitelist is None:
-            self.rejected.add((o_a, action_name))
-        return phi
+    @property
+    def rejected(self) -> set[tuple[tuple[str, ...], str]]:
+        """The (o_a, join action) pairs this phase scored -inf while trusted."""
+        return {(act.o_a, act.schema_name) for act in self._rejected.values()}
+
+    def gate(self, exclusions: frozenset):
+        """The join rule of the search loops: gate(act), for a ground join
+        action *act*, is the phi of the edge it generates, or None when the
+        edge is skipped: its o_a is in *exclusions* or it scores -inf. Each
+        join not excluded costs one call of the module's feature_score,
+        looked up when the gate runs, so a wrapper installed on it sees
+        every call."""
+        registry, profiles, whitelist = self.registry, self.profiles, self.whitelist
+        rejected = self._rejected if whitelist is None else None
+
+        def gate(act) -> float | None:
+            o_a = act.o_a
+            if o_a in exclusions:
+                return None
+            spec = registry.get(act.schema_name)
+            if spec is None:
+                raise ConfigError(f"no tool spec registered for join action '{act.schema_name}'")
+            phi = feature_score(spec, o_a, profiles, whitelist)
+            if phi == NEG_INF:
+                if rejected is not None:
+                    rejected[act.name] = act  # keyed by the name, whose str hash is cached
+                return None
+            return phi
+
+        return gate

@@ -10,8 +10,8 @@ generating edge's object permutation):
     ehc             f = h - phi, committed breadth-first improvement
 
 A permutation scored -inf has its successor skipped, and so does one in
-*exclusions*, since it was already attempted; the scorer alone knows the
-trust phase and records what it rejects. A known state is re-opened exactly
+*exclusions*, since it was already attempted; the scorer's gate alone knows
+the trust phase and records what it rejects. A known state is re-opened exactly
 when a strictly cheaper path to it appears.
 
 Ties break on (f, then h, then insertion order), so runs are reproducible.
@@ -36,7 +36,6 @@ from .grounding import (
 from .heuristics import make_heuristic
 
 INF = float("inf")
-NEG_INF = float("-inf")
 
 ALGORITHMS = ("astar", "ucs", "weighted_astar", "ehc")
 HEURISTIC_ALGORITHMS = ("astar", "weighted_astar", "ehc")  # those that evaluate cfg.heuristic
@@ -88,20 +87,14 @@ def _combined_cost(cfg: SearchConfig):
     return lambda g, h, phi: g
 
 
-def _join_gate(cfg: SearchConfig, scorer, exclusions: frozenset):
-    """The join rule of both search loops: gate(act), for a join action
-    *act*, is the phi of the edge it generates, or None when the edge is
-    skipped: its join is in *exclusions* or scores -inf. A non-join edge
-    has phi 0, so the loops never pass one to the gate."""
-    score = scorer.score if cfg.use_feature_score else None
+def _join_gate(exclusions: frozenset):
+    """The join rule of both search loops without feature scoring: gate(act)
+    is None when the join *act* is in *exclusions*, else phi 0. With
+    scoring, the scorer builds the gate (scoring.JoinScorer.gate). A
+    non-join edge has phi 0, so the loops never pass one to the gate."""
 
     def gate(act: GroundAction) -> float | None:
-        if act.o_a in exclusions:
-            return None
-        if score is None:
-            return 0.0
-        phi = score(act.schema_name, act.o_a)
-        return None if phi == NEG_INF else phi
+        return None if act.o_a in exclusions else 0.0
 
     return gate
 
@@ -119,8 +112,8 @@ def search(
     successor lists and the values of the heuristic each search builds on it
     (heuristics.make_heuristic); None starts a fresh one.
 
-    Both loops bind successors, the heuristic's evaluate and the scorer
-    when the search starts, never at import, so a wrapper installed on
+    Both loops bind successors, the heuristic's evaluate and the scorer's
+    gate when the search starts, never at import, so a wrapper installed on
     those names beforehand sees every call."""
     cfg.validate()
     if cfg.use_feature_score and scorer is None:
@@ -128,7 +121,7 @@ def search(
     evaluate = None
     if cfg.algorithm in HEURISTIC_ALGORITHMS:
         evaluate = make_heuristic(cfg.heuristic, gp, succ_cache).evaluate
-    gate = _join_gate(cfg, scorer, exclusions)
+    gate = scorer.gate(exclusions) if cfg.use_feature_score else _join_gate(exclusions)
     if cfg.algorithm == "ehc":
         return _hill_climb(gp, evaluate, gate, cfg.node_budget, succ_cache)
 

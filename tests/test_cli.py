@@ -464,11 +464,22 @@ def test_bench_generated_mode_seeded(tmp_path):
         "bench", "--experiment", "adaptability", "--generate", "--cases", "2",
         "--format", "json",
     ]
-    main(argv + ["--seed", "3", "--out", str(tmp_path / "a.json")])
-    main(argv + ["--seed", "3", "--out", str(tmp_path / "b.json")])
-    main(argv + ["--seed", "4", "--out", str(tmp_path / "c.json")])
+    for run, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+        assert main(argv + ["--seed", seed, "--out", str(tmp_path / f"{run}.json"),
+                            "--trace-dir", str(tmp_path / run)]) == EXIT_OK
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert json.loads((tmp_path / "a.json").read_text())["kind"] == "adaptability"
+
+    def searched(run):
+        """The traces of the searched episodes. The random baseline's are left
+        out: the seed picks its tool directly, not through the scenarios."""
+        return {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()
+                if not p.name.endswith("__random.jsonl")}
+
+    # the searched traces differ only if the seed reached the generator
+    assert searched("a") and searched("a") == searched("b")
+    assert searched("a").keys() == searched("c").keys()
+    assert searched("a") != searched("c")
 
 
 def test_bench_generated_mode_applies_noise(tmp_path):

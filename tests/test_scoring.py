@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from fgs.assets import benchmark_dir
+from fgs.assets import benchmark_dir, load_task, task_for_scenario
 from fgs.errors import ConfigError
-from fgs.scenario import load_scenario, sense
+from fgs.grounding import GroundAction
+from fgs.scenario import TOOL_TABLE, load_scenario, sense
 from fgs.scoring import (
     ATTACH_GRASP,
     ATTACH_MAGNETIC,
@@ -20,6 +21,8 @@ from fgs.scoring import (
     material_fit,
     shape_fit,
 )
+
+from .util import ReferenceScorer, reference_material_fit
 
 HAMMER = ToolSpec(
     tool="hammer",
@@ -44,6 +47,17 @@ def profile(oid, head=0.0, handle=0.0, role="hammer_head", materials=None, **fla
 
 def pair(p1, p2):
     return {p1.object_id: p1, p2.object_id: p2}, (p1.object_id, p2.object_id)
+
+
+def join(action_name, o_a):
+    """The ground join action *action_name* on *o_a*, as a gate receives it."""
+    return GroundAction(f"({action_name} {' '.join(o_a)})", action_name, o_a, 0, 0, 0, 0)
+
+
+def phi_of(gate, act):
+    """The gate's verdict as a score: a skipped join reads -inf."""
+    phi = gate(act)
+    return NEG_INF if phi is None else phi
 
 
 def test_shape_fit_perfect_confidence():
@@ -200,7 +214,7 @@ def test_unregistered_join_action_is_config_error():
     b = profile("b")
     profiles, o_a = pair(a, b)
     with pytest.raises(ConfigError, match="join-ladle"):
-        JoinScorer(REGISTRY, profiles).score("join-ladle", o_a)
+        JoinScorer(REGISTRY, profiles).gate(frozenset())(join("join-ladle", o_a))
 
 
 # -- hand-computed fixture table (threshold t = 0.6, lambdas 1) ---------------
@@ -279,19 +293,20 @@ def test_make_scorer_binds_whitelist():
     profiles = {"a": a, "b": b}
     whitelist = frozenset({(("a", "b"), "join-hammer")})
     trusted = JoinScorer(REGISTRY, profiles)
-    assert trusted.score("join-hammer", ("a", "b")) == NEG_INF
+    assert phi_of(trusted.gate(frozenset()), join("join-hammer", ("a", "b"))) == NEG_INF
     assert trusted.rejected == whitelist
     untrusted = JoinScorer(REGISTRY, profiles, whitelist)
-    assert untrusted.score("join-hammer", ("a", "b")) == pytest.approx(0.42, abs=1e-12)
-    assert untrusted.score("join-hammer", ("b", "a")) == NEG_INF
+    gate = untrusted.gate(frozenset())
+    assert phi_of(gate, join("join-hammer", ("a", "b"))) == pytest.approx(0.42, abs=1e-12)
+    assert phi_of(gate, join("join-hammer", ("b", "a"))) == NEG_INF
     assert untrusted.rejected == set()
 
 
 @pytest.mark.parametrize("noise_on", [False, True], ids=["noise-off", "noise-on"])
 def test_join_scorer_matches_feature_score_on_bundled_scenarios(noise_on):
-    """Both trust phases of JoinScorer against direct feature_score calls on
-    every join action x ordered object pair of every bundled scenario; the
-    trusted scorer's rejects are exactly its -inf joins."""
+    """Both trust phases of JoinScorer's gate against direct feature_score
+    calls on every join action x ordered object pair of every bundled
+    scenario; the trusted scorer's rejects are exactly its -inf joins."""
     for path in sorted(benchmark_dir().glob("*.json")):
         scenario = load_scenario(path)
         registry = scenario.registry()
@@ -299,19 +314,62 @@ def test_join_scorer_matches_feature_score_on_bundled_scenarios(noise_on):
         joins = [(action, pair) for action in sorted(registry)
                  for pair in itertools.permutations(sorted(profiles), 2)]
         trusted = JoinScorer(registry, profiles)
+        gate = trusted.gate(frozenset())
         direct = {}
         for action, pair in joins:
             direct[action, pair] = feature_score(registry[action], pair, profiles, None)
-            assert trusted.score(action, pair) == direct[action, pair], (path.name, action, pair)
+            assert phi_of(gate, join(action, pair)) == direct[action, pair], (path.name, action, pair)
         assert trusted.rejected == {
             (pair, action) for (action, pair), phi in direct.items() if phi == NEG_INF
         }
         whitelist = frozenset(trusted.rejected)
         untrusted = JoinScorer(registry, profiles, whitelist)
+        gate = untrusted.gate(frozenset())
         for action, pair in joins:
             expected = feature_score(registry[action], pair, profiles, whitelist)
-            assert untrusted.score(action, pair) == expected, (path.name, action, pair)
+            assert phi_of(gate, join(action, pair)) == expected, (path.name, action, pair)
         assert untrusted.rejected == set()
+
+
+@pytest.mark.parametrize("noise_on", [False, True], ids=["noise-off", "noise-on"])
+def test_gate_matches_reference_scorer_on_bundled_scenarios(noise_on):
+    """The gate against the scorer it replaced, on every ground join of every
+    bundled scenario's task: trusted, then with the trusted rejects as
+    whitelist. Each phi is the reference's, -inf read as None, and the two
+    reject sets are equal."""
+    joins_of = {}
+    for path in sorted(benchmark_dir().glob("*.json")):
+        scenario = load_scenario(path)
+        task_id = task_for_scenario(scenario.task_type, scenario.tools).task_id
+        if task_id not in joins_of:
+            joins_of[task_id] = [act for act in load_task(task_id)[2].actions if act.o_a]
+        registry = scenario.registry()
+        profiles = sense(scenario, noise_on)
+        whitelist = None
+        for trusted in (True, False):
+            scorer = JoinScorer(registry, profiles, whitelist)
+            reference = ReferenceScorer(registry, profiles, whitelist)
+            gate = scorer.gate(frozenset())
+            for act in joins_of[task_id]:
+                expected = reference.score(act.schema_name, act.o_a)
+                assert gate(act) == (None if expected == NEG_INF else expected), (path.name, act.name)
+            assert scorer.rejected == reference.rejected, path.name
+            if trusted:
+                whitelist = frozenset(reference.rejected)
+                assert whitelist, path.name  # so the untrusted phase scores some join
+
+
+@pytest.mark.parametrize("noise_on", [False, True], ids=["noise-off", "noise-on"])
+def test_material_fit_matches_reference_bit_for_bit(noise_on):
+    """material_fit against the max-over-map form it replaced, on every
+    object of every bundled scenario and every tool spec."""
+    for path in sorted(benchmark_dir().glob("*.json")):
+        profiles = sense(load_scenario(path), noise_on)
+        for oid in profiles:
+            for spec in TOOL_TABLE.values():
+                got = material_fit((oid,), spec, profiles)
+                expected = reference_material_fit((oid,), spec, profiles)
+                assert got.hex() == expected.hex(), (path.name, oid, spec.tool)
 
 
 from hypothesis import given, settings

@@ -20,6 +20,7 @@ from fgs.search import (
 )
 
 from .util import (
+    ReferenceScorer,
     bfs_optimal_length,
     chain_problem,
     decode,
@@ -316,15 +317,16 @@ DIFFERENTIAL_CONFIGS = BASELINE_CONFIGS + tuple(
 )
 
 
-class RecordingScorer:
-    """A JoinScorer front that logs every score(action, o_a) call."""
+def _record_scores(monkeypatch, log):
+    """Log every feature_score call, by join action and object pair; the
+    gate and the reference scorer both read it off fgs.scoring."""
+    original = scoring.feature_score
 
-    def __init__(self, scorer, log):
-        self.scorer, self.log = scorer, log
+    def feature_score(spec, o_a, profiles, whitelist):
+        log.append(("score", spec.join_action_name, o_a))
+        return original(spec, o_a, profiles, whitelist)
 
-    def score(self, action_name, o_a):
-        self.log.append(("score", action_name, o_a))
-        return self.scorer.score(action_name, o_a)
+    monkeypatch.setattr(scoring, "feature_score", feature_score)
 
 
 def _record_evaluations(monkeypatch, log):
@@ -339,18 +341,18 @@ def _record_evaluations(monkeypatch, log):
 
 
 def _compare_loops(log, gp, cfg, registry, profiles, whitelist, exclusions, cache, where):
-    """Run search and reference_search on one input at node budgets None,
-    0, 1 and 5, each under a fresh scorer, and assert they agree on every
-    result field and on every evaluate and score call. Returns the
-    unbudgeted result and the joins its scorer rejected."""
+    """Run search under a fresh JoinScorer and reference_search under a
+    fresh ReferenceScorer on one input at node budgets None, 0, 1 and 5, and
+    assert they agree on every result field and on every evaluate and
+    feature_score call. Returns the unbudgeted result and the joins its
+    scorer rejected."""
     out = None
     for budget in (None, 0, 1, 5):
         runs = []
-        for run in (search, reference_search):
+        for run, make_scorer in ((search, JoinScorer), (reference_search, ReferenceScorer)):
             log.clear()
-            scorer = JoinScorer(registry, profiles, whitelist)
-            result = run(gp, replace(cfg, node_budget=budget), RecordingScorer(scorer, log),
-                         exclusions, cache)
+            scorer = make_scorer(registry, profiles, whitelist)
+            result = run(gp, replace(cfg, node_budget=budget), scorer, exclusions, cache)
             runs.append((result, list(log), scorer.rejected))
         (new, new_calls, new_rejected), (ref, ref_calls, ref_rejected) = runs
         at = (*where, whitelist, exclusions, budget)
@@ -368,6 +370,7 @@ def _compare_loops(log, gp, cfg, registry, profiles, whitelist, exclusions, cach
 def test_loops_match_reference_loops_on_bundled_scenarios(monkeypatch):
     log: list = []
     _record_evaluations(monkeypatch, log)
+    _record_scores(monkeypatch, log)
     tasks: dict = {}
     done: set = set()  # (task, config) pairs of unscored configs, already compared
     for path in sorted(benchmark_dir().glob("*.json")):

@@ -1,6 +1,7 @@
 """Shared helpers: tiny model builders, brute-force search oracles, naive
-frozenset references for the bitset state code, PDDL serialization, and the
-search loops as they stood before the guarded successor scan."""
+frozenset references for the bitset state code, PDDL serialization, the
+search loops as they stood before the guarded successor scan, and the join
+scorer and material fit as they stood before the scorer-built gate."""
 
 from __future__ import annotations
 
@@ -9,14 +10,16 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import repeat
 
+from fgs import scoring
 from fgs.errors import ConfigError, InternalError
 from fgs.grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
 from fgs.heuristics import make_heuristic
 from fgs.pddl import SUPPORTED_REQUIREMENTS, DomainDef, Literal, ProblemDef
+from fgs.scoring import NEG_INF
 from fgs.search import (
     HEURISTIC_ALGORITHMS,
-    NEG_INF,
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
     STATUS_FOUND,
@@ -394,6 +397,42 @@ def problem_to_pddl(problem: ProblemDef) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- the join scorer as it stood before the scorer-built gate -------------------
+# JoinScorer.score copied verbatim but for reading feature_score off the
+# fgs.scoring module, so a recorder installed there sees the reference's
+# calls as it sees the gate's.
+
+class ReferenceScorer:
+    """Scores joins under one trust phase: trusted exactly when *whitelist*
+    is None. The whitelist is the set of (o_a, join action) pairs that the
+    trusted phase rejected. While trusted, every join scored -inf is added
+    to *rejected*, the next phase's whitelist."""
+
+    def __init__(self, registry, profiles, whitelist: frozenset | None = None):
+        self.registry = registry
+        self.profiles = profiles
+        self.whitelist = whitelist
+        self.rejected: set[tuple[tuple[str, ...], str]] = set()
+
+    def score(self, action_name: str, o_a: tuple[str, ...]) -> float:
+        spec = self.registry.get(action_name)
+        if spec is None:
+            raise ConfigError(f"no tool spec registered for join action '{action_name}'")
+        phi = scoring.feature_score(spec, o_a, self.profiles, self.whitelist)
+        if phi == NEG_INF and self.whitelist is None:
+            self.rejected.add((o_a, action_name))
+        return phi
+
+
+def reference_material_fit(o_a, spec, profiles) -> float:
+    """scoring.material_fit as a max over the allowed materials' confidences."""
+    conf = profiles[o_a[0]].material_conf
+    z = max(map(conf.get, spec.allowed_materials, repeat(0.0)), default=0.0)
+    if z >= scoring.MATERIAL_THRESHOLD:
+        return z
+    return NEG_INF
+
+
 # -- the search loops as they stood before the guarded successor scan -----------
 # search and search_ehc copied verbatim (renamed reference_search and
 # reference_search_ehc) with the helpers they call, kept as the oracle the
@@ -443,7 +482,7 @@ def reference_search(
     exclusions: frozenset = frozenset(),
     succ_cache: dict | None = None,
 ) -> PlanResult:
-    """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
+    """Run one search over *gp*. The scorer, a ReferenceScorer, is
     required when feature scoring is on. Exclusions are object permutations
     never to revisit. *succ_cache*, shared by searches over *gp*, holds the
     successor lists and the values of the heuristic each search builds on it
