@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .grounding import GroundProblem, ground
-from .pddl import DomainDef, ProblemDef, parse_domain, parse_problem, read_pddl
+from .pddl import DomainDef, ProblemDef, parse_domain, parse_file, parse_problem
 from .scenario import TASK_TOOLS
 
 DATA_DIR_ENV = "FGS_DATA_DIR"
@@ -64,8 +64,8 @@ def load_task(task_id: str) -> tuple[DomainDef, ProblemDef, GroundProblem]:
     problem_path = base / task.problem_file
     if not domain_path.exists() or not problem_path.exists():
         raise ConfigError(f"missing bundled domain assets for task '{task_id}' under {base}")
-    domain = parse_domain(read_pddl(domain_path))
-    problem = parse_problem(read_pddl(problem_path), domain)
+    domain = parse_file(domain_path, parse_domain)
+    problem = parse_file(problem_path, parse_problem, domain)
     return domain, problem, ground(domain, problem)
 
 

@@ -21,7 +21,7 @@ from .episode import TRUST_POLICIES, check_alignment, episode_event, run_episode
 from .errors import ConfigError, FgsError
 from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
-from .pddl import parse_domain, parse_problem, read_pddl
+from .pddl import parse_domain, parse_file, parse_problem
 from .scenario import load_scenario, sense
 from .scoring import JoinScorer
 from .search import SearchConfig, search
@@ -35,8 +35,8 @@ log = logging.getLogger("fgs")
 
 
 def _load_model(args):
-    domain = parse_domain(read_pddl(args.domain))
-    problem = parse_problem(read_pddl(args.problem), domain)
+    domain = parse_file(args.domain, parse_domain)
+    problem = parse_file(args.problem, parse_problem, domain)
     return domain, problem, ground(domain, problem)
 
 

@@ -148,16 +148,12 @@ def trace_events(scenario: Scenario, cfg: SearchConfig | None, result: EpisodeRe
 
 
 def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
-    """Every grounded join binds two tool parts, both objects of *scenario*,
-    and its schema has a tool spec there: scoring reads an ordered pair.
-    The domain must also ground the join of the ground-truth tool, or no
-    plan could build it."""
-    parts, referenced = gp.joins
-    odd = sorted(name for name, n in parts.items() if n != 2)
-    if odd:
-        raise ConfigError(f"join action(s) {odd} do not bind exactly two tool parts; "
-                          "only two-part tools are supported")
-    missing = sorted(parts.keys() - scenario.registry().keys())
+    """Every grounded join binds objects of *scenario*, and its schema has a
+    tool spec there (the parser has checked that it binds two tool parts,
+    the ordered pair scoring reads). The domain must also ground the join
+    of the ground-truth tool, or no plan could build it."""
+    schemas, referenced = gp.joins
+    missing = sorted(schemas - scenario.registry().keys())
     if missing:
         raise ConfigError(f"join action(s) {missing} have no tool spec in scenario "
                           f"'{scenario.scenario_id}'")
@@ -167,7 +163,7 @@ def check_alignment(gp: GroundProblem, scenario: Scenario) -> None:
                           f"'{scenario.scenario_id}'")
     truth = scenario.ground_truth.tool
     join = scenario.spec_for_tool(truth).join_action_name
-    if join not in parts:
+    if join not in schemas:
         raise ConfigError(f"scenario '{scenario.scenario_id}' has ground-truth tool '{truth}', "
                           f"but the domain grounds no '{join}' action")
 

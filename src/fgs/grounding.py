@@ -104,11 +104,11 @@ class GroundProblem:
         return relevant
 
     @cached_property
-    def joins(self) -> tuple[dict[str, int], frozenset[str]]:
-        """The join schemas, each with the number of tool parts its
-        groundings bind, and every object some join binds."""
-        parts = {act.schema_name: len(act.o_a) for act in self.actions if act.o_a}
-        return parts, frozenset(obj for act in self.actions for obj in act.o_a)
+    def joins(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The join schemas that have groundings, and every object some
+        join binds."""
+        schemas = frozenset(act.schema_name for act in self.actions if act.o_a)
+        return schemas, frozenset(obj for act in self.actions for obj in act.o_a)
 
     @cached_property
     def consumers(self) -> tuple[tuple[tuple[int, State, tuple[int, ...]], ...], ...]:

@@ -1,4 +1,4 @@
-"""STRIPS-subset PDDL: parsing and validation.
+"""STRIPS-subset PDDL: parsing and validation, in one pass over each file.
 
 Supported requirements: :strips, :typing (flat type list, no hierarchy),
 :negative-preconditions. Everything else (quantifiers, conditional effects,
@@ -6,25 +6,40 @@ disjunctions, numeric fluents, derived predicates) is rejected with an
 explicit "unsupported feature" diagnostic carrying line/column.
 
 Keywords are case-insensitive; identifiers are case-preserving and compared
-exactly as written.
+exactly as written. Every section but ``:action`` appears at most once, and
+the sections are read in a fixed order (requirements, types, predicates,
+actions; domain, objects, init, goal), whatever their order in the file, so
+each form is checked against what precedes it where it is read. Every error
+about a form ends with its ``(line L, col C)``.
 
 Schemas whose name starts with ``join-`` designate their ``tool-part``-typed
 parameters, in declaration order, as the ordered object permutation the
-action consumes (action part first, grasp part second).
+action consumes (action part first, grasp part second); a join has exactly
+two of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import PddlParseError, ValidationError
+from .errors import FgsError, PddlParseError, ValidationError
 
 # Type name that marks parameters eligible for object-permutation semantics.
 OBJECT_PARAM_TYPE = "tool-part"
 JOIN_SCHEMA_PREFIX = "join-"
 
 SUPPORTED_REQUIREMENTS = (":strips", ":typing", ":negative-preconditions")
+
+# per file kind: the sections read, in reading order, and those rejected
+_SECTIONS = {
+    "domain": ((":requirements", ":types", ":predicates", ":action"),
+               (":constants", ":functions", ":derived", ":axiom")),
+    "problem": ((":domain", ":objects", ":init", ":goal"),
+                (":metric", ":constraints", ":length")),
+}
+_ACTION_FIELDS = (":parameters", ":precondition", ":effect")
 
 _UNSUPPORTED_HEADS = {
     "or": "disjunctive formulas",
@@ -47,13 +62,17 @@ _UNSUPPORTED_HEADS = {
 Atom = tuple[str, ...]  # (predicate, arg, ...)
 
 
-def read_pddl(path) -> str:
-    """The text of a PDDL file; bytes that are not UTF-8 are a parse error."""
+def parse_file(path, parse, *args):
+    """*parse* applied to the text of the PDDL file *path* and to *args*.
+    Every error, bytes that are not UTF-8 included, names the file."""
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return parse(path.read_text(encoding="utf-8"), *args)
     except UnicodeDecodeError as exc:
         raise PddlParseError(f"{path.name}: not UTF-8 text: {exc}") from None
+    except FgsError as exc:
+        exc.args = (f"{path.name}: {exc}",)
+        raise
 
 
 # -- s-expression layer -------------------------------------------------------
@@ -128,6 +147,11 @@ def _read_sexprs(text: str) -> list:
     return top
 
 
+def _invalid(message: str, node) -> ValidationError:
+    """A ValidationError about the form *node*, ending with its position."""
+    return ValidationError(f"{message} (line {node.line}, col {node.col})")
+
+
 def _head(node: SList) -> str:
     if not node.items or not isinstance(node.items[0], Symbol):
         return ""
@@ -136,8 +160,7 @@ def _head(node: SList) -> str:
 
 def _expect_symbol(node, what: str) -> Symbol:
     if not isinstance(node, Symbol):
-        pos = (node.line, node.col) if isinstance(node, SList) else (None, None)
-        raise PddlParseError(f"expected {what}", *pos)
+        raise PddlParseError(f"expected {what}", node.line, node.col)
     return node
 
 
@@ -148,9 +171,10 @@ def _header_symbol(node: SList, what: str) -> Symbol:
     return _expect_symbol(node.items[1], what)
 
 
-def _define(text: str, kind: str) -> tuple[SList, str]:
-    """The single (define (<kind> <name>) ...) form of *text* and its name;
-    the sections follow the header at items[2:]."""
+def _define(text: str, kind: str) -> tuple[SList, str, dict[str, list[SList]]]:
+    """The single (define (<kind> <name>) ...) form of *text*, its name, and
+    its sections by keyword, in reading order. Each section but :action
+    appears at most once."""
     forms = _read_sexprs(text)
     if len(forms) != 1 or not isinstance(forms[0], SList):
         raise PddlParseError("expected a single (define ...) form")
@@ -160,7 +184,21 @@ def _define(text: str, kind: str) -> tuple[SList, str]:
     body = define.items[1:]
     if not body or not isinstance(body[0], SList) or _head(body[0]) != kind:
         raise PddlParseError(f"expected ({kind} <name>)", define.line, define.col)
-    return define, _header_symbol(body[0], f"{kind} name").text
+    name = _header_symbol(body[0], f"{kind} name").text
+    known, unsupported = _SECTIONS[kind]
+    sections: dict[str, list[SList]] = {kw: [] for kw in known}
+    for section in body[1:]:
+        if not isinstance(section, SList) or not section.items:
+            raise PddlParseError("expected a (:section ...) form", section.line, section.col)
+        kw = _head(section)
+        if kw in unsupported:
+            raise PddlParseError(f"unsupported feature: {kw} section", section.line, section.col)
+        if kw not in sections:
+            raise PddlParseError(f"unknown {kind} section '{kw}'", section.line, section.col)
+        if sections[kw] and kw != ":action":
+            raise PddlParseError(f"duplicate {kw} section", section.line, section.col)
+        sections[kw].append(section)
+    return define, name, sections
 
 
 # -- model types ---------------------------------------------------------------
@@ -203,12 +241,6 @@ class DomainDef:
     predicates: tuple[Predicate, ...]
     action_schemas: tuple[ActionSchema, ...]
 
-    def predicate(self, name: str) -> Predicate | None:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        return None
-
 
 @dataclass(frozen=True)
 class ProblemDef:
@@ -221,10 +253,14 @@ class ProblemDef:
 
 # -- parsing: shared pieces ----------------------------------------------------
 
+# checks an atom's argument against the type of its parameter, or raises
+ArgCheck = Callable[[Symbol, str], None]
 
-def _parse_typed_list(items, *, variables: bool, what: str) -> list[tuple[str, str]]:
-    """Parse ``a b - t c d - u e`` into [(name, type), ...]; untyped -> object."""
-    out: list[tuple[str, str]] = []
+
+def _parse_typed_list(items, *, variables: bool, what: str) -> list[tuple[Symbol, Symbol | None]]:
+    """Parse ``a b - t c d - u e`` into [(name, type), ...]; an untyped name
+    has type None, an object."""
+    out: list[tuple[Symbol, Symbol | None]] = []
     pending: list[Symbol] = []
     i = 0
     items = list(items)
@@ -240,7 +276,7 @@ def _parse_typed_list(items, *, variables: bool, what: str) -> list[tuple[str, s
             if typ.text.startswith("?"):
                 raise PddlParseError("type name may not be a variable", typ.line, typ.col)
             for name in pending:
-                out.append((name.text, typ.text))
+                out.append((name, typ))
             pending = []
             i += 2
             continue
@@ -251,11 +287,24 @@ def _parse_typed_list(items, *, variables: bool, what: str) -> list[tuple[str, s
         pending.append(sym)
         i += 1
     for name in pending:
-        out.append((name.text, "object"))
+        out.append((name, None))
     return out
 
 
-def _parse_atom(node: SList, *, what: str) -> Literal:
+def _declared_type(typ: Symbol | None, types: set[str], owner: str) -> str:
+    """The name of the type *typ*, which *types* must declare; None is an object."""
+    if typ is None:
+        return "object"
+    if typ.text not in types:
+        raise _invalid(f"{owner}: undeclared type '{typ.text}'", typ)
+    return typ.text
+
+
+def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
+                check_arg: ArgCheck) -> Literal:
+    """A declared predicate over as many arguments as it has parameters;
+    ``check_arg(arg, type)`` checks each argument against the type of its
+    parameter."""
     if not node.items:
         raise PddlParseError(f"empty atom in {what}", node.line, node.col)
     head = _expect_symbol(node.items[0], "predicate name")
@@ -264,17 +313,23 @@ def _parse_atom(node: SList, *, what: str) -> Literal:
         raise PddlParseError(
             f"unsupported feature: {_UNSUPPORTED_HEADS[low]} ('{head.text}')", head.line, head.col
         )
-    args = []
-    for arg in node.items[1:]:
-        sym = _expect_symbol(arg, "atom argument")
-        args.append(sym.text)
-    return Literal(head.text, tuple(args))
+    args = [_expect_symbol(arg, "atom argument") for arg in node.items[1:]]
+    pred = predicates.get(head.text)
+    if pred is None:
+        raise _invalid(f"{what} uses undeclared predicate '{head.text}'", head)
+    if len(args) != pred.arity:
+        raise _invalid(f"{what}: '{head.text}' expects {pred.arity} args, got {len(args)}", node)
+    for arg, (_, want) in zip(args, pred.params):
+        check_arg(arg, want)
+    return Literal(head.text, tuple(arg.text for arg in args))
 
 
-def _parse_formula(node, *, what: str, allow_negation: bool) -> list[Literal]:
-    """Flatten a conjunction into literals, left to right; reject unsupported
-    constructs. Nested conjunctions are walked with an explicit stack, so
-    nesting depth is not bounded by the interpreter's recursion limit."""
+def _parse_formula(node, *, what: str, predicates: dict[str, Predicate],
+                   check_arg: ArgCheck) -> list[Literal]:
+    """Flatten a conjunction into literals, left to right, each read by
+    _parse_atom; reject unsupported constructs. Nested conjunctions are
+    walked with an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit."""
     out: list[Literal] = []
     stack = [node]
     while stack:
@@ -285,17 +340,16 @@ def _parse_formula(node, *, what: str, allow_negation: bool) -> list[Literal]:
         if head == "and":
             stack.extend(reversed(node.items[1:]))
         elif head == "not":
-            if not allow_negation:
-                raise PddlParseError(f"negation not allowed in {what}", node.line, node.col)
             if len(node.items) != 2 or not isinstance(node.items[1], SList):
                 raise PddlParseError("'not' takes exactly one atom", node.line, node.col)
-            out.append(replace(_parse_atom(node.items[1], what=what), negated=True))
+            atom = _parse_atom(node.items[1], what=what, predicates=predicates, check_arg=check_arg)
+            out.append(replace(atom, negated=True))
         elif head in _UNSUPPORTED_HEADS:
             raise PddlParseError(
                 f"unsupported feature: {_UNSUPPORTED_HEADS[head]} ('{head}')", node.line, node.col
             )
         elif node.items:  # () and (and) both mean the empty conjunction
-            out.append(_parse_atom(node, what=what))
+            out.append(_parse_atom(node, what=what, predicates=predicates, check_arg=check_arg))
     return out
 
 
@@ -304,233 +358,166 @@ def _parse_formula(node, *, what: str, allow_negation: bool) -> list[Literal]:
 
 def parse_domain(text: str) -> DomainDef:
     """Parse a PDDL domain file into a validated DomainDef."""
-    define, name = _define(text, "domain")
+    _, name, sections = _define(text, "domain")
+
+    for section in sections[":requirements"]:
+        for req in section.items[1:]:
+            sym = _expect_symbol(req, "requirement flag")
+            if sym.text.lower() not in SUPPORTED_REQUIREMENTS:
+                raise PddlParseError(
+                    f"unsupported feature: requirement {sym.text}", sym.line, sym.col
+                )
 
     types: list[str] = []
-    predicates: list[Predicate] = []
-    schemas: list[ActionSchema] = []
+    for section in sections[":types"]:
+        for tname, parent in _parse_typed_list(section.items[1:], variables=False, what=":types"):
+            if parent is not None and parent.text != "object":
+                raise PddlParseError(
+                    f"unsupported feature: type hierarchy ('{tname.text} - {parent.text}')",
+                    parent.line,
+                    parent.col,
+                )
+            if tname.text in types:
+                raise _invalid(f"duplicate type '{tname.text}'", tname)
+            types.append(tname.text)
+    declared = {*types, "object"}
 
-    for section in define.items[2:]:
-        if not isinstance(section, SList) or not section.items:
-            raise PddlParseError("expected a (:section ...) form", define.line, define.col)
-        kw = _head(section)
-        if kw == ":requirements":
-            for req in section.items[1:]:
-                sym = _expect_symbol(req, "requirement flag")
-                if sym.text.lower() not in SUPPORTED_REQUIREMENTS:
-                    raise PddlParseError(
-                        f"unsupported feature: requirement {sym.text}", sym.line, sym.col
-                    )
-        elif kw == ":types":
-            for entry in _parse_typed_list(section.items[1:], variables=False, what=":types"):
-                tname, parent = entry
-                if parent != "object":
-                    raise PddlParseError(
-                        f"unsupported feature: type hierarchy ('{tname} - {parent}')",
-                        section.line,
-                        section.col,
-                    )
-                types.append(tname)
-        elif kw == ":predicates":
-            for pred in section.items[1:]:
-                if not isinstance(pred, SList) or not pred.items:
-                    raise PddlParseError("malformed predicate declaration", section.line, section.col)
-                pname = _expect_symbol(pred.items[0], "predicate name").text
-                params = _parse_typed_list(pred.items[1:], variables=True, what="predicate parameters")
-                predicates.append(Predicate(pname, tuple(params)))
-        elif kw == ":action":
-            schemas.append(_parse_action(section))
-        elif kw in (":constants", ":functions", ":derived", ":axiom"):
-            raise PddlParseError(f"unsupported feature: {kw} section", section.line, section.col)
-        else:
-            raise PddlParseError(f"unknown domain section '{kw}'", section.line, section.col)
+    predicates: dict[str, Predicate] = {}
+    for section in sections[":predicates"]:
+        for form in section.items[1:]:
+            if not isinstance(form, SList) or not form.items:
+                raise PddlParseError("malformed predicate declaration", form.line, form.col)
+            head = _expect_symbol(form.items[0], "predicate name")
+            if head.text in predicates:
+                raise _invalid(f"duplicate predicate '{head.text}'", head)
+            owner = f"predicate '{head.text}'"
+            params = _parse_typed_list(form.items[1:], variables=True, what="predicate parameters")
+            predicates[head.text] = Predicate(head.text, tuple(
+                (var.text, _declared_type(typ, declared, owner)) for var, typ in params
+            ))
 
-    domain = DomainDef(name, tuple(types), tuple(predicates), tuple(schemas))
-    _validate_domain(domain)
-    return _designate_join_schemas(domain)
+    schemas: dict[str, ActionSchema] = {}
+    for section in sections[":action"]:
+        schema = _parse_action(section, declared, predicates)
+        if schema.name in schemas:
+            raise _invalid(f"duplicate action '{schema.name}'", section)
+        schemas[schema.name] = schema
+    return DomainDef(name, tuple(types), tuple(predicates.values()), tuple(schemas.values()))
 
 
-def _parse_action(section: SList) -> ActionSchema:
-    items = list(section.items[1:])
+def _parse_action(section: SList, types: set[str],
+                  predicates: dict[str, Predicate]) -> ActionSchema:
+    """An action schema whose parameters have declared types and whose
+    literals use declared predicates over its parameters. A join schema
+    designates its two tool-part parameters as the ordered object
+    permutation, in declaration order (action part first, grasp part
+    second)."""
+    items = section.items[1:]
     if not items:
         raise PddlParseError("missing action name", section.line, section.col)
-    name = _expect_symbol(items[0], "action name").text
-    params: tuple[tuple[str, str], ...] = ()
-    pre: list[Literal] = []
-    add: list[Literal] = []
-    dele: list[Literal] = []
-    i = 1
-    seen: set[str] = set()
-    while i < len(items):
+    name_sym = _expect_symbol(items[0], "action name")
+    name = name_sym.text
+    owner = f"action '{name}'"
+    fields: dict[str, object] = {}
+    for i in range(1, len(items), 2):
         kw = _expect_symbol(items[i], "action keyword")
         low = kw.text.lower()
-        if low not in (":parameters", ":precondition", ":effect"):
+        if low not in _ACTION_FIELDS:
             raise PddlParseError(f"unsupported feature: action keyword {kw.text}", kw.line, kw.col)
-        if low in seen:
+        if low in fields:
             raise PddlParseError(f"duplicate {kw.text} in action '{name}'", kw.line, kw.col)
-        seen.add(low)
         if i + 1 >= len(items):
             raise PddlParseError(f"missing value after {kw.text}", kw.line, kw.col)
-        value = items[i + 1]
-        if low == ":parameters":
-            if not isinstance(value, SList):
-                raise PddlParseError(":parameters expects a list", kw.line, kw.col)
-            params = tuple(_parse_typed_list(value.items, variables=True, what=":parameters"))
-        elif low == ":precondition":
-            pre = _parse_formula(value, what=":precondition", allow_negation=True)
-        else:
-            for lit in _parse_formula(value, what=":effect", allow_negation=True):
-                (dele if lit.negated else add).append(replace(lit, negated=False))
-        i += 2
-    return ActionSchema(name, params, tuple(pre), tuple(add), tuple(dele))
+        fields[low] = items[i + 1]
 
+    params: dict[str, str] = {}
+    value = fields.get(":parameters")
+    if isinstance(value, Symbol):
+        raise PddlParseError(":parameters expects a list", value.line, value.col)
+    entries = _parse_typed_list(value.items, variables=True, what=":parameters") if value else []
+    for var, typ in entries:
+        if var.text in params:
+            raise _invalid(f"{owner}: duplicate parameter '{var.text}'", var)
+        params[var.text] = _declared_type(typ, types, owner)
 
-def _validate_domain(domain: DomainDef) -> None:
-    declared_types = set(domain.types) | {"object"}
-    if len(set(domain.types)) != len(domain.types):
-        raise ValidationError(f"duplicate type declarations in domain '{domain.name}'")
-    pred_by_name: dict[str, Predicate] = {}
-    for pred in domain.predicates:
-        if pred.name in pred_by_name:
-            raise ValidationError(f"duplicate predicate '{pred.name}'")
-        pred_by_name[pred.name] = pred
-        for var, typ in pred.params:
-            if typ not in declared_types:
-                raise ValidationError(f"predicate '{pred.name}': undeclared type '{typ}'")
-    names = set()
-    for schema in domain.action_schemas:
-        if schema.name in names:
-            raise ValidationError(f"duplicate action '{schema.name}'")
-        names.add(schema.name)
-        vars_seen = set()
-        for var, typ in schema.params:
-            if var in vars_seen:
-                raise ValidationError(f"action '{schema.name}': duplicate parameter '{var}'")
-            vars_seen.add(var)
-            if typ not in declared_types:
-                raise ValidationError(f"action '{schema.name}': undeclared type '{typ}'")
-        for lit in (*schema.preconditions, *schema.add_effects, *schema.del_effects):
-            pred = pred_by_name.get(lit.predicate)
-            if pred is None:
-                raise ValidationError(
-                    f"action '{schema.name}' uses undeclared predicate '{lit.predicate}'"
-                )
-            if len(lit.args) != pred.arity:
-                raise ValidationError(
-                    f"action '{schema.name}': '{lit.predicate}' expects {pred.arity} args, "
-                    f"got {len(lit.args)}"
-                )
-            for arg in lit.args:
-                if not arg.startswith("?"):
-                    raise ValidationError(
-                        f"action '{schema.name}': constants in action bodies are not supported"
-                    )
-                if arg not in vars_seen:
-                    raise ValidationError(
-                        f"action '{schema.name}': unbound variable '{arg}'"
-                    )
+    def check_variable(arg: Symbol, _want: str) -> None:
+        if not arg.text.startswith("?"):
+            raise _invalid(f"{owner}: constants in action bodies are not supported", arg)
+        if arg.text not in params:
+            raise _invalid(f"{owner}: unbound variable '{arg.text}'", arg)
 
-
-def _designate_join_schemas(domain: DomainDef) -> DomainDef:
-    """Mark the tool-part parameters of every join schema as the ordered
-    object permutation. Parameters keep declaration order (action part
-    first, grasp part second)."""
-    schemas = []
-    for schema in domain.action_schemas:
-        if schema.name.lower().startswith(JOIN_SCHEMA_PREFIX):
-            idx = tuple(
-                i for i, (_, typ) in enumerate(schema.params) if typ == OBJECT_PARAM_TYPE
+    pre, effects = (
+        _parse_formula(fields[kw], what=f"{kw} of {owner}", predicates=predicates,
+                       check_arg=check_variable) if kw in fields else []
+        for kw in _ACTION_FIELDS[1:]
+    )
+    parts = ()
+    if name.lower().startswith(JOIN_SCHEMA_PREFIX):
+        parts = tuple(i for i, typ in enumerate(params.values()) if typ == OBJECT_PARAM_TYPE)
+        if len(parts) != 2:
+            raise _invalid(
+                f"action '{name}' is a join action but has {len(parts) or 'no'} "
+                f"'{OBJECT_PARAM_TYPE}' parameters; a join binds exactly two "
+                "(action part, grasp part)",
+                name_sym,
             )
-            if not idx:
-                raise ValidationError(
-                    f"action '{schema.name}' is a join action but has no "
-                    f"'{OBJECT_PARAM_TYPE}' parameters"
-                )
-            schemas.append(replace(schema, object_param_indices=idx))
-        else:
-            schemas.append(schema)
-    return replace(domain, action_schemas=tuple(schemas))
+    return ActionSchema(
+        name,
+        tuple(params.items()),
+        tuple(pre),
+        tuple(lit for lit in effects if not lit.negated),
+        tuple(replace(lit, negated=False) for lit in effects if lit.negated),
+        parts,
+    )
 
 
 # -- problem parsing -----------------------------------------------------------
 
 
 def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
-    """Parse a PDDL problem file and validate it against *domain*."""
-    define, name = _define(text, "problem")
+    """Parse a PDDL problem file, checking each form against *domain*."""
+    define, name, sections = _define(text, "problem")
 
-    domain_name = None
-    objects: list[tuple[str, str]] = []
+    if not sections[":domain"]:
+        raise PddlParseError("problem is missing (:domain ...)", define.line, define.col)
+    domain_name = _header_symbol(sections[":domain"][0], "domain name")
+    if domain_name.text != domain.name:
+        raise _invalid(f"problem '{name}' targets domain '{domain_name.text}', "
+                       f"not '{domain.name}'", domain_name)
+
+    declared = {*domain.types, "object"}
+    objects: dict[str, str] = {}
+    for section in sections[":objects"]:
+        for obj, typ in _parse_typed_list(section.items[1:], variables=False, what=":objects"):
+            if obj.text in objects:
+                raise _invalid(f"duplicate object '{obj.text}'", obj)
+            objects[obj.text] = _declared_type(typ, declared, f"object '{obj.text}'")
+
+    def check_object(arg: Symbol, want: str) -> None:
+        got = objects.get(arg.text)
+        if got is None:
+            raise _invalid(f"unknown object '{arg.text}'", arg)
+        if want != "object" and got != want:
+            raise _invalid(f"object '{arg.text}' has type '{got}', expected '{want}'", arg)
+
+    predicates = {pred.name: pred for pred in domain.predicates}
     init: list[Atom] = []
-    goal: list[Literal] = []
-
-    for section in define.items[2:]:
-        if not isinstance(section, SList) or not section.items:
-            raise PddlParseError("expected a (:section ...) form", define.line, define.col)
-        kw = _head(section)
-        if kw == ":domain":
-            domain_name = _header_symbol(section, "domain name").text
-        elif kw == ":objects":
-            objects = _parse_typed_list(section.items[1:], variables=False, what=":objects")
-        elif kw == ":init":
-            for atom in section.items[1:]:
-                if not isinstance(atom, SList):
-                    raise PddlParseError("init entries must be atoms", section.line, section.col)
-                if _head(atom) == "not":
-                    raise PddlParseError(
-                        "unsupported feature: negative init literal", atom.line, atom.col
-                    )
-                lit = _parse_atom(atom, what=":init")
-                init.append(lit.atom())
-        elif kw == ":goal":
-            if len(section.items) != 2:
-                raise PddlParseError(":goal expects one formula", section.line, section.col)
-            goal = _parse_formula(section.items[1], what=":goal", allow_negation=True)
-        elif kw in (":metric", ":constraints", ":length"):
-            raise PddlParseError(f"unsupported feature: {kw} section", section.line, section.col)
-        else:
-            raise PddlParseError(f"unknown problem section '{kw}'", section.line, section.col)
-
-    if domain_name is None:
-        raise PddlParseError("problem is missing (:domain ...)")
-    problem = ProblemDef(name, domain_name, tuple(objects), frozenset(init), tuple(goal))
-    _validate_problem(problem, domain)
-    return problem
-
-
-def _validate_problem(problem: ProblemDef, domain: DomainDef) -> None:
-    if problem.domain_name != domain.name:
-        raise ValidationError(
-            f"problem '{problem.name}' targets domain '{problem.domain_name}', "
-            f"not '{domain.name}'"
-        )
-    declared_types = set(domain.types) | {"object"}
-    type_of: dict[str, str] = {}
-    for obj, typ in problem.objects:
-        if obj in type_of:
-            raise ValidationError(f"duplicate object '{obj}'")
-        if typ not in declared_types:
-            raise ValidationError(f"object '{obj}' has undeclared type '{typ}'")
-        type_of[obj] = typ
-
-    def check_ground(pred_name: str, args: tuple[str, ...], where: str) -> None:
-        pred = domain.predicate(pred_name)
-        if pred is None:
-            raise ValidationError(f"{where} uses undeclared predicate '{pred_name}'")
-        if len(args) != pred.arity:
-            raise ValidationError(
-                f"{where}: '{pred_name}' expects {pred.arity} args, got {len(args)}"
-            )
-        for arg, (_, want) in zip(args, pred.params):
-            got = type_of.get(arg)
-            if got is None:
-                raise ValidationError(f"{where}: unknown object '{arg}'")
-            if want != "object" and got != want:
-                raise ValidationError(
-                    f"{where}: object '{arg}' has type '{got}', expected '{want}'"
+    for section in sections[":init"]:
+        for atom in section.items[1:]:
+            if not isinstance(atom, SList):
+                raise PddlParseError("init entries must be atoms", atom.line, atom.col)
+            if _head(atom) == "not":
+                raise PddlParseError(
+                    "unsupported feature: negative init literal", atom.line, atom.col
                 )
+            lit = _parse_atom(atom, what=":init", predicates=predicates, check_arg=check_object)
+            init.append(lit.atom())
 
-    for atom in sorted(problem.init):
-        check_ground(atom[0], atom[1:], "init")
-    for lit in problem.goal:
-        check_ground(lit.predicate, lit.args, "goal")
+    goal: list[Literal] = []
+    for section in sections[":goal"]:
+        if len(section.items) != 2:
+            raise PddlParseError(":goal expects one formula", section.line, section.col)
+        goal = _parse_formula(section.items[1], what=":goal", predicates=predicates,
+                              check_arg=check_object)
+
+    return ProblemDef(name, domain_name.text, tuple(objects.items()), frozenset(init), tuple(goal))

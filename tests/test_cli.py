@@ -153,20 +153,79 @@ ARITY_COMMANDS = {
     "episode": ["--features", "on"],
 }
 
+# every command with the scenario, and validate and plan without one: the
+# parser rejects the join before any scenario is read
+JOIN_ARITY_RUNS = {
+    **{command: (command, ["--scenario", str(BENCH / "cleaning_rake_case00.json"), *flags])
+       for command, flags in ARITY_COMMANDS.items()},
+    "validate-no-scenario": ("validate", []),
+    "plan-features-off": ("plan", ["--features", "off"]),
+}
 
-@pytest.mark.parametrize("command", ARITY_COMMANDS)
+
+@pytest.mark.parametrize("command", JOIN_ARITY_RUNS)
 @pytest.mark.parametrize("variant", RAKE_VARIANTS)
 def test_join_without_two_parts_exits_two(tmp_path, capsys, variant, command):
     # scoring reads an ordered pair, and only a pair can match the ground truth
     assert RAKE_VARIANTS[variant] != RAKE_DOMAIN
     domain = tmp_path / "rake.domain.pddl"
     domain.write_text(RAKE_VARIANTS[variant], encoding="utf-8")
-    code = main([command, "--domain", str(domain),
-                 "--problem", str(DOMAINS / "cleaning_rake.problem.pddl"),
-                 "--scenario", str(BENCH / "cleaning_rake_case00.json"),
-                 *ARITY_COMMANDS[command]])
+    subcommand, flags = JOIN_ARITY_RUNS[command]
+    code = main([subcommand, "--domain", str(domain),
+                 "--problem", str(DOMAINS / "cleaning_rake.problem.pddl"), *flags])
     assert code == EXIT_USAGE
     assert "join-rake" in capsys.readouterr().err
+
+
+# Each row: an id, a bundled file, an edit that breaks it, and the error that
+# names the copy of it, rake.domain.pddl or rake.problem.pddl.
+BROKEN_PDDL = [
+    ("repeated-predicate", "cleaning_rake.domain.pddl", "    (hand-empty)\n", "    (hand-empty)\n    (hand-empty)\n",
+     "error: rake.domain.pddl: duplicate predicate 'hand-empty' (line 14, col 6)\n"),
+    ("three-part-join", "cleaning_rake.domain.pddl", "(?head - tool-part ?grip - tool-part)",
+     "(?head - tool-part ?grip - tool-part ?brace - tool-part)",
+     "error: rake.domain.pddl: action 'join-rake' is a join action but has 3 'tool-part' "
+     "parameters; a join binds exactly two (action part, grasp part) (line 50, col 12)\n"),
+    ("repeated-goal", "cleaning_rake.problem.pddl", "  (:goal (and (garbage-binned)))\n",
+     "  (:goal (and (garbage-binned)))\n  (:goal (and (bin-open)))\n",
+     "error: rake.problem.pddl: duplicate :goal section (line 25, col 3)\n"),
+    ("repeated-objects", "cleaning_rake.problem.pddl", "  (:objects", "  (:objects obj0 - tool-part)\n  (:objects",
+     "error: rake.problem.pddl: duplicate :objects section (line 4, col 3)\n"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+@pytest.mark.parametrize("name,old,new,message", [row[1:] for row in BROKEN_PDDL],
+                         ids=[row[0] for row in BROKEN_PDDL])
+def test_pddl_error_names_its_file(tmp_path, capsys, command, name, old, new, message):
+    paths = {}
+    for kind in ("domain", "problem"):
+        text = (DOMAINS / f"cleaning_rake.{kind}.pddl").read_text(encoding="utf-8")
+        if name == f"cleaning_rake.{kind}.pddl":
+            assert old in text
+            text = text.replace(old, new, 1)
+        paths[kind] = tmp_path / f"rake.{kind}.pddl"
+        paths[kind].write_text(text, encoding="utf-8")
+    code = main([command, "--domain", str(paths["domain"]), "--problem", str(paths["problem"])])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == message
+
+
+def test_bundled_pddl_error_names_its_file(tmp_path, monkeypatch, capsys):
+    # tasks are read by assets.load_task; the adaptability run reads
+    # cleaning_either first
+    (tmp_path / "benchmarks").symlink_to(BENCH)
+    (tmp_path / "domains").mkdir()
+    for path in DOMAINS.glob("*.pddl"):
+        (tmp_path / "domains" / path.name).write_bytes(path.read_bytes())
+    problem = tmp_path / "domains" / "cleaning_either.problem.pddl"
+    problem.write_text(problem.read_text(encoding="utf-8").replace("(:init", "(:goal (and)) (:init"),
+                       encoding="utf-8")
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
+    code = main(["bench", "--experiment", "adaptability", "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert "error: cleaning_either.problem.pddl: duplicate :goal section" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("command", ARITY_COMMANDS)

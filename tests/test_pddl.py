@@ -1,10 +1,13 @@
+import hashlib
+import json
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgs.assets import data_dir
+from fgs.assets import TASKS, data_dir
 from fgs.errors import FgsError, PddlParseError, ValidationError
 from fgs.pddl import Literal, parse_domain, parse_problem
 
@@ -362,3 +365,145 @@ def test_deeply_nested_conjunction_parses(where):
         schema = parse_domain(text).action_schemas[0]
         literals = schema.preconditions if where == ":precondition" else schema.add_effects
         assert literals == (Literal("p", ("?x",)),)
+
+
+# -- one pass: each section once, each form checked where it is read -------------
+
+# (file kind, a section that may appear only once)
+REPEATED_SECTIONS = [
+    ("domain", "(:requirements :strips)"),
+    ("domain", "(:types step)"),
+    ("domain", "(:predicates (done ?s - step))"),
+    ("problem", "(:domain chain)"),
+    ("problem", "(:objects s4 - step)"),
+    ("problem", "(:init (done s1))"),
+    ("problem", "(:goal (done s2))"),
+]
+
+
+@pytest.mark.parametrize("kind,section", REPEATED_SECTIONS,
+                         ids=[section.split()[0][1:] for _, section in REPEATED_SECTIONS])
+def test_repeated_section_rejected(kind, section):
+    # the repeat goes on its own line, just before the closing ')' of the define
+    base = CHAIN_DOMAIN if kind == "domain" else CHAIN_PROBLEM
+    head, tail = base.rsplit("\n)", 1)
+    text = f"{head}\n  {section}\n){tail}"
+    line = head.count("\n") + 2
+    keyword = section.split()[0][1:]
+    with pytest.raises(PddlParseError, match=re.escape(f"duplicate {keyword} section (line {line}, col 3)")):
+        if kind == "domain":
+            parse_domain(text)
+        else:
+            parse_problem(text, parse_domain(CHAIN_DOMAIN))
+
+
+@pytest.mark.parametrize("params,count", [
+    ("(?head - tool-part ?f - fastener)", 1),
+    ("(?head - tool-part ?f - fastener ?grip - tool-part ?brace - tool-part)", 3),
+])
+def test_join_schema_needs_exactly_two_tool_parts(params, count):
+    text = f"""
+    (define (domain ww)
+      (:requirements :strips :typing)
+      (:types tool-part fastener)
+      (:predicates (has-tool))
+      (:action join-hammer
+        :parameters {params}
+        :effect (has-tool))
+    )
+    """
+    with pytest.raises(ValidationError, match=re.escape(
+            f"action 'join-hammer' is a join action but has {count} 'tool-part' parameters; "
+            "a join binds exactly two (action part, grasp part) (line 6, col 16)")):
+        parse_domain(text)
+
+
+# Each row: a one-line file that is wrong at the form marked '^' (the marker
+# is removed before parsing) and the message before its position. A problem
+# is read against CHAIN_DOMAIN; a form with no finer node points at the
+# define form.
+POSITIONED_ERRORS = [
+    ("domain", "(define (domain d) (:types t ^t))", "duplicate type 't'"),
+    ("domain", "(define (domain d) (:predicates (p) (^p)))", "duplicate predicate 'p'"),
+    ("domain", "(define (domain d) (:predicates (p ?x - ^u)))", "predicate 'p': undeclared type 'u'"),
+    ("domain", "(define (domain d) (:action a) ^(:action a))", "duplicate action 'a'"),
+    ("domain", "(define (domain d) (:action a :parameters (?x ^?x)))",
+     "action 'a': duplicate parameter '?x'"),
+    ("domain", "(define (domain d) (:action a :parameters (?x - ^u)))",
+     "action 'a': undeclared type 'u'"),
+    ("domain", "(define (domain d) (:action a :precondition (^p)))",
+     ":precondition of action 'a' uses undeclared predicate 'p'"),
+    ("domain", "(define (domain d) (:predicates (p ?x)) (:action a :parameters (?x) :effect ^(p)))",
+     ":effect of action 'a': 'p' expects 1 args, got 0"),
+    ("domain", "(define (domain d) (:predicates (p ?x)) (:action a :effect (p ^c)))",
+     "action 'a': constants in action bodies are not supported"),
+    ("domain", "(define (domain d) (:predicates (p ?x)) (:action a :effect (not (p ^?y))))",
+     "action 'a': unbound variable '?y'"),
+    ("domain", "(define (domain d) (:types tool-part) (:action ^join-x :parameters (?a - tool-part)))",
+     "action 'join-x' is a join action but has 1 'tool-part' parameters"),
+    ("domain", "(define (domain d) (:predicates) ^(:predicates))", "duplicate :predicates section"),
+    ("problem", "(define (problem p) (:domain ^other))", "problem 'p' targets domain 'other', not 'chain'"),
+    ("problem", "^(define (problem p) (:objects s0 - step))", "problem is missing (:domain ...)"),
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 ^s0 - step))", "duplicate object 's0'"),
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 - ^thing))",
+     "object 's0': undeclared type 'thing'"),
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 - step) (:init (done ^s9)))",
+     "unknown object 's9'"),
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 - step x) (:init (done ^x)))",
+     "object 'x' has type 'object', expected 'step'"),
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 - step) (:init (^gone s0)))",
+     ":init uses undeclared predicate 'gone'"),
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 - step) (:goal ^(done s0 s0)))",
+     ":goal: 'done' expects 1 args, got 2"),
+    ("problem", "(define (problem p) (:goal (and)) (:domain chain) ^(:goal (and)))",
+     "duplicate :goal section"),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", POSITIONED_ERRORS,
+                         ids=[row[2] for row in POSITIONED_ERRORS])
+def test_error_names_the_position_of_its_form(kind, text, message):
+    col = text.index("^") + 1
+    text = text.replace("^", "")
+    with pytest.raises(FgsError) as exc:
+        if kind == "domain":
+            parse_domain(text)
+        else:
+            parse_problem(text, parse_domain(CHAIN_DOMAIN))
+    assert str(exc.value).startswith(message)
+    assert str(exc.value).endswith(f" (line 1, col {col})")
+
+
+# sha256 of each bundled file's parse result: the DomainDef or ProblemDef as
+# JSON with sorted keys, tuples as lists and the init atoms sorted
+PARSE_DIGESTS = {
+    "cleaning_either.domain.pddl": "115fa68b1bc157c2c2710418542f0c9382ee01817e4e8f01719fe2f2a48792ba",
+    "cleaning_either.problem.pddl": "e48c72c692ed6767baf87874fe8e6d2d8425688b024100f04b3d16e7c5b60dd4",
+    "cleaning_rake.domain.pddl": "243b9d809ebbaeb3320d229bc7b4c7a4732b2132f66de50612b88c519d3b533a",
+    "cleaning_rake.problem.pddl": "3957d9c46a74849603fe103192f9513e5b941d694c1b4a8ae54eb4c71e7c26fd",
+    "cleaning_squeegee.domain.pddl": "d84f7ef004745a0e203f8840b5d781531619953abadc896847e31aa3a727489a",
+    "cleaning_squeegee.problem.pddl": "e25ecf8305909a8dbee604de6aac85fe4eec094c07ffd855f6cfbff6bcc85bbd",
+    "cooking_either.domain.pddl": "3d5926a049f4d9911132c0aa7e16c59f0041da1991ed880d44b21e4777fd0ea4",
+    "cooking_either.problem.pddl": "dc48ffd886877b2e49f1f40fbad97123f485526687e6e6a78f1e3a9b75acd2b9",
+    "cooking_ladle.domain.pddl": "fb2d8cb2556ae8135b7498004107fc1d010d48601b08f7fbdc49b2d1584e27af",
+    "cooking_ladle.problem.pddl": "3424694973892817f4ffd448ea4814599783f9cc355a01de9ea8961a239f00e6",
+    "cooking_spatula.domain.pddl": "92cac01d974fd65dfd3ce22fac5a52f016988cea3094be512993d24514dd8045",
+    "cooking_spatula.problem.pddl": "c4b64db1c638b34b00413c6bdab8f170e519c9d55f422e0932be2e744cd13b5b",
+    "woodworking_either.domain.pddl": "d76cebf6447489838c76b46289b825f7cfa830aa14bc9a7b3509f16833bce331",
+    "woodworking_either.problem.pddl": "398e2d1e84e8efabc3488056ab38363986b066fe4a0f3c3c7487e22d670f014e",
+    "woodworking_hammer.domain.pddl": "f22ff1f0773afecd661c96aa118ff96b54b484b197821518be866f6a0c9f5556",
+    "woodworking_hammer.problem.pddl": "f57dab6a9e54810381cb26da36d543341026aaaf20c9bb9b8bea5e30386afcc0",
+    "woodworking_screwdriver.domain.pddl": "e3dddc56abb6e6aa7717fa121aed5fd23ad717a9c70ffe8946d7415427e50c96",
+    "woodworking_screwdriver.problem.pddl": "9729f39ed4a3f3aae97fc21cf059ef21b672a4baf1d9b718590f1f4c483d311b",
+}
+
+
+@pytest.mark.parametrize("task_id", sorted(TASKS))
+def test_bundled_parse_results_match_pinned_digests(task_id):
+    task = TASKS[task_id]
+    domain = parse_domain((DOMAINS / task.domain_file).read_text(encoding="utf-8"))
+    problem = parse_problem((DOMAINS / task.problem_file).read_text(encoding="utf-8"), domain)
+    for name, record in ((task.domain_file, asdict(domain)),
+                         (task.problem_file, dict(asdict(problem), init=sorted(problem.init)))):
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == PARSE_DIGESTS[name], name
