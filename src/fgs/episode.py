@@ -195,11 +195,11 @@ def run_episode(
     scores.
 
     *succ_cache* is a dict the caller may share among the episodes over one
-    grounded problem *gp*: it holds successor lists under integer state keys
-    (grounding.successors) and, under each heuristic's name, that
-    heuristic's per-state values or landmark set, which every search of the
-    episode builds its heuristic on (heuristics.make_heuristic). It lives as
-    long as the caller keeps it; None starts a fresh one."""
+    grounded problem *gp*: it holds each expanded state's successors under
+    its integer key (grounding.successors) and, under each heuristic's name,
+    that heuristic's per-state values or landmark set, which every search of
+    the episode builds its heuristic on (heuristics.make_heuristic). It
+    lives as long as the caller keeps it; None starts a fresh one."""
     if trust_policy not in TRUST_POLICIES:
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:

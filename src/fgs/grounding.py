@@ -155,24 +155,28 @@ def goal_satisfied(state: State, gp: GroundProblem) -> bool:
 
 
 def successors(gp: GroundProblem, state: State, cache: dict | None = None):
-    """All (action_index, next_state) pairs, in action-index order. The
+    """The successors of *state* as (indices, states), two tuples of equal
+    length in action-index order: action indices[i] leads to states[i]. The
     scan goes run by run through gp.runs and skips each run whose guard
     *state* fails.
 
     An optional cache dict may be shared by searches over the same problem;
-    it stores raw successors with no search-specific filtering, under the
-    integer state. The heuristics keep their tables in the same dict under
-    string keys (heuristics.make_heuristic).
+    it stores the pair, with no search-specific filtering, under the integer
+    state. The heuristics keep their tables in the same dict under string
+    keys (heuristics.make_heuristic).
     """
     if cache is not None:
         hit = cache.get(state)
         if hit is not None:
             return hit
-    out = []
+    indices, states = [], []
     for guard, guard_pre, members, _ in gp.runs:
         if state & guard == guard_pre:
-            out += [(idx, state & keep | adds)
-                    for idx, test, pre, keep, adds in members if state & test == pre]
+            for idx, test, pre, keep, adds in members:
+                if state & test == pre:
+                    indices.append(idx)
+                    states.append(state & keep | adds)
+    out = tuple(indices), tuple(states)
     if cache is not None:
         cache[state] = out
     return out

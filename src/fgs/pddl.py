@@ -253,8 +253,9 @@ class ProblemDef:
 
 # -- parsing: shared pieces ----------------------------------------------------
 
-# checks an atom's argument against the type of its parameter, or raises
-ArgCheck = Callable[[Symbol, str], None]
+# checks an atom's argument against the type of its parameter of the named
+# predicate, or raises
+ArgCheck = Callable[[Symbol, str, str], None]
 
 
 def _parse_typed_list(items, *, variables: bool, what: str) -> list[tuple[Symbol, Symbol | None]]:
@@ -300,11 +301,22 @@ def _declared_type(typ: Symbol | None, types: set[str], owner: str) -> str:
     return typ.text
 
 
+def _parse_parameters(items, types: set[str], owner: str, what: str) -> dict[str, str]:
+    """A parameter list's variables and their types, by name: each variable
+    once, each type declared in *types*."""
+    params: dict[str, str] = {}
+    for var, typ in _parse_typed_list(items, variables=True, what=what):
+        if var.text in params:
+            raise _invalid(f"{owner}: duplicate parameter '{var.text}'", var)
+        params[var.text] = _declared_type(typ, types, owner)
+    return params
+
+
 def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
                 check_arg: ArgCheck) -> Literal:
     """A declared predicate over as many arguments as it has parameters;
-    ``check_arg(arg, type)`` checks each argument against the type of its
-    parameter."""
+    ``check_arg(arg, type, predicate)`` checks each argument against the
+    type of its parameter."""
     if not node.items:
         raise PddlParseError(f"empty atom in {what}", node.line, node.col)
     head = _expect_symbol(node.items[0], "predicate name")
@@ -320,7 +332,7 @@ def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
     if len(args) != pred.arity:
         raise _invalid(f"{what}: '{head.text}' expects {pred.arity} args, got {len(args)}", node)
     for arg, (_, want) in zip(args, pred.params):
-        check_arg(arg, want)
+        check_arg(arg, want, pred.name)
     return Literal(head.text, tuple(arg.text for arg in args))
 
 
@@ -390,11 +402,9 @@ def parse_domain(text: str) -> DomainDef:
             head = _expect_symbol(form.items[0], "predicate name")
             if head.text in predicates:
                 raise _invalid(f"duplicate predicate '{head.text}'", head)
-            owner = f"predicate '{head.text}'"
-            params = _parse_typed_list(form.items[1:], variables=True, what="predicate parameters")
-            predicates[head.text] = Predicate(head.text, tuple(
-                (var.text, _declared_type(typ, declared, owner)) for var, typ in params
-            ))
+            params = _parse_parameters(form.items[1:], declared, f"predicate '{head.text}'",
+                                       "predicate parameters")
+            predicates[head.text] = Predicate(head.text, tuple(params.items()))
 
     schemas: dict[str, ActionSchema] = {}
     for section in sections[":action"]:
@@ -408,10 +418,11 @@ def parse_domain(text: str) -> DomainDef:
 def _parse_action(section: SList, types: set[str],
                   predicates: dict[str, Predicate]) -> ActionSchema:
     """An action schema whose parameters have declared types and whose
-    literals use declared predicates over its parameters. A join schema
-    designates its two tool-part parameters as the ordered object
-    permutation, in declaration order (action part first, grasp part
-    second)."""
+    literals use declared predicates over its parameters, each parameter of
+    the type the predicate expects there (any type where it expects an
+    object). A join schema designates its two tool-part parameters as the
+    ordered object permutation, in declaration order (action part first,
+    grasp part second)."""
     items = section.items[1:]
     if not items:
         raise PddlParseError("missing action name", section.line, section.col)
@@ -430,21 +441,20 @@ def _parse_action(section: SList, types: set[str],
             raise PddlParseError(f"missing value after {kw.text}", kw.line, kw.col)
         fields[low] = items[i + 1]
 
-    params: dict[str, str] = {}
     value = fields.get(":parameters")
     if isinstance(value, Symbol):
         raise PddlParseError(":parameters expects a list", value.line, value.col)
-    entries = _parse_typed_list(value.items, variables=True, what=":parameters") if value else []
-    for var, typ in entries:
-        if var.text in params:
-            raise _invalid(f"{owner}: duplicate parameter '{var.text}'", var)
-        params[var.text] = _declared_type(typ, types, owner)
+    params = _parse_parameters(value.items if value else [], types, owner, ":parameters")
 
-    def check_variable(arg: Symbol, _want: str) -> None:
+    def check_variable(arg: Symbol, want: str, predicate: str) -> None:
         if not arg.text.startswith("?"):
             raise _invalid(f"{owner}: constants in action bodies are not supported", arg)
-        if arg.text not in params:
+        got = params.get(arg.text)
+        if got is None:
             raise _invalid(f"{owner}: unbound variable '{arg.text}'", arg)
+        if want != "object" and got != want:
+            raise _invalid(f"{owner}: '{arg.text}' has type '{got}', but '{predicate}' "
+                           f"expects '{want}'", arg)
 
     pre, effects = (
         _parse_formula(fields[kw], what=f"{kw} of {owner}", predicates=predicates,
@@ -493,7 +503,7 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
                 raise _invalid(f"duplicate object '{obj.text}'", obj)
             objects[obj.text] = _declared_type(typ, declared, f"object '{obj.text}'")
 
-    def check_object(arg: Symbol, want: str) -> None:
+    def check_object(arg: Symbol, want: str, _predicate: str) -> None:
         got = objects.get(arg.text)
         if got is None:
             raise _invalid(f"unknown object '{arg.text}'", arg)

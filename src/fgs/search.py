@@ -109,8 +109,9 @@ def search(
     """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
     required when feature scoring is on. Exclusions are object permutations
     never to revisit. *succ_cache*, shared by searches over *gp*, holds the
-    successor lists and the values of the heuristic each search builds on it
-    (heuristics.make_heuristic); None starts a fresh one.
+    successor table (grounding.successors) and the values of the heuristic
+    each search builds on it (heuristics.make_heuristic); None starts a
+    fresh one.
 
     Both loops bind successors, the heuristic's evaluate and the scorer's
     gate when the search starts, never at import, so a wrapper installed on
@@ -152,7 +153,7 @@ def search(
             return PlanResult(None, len(closed), STATUS_BUDGET, best_g, tuple(closed))
         closed.append(state)
         g2 = g + 1
-        for action_idx, succ in expand(gp, state, succ_cache):
+        for action_idx, succ in zip(*expand(gp, state, succ_cache)):
             if g2 >= best_get(succ, INF):
                 continue
             best_g[succ] = g2  # recorded before the feature gate, as in the transition rule
@@ -198,7 +199,7 @@ def _hill_climb(gp: GroundProblem, evaluate, gate, budget: int | None,
                 return PlanResult(None, expanded, STATUS_BUDGET)
             expanded += 1
             best = None  # lowest-f improving successor of this expansion
-            for action_idx, succ in expand(gp, s, succ_cache):
+            for action_idx, succ in zip(*expand(gp, s, succ_cache)):
                 if succ in seen:
                     continue
                 act = actions[action_idx]

@@ -243,13 +243,13 @@ def test_required_again_counts():
     heur = LandmarkCountHeuristic(gp)
     v0, ctx = heur.evaluate(gp.init)
     assert v0 == 2.0
-    s1 = successors(gp, gp.init)[0][1]  # after mk1
+    s1 = successors(gp, gp.init)[1][0]  # after mk1
     v1, ctx = heur.evaluate(s1, ctx)
     assert v1 == 1.0
-    s2 = [succ for idx, succ in successors(gp, s1) if gp.actions[idx].schema_name == "mk2"][0]
+    s2 = [succ for idx, succ in zip(*successors(gp, s1)) if gp.actions[idx].schema_name == "mk2"][0]
     v2, ctx = heur.evaluate(s2, ctx)
     assert v2 == 1.0  # g2 accepted, but g1 is a goal landmark required again
-    s3 = [succ for idx, succ in successors(gp, s2) if gp.actions[idx].schema_name == "re1"][0]
+    s3 = [succ for idx, succ in zip(*successors(gp, s2)) if gp.actions[idx].schema_name == "re1"][0]
     v3, _ = heur.evaluate(s3, ctx)
     assert v3 == 0.0
 
@@ -265,10 +265,10 @@ def _check_landmark_count_along_walks(gp, rng, walks, max_depth):
         ref = reference_landmark_count(lms, decode(state), None)
         for _ in range(rng.randint(1, max_depth)):
             assert (value, decode(ctx)) == ref
-            succs = successors(gp, state)
+            succs = successors(gp, state)[1]
             if not succs:
                 break
-            _, state = rng.choice(succs)
+            state = rng.choice(succs)
             value, ctx = heur.evaluate(state, ctx)
             ref = reference_landmark_count(lms, decode(state), ref[1])
 
@@ -290,10 +290,10 @@ def _random_walk_states(gp, rng, walks, max_depth):
     for _ in range(walks):
         state = gp.init
         for _ in range(rng.randint(1, max_depth)):
-            succs = successors(gp, state)
+            succs = successors(gp, state)[1]
             if not succs:
                 break
-            _, state = rng.choice(succs)
+            state = rng.choice(succs)
             states.append(state)
     return states
 
@@ -376,7 +376,7 @@ def _reachable_non_goal_states(gp):
     order = [gp.init]
     frontier = deque(order)
     while frontier:
-        for _, succ in successors(gp, frontier.popleft()):
+        for succ in successors(gp, frontier.popleft())[1]:
             if succ not in seen:
                 seen.add(succ)
                 order.append(succ)
@@ -398,9 +398,11 @@ def test_hadd_matches_reference_on_reachable_states(task_id):
 
 @pytest.mark.parametrize("task_id", sorted(TASKS))
 def test_shared_cache_matches_fresh_heuristics(task_id):
-    # h_max, h_add and FF built on one cache, beside its successor lists,
+    # h_max, h_add and FF built on one cache, beside its successor table,
     # return what fresh heuristics return, whichever of them saw a state
-    # first, and so do later heuristics that read the stored values.
+    # first, and so do later heuristics that read the stored values. The
+    # cached successors equal the cold ones, and the cache holds the very
+    # pair it hands back.
     _, _, gp = load_task(task_id)
     states = _reachable_non_goal_states(gp)[sorted(TASKS).index(task_id) % 16 :: 16]
     names = ("hmax", "hadd", "ff")
@@ -409,7 +411,9 @@ def test_shared_cache_matches_fresh_heuristics(task_id):
     for rerun in (False, True):
         shared = {name: make_heuristic(name, gp, cache) for name in names}
         for i, state in enumerate(states):
-            assert successors(gp, state, cache) == successors(gp, state)
+            cached = successors(gp, state, cache)
+            assert cached == successors(gp, state)
+            assert cached is cache[state]
             for name in names[i % 3 :] + names[: i % 3]:
                 assert shared[name].evaluate(state) == fresh[name].evaluate(state), (name, rerun)
     assert {name: len(cache[name]) for name in names} == dict.fromkeys(names, len(states))
@@ -449,7 +453,7 @@ def test_relaxation_fires_actions_no_state_applies():
     gp = model(["g"])
     clash = next(i for i, act in enumerate(gp.actions) if act.schema_name == "clash")
     every_state = [encode(a for a in range(6) if bits >> a & 1) for bits in range(64)]
-    assert all(idx != clash for state in every_state for idx, _ in successors(gp, state))
+    assert all(clash not in successors(gp, state)[0] for state in every_state)
     assert (h("hmax", gp), h("ff", gp), h("hadd", gp)) == (2.0, 3.0, 3.0)
     assert decode(discover_landmarks(gp).landmarks) == {gp.atom_ids[(a,)] for a in ("p", "q", "g")}
     for goal in (["g"], ["g", "u"], ["u"]):

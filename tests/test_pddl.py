@@ -439,6 +439,13 @@ POSITIONED_ERRORS = [
      "action 'a': constants in action bodies are not supported"),
     ("domain", "(define (domain d) (:predicates (p ?x)) (:action a :effect (not (p ^?y))))",
      "action 'a': unbound variable '?y'"),
+    ("domain", "(define (domain d) (:types part loc) (:predicates (avail ?o - part)) "
+     "(:action a :parameters (?l - loc) :precondition (avail ^?l)))",
+     "action 'a': '?l' has type 'loc', but 'avail' expects 'part'"),
+    ("domain", "(define (domain d) (:types part) (:predicates (avail ?o - part)) "
+     "(:action a :parameters (?x) :effect (not (avail ^?x))))",
+     "action 'a': '?x' has type 'object', but 'avail' expects 'part'"),
+    ("domain", "(define (domain d) (:predicates (p ?x ^?x)))", "predicate 'p': duplicate parameter '?x'"),
     ("domain", "(define (domain d) (:types tool-part) (:action ^join-x :parameters (?a - tool-part)))",
      "action 'join-x' is a join action but has 1 'tool-part' parameters"),
     ("domain", "(define (domain d) (:predicates) ^(:predicates))", "duplicate :predicates section"),
@@ -472,6 +479,12 @@ def test_error_names_the_position_of_its_form(kind, text, message):
             parse_problem(text, parse_domain(CHAIN_DOMAIN))
     assert str(exc.value).startswith(message)
     assert str(exc.value).endswith(f" (line 1, col {col})")
+
+
+def test_object_parameter_accepts_any_variable():
+    domain = parse_domain("(define (domain d) (:types loc) (:predicates (at ?x)) "
+                          "(:action a :parameters (?l - loc) :precondition (at ?l)))")
+    assert domain.action_schemas[0].preconditions == (Literal("at", ("?l",)),)
 
 
 # sha256 of each bundled file's parse result: the DomainDef or ProblemDef as
