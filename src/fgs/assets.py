@@ -64,6 +64,12 @@ def load_task(task_id: str) -> tuple[DomainDef, ProblemDef, GroundProblem]:
     problem_path = base / task.problem_file
     if not domain_path.exists() or not problem_path.exists():
         raise ConfigError(f"missing bundled domain assets for task '{task_id}' under {base}")
+    return load_model(domain_path, problem_path)
+
+
+def load_model(domain_path, problem_path) -> tuple[DomainDef, ProblemDef, GroundProblem]:
+    """The domain and problem PDDL files at the two paths, parsed, and their
+    grounded model."""
     domain = parse_file(domain_path, parse_domain)
     problem = parse_file(problem_path, parse_problem, domain)
     return domain, problem, ground(domain, problem)

@@ -15,13 +15,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .assets import DATA_DIR_ENV
+from .assets import DATA_DIR_ENV, load_model
 from .bench import ExperimentConfig, emit_report, run_experiment, write_trace
 from .episode import TRUST_POLICIES, check_alignment, episode_event, run_episode, trace_events
 from .errors import ConfigError, FgsError
-from .grounding import ground
 from .heuristics import HEURISTIC_NAMES
-from .pddl import parse_domain, parse_file, parse_problem
 from .scenario import load_scenario, sense
 from .scoring import JoinScorer
 from .search import SearchConfig, search
@@ -32,12 +30,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 log = logging.getLogger("fgs")
-
-
-def _load_model(args):
-    domain = parse_file(args.domain, parse_domain)
-    problem = parse_file(args.problem, parse_problem, domain)
-    return domain, problem, ground(domain, problem)
 
 
 def _search_config(args) -> SearchConfig:
@@ -60,7 +52,7 @@ def _load_scenario(args, gp):
 
 
 def cmd_validate(args) -> int:
-    domain, problem, gp = _load_model(args)
+    domain, problem, gp = load_model(args.domain, args.problem)
     scenario = _load_scenario(args, gp)
     if scenario is not None:
         print(f"scenario {scenario.scenario_id}: {len(scenario.objects)} objects, "
@@ -73,7 +65,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    _, _, gp = _load_model(args)
+    _, _, gp = load_model(args.domain, args.problem)
     cfg = _search_config(args)
     scenario = _load_scenario(args, gp)
     scorer = None
@@ -92,7 +84,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_episode(args) -> int:
-    _, _, gp = _load_model(args)
+    _, _, gp = load_model(args.domain, args.problem)
     scenario = load_scenario(args.scenario)
     cfg = _search_config(args)
     result = run_episode(

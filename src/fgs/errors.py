@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def placed(message: str, line: int, col: int) -> str:
+    """*message* ending with the position of the form it is about."""
+    return f"{message} (line {line}, col {col})"
+
+
 class FgsError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -9,12 +14,7 @@ class PddlParseError(FgsError):
     """Syntax or unsupported-feature error while reading a PDDL file."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else placed(message, line, col))
 
 
 class ValidationError(FgsError):

@@ -205,7 +205,8 @@ def ground(
     """
     objects_by_type: dict[str, list[str]] = {"object": []}
     for obj, typ in problem.objects:
-        objects_by_type.setdefault(typ, []).append(obj)
+        if typ != "object":
+            objects_by_type.setdefault(typ, []).append(obj)
         objects_by_type["object"].append(obj)
 
     fluent_preds = {

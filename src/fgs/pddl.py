@@ -1,9 +1,13 @@
 """STRIPS-subset PDDL: parsing and validation, in one pass over each file.
 
 Supported requirements: :strips, :typing (flat type list, no hierarchy),
-:negative-preconditions. Everything else (quantifiers, conditional effects,
-disjunctions, numeric fluents, derived predicates) is rejected with an
-explicit "unsupported feature" diagnostic carrying line/column.
+:negative-preconditions. A domain uses (:types ...) and ``- type`` in its
+predicates and parameters only under :typing, and (not ...) in a
+precondition only under :negative-preconditions; a negative effect is a
+delete, and a problem is read against the domain's types and predicates
+alone. Everything else (quantifiers, conditional effects, disjunctions,
+numeric fluents, derived predicates) is rejected with an explicit
+"unsupported feature" diagnostic carrying line/column.
 
 Keywords are case-insensitive; identifiers are case-preserving and compared
 exactly as written. Every section but ``:action`` appears at most once, and
@@ -20,11 +24,12 @@ two of them.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import FgsError, PddlParseError, ValidationError
+from .errors import FgsError, PddlParseError, ValidationError, placed
 
 # Type name that marks parameters eligible for object-permutation semantics.
 OBJECT_PARAM_TYPE = "tool-part"
@@ -92,64 +97,49 @@ class SList:
     col: int
 
 
-def _tokenize(text: str):
-    """Yield (kind, value, line, col); kind in {'(', ')', 'sym'}."""
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield ch, ch, line, col
-            i += 1
-            col += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        yield "sym", text[start:i], line, start_col
+# one match per token: a newline, blanks, a comment, a parenthesis, or a symbol
+_TOKEN = re.compile(r"(?P<newline>\n)|[ \t\r]+|;[^\n]*"
+                    r"|(?P<open>\()|(?P<close>\))|(?P<symbol>[^ \t\r\n();]+)")
 
 
 def _read_sexprs(text: str) -> list:
-    stack: list[list] = []
-    marks: list[tuple[int, int]] = []
+    """The forms of *text*; a node's column is one more than its offset from
+    the start of its line, so a tab counts as one column."""
+    stack: list[tuple[list, int, int]] = []  # per open form: the enclosing items, its position
     top: list = []
-    for kind, value, line, col in _tokenize(text):
-        if kind == "(":
-            stack.append(top)
-            marks.append((line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # blanks or a comment
+            continue
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+            continue
+        col = match.start() - line_start + 1
+        if kind == "symbol":
+            top.append(Symbol(match.group(), line, col))
+        elif kind == "open":
+            stack.append((top, line, col))
             top = []
-        elif kind == ")":
+        else:
             if not stack:
                 raise PddlParseError("unbalanced ')'", line, col)
-            closed = SList(tuple(top), *marks.pop())
-            top = stack.pop()
-            top.append(closed)
-        else:
-            top.append(Symbol(value, line, col))
+            enclosing, open_line, open_col = stack.pop()
+            enclosing.append(SList(tuple(top), open_line, open_col))
+            top = enclosing
     if stack:
-        line, col = marks[-1]
-        raise PddlParseError("unclosed '('", line, col)
+        raise PddlParseError("unclosed '('", *stack[-1][1:])
     return top
 
 
 def _invalid(message: str, node) -> ValidationError:
     """A ValidationError about the form *node*, ending with its position."""
-    return ValidationError(f"{message} (line {node.line}, col {node.col})")
+    return ValidationError(placed(message, node.line, node.col))
+
+
+def _unsupported(feature: str, node) -> PddlParseError:
+    """The error for *feature*, which the form *node* uses and the parser does not support."""
+    return PddlParseError(f"unsupported feature: {feature}", node.line, node.col)
 
 
 def _head(node: SList) -> str:
@@ -192,7 +182,7 @@ def _define(text: str, kind: str) -> tuple[SList, str, dict[str, list[SList]]]:
             raise PddlParseError("expected a (:section ...) form", section.line, section.col)
         kw = _head(section)
         if kw in unsupported:
-            raise PddlParseError(f"unsupported feature: {kw} section", section.line, section.col)
+            raise _unsupported(f"{kw} section", section)
         if kw not in sections:
             raise PddlParseError(f"unknown {kind} section '{kw}'", section.line, section.col)
         if sections[kw] and kw != ":action":
@@ -263,45 +253,43 @@ def _parse_typed_list(items, *, variables: bool, what: str) -> list[tuple[Symbol
     has type None, an object."""
     out: list[tuple[Symbol, Symbol | None]] = []
     pending: list[Symbol] = []
-    i = 0
-    items = list(items)
-    while i < len(items):
-        node = items[i]
+    nodes = iter(items)
+    for node in nodes:
         sym = _expect_symbol(node, f"identifier in {what}")
         if sym.text == "-":
             if not pending:
                 raise PddlParseError(f"dangling '-' in {what}", sym.line, sym.col)
-            if i + 1 >= len(items):
+            typ = next(nodes, None)
+            if typ is None:
                 raise PddlParseError(f"missing type after '-' in {what}", sym.line, sym.col)
-            typ = _expect_symbol(items[i + 1], "type name")
+            typ = _expect_symbol(typ, "type name")
             if typ.text.startswith("?"):
                 raise PddlParseError("type name may not be a variable", typ.line, typ.col)
-            for name in pending:
-                out.append((name, typ))
+            out += ((name, typ) for name in pending)
             pending = []
-            i += 2
-            continue
-        if variables and not sym.text.startswith("?"):
+        elif variables and not sym.text.startswith("?"):
             raise PddlParseError(f"expected variable in {what}, got '{sym.text}'", sym.line, sym.col)
-        if not variables and sym.text.startswith("?"):
+        elif not variables and sym.text.startswith("?"):
             raise PddlParseError(f"unexpected variable in {what}", sym.line, sym.col)
-        pending.append(sym)
-        i += 1
-    for name in pending:
-        out.append((name, None))
-    return out
+        else:
+            pending.append(sym)
+    return out + [(name, None) for name in pending]
 
 
-def _declared_type(typ: Symbol | None, types: set[str], owner: str) -> str:
-    """The name of the type *typ*, which *types* must declare; None is an object."""
+def _declared_type(typ: Symbol | None, types: set[str] | None, owner: str) -> str:
+    """The name of the type *typ*, which *types* must declare; None is an
+    object. *types* is None in a domain that does not declare :typing."""
     if typ is None:
         return "object"
+    if types is None:
+        raise PddlParseError(f"{owner}: '- {typ.text}' needs :requirements :typing",
+                             typ.line, typ.col)
     if typ.text not in types:
         raise _invalid(f"{owner}: undeclared type '{typ.text}'", typ)
     return typ.text
 
 
-def _parse_parameters(items, types: set[str], owner: str, what: str) -> dict[str, str]:
+def _parse_parameters(items, types: set[str] | None, owner: str, what: str) -> dict[str, str]:
     """A parameter list's variables and their types, by name: each variable
     once, each type declared in *types*."""
     params: dict[str, str] = {}
@@ -322,9 +310,7 @@ def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
     head = _expect_symbol(node.items[0], "predicate name")
     low = head.text.lower()
     if low in _UNSUPPORTED_HEADS:
-        raise PddlParseError(
-            f"unsupported feature: {_UNSUPPORTED_HEADS[low]} ('{head.text}')", head.line, head.col
-        )
+        raise _unsupported(f"{_UNSUPPORTED_HEADS[low]} ('{head.text}')", head)
     args = [_expect_symbol(arg, "atom argument") for arg in node.items[1:]]
     pred = predicates.get(head.text)
     if pred is None:
@@ -337,11 +323,11 @@ def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
 
 
 def _parse_formula(node, *, what: str, predicates: dict[str, Predicate],
-                   check_arg: ArgCheck) -> list[Literal]:
+                   check_arg: ArgCheck, negative: bool = True) -> list[Literal]:
     """Flatten a conjunction into literals, left to right, each read by
-    _parse_atom; reject unsupported constructs. Nested conjunctions are
-    walked with an explicit stack, so nesting depth is not bounded by the
-    interpreter's recursion limit."""
+    _parse_atom; reject unsupported constructs, and negative literals unless
+    *negative*. Nested conjunctions are walked with an explicit stack, so
+    nesting depth is not bounded by the interpreter's recursion limit."""
     out: list[Literal] = []
     stack = [node]
     while stack:
@@ -352,14 +338,15 @@ def _parse_formula(node, *, what: str, predicates: dict[str, Predicate],
         if head == "and":
             stack.extend(reversed(node.items[1:]))
         elif head == "not":
+            if not negative:
+                raise PddlParseError(f"{what}: (not ...) needs :requirements "
+                                     ":negative-preconditions", node.line, node.col)
             if len(node.items) != 2 or not isinstance(node.items[1], SList):
                 raise PddlParseError("'not' takes exactly one atom", node.line, node.col)
             atom = _parse_atom(node.items[1], what=what, predicates=predicates, check_arg=check_arg)
             out.append(replace(atom, negated=True))
         elif head in _UNSUPPORTED_HEADS:
-            raise PddlParseError(
-                f"unsupported feature: {_UNSUPPORTED_HEADS[head]} ('{head}')", node.line, node.col
-            )
+            raise _unsupported(f"{_UNSUPPORTED_HEADS[head]} ('{head}')", node)
         elif node.items:  # () and (and) both mean the empty conjunction
             out.append(_parse_atom(node, what=what, predicates=predicates, check_arg=check_arg))
     return out
@@ -372,27 +359,26 @@ def parse_domain(text: str) -> DomainDef:
     """Parse a PDDL domain file into a validated DomainDef."""
     _, name, sections = _define(text, "domain")
 
+    requirements: set[str] = set()
     for section in sections[":requirements"]:
         for req in section.items[1:]:
             sym = _expect_symbol(req, "requirement flag")
             if sym.text.lower() not in SUPPORTED_REQUIREMENTS:
-                raise PddlParseError(
-                    f"unsupported feature: requirement {sym.text}", sym.line, sym.col
-                )
+                raise _unsupported(f"requirement {sym.text}", sym)
+            requirements.add(sym.text.lower())
 
     types: list[str] = []
     for section in sections[":types"]:
+        if ":typing" not in requirements:
+            raise PddlParseError("(:types ...) needs :requirements :typing",
+                                 section.line, section.col)
         for tname, parent in _parse_typed_list(section.items[1:], variables=False, what=":types"):
             if parent is not None and parent.text != "object":
-                raise PddlParseError(
-                    f"unsupported feature: type hierarchy ('{tname.text} - {parent.text}')",
-                    parent.line,
-                    parent.col,
-                )
+                raise _unsupported(f"type hierarchy ('{tname.text} - {parent.text}')", parent)
             if tname.text in types:
                 raise _invalid(f"duplicate type '{tname.text}'", tname)
             types.append(tname.text)
-    declared = {*types, "object"}
+    declared = {*types, "object"} if ":typing" in requirements else None
 
     predicates: dict[str, Predicate] = {}
     for section in sections[":predicates"]:
@@ -408,21 +394,23 @@ def parse_domain(text: str) -> DomainDef:
 
     schemas: dict[str, ActionSchema] = {}
     for section in sections[":action"]:
-        schema = _parse_action(section, declared, predicates)
+        schema = _parse_action(section, declared, predicates,
+                               ":negative-preconditions" in requirements)
         if schema.name in schemas:
             raise _invalid(f"duplicate action '{schema.name}'", section)
         schemas[schema.name] = schema
     return DomainDef(name, tuple(types), tuple(predicates.values()), tuple(schemas.values()))
 
 
-def _parse_action(section: SList, types: set[str],
-                  predicates: dict[str, Predicate]) -> ActionSchema:
+def _parse_action(section: SList, types: set[str] | None, predicates: dict[str, Predicate],
+                  negative_preconditions: bool) -> ActionSchema:
     """An action schema whose parameters have declared types and whose
     literals use declared predicates over its parameters, each parameter of
     the type the predicate expects there (any type where it expects an
-    object). A join schema designates its two tool-part parameters as the
-    ordered object permutation, in declaration order (action part first,
-    grasp part second)."""
+    object). A negative precondition needs *negative_preconditions*; a
+    negative effect is a delete. A join schema designates its two tool-part
+    parameters as the ordered object permutation, in declaration order
+    (action part first, grasp part second)."""
     items = section.items[1:]
     if not items:
         raise PddlParseError("missing action name", section.line, section.col)
@@ -434,7 +422,7 @@ def _parse_action(section: SList, types: set[str],
         kw = _expect_symbol(items[i], "action keyword")
         low = kw.text.lower()
         if low not in _ACTION_FIELDS:
-            raise PddlParseError(f"unsupported feature: action keyword {kw.text}", kw.line, kw.col)
+            raise _unsupported(f"action keyword {kw.text}", kw)
         if low in fields:
             raise PddlParseError(f"duplicate {kw.text} in action '{name}'", kw.line, kw.col)
         if i + 1 >= len(items):
@@ -458,8 +446,8 @@ def _parse_action(section: SList, types: set[str],
 
     pre, effects = (
         _parse_formula(fields[kw], what=f"{kw} of {owner}", predicates=predicates,
-                       check_arg=check_variable) if kw in fields else []
-        for kw in _ACTION_FIELDS[1:]
+                       check_arg=check_variable, negative=negative) if kw in fields else []
+        for kw, negative in zip(_ACTION_FIELDS[1:], (negative_preconditions, True))
     )
     parts = ()
     if name.lower().startswith(JOIN_SCHEMA_PREFIX):
@@ -517,9 +505,7 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
             if not isinstance(atom, SList):
                 raise PddlParseError("init entries must be atoms", atom.line, atom.col)
             if _head(atom) == "not":
-                raise PddlParseError(
-                    "unsupported feature: negative init literal", atom.line, atom.col
-                )
+                raise _unsupported("negative init literal", atom)
             lit = _parse_atom(atom, what=":init", predicates=predicates, check_arg=check_object)
             init.append(lit.atom())
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgs.assets import data_dir, load_task
+from fgs.assets import data_dir, load_model, load_task
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from fgs.episode import run_episode, trace_events
 from fgs.heuristics import HEURISTIC_NAMES
@@ -35,6 +35,44 @@ def test_validate_ok(capsys):
     assert main(["validate", *args_for("cleaning_rake")]) == EXIT_OK
     out = capsys.readouterr().out
     assert "cleaning-rake" in out and "ground actions" in out
+
+
+# `fgs validate` on each bundled task pair: (schemas, predicates, objects,
+# ground actions, atoms)
+VALIDATE_COUNTS = {
+    "cleaning_either": (10, 18, 16, 216, 141),
+    "cleaning_rake": (8, 16, 16, 124, 139),
+    "cleaning_squeegee": (8, 17, 16, 124, 140),
+    "cooking_either": (13, 22, 17, 224, 159),
+    "cooking_ladle": (11, 20, 17, 131, 157),
+    "cooking_spatula": (11, 20, 17, 131, 157),
+    "woodworking_either": (10, 19, 18, 229, 155),
+    "woodworking_hammer": (8, 17, 18, 131, 153),
+    "woodworking_screwdriver": (8, 17, 18, 131, 153),
+}
+
+
+@pytest.mark.parametrize("task", sorted(VALIDATE_COUNTS))
+def test_validate_output_is_pinned_for_every_bundled_task(capsys, task):
+    schemas, predicates, objects, actions, atoms = VALIDATE_COUNTS[task]
+    name = task.replace("_", "-")
+    assert main(["validate", *args_for(task)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"domain {name}: {schemas} schemas, {predicates} predicates\n"
+        f"problem {name}-1: {objects} objects, {actions} ground actions, {atoms} atoms\n")
+
+
+def test_untyped_objects_ground_once(tmp_path, capsys):
+    domain = tmp_path / "d.pddl"
+    problem = tmp_path / "p.pddl"
+    domain.write_text("(define (domain d) (:predicates (at ?x) (done)) "
+                      "(:action go :parameters (?x) :precondition (at ?x) :effect (done)))")
+    problem.write_text("(define (problem p) (:domain d) (:objects a b) (:init (at a)) (:goal (done)))")
+    names = [act.name for act in load_model(domain, problem)[2].actions]
+    assert names == ["(go a)"]
+    assert main(["validate", "--domain", str(domain), "--problem", str(problem)]) == EXIT_OK
+    assert capsys.readouterr().out == ("domain d: 1 schemas, 2 predicates\n"
+                                       "problem p: 2 objects, 1 ground actions, 2 atoms\n")
 
 
 def test_validate_scenario_not_matching_problem_exits_two(capsys):

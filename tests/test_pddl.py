@@ -4,14 +4,14 @@ import re
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fgs.assets import TASKS, data_dir
 from fgs.errors import FgsError, PddlParseError, ValidationError
-from fgs.pddl import Literal, parse_domain, parse_problem
+from fgs.pddl import Literal, _read_sexprs, parse_domain, parse_problem
 
-from .util import domain_to_pddl, problem_to_pddl
+from .util import domain_to_pddl, problem_to_pddl, reference_read_sexprs
 
 MINIMAL_DOMAIN = """
 (define (domain tiny)
@@ -205,9 +205,10 @@ def test_missing_header_name_is_parse_error(parse, text, field):
 
 
 def test_parse_error_carries_position():
+    text = "(define (domain x) (:predicates (p ?x)) (:action a :parameters (?x) :precondition (or) :effect (p ?x)))"
     with pytest.raises(PddlParseError) as exc:
-        parse_domain("(define (domain x) (:predicates (p ?x)) (:action a :parameters (?x) :precondition (or) :effect (p ?x)))")
-    assert exc.value.line == 1
+        parse_domain(text)
+    assert str(exc.value).endswith(f" (line 1, col {text.index('(or)') + 1})")
 
 
 def test_type_hierarchy_rejected():
@@ -347,6 +348,39 @@ def test_parse_problem_mutated_bundled_file(text):
     _parses_or_raises_fgs_error(parse_problem, text, BUNDLED_DOMAIN_DEF)
 
 
+# -- the regex reader against the character loop it replaced ---------------------
+
+
+def _read_or_error(read, text: str):
+    """The forms *read* gives for *text*, or the message of its PddlParseError."""
+    try:
+        return read(text)
+    except PddlParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("path", sorted(DOMAINS.glob("*.pddl")), ids=lambda path: path.name)
+def test_reader_matches_reference_on_bundled_files(path):
+    # Symbol and SList compare their text, line and column, node for node
+    text = path.read_text(encoding="utf-8")
+    forms = _read_sexprs(text)
+    assert forms and forms == reference_read_sexprs(text)
+
+
+# \r\n line endings and a comment run are drawn as one piece each
+READER_PIECES = [*"();-?aZé \t\r\n\f", "\r\n", "; c"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
+@example(text="(a ; comment at the end of the file")
+@example(text="(a b)\r\n; a comment at the end of the file")
+@example(text="(a (b)) )")
+@example(text="((a)\r\n  (b\t\fc)")
+def test_reader_matches_reference_on_generated_text(text):
+    assert _read_or_error(_read_sexprs, text) == _read_or_error(reference_read_sexprs, text)
+
+
 @pytest.mark.parametrize("where", [":precondition", ":effect", ":goal"])
 def test_deeply_nested_conjunction_parses(where):
     depth = 10_000  # ten times the default recursion limit
@@ -423,13 +457,14 @@ def test_join_schema_needs_exactly_two_tool_parts(params, count):
 # is read against CHAIN_DOMAIN; a form with no finer node points at the
 # define form.
 POSITIONED_ERRORS = [
-    ("domain", "(define (domain d) (:types t ^t))", "duplicate type 't'"),
+    ("domain", "(define (domain d) (:requirements :typing) (:types t ^t))", "duplicate type 't'"),
     ("domain", "(define (domain d) (:predicates (p) (^p)))", "duplicate predicate 'p'"),
-    ("domain", "(define (domain d) (:predicates (p ?x - ^u)))", "predicate 'p': undeclared type 'u'"),
+    ("domain", "(define (domain d) (:requirements :typing) (:predicates (p ?x - ^u)))",
+     "predicate 'p': undeclared type 'u'"),
     ("domain", "(define (domain d) (:action a) ^(:action a))", "duplicate action 'a'"),
     ("domain", "(define (domain d) (:action a :parameters (?x ^?x)))",
      "action 'a': duplicate parameter '?x'"),
-    ("domain", "(define (domain d) (:action a :parameters (?x - ^u)))",
+    ("domain", "(define (domain d) (:requirements :typing) (:action a :parameters (?x - ^u)))",
      "action 'a': undeclared type 'u'"),
     ("domain", "(define (domain d) (:action a :precondition (^p)))",
      ":precondition of action 'a' uses undeclared predicate 'p'"),
@@ -439,16 +474,28 @@ POSITIONED_ERRORS = [
      "action 'a': constants in action bodies are not supported"),
     ("domain", "(define (domain d) (:predicates (p ?x)) (:action a :effect (not (p ^?y))))",
      "action 'a': unbound variable '?y'"),
-    ("domain", "(define (domain d) (:types part loc) (:predicates (avail ?o - part)) "
-     "(:action a :parameters (?l - loc) :precondition (avail ^?l)))",
+    ("domain", "(define (domain d) (:requirements :typing) (:types part loc) "
+     "(:predicates (avail ?o - part)) (:action a :parameters (?l - loc) :precondition (avail ^?l)))",
      "action 'a': '?l' has type 'loc', but 'avail' expects 'part'"),
-    ("domain", "(define (domain d) (:types part) (:predicates (avail ?o - part)) "
-     "(:action a :parameters (?x) :effect (not (avail ^?x))))",
+    ("domain", "(define (domain d) (:requirements :typing) (:types part) "
+     "(:predicates (avail ?o - part)) (:action a :parameters (?x) :effect (not (avail ^?x))))",
      "action 'a': '?x' has type 'object', but 'avail' expects 'part'"),
     ("domain", "(define (domain d) (:predicates (p ?x ^?x)))", "predicate 'p': duplicate parameter '?x'"),
-    ("domain", "(define (domain d) (:types tool-part) (:action ^join-x :parameters (?a - tool-part)))",
+    ("domain", "(define (domain d) (:requirements :typing) (:types tool-part) "
+     "(:action ^join-x :parameters (?a - tool-part)))",
      "action 'join-x' is a join action but has 1 'tool-part' parameters"),
     ("domain", "(define (domain d) (:predicates) ^(:predicates))", "duplicate :predicates section"),
+    # each feature only under the requirement flag that declares it
+    ("domain", "(define (domain d) ^(:types t))", "(:types ...) needs :requirements :typing"),
+    ("domain", "(define (domain d) (:requirements :strips :negative-preconditions) ^(:types t))",
+     "(:types ...) needs :requirements :typing"),
+    ("domain", "(define (domain d) (:predicates (p ?x - ^object)))",
+     "predicate 'p': '- object' needs :requirements :typing"),
+    ("domain", "(define (domain d) (:action a :parameters (?x - ^object)))",
+     "action 'a': '- object' needs :requirements :typing"),
+    ("domain", "(define (domain d) (:requirements :typing) (:predicates (p ?x)) "
+     "(:action a :parameters (?x) :precondition (and (p ?x) ^(not (p ?x)))))",
+     ":precondition of action 'a': (not ...) needs :requirements :negative-preconditions"),
     ("problem", "(define (problem p) (:domain ^other))", "problem 'p' targets domain 'other', not 'chain'"),
     ("problem", "^(define (problem p) (:objects s0 - step))", "problem is missing (:domain ...)"),
     ("problem", "(define (problem p) (:domain chain) (:objects s0 ^s0 - step))", "duplicate object 's0'"),
@@ -481,8 +528,25 @@ def test_error_names_the_position_of_its_form(kind, text, message):
     assert str(exc.value).endswith(f" (line 1, col {col})")
 
 
+def test_negative_effect_and_goal_need_no_requirement():
+    # a negative effect is a STRIPS delete; a problem is read against the
+    # domain's predicates alone, whatever the domain declares
+    domain = parse_domain("(define (domain d) (:predicates (p ?x)) "
+                          "(:action a :parameters (?x) :effect (not (p ?x))))")
+    assert domain.action_schemas[0].del_effects == (Literal("p", ("?x",)),)
+    problem = parse_problem("(define (problem q) (:domain d) (:objects o) (:goal (not (p o))))", domain)
+    assert problem.goal == (Literal("p", ("o",), negated=True),)
+
+
+def test_requirement_flags_are_case_insensitive():
+    domain = parse_domain("(define (domain d) (:requirements :TYPING :Negative-Preconditions) "
+                          "(:types t) (:predicates (p ?x - t)) "
+                          "(:action a :parameters (?x - t) :precondition (not (p ?x))))")
+    assert domain.action_schemas[0].preconditions == (Literal("p", ("?x",), negated=True),)
+
+
 def test_object_parameter_accepts_any_variable():
-    domain = parse_domain("(define (domain d) (:types loc) (:predicates (at ?x)) "
+    domain = parse_domain("(define (domain d) (:requirements :typing) (:types loc) (:predicates (at ?x)) "
                           "(:action a :parameters (?l - loc) :precondition (at ?l)))")
     assert domain.action_schemas[0].preconditions == (Literal("at", ("?l",)),)
 

@@ -1,7 +1,8 @@
 """Shared helpers: tiny model builders, brute-force search oracles, naive
 frozenset references for the bitset state code, PDDL serialization, the
-search loops as they stood before the guarded successor scan, and the join
-scorer and material fit as they stood before the scorer-built gate."""
+character-loop PDDL reader the regex scan replaced, the search loops as they
+stood before the guarded successor scan, and the join scorer and material fit
+as they stood before the scorer-built gate."""
 
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ from functools import cache
 from itertools import repeat
 
 from fgs import scoring
-from fgs.errors import ConfigError, InternalError
+from fgs.errors import ConfigError, InternalError, PddlParseError
 from fgs.grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
 from fgs.heuristics import make_heuristic
-from fgs.pddl import SUPPORTED_REQUIREMENTS, DomainDef, Literal, ProblemDef
+from fgs.pddl import SUPPORTED_REQUIREMENTS, DomainDef, Literal, ProblemDef, SList, Symbol
 from fgs.scoring import NEG_INF
 from fgs.search import (
     HEURISTIC_ALGORITHMS,
@@ -395,6 +396,65 @@ def problem_to_pddl(problem: ProblemDef) -> str:
     lines.append(f"  (:goal {_conjunction_str(problem.goal)})")
     lines.append(")")
     return "\n".join(lines) + "\n"
+
+
+# -- the PDDL reader as it stood before the regex scan ---------------------------
+# _tokenize and _read_sexprs copied verbatim from fgs.pddl.
+
+
+def _tokenize(text: str):
+    """Yield (kind, value, line, col); kind in {'(', ')', 'sym'}."""
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            yield ch, ch, line, col
+            i += 1
+            col += 1
+            continue
+        start = i
+        start_col = col
+        while i < n and text[i] not in " \t\r\n();":
+            i += 1
+            col += 1
+        yield "sym", text[start:i], line, start_col
+
+
+def reference_read_sexprs(text: str) -> list:
+    stack: list[list] = []
+    marks: list[tuple[int, int]] = []
+    top: list = []
+    for kind, value, line, col in _tokenize(text):
+        if kind == "(":
+            stack.append(top)
+            marks.append((line, col))
+            top = []
+        elif kind == ")":
+            if not stack:
+                raise PddlParseError("unbalanced ')'", line, col)
+            closed = SList(tuple(top), *marks.pop())
+            top = stack.pop()
+            top.append(closed)
+        else:
+            top.append(Symbol(value, line, col))
+    if stack:
+        line, col = marks[-1]
+        raise PddlParseError("unclosed '('", line, col)
+    return top
 
 
 # -- the join scorer as it stood before the scorer-built gate -------------------
