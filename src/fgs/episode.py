@@ -196,14 +196,14 @@ def run_episode(
 
     *succ_cache* is a dict the caller may share among the episodes over one
     grounded problem *gp*: it holds each expanded state's successors under
-    its integer key (grounding.successors) and, under each heuristic's name,
-    that heuristic's per-state values or landmark set, which every search of
-    the episode builds its heuristic on (heuristics.make_heuristic). It
-    lives as long as the caller keeps it; None starts a fresh one."""
+    its integer key (grounding.successors) and, under its name, each
+    heuristic its searches use (heuristics.make_heuristic). It lives as long
+    as the caller keeps it; None starts a fresh one."""
     if trust_policy not in TRUST_POLICIES:
         raise ConfigError(f"unknown trust policy '{trust_policy}'")
     if budget is not None and budget < 0:
         raise ConfigError(f"budget must be non-negative, got {budget} (--budget)")
+    cfg.validate()
     check_alignment(gp, scenario)
     profiles = sense(scenario, noise_on)
     registry = scenario.registry()

@@ -60,10 +60,6 @@ class GroundProblem:
     goal_neg: State = 0  # atoms the goal forbids
 
     @cached_property
-    def atom_ids(self) -> dict[Atom, int]:
-        return {atom: i for i, atom in enumerate(self.atoms)}
-
-    @cached_property
     def runs(self) -> tuple[tuple[State, State, tuple, State], ...]:
         """The one scan index over the actions: a (guard, guard_pre, members,
         union) per run of consecutive actions of one schema. Each member is
@@ -162,8 +158,8 @@ def successors(gp: GroundProblem, state: State, cache: dict | None = None):
 
     An optional cache dict may be shared by searches over the same problem;
     it stores the pair, with no search-specific filtering, under the integer
-    state. The heuristics keep their tables in the same dict under string
-    keys (heuristics.make_heuristic).
+    state. The heuristics live in the same dict under their names
+    (heuristics.make_heuristic).
     """
     if cache is not None:
         hit = cache.get(state)

@@ -23,7 +23,6 @@ bitset of accepted landmarks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
@@ -37,13 +36,12 @@ class Heuristic:
     """Estimate interface: evaluate(state, parent_ctx) -> (value, ctx).
 
     parent_ctx is None for a search root; stateless heuristics return None
-    as their context. *cache*, a dict shared by every heuristic and search
-    over *gp*, lets a heuristic keep what it computes under its own name.
+    as their context.
     """
 
     name = "base"
 
-    def __init__(self, gp: GroundProblem, cache: dict | None = None):
+    def __init__(self, gp: GroundProblem):
         self.gp = gp
 
     def evaluate(self, state: State, parent_ctx=None):
@@ -139,12 +137,12 @@ def relaxed_layers(
 
 class _RelaxationHeuristic(Heuristic):
     """Memoised delete-relaxation estimate, computed once per state. The
-    estimate is a pure function of (problem, state), so the table lives in
-    *cache* under the heuristic's name and serves every episode sharing it."""
+    estimate is a pure function of (problem, state), so the table serves
+    every search that shares the heuristic (make_heuristic)."""
 
-    def __init__(self, gp: GroundProblem, cache: dict | None = None):
+    def __init__(self, gp: GroundProblem):
         super().__init__(gp)
-        self._cache: dict[State, float] = {} if cache is None else cache.setdefault(self.name, {})
+        self._cache: dict[State, float] = {}
 
     def evaluate(self, state, parent_ctx=None):
         h = self._cache.get(state)
@@ -271,19 +269,11 @@ class FFHeuristic(_RelaxationHeuristic):
         return float(plan_length)
 
 
-@dataclass(frozen=True)
-class LandmarkSet:
-    """The mask of the atoms every delete-relaxed plan must achieve
-    (initial-state facts are excluded since they need no achieving), and of
-    those among them that the goal requires."""
-
-    landmarks: State
-    goal_landmarks: State
-
-
-def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
-    """Backchain from the goal: if every possible first achiever of a known
-    landmark shares a precondition, that precondition is a landmark too."""
+def discover_landmarks(gp: GroundProblem) -> State:
+    """The mask of the atoms every delete-relaxed plan must achieve, bar the
+    initial-state facts, which need no achieving. Backchain from the goal: if
+    every possible first achiever of a known landmark shares a precondition,
+    that precondition is a landmark too."""
     init = gp.init
     actions = gp.actions
     landmarks = gp.goal & ~init
@@ -300,24 +290,20 @@ def discover_landmarks(gp: GroundProblem) -> LandmarkSet:
         fresh = reduce(and_, achiever_pres) & ~init & ~landmarks
         landmarks |= fresh
         queue += atom_indices(fresh)
-    return LandmarkSet(landmarks, landmarks & gp.goal)
+    return landmarks
 
 
 class LandmarkCountHeuristic(Heuristic):
     name = "landmarks"
 
-    def __init__(self, gp: GroundProblem, cache: dict | None = None):
+    def __init__(self, gp: GroundProblem):
         super().__init__(gp)
-        cache = {} if cache is None else cache
-        if self.name not in cache:
-            cache[self.name] = discover_landmarks(gp)
-        self.landmark_set: LandmarkSet = cache[self.name]
-        self._landmarks = self.landmark_set.landmarks
-        self._count = self._landmarks.bit_count()
-        self._goal_landmarks = self.landmark_set.goal_landmarks
+        self.landmarks = discover_landmarks(gp)
+        self._count = self.landmarks.bit_count()
+        self._goal_landmarks = self.landmarks & gp.goal
 
     def evaluate(self, state, parent_ctx=None):
-        achieved_now = self._landmarks & state
+        achieved_now = self.landmarks & state
         accepted = achieved_now if parent_ctx is None else parent_ctx | achieved_now
         required_again = accepted & self._goal_landmarks & ~state
         h = self._count - accepted.bit_count() + required_again.bit_count()
@@ -337,10 +323,14 @@ HEURISTIC_NAMES = tuple(sorted(_HEURISTICS))
 
 def make_heuristic(name: str, gp: GroundProblem, cache: dict | None = None) -> Heuristic:
     """The heuristic *name* over *gp*. With *cache*, the dict that searches
-    over *gp* share (see grounding.successors), h_max, h_add and FF keep
-    their per-state values in it and the landmark heuristic its landmark
-    set, so later episodes reuse them."""
+    over *gp* share (see grounding.successors), the heuristic is built on
+    first use and kept in it under *name*, so every later search hands out
+    the same object, with the per-state values or landmarks it holds."""
     cls = _HEURISTICS.get(name)
     if cls is None:
         raise ConfigError(f"unknown heuristic '{name}' (choose from {', '.join(HEURISTIC_NAMES)})")
-    return cls(gp, cache)
+    if cache is None:
+        return cls(gp)
+    if name not in cache:
+        cache[name] = cls(gp)
+    return cache[name]

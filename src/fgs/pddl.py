@@ -310,7 +310,7 @@ def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
     head = _expect_symbol(node.items[0], "predicate name")
     low = head.text.lower()
     if low in _UNSUPPORTED_HEADS:
-        raise _unsupported(f"{_UNSUPPORTED_HEADS[low]} ('{head.text}')", head)
+        raise _unsupported(f"{_UNSUPPORTED_HEADS[low]} ('{low}')", node)
     args = [_expect_symbol(arg, "atom argument") for arg in node.items[1:]]
     pred = predicates.get(head.text)
     if pred is None:
@@ -325,9 +325,10 @@ def _parse_atom(node: SList, *, what: str, predicates: dict[str, Predicate],
 def _parse_formula(node, *, what: str, predicates: dict[str, Predicate],
                    check_arg: ArgCheck, negative: bool = True) -> list[Literal]:
     """Flatten a conjunction into literals, left to right, each read by
-    _parse_atom; reject unsupported constructs, and negative literals unless
-    *negative*. Nested conjunctions are walked with an explicit stack, so
-    nesting depth is not bounded by the interpreter's recursion limit."""
+    _parse_atom, which rejects unsupported constructs; reject negative
+    literals unless *negative*. Nested conjunctions are walked with an
+    explicit stack, so nesting depth is not bounded by the interpreter's
+    recursion limit."""
     out: list[Literal] = []
     stack = [node]
     while stack:
@@ -345,8 +346,6 @@ def _parse_formula(node, *, what: str, predicates: dict[str, Predicate],
                 raise PddlParseError("'not' takes exactly one atom", node.line, node.col)
             atom = _parse_atom(node.items[1], what=what, predicates=predicates, check_arg=check_arg)
             out.append(replace(atom, negated=True))
-        elif head in _UNSUPPORTED_HEADS:
-            raise _unsupported(f"{_UNSUPPORTED_HEADS[head]} ('{head}')", node)
         elif node.items:  # () and (and) both mean the empty conjunction
             out.append(_parse_atom(node, what=what, predicates=predicates, check_arg=check_arg))
     return out

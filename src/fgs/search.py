@@ -109,9 +109,9 @@ def search(
     """Run one search over *gp*. The scorer, a scoring.JoinScorer, is
     required when feature scoring is on. Exclusions are object permutations
     never to revisit. *succ_cache*, shared by searches over *gp*, holds the
-    successor table (grounding.successors) and the values of the heuristic
-    each search builds on it (heuristics.make_heuristic); None starts a
-    fresh one.
+    successor table (grounding.successors) and the heuristic each search
+    uses, with the values it has computed (heuristics.make_heuristic); None
+    starts a fresh one.
 
     Both loops bind successors, the heuristic's evaluate and the scorer's
     gate when the search starts, never at import, so a wrapper installed on

@@ -391,6 +391,9 @@ EPISODE_ARGS = [*args_for("cleaning_rake"), "--scenario", str(BENCH / "cleaning_
     ("--cases", ["bench", "--experiment", "baselines", "--generate", "--cases", "0"]),
     ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-1"]),
     ("--cases", ["bench", "--experiment", "algorithms", "--cases", "2"]),
+    # budget 0 launches no search, so the episode checks the config itself
+    ("--weight", ["episode", *EPISODE_ARGS, "--algorithm", "wastar", "--weight", "0.5", "--budget", "0"]),
+    ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1", "--budget", "0"]),
 ])
 def test_flag_errors_name_the_flag(flag, argv, tmp_path, capsys):
     if argv[0] == "bench":

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fgs import grounding
+from fgs import grounding, heuristics
 from fgs.assets import benchmark_dir, load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
 from fgs.episode import episode_event, first_join, run_episode, trace_events
@@ -85,6 +85,33 @@ def test_negative_budget_rejected(squeegee_setup):
     gp, scenarios = squeegee_setup
     with pytest.raises(ConfigError, match="budget"):
         run_episode(gp, H, scenarios[0], budget=-3)
+
+
+@pytest.mark.parametrize("cfg, flag", [
+    (replace(H, algorithm="weighted_astar", weight=0.5), "--weight"),
+    (replace(H, node_budget=-1), "--node-budget"),
+])
+def test_bad_search_config_rejected_without_a_search(squeegee_setup, cfg, flag):
+    # budget 0 launches no search, so the episode checks the config itself
+    gp, scenarios = squeegee_setup
+    with pytest.raises(ConfigError, match=flag):
+        run_episode(gp, cfg, scenarios[0], budget=0)
+
+
+def test_shared_cache_discovers_landmarks_once(squeegee_setup, monkeypatch):
+    # every search of every episode on one cache reuses one landmark heuristic
+    gp, scenarios = squeegee_setup
+    calls = []
+    discover = heuristics.discover_landmarks
+
+    def counted(g):
+        calls.append(g)
+        return discover(g)
+
+    monkeypatch.setattr(heuristics, "discover_landmarks", counted)
+    cache: dict = {}
+    searches = sum(run_episode(gp, FSH, sc, succ_cache=cache).searches for sc in scenarios)
+    assert searches >= len(scenarios) and calls == [gp]
 
 
 def test_material_false_negative_fixed_trust_fails(squeegee_setup):

@@ -44,6 +44,16 @@ def test_unknown_heuristic_name():
         make_heuristic("nope", gp)
 
 
+@pytest.mark.parametrize("name", ["zero", "hmax", "hadd", "ff", "landmarks"])
+def test_make_heuristic_builds_once_per_cache(name):
+    gp = chain_problem(2)
+    cache: dict = {}
+    heuristic = make_heuristic(name, gp, cache)
+    assert make_heuristic(name, gp, cache) is heuristic
+    assert make_heuristic(name, gp, {}) is not heuristic
+    assert make_heuristic(name, gp) is not heuristic
+
+
 def test_zero_heuristic_everywhere():
     gp = chain_problem(3)
     assert h("zero", gp) == 0.0
@@ -202,8 +212,9 @@ def test_chain_landmarks_and_countdown():
     gp = chain_problem(4)
     lms = discover_landmarks(gp)
     # every intermediate fact is needed; the initial fact is not a landmark
-    assert len(decode(lms.landmarks)) == 4
-    heur = LandmarkCountHeuristic(gp, {"landmarks": lms})
+    assert len(decode(lms)) == 4
+    heur = LandmarkCountHeuristic(gp)
+    assert heur.landmarks == lms
     value, ctx = heur.evaluate(gp.init)
     assert value == 4.0
     state = gp.init
@@ -223,7 +234,7 @@ def test_landmark_soundness_by_ablation():
     for _ in range(10):
         gp = random_model(rng)
         lms = discover_landmarks(gp)
-        for lm in decode(lms.landmarks):
+        for lm in decode(lms):
             facts = reference_reachable_without(gp, lm)
             assert not decode(gp.goal) <= facts, "landmark is not actually required"
 
@@ -258,11 +269,11 @@ def _check_landmark_count_along_walks(gp, rng, walks, max_depth):
     """The bitset landmark count equals the frozenset reference, value and
     accepted set, along random paths that carry the context forward."""
     heur = LandmarkCountHeuristic(gp)
-    lms = heur.landmark_set
+    lms = heur.landmarks
     for _ in range(walks):
         state = gp.init
         value, ctx = heur.evaluate(state)
-        ref = reference_landmark_count(lms, decode(state), None)
+        ref = reference_landmark_count(gp, lms, decode(state), None)
         for _ in range(rng.randint(1, max_depth)):
             assert (value, decode(ctx)) == ref
             succs = successors(gp, state)[1]
@@ -270,7 +281,7 @@ def _check_landmark_count_along_walks(gp, rng, walks, max_depth):
                 break
             state = rng.choice(succs)
             value, ctx = heur.evaluate(state, ctx)
-            ref = reference_landmark_count(lms, decode(state), ref[1])
+            ref = reference_landmark_count(gp, lms, decode(state), ref[1])
 
 
 def test_landmark_count_matches_reference():
@@ -313,14 +324,14 @@ def _check_against_reference(gp, states):
 
 def _check_landmarks_on_optimal_plan(gp):
     lms = discover_landmarks(gp)
-    assert decode(lms.landmarks) == reference_landmarks(gp)
+    assert decode(lms) == reference_landmarks(gp)
     plan = search(gp, SearchConfig(algorithm="ucs")).plan
     visited = set(decode(gp.init))
     state = gp.init
     for act in plan:
         state = apply_action(state, act)
         visited |= decode(state)
-    assert decode(lms.landmarks) <= visited
+    assert decode(lms) <= visited
 
 
 def test_exploration_matches_reference_on_random_models():
@@ -353,7 +364,7 @@ def test_exploration_matches_reference_on_grouped_models():
         never += sum(1 for act in gp.actions if act.pre & act.neg)
         arbitrary = [encode(a for a in atoms if rng.random() < 0.3) for _ in range(10)]
         _check_against_reference(gp, _random_walk_states(gp, rng, walks=3, max_depth=6) + arbitrary)
-        assert decode(discover_landmarks(gp).landmarks) == reference_landmarks(gp)
+        assert decode(discover_landmarks(gp)) == reference_landmarks(gp)
         for banned in atoms:
             reached = relaxed_layers(gp, gp.init, banned=banned)[-1]
             assert reached == encode(reference_reachable_without(gp, banned))
@@ -400,7 +411,8 @@ def test_hadd_matches_reference_on_reachable_states(task_id):
 def test_shared_cache_matches_fresh_heuristics(task_id):
     # h_max, h_add and FF built on one cache, beside its successor table,
     # return what fresh heuristics return, whichever of them saw a state
-    # first, and so do later heuristics that read the stored values. The
+    # first, and so they do on a second pass, when the cache hands back the
+    # same heuristics with their stored values. The
     # cached successors equal the cold ones, and the cache holds the very
     # pair it hands back.
     _, _, gp = load_task(task_id)
@@ -416,7 +428,7 @@ def test_shared_cache_matches_fresh_heuristics(task_id):
             assert cached is cache[state]
             for name in names[i % 3 :] + names[: i % 3]:
                 assert shared[name].evaluate(state) == fresh[name].evaluate(state), (name, rerun)
-    assert {name: len(cache[name]) for name in names} == dict.fromkeys(names, len(states))
+    assert {name: len(cache[name]._cache) for name in names} == dict.fromkeys(names, len(states))
 
 
 def test_ff_counts_supporter_of_own_add():
@@ -455,11 +467,11 @@ def test_relaxation_fires_actions_no_state_applies():
     every_state = [encode(a for a in range(6) if bits >> a & 1) for bits in range(64)]
     assert all(clash not in successors(gp, state)[0] for state in every_state)
     assert (h("hmax", gp), h("ff", gp), h("hadd", gp)) == (2.0, 3.0, 3.0)
-    assert decode(discover_landmarks(gp).landmarks) == {gp.atom_ids[(a,)] for a in ("p", "q", "g")}
+    assert decode(discover_landmarks(gp)) == {gp.atoms.index((a,)) for a in ("p", "q", "g")}
     for goal in (["g"], ["g", "u"], ["u"]):
         gp = model(goal)
         _check_against_reference(gp, every_state)
-        assert decode(discover_landmarks(gp).landmarks) == reference_landmarks(gp)
+        assert decode(discover_landmarks(gp)) == reference_landmarks(gp)
         for banned in range(len(gp.atoms)):
             reached = relaxed_layers(gp, gp.init, banned=banned)[-1]
             assert reached == encode(reference_reachable_without(gp, banned))
@@ -482,7 +494,7 @@ def _check_pruned_scan(gp, states):
         unions |= union
     for state in states:
         start = replace(gp, init=state)
-        assert decode(discover_landmarks(start).landmarks) == reference_landmarks(start)
+        assert decode(discover_landmarks(start)) == reference_landmarks(start)
         for banned in [None, *atom_indices(unions)]:
             full = relaxed_layers(gp, state, banned=banned)
             if banned is not None:
@@ -542,7 +554,7 @@ def test_pruned_scan_matches_reference_on_grouped_models():
 
 def test_relaxed_layers_rejects_a_goal_outside_the_relevant_atoms():
     gp = _wide_run_model(["g"])
-    irrelevant = encode([gp.atom_ids[("x1",)]])
+    irrelevant = encode([gp.atoms.index(("x1",))])
     assert not irrelevant & gp.goal_relevant
     with pytest.raises(InternalError, match="not goal-relevant"):
         relaxed_layers(gp, gp.init, goal=gp.goal | irrelevant)

@@ -511,6 +511,12 @@ POSITIONED_ERRORS = [
      ":goal: 'done' expects 1 args, got 2"),
     ("problem", "(define (problem p) (:goal (and)) (:domain chain) ^(:goal (and)))",
      "duplicate :goal section"),
+    # an unsupported head is named in lower case at its form, wherever it is read
+    ("problem", "(define (problem p) (:domain chain) (:objects s0 - step) (:init ^(OR (done s0))))",
+     "unsupported feature: disjunctive formulas ('or')"),
+    ("domain", "(define (domain d) (:requirements :strips :negative-preconditions) (:predicates (p ?x)) "
+     "(:action a :parameters (?x) :precondition (not ^(Exists (?y) (p ?y)))))",
+     "unsupported feature: existential quantification ('exists')"),
 ]
 
 

@@ -138,7 +138,7 @@ def test_join_expansion_order_follows_phi(monkeypatch):
     seen_phis = []
     for state in result.closed:
         for i in range(len(phis)):
-            if gp.atom_ids[(f"joined{i}",)] in decode(state):
+            if gp.atoms.index((f"joined{i}",)) in decode(state):
                 seen_phis.append(phis[i])
     assert len(seen_phis) >= 2
     assert sorted(seen_phis, reverse=True) == seen_phis

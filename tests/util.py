@@ -141,7 +141,7 @@ def random_model(rng: random.Random, n_atoms=8, n_actions=14):
         # runs on frozensets built from the sampled names in order, whose
         # iteration order fixes the goal sample
         def ids(names):
-            return frozenset(gp.atom_ids[(n,)] for n in names)
+            return frozenset(gp.atoms.index((n,)) for n in names)
 
         steps = [tuple(map(ids, entry[1:])) for entry in actions]
         state = ids(init)
@@ -209,12 +209,13 @@ def reference_successors(gp: GroundProblem, state: frozenset[int]):
     ]
 
 
-def reference_landmark_count(landmark_set, state: frozenset[int], accepted: frozenset[int] | None):
-    """The landmark count heuristic on frozensets: (h, accepted landmarks)."""
-    landmarks = decode(landmark_set.landmarks)
+def reference_landmark_count(gp, landmark_mask, state: frozenset[int], accepted: frozenset[int] | None):
+    """The landmark count heuristic on frozensets, over the landmarks of
+    *landmark_mask*: (h, accepted landmarks)."""
+    landmarks = decode(landmark_mask)
     achieved_now = landmarks & state
     accepted = achieved_now if accepted is None else accepted | achieved_now
-    required_again = (accepted & decode(landmark_set.goal_landmarks)) - state
+    required_again = (accepted & landmarks & decode(gp.goal)) - state
     return float(len(landmarks) - len(accepted) + len(required_again)), accepted
 
 
