@@ -11,7 +11,6 @@ from pathlib import Path
 from .errors import ConfigError
 from .grounding import GroundProblem, ground
 from .pddl import DomainDef, ProblemDef, parse_domain, parse_file, parse_problem
-from .scenario import TASK_TOOLS
 
 DATA_DIR_ENV = "FGS_DATA_DIR"
 
@@ -37,6 +36,12 @@ class TaskDef:
     def problem_file(self) -> str:
         return f"{self.task_id}.problem.pddl"
 
+
+TASK_TOOLS: dict[str, tuple[str, str]] = {  # key order is the bundled suite's order
+    "woodworking": ("hammer", "screwdriver"),
+    "cooking": ("spatula", "ladle"),
+    "cleaning": ("rake", "squeegee"),
+}
 
 # one task per tool, plus '<task type>_either' that accepts both of its tools
 TASKS: dict[str, TaskDef] = {

@@ -99,7 +99,7 @@ def cmd_episode(args) -> int:
         write_trace(args.trace, trace_events(scenario, cfg, result))
     summary = dict(
         episode_event(scenario, result),
-        plan=[a.name for a in result.final_plan] if result.final_plan else None,
+        plan=[a.name for a in result.final_plan] if result.final_plan is not None else None,
         attempted=[list(p) for p in result.attempted],
         trust_trace=result.trust_trace,
     )

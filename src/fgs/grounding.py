@@ -12,7 +12,7 @@ parameters may repeat freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import groupby, product
 from operator import and_, or_
 
@@ -24,19 +24,15 @@ State = int  # bit i set iff atom i holds
 DEFAULT_MAX_GROUND_ACTIONS = 200_000
 
 
-@cache
-def _byte_atoms(position: int) -> tuple[tuple[int, ...], ...]:
-    """Per byte value, the atom indices that byte sets at byte *position*."""
-    base = 8 * position
-    return tuple(tuple(base + i for i in range(8) if value >> i & 1) for value in range(256))
-
-
 def atom_indices(state: State) -> list[int]:
-    """The indices of the atoms *state* holds, in ascending order."""
+    """The indices of the atoms *state* holds, in ascending order, one set
+    bit at a time. *state* must be nonnegative, or the loop never ends; the
+    negative ``~dels`` masks of ``GroundProblem.runs`` are never decoded."""
     out: list[int] = []
-    for position, byte in enumerate(state.to_bytes((state.bit_length() + 7) // 8, "little")):
-        if byte:
-            out.extend(_byte_atoms(position)[byte])
+    while state:
+        low = state & -state
+        out.append(low.bit_length() - 1)
+        state ^= low
     return out
 
 

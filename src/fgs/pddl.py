@@ -13,8 +13,9 @@ Keywords are case-insensitive; identifiers are case-preserving and compared
 exactly as written. Every section but ``:action`` appears at most once, and
 the sections are read in a fixed order (requirements, types, predicates,
 actions; domain, objects, init, goal), whatever their order in the file, so
-each form is checked against what precedes it where it is read. Every error
-about a form ends with its ``(line L, col C)``.
+each form is checked against what precedes it where it is read. A problem
+needs ``:domain`` and ``:goal``. Every error about a form ends with its
+``(line L, col C)``.
 
 Schemas whose name starts with ``join-`` designate their ``tool-part``-typed
 parameters, in declaration order, as the ordered object permutation the
@@ -508,11 +509,12 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
             lit = _parse_atom(atom, what=":init", predicates=predicates, check_arg=check_object)
             init.append(lit.atom())
 
-    goal: list[Literal] = []
-    for section in sections[":goal"]:
-        if len(section.items) != 2:
-            raise PddlParseError(":goal expects one formula", section.line, section.col)
-        goal = _parse_formula(section.items[1], what=":goal", predicates=predicates,
-                              check_arg=check_object)
+    if not sections[":goal"]:
+        raise PddlParseError("problem is missing (:goal ...)", define.line, define.col)
+    section = sections[":goal"][0]
+    if len(section.items) != 2:
+        raise PddlParseError(":goal expects one formula", section.line, section.col)
+    goal = _parse_formula(section.items[1], what=":goal", predicates=predicates,
+                          check_arg=check_object)
 
     return ProblemDef(name, domain_name.text, tuple(objects.items()), frozenset(init), tuple(goal))

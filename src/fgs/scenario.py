@@ -27,6 +27,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .assets import TASK_TOOLS, data_dir
 from .errors import InternalError, ValidationError
 from .scoring import (
     ATTACH_GRASP,
@@ -62,12 +63,6 @@ TOOL_TABLE: dict[str, ToolSpec] = {
     "squeegee": ToolSpec(
         "squeegee", "join-squeegee", "squeegee_head", frozenset({"foam"}), "reach"
     ),
-}
-
-TASK_TOOLS: dict[str, tuple[str, str]] = {
-    "woodworking": ("hammer", "screwdriver"),
-    "cooking": ("spatula", "ladle"),
-    "cleaning": ("rake", "squeegee"),
 }
 
 # Confidence ranges the generator draws from. Ground-truth parts score high
@@ -411,8 +406,6 @@ def load_library(path) -> tuple[LibraryObject, ...]:
 
 
 def default_library() -> tuple[LibraryObject, ...]:
-    from .assets import data_dir
-
     return load_library(data_dir() / "library" / "objects.json")
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 from collections import deque
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fgs.assets import TASKS, load_task
 from fgs.errors import GroundingError
@@ -291,6 +293,17 @@ def test_frame_semantics_on_random_models():
 
 
 # -- the bitset encoding against the naive frozenset references ------------------
+
+
+@given(st.integers(min_value=0, max_value=2**700))
+@example(0)
+@example(1 << 0)
+@example(1 << 7)
+@example(1 << 8)
+@example(1 << 699)
+@example((1 << 160) - 1)
+def test_atom_indices_lists_the_set_bits(state):
+    assert atom_indices(state) == [i for i in range(state.bit_length()) if state >> i & 1]
 
 
 def _check_state_against_reference(gp, state, ref_state, probe):

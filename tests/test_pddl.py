@@ -498,6 +498,8 @@ POSITIONED_ERRORS = [
      ":precondition of action 'a': (not ...) needs :requirements :negative-preconditions"),
     ("problem", "(define (problem p) (:domain ^other))", "problem 'p' targets domain 'other', not 'chain'"),
     ("problem", "^(define (problem p) (:objects s0 - step))", "problem is missing (:domain ...)"),
+    ("problem", "^(define (problem p) (:domain chain) (:objects s0 - step) (:init (done s0)))",
+     "problem is missing (:goal ...)"),
     ("problem", "(define (problem p) (:domain chain) (:objects s0 ^s0 - step))", "duplicate object 's0'"),
     ("problem", "(define (problem p) (:domain chain) (:objects s0 - ^thing))",
      "object 's0': undeclared type 'thing'"),
