@@ -30,6 +30,7 @@ from .scenario import (
 from .search import STATUS_EXHAUSTED, SearchConfig
 
 EXPERIMENTS = ("baselines", "algorithms", "adaptability")
+REPORT_FORMATS = ("csv", "json", "markdown")
 
 BASELINE_CONFIGS: tuple[tuple[str, SearchConfig], ...] = (
     ("FS+H", SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True)),
@@ -146,7 +147,12 @@ def _bundled_scenarios(kinds) -> list[Scenario]:
         files = sorted(base.glob(pattern))
         if not files:
             raise ConfigError(f"no bundled scenarios matching {pattern} under {base}")
-        out.extend(load_scenario(p) for p in files)
+        for p in files:
+            scenario = load_scenario(p)
+            if scenario.scenario_id != p.stem:  # it names the scenario's trace files
+                raise ConfigError(f"{p.name}.scenario_id: '{scenario.scenario_id}' "
+                                  f"is not the file stem '{p.stem}'")
+            out.append(scenario)
     return sorted(out, key=lambda s: s.scenario_id)
 
 
@@ -310,7 +316,7 @@ def emit_report(table: MetricsTable, fmt: str, path) -> list[Path]:
     """Write the metrics table at *path*; budget curves, when present, land
     beside it as long-format rows in '<stem>_budgets.<ext>'. Returns the
     written paths."""
-    if fmt not in ("csv", "json", "markdown"):
+    if fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format '{fmt}'")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,14 @@ from pathlib import Path
 
 from . import __version__
 from .assets import DATA_DIR_ENV, load_model
-from .bench import ExperimentConfig, emit_report, run_experiment, write_trace
+from .bench import (
+    EXPERIMENTS,
+    REPORT_FORMATS,
+    ExperimentConfig,
+    emit_report,
+    run_experiment,
+    write_trace,
+)
 from .episode import TRUST_POLICIES, check_alignment, episode_event, run_episode, trace_events
 from .errors import ConfigError, FgsError
 from .heuristics import HEURISTIC_NAMES
@@ -179,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_episode)
 
     p = sub.add_parser("bench", help="run a benchmark experiment and write a report")
-    p.add_argument("--experiment", required=True, choices=("baselines", "algorithms", "adaptability"))
+    p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p.add_argument("--out", required=True, help="report output path")
-    p.add_argument("--format", default="csv", choices=("csv", "json", "markdown"))
+    p.add_argument("--format", default="csv", choices=REPORT_FORMATS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None,
                    help="cases per tool with --generate (default 10)")

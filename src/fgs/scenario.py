@@ -208,6 +208,8 @@ class _LibraryFile:
 def validate_scenario(sc: Scenario, where: str) -> None:
     """Check what the field types cannot; every message starts with *where*,
     the file name or scenario id, and names the field path."""
+    if sc.task_type not in TASK_TOOLS:
+        raise ValidationError(f"{where}.task_type: unknown task type '{sc.task_type}'")
     sc.noise.validate(f"{where}.noise")
     if not sc.tools:
         raise ValidationError(f"{where}.tools: no candidate tool")

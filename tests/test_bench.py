@@ -1,4 +1,3 @@
-import hashlib
 import json
 
 import pytest
@@ -199,62 +198,3 @@ def test_cross_config_fairness_same_scenarios(cleaning_baselines):
     assert ids == ids4
     assert len(BASELINE_CONFIGS) == 4
 
-
-# sha256 over the CSV report, its budget file and every trace of a run with
-# --budget-sweep 0,1,2,5,10,89 (see _output_digest), recorded from the
-# output of `fgs bench`; any change to these reports or traces changes the
-# digest. Regenerate only when a change to the output is intended.
-PINNED_OUTPUT_DIGESTS = {
-    ("algorithms", "on"): "37bc4a4e6bbe8c1f76cb5f27568b47da18e4bf9aaafde8e9501c474ab15a96f6",
-    ("algorithms", "off"): "3fddfdb0e45332ea52580623f751a7ca5be63766fb4037d332088d1f9cad46d1",
-    ("adaptability", "on"): "0d6f5f620d3b28b066113d67cb6f6e174beb0a71faba546359efc0884cc33823",
-    ("adaptability", "off"): "6ef59af3b604da20a576fe1a97c3ca6a33cddf5d2edced9785670c72583e4b86",
-}
-
-# sha256 over the JSON and the markdown render of the same runs' reports,
-# each in a directory of its own (traces excluded), by format; noise leaves
-# the adaptability table itself unchanged, so its two runs share their pins
-PINNED_RENDER_DIGESTS = {
-    ("algorithms", "on"): {
-        "json": "4462e45c23bd61950289690c240e4c571b29799fdcc382ad14494ebc71aeb950",
-        "markdown": "3280df36ecf1659eaff642c89890c94d531c058c620d6a24744799df97690607",
-    },
-    ("algorithms", "off"): {
-        "json": "d0626e67482c0d24b506088728a449cb96103a7686fba85e35794a4fa608030e",
-        "markdown": "bb2eb00f42eaf55c930de0b32c5959601da06ebd61ee931f8315f46583c4a4ec",
-    },
-    ("adaptability", "on"): {
-        "json": "7b594c1acf77d55293aeabd1d5f383fc5c881ec669e5c4ab195c84a981f164e0",
-        "markdown": "409f473dac19c4e40c2d9b616743dcb4dc44649cfedcfde131d34968304faed9",
-    },
-    ("adaptability", "off"): {
-        "json": "7b594c1acf77d55293aeabd1d5f383fc5c881ec669e5c4ab195c84a981f164e0",
-        "markdown": "409f473dac19c4e40c2d9b616743dcb4dc44649cfedcfde131d34968304faed9",
-    },
-}
-
-
-def _output_digest(root) -> str:
-    """sha256 over every file under *root*: relative path, then bytes, in
-    path order."""
-    h = hashlib.sha256()
-    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
-        h.update(rel.encode() + b"\0" + (root / rel).read_bytes() + b"\0")
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize(
-    "experiment,noise", sorted(PINNED_OUTPUT_DIGESTS), ids=lambda v: v
-)
-def test_bench_output_matches_pinned_digest(tmp_path, experiment, noise):
-    # budget curves cover baselines and algorithms only
-    budgets = None if experiment == "adaptability" else (0, 1, 2, 5, 10, 89)
-    cfg = ExperimentConfig(experiment=experiment, noise_on=noise == "on", budgets=budgets)
-    table = run_experiment(cfg, trace_dir=tmp_path / "traces")
-    emit_report(table, "csv", tmp_path / "report.csv")
-    assert _output_digest(tmp_path) == PINNED_OUTPUT_DIGESTS[(experiment, noise)]
-    renders = {}
-    for fmt, ext in (("json", "json"), ("markdown", "md")):
-        emit_report(table, fmt, tmp_path / fmt / f"report.{ext}")
-        renders[fmt] = _output_digest(tmp_path / fmt)
-    assert renders == PINNED_RENDER_DIGESTS[(experiment, noise)]

@@ -1,7 +1,7 @@
 import copy
-import hashlib
 import json
 import re
+import shutil
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -166,6 +166,8 @@ MALFORMED_SCENARIOS = [
     ("object-misspelt-field", ("objects", 0, "pierceble"), True,
      r"case\.json\.objects\[0\]\.pierceble: unknown field"),
     ("legacy-n", ("n",), 10, r"case\.json\.n: unknown field"),
+    ("task-type-unknown", ("task_type",), "nonsense",
+     r"case\.json\.task_type: unknown task type 'nonsense'"),
 ]
 
 
@@ -482,6 +484,21 @@ def test_bench_generate_malformed_library_exits_two(tmp_path, monkeypatch, capsy
     assert "objects.json.objects: missing required field" in capsys.readouterr().err
 
 
+def test_bench_scenario_id_not_its_file_stem_exits_two(tmp_path, monkeypatch, capsys):
+    # the id names the scenario's trace files, which must stay in --trace-dir
+    shutil.copytree(data_dir(), tmp_path / "data")
+    case = tmp_path / "data" / "benchmarks" / "cleaning_either_case00.json"
+    case.write_text(case.read_text(encoding="utf-8").replace(
+        '"scenario_id": "cleaning_either_case00"', '"scenario_id": "../escaped"'), encoding="utf-8")
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path / "data"))
+    code = main(["bench", "--experiment", "adaptability", "--out", str(tmp_path / "out" / "r.csv"),
+                 "--trace-dir", str(tmp_path / "out" / "tr")])
+    assert code == EXIT_USAGE
+    assert ("cleaning_either_case00.json.scenario_id: '../escaped' is not the file stem "
+            "'cleaning_either_case00'") in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("escaped*"))
+
+
 def test_bench_generate_lone_grasp_object_exits_two(tmp_path, monkeypatch, capsys):
     # the one hammer head is also the one handle, so no other object can be
     # its grasp part
@@ -559,134 +576,6 @@ def test_episode_prints_an_empty_accepted_plan_as_a_list(tmp_path, capsys):
     assert code == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert (summary["success"], summary["plan"], summary["plan_length"]) == (True, [], 0)
-
-
-# `fgs episode` flags of the pinned configs
-EPISODE_CONFIGS = {
-    "FS+H-noise-on": ["--algorithm", "astar", "--heuristic", "landmarks", "--features", "on",
-                      "--noise", "on"],
-    "H-noise-off": ["--algorithm", "astar", "--heuristic", "landmarks"],
-    "EHC+FF-noise-off": ["--algorithm", "ehc", "--heuristic", "ff", "--features", "on"],
-}
-
-# sha256 of the stdout and of the --trace file of `fgs episode`, by
-# (scenario, config): every case00 scenario, and two that withdraw trust
-# under FS+H with noise on. Regenerate only when a change to the output is
-# intended.
-PINNED_EPISODE_DIGESTS = {
-    ("cleaning_either_case00", "FS+H-noise-on"): (
-        "e5d3fabb5c578ecbced1c0abe7c10fa882ea9995fbc62a334f3d5dd34ef2fcef",
-        "e908ee518bf9f60c4f968b51cb4e017b18b570b36efbf4d420299fc72ddd27bc"),
-    ("cleaning_either_case00", "H-noise-off"): (
-        "50bf03cb8a4450aae9936b649f1cd51250d804cd8a049160cb768eb7bea4c6e5",
-        "62a33cf2324245395f671ca88145cd4a90d31d68355a43b30027b6b070d196e8"),
-    ("cleaning_either_case00", "EHC+FF-noise-off"): (
-        "199325c87d7c0abc6ac1f3888bc04ce3de422783710c3b06614f6b0cb8ddaa09",
-        "b84044c15648202b367f008b808fd5e72c6bdd5ab223f31308cbfdcc9351bba9"),
-    ("cleaning_rake_case00", "FS+H-noise-on"): (
-        "fcbededfb15bed9e6a490f0001c6aeff21eba59f3e6c9a3770359627054d51d4",
-        "fb4f2aa9c9647b1477f71c89afc6aba7ebbd40724101d5688253b47ccb12148d"),
-    ("cleaning_rake_case00", "H-noise-off"): (
-        "baa47abb60fba40a19e6e69af02ea941559f76d016caa811fe9f25b10213620d",
-        "302a8d28a91a79d6baaa870ffae407d81c37238fc3d981da706755b324e13446"),
-    ("cleaning_rake_case00", "EHC+FF-noise-off"): (
-        "39c8397dda8d110bfacdc94b483c63b09e31433247acbe4901b00cc0bd3f6a74",
-        "b028ed399e4e72de962b6d64d09d058776416ad5274da26b08085ae9c0ffb82b"),
-    ("cleaning_squeegee_case00", "FS+H-noise-on"): (
-        "c7424f7f57d897f8b92c8c4604be74e5fac2e56d55b29c6deecd776ff0a8376d",
-        "4857a53ccba460f621a091b99afe1e7222969c8dba2a8e97f0133379096b0021"),
-    ("cleaning_squeegee_case00", "H-noise-off"): (
-        "1379e43f3e74c317af89aa1b1038ebdecb713391e358c2aced23d667d9699cdc",
-        "2d663361d1ef5dafc57789d257bf43701d28034bf12d32942e8f9652b36258a7"),
-    ("cleaning_squeegee_case00", "EHC+FF-noise-off"): (
-        "269f9e98aa58f3562a8e543036bf3bdfe4b23a9f2d030f9c1fc593a8f1589c9d",
-        "f7096e115254e909cb6ece0a2b8cec487f1676ec15819e6cd3bdc62ccf20cb51"),
-    ("cooking_either_case00", "FS+H-noise-on"): (
-        "aac19cd696525db4aac0d6432eeb859b2041f15e9c4e88327204f5844673605e",
-        "efe3e36a2dc47f5695d17df431b8dc0044cd538942d2894a46f1b0cf18145961"),
-    ("cooking_either_case00", "H-noise-off"): (
-        "b1f055734e0df41a32ae29fce1a7d23f9a457795eb3c02ab403201eb6501b8fb",
-        "c8d77b2bf32db65d9b46ace3dcca3e59a083c75c163865cd50970f26dad5b1e5"),
-    ("cooking_either_case00", "EHC+FF-noise-off"): (
-        "96bcb3b0087efc4c6cf9163e830f5e890e9c5a49616f31868a4f6e68ede3e647",
-        "0e5c59e64a1c5db800566dc960eceb4ddf53905e634722998119c645033e16ee"),
-    ("cooking_ladle_case00", "FS+H-noise-on"): (
-        "40545b95fb00c5b8e0b7571024d751ccdbbc29719c601728738eb766a27c2a19",
-        "512ec28f05b6bc1e64039ce1c91f786c3f56ea10948ed6a76f79300c07e1c328"),
-    ("cooking_ladle_case00", "H-noise-off"): (
-        "3fb0a6afd3c5f13efd7ca3692928ed490169dbd9272b1d0b35658c0eda1e03bd",
-        "9dd43a80debcc995dcdd52a341573a896dffa04e882b180d68439ca25224d0f8"),
-    ("cooking_ladle_case00", "EHC+FF-noise-off"): (
-        "1fce623711aca3e9d83325bd0bd5b2ee65bc32a5f054b893ae2d816d38c367a8",
-        "1ab3365a49d2ef10c5f0231cb94d50848bb8803d3832305333befae71e192a95"),
-    ("cooking_spatula_case00", "FS+H-noise-on"): (
-        "b87093eb4248590ae287aafa08ca4092533785915b2b70f7517952e4bee5acec",
-        "bb7fb7f1d6f60a468a0d899efb600731e5dab4e5ea45e62cf6ea33278167621f"),
-    ("cooking_spatula_case00", "H-noise-off"): (
-        "a3c109323047a68a105e6183541e6e6d21d972076ea826a3b2ce2b063be5ff2d",
-        "d85fbc6d0197115153d325d047de1e01149f00af57801ca33ff81f4e0e774b9c"),
-    ("cooking_spatula_case00", "EHC+FF-noise-off"): (
-        "a15b5c642d58e1256be99a3639230d1030a1c517aa2b9ecc4bdad4a4f60048e5",
-        "8487e314b798d91823afac46d12bafabd0f46c3fbe5f1cdeab17a102d490b640"),
-    ("woodworking_either_case00", "FS+H-noise-on"): (
-        "baabfa0b4eb62dca60259678d17083cd7f8158c26ee3c631f0f1ea44009e5522",
-        "70dcbd2c0e2b68787a155ab0d4626cb18d8c595001ab1ba6059c17aaaedeee4e"),
-    ("woodworking_either_case00", "H-noise-off"): (
-        "2255a262320192fe9d090778f7f49b0744ea7bda751e241905467715fe40f03f",
-        "0720c4fce3504c79a5e63de336fe78e269e1bbcfd7325250367f6bfba34543cf"),
-    ("woodworking_either_case00", "EHC+FF-noise-off"): (
-        "d1348ea1a5ac6556043ddd8cf46d34fc1a86a108b206851466ecdcf4840b0b14",
-        "be2414d630a2d1376ce45c7866c28d2cfd70d6be18ef77d48d97a54f7b72e53e"),
-    ("woodworking_hammer_case00", "FS+H-noise-on"): (
-        "631a8ddcb1ca248e7eeb8cebe16254571b8bf690eb486fe87fbeb1421c9e3413",
-        "ecdd40b73ea7d3794c5b5600306355e6bfc38929254538b1939b94820c49a038"),
-    ("woodworking_hammer_case00", "H-noise-off"): (
-        "a6276bed349b6c9c8f984558ad24d4a8068e9fd27cd9143b6a6926d9077558bd",
-        "f4956b454cee902b94383b94e4ff134cc6a6717262f55de9799058a4bfb2f5de"),
-    ("woodworking_hammer_case00", "EHC+FF-noise-off"): (
-        "d0a5cf4c987b24222b60e9e15b8fe5359547397ce5945da90241563452927954",
-        "f764d82e7060c66fa4c99dbce61a0a8d7d53897773d89038b54b3e3e9890bc34"),
-    ("woodworking_screwdriver_case00", "FS+H-noise-on"): (
-        "e62e67d3010f7ed90c201c716f19e989c37068c03cafba0d53fd93e23981214b",
-        "505d887417957331eccd8c7135ce011355598d4b9959c07c8061757d62d6c951"),
-    ("woodworking_screwdriver_case00", "H-noise-off"): (
-        "f1d83f3f6fde67bfba0f2bc4fb81ba81338706febde13956b1c46dcaff98c44d",
-        "15b538e87ff6ddd2f72dafa454b481680da5692acd807d8e1601ebe6e296baf0"),
-    ("woodworking_screwdriver_case00", "EHC+FF-noise-off"): (
-        "8f7c2c7fd672dc210c0b8e81e476bcca1350a19e5c8a51939bc650e78d8680d4",
-        "5cab6e1bf85260f919c27b87b17b286bb1023727fb291389b999d786fcc78f48"),
-    ("woodworking_screwdriver_case03", "FS+H-noise-on"): (
-        "a72a972fce8573cb5a0710cc39b853d06ded8acde16e7f32034bf87cd1971a89",
-        "c847cc53c16d504f817174cffe22bbf8e5afe1206cb57c7dfbadb9fdffb8e358"),
-    ("woodworking_screwdriver_case03", "H-noise-off"): (
-        "e1c14ee6a4ca033cb46b95ac49c4e8b68a57cc18f30c8b1adb434d1ae9d51c04",
-        "dfabd0c153fc5523cc0762b08f47148b9e2a9c189e4570edbc8f40de5310111a"),
-    ("woodworking_screwdriver_case03", "EHC+FF-noise-off"): (
-        "1f078216dda1127e36ec9b0cadea6a5b5b11242d661da7a8fbd0ae615edc9e3b",
-        "08d1610d16cdd442ca017a80a9ab82b21ffbafce00c5fdb531a6634855a423c0"),
-    ("cleaning_rake_case03", "FS+H-noise-on"): (
-        "d3eace07cd12d9bfe6b37a5a92b4940db248c858b9f02af4be902971da2ce10c",
-        "e61d2c3f9affa66bd4b01cf73def7462cb1041a1e45f7aa4c031682037c17f47"),
-    ("cleaning_rake_case03", "H-noise-off"): (
-        "eada02668a0b83e0c88d975422ec85c140b20f7292f37f0bdc22ecd36df40d2d",
-        "4ad70ddd69de6c53066322b397ee5dff07f487e17bff85a8c23482b65612450c"),
-    ("cleaning_rake_case03", "EHC+FF-noise-off"): (
-        "bfcd5b42b10f187fdffcb11df3ee9304d686ed7e6ef7900dd965147245ba7cdf",
-        "4775a2551659b7a03a6ada9d3c5f0d1c23e84bcafc9618b29908c5b8b65a495c"),
-}
-
-
-@pytest.mark.parametrize("scenario,config", sorted(PINNED_EPISODE_DIGESTS),
-                         ids=[f"{s}-{c}" for s, c in sorted(PINNED_EPISODE_DIGESTS)])
-def test_episode_output_matches_pinned_digest(tmp_path, capsys, scenario, config):
-    trace = tmp_path / "trace.jsonl"
-    code = main(["episode", *args_for(scenario.rsplit("_", 1)[0]),
-                 "--scenario", str(BENCH / f"{scenario}.json"), *EPISODE_CONFIGS[config],
-                 "--trace", str(trace)])
-    assert code == EXIT_OK
-    digests = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
-               hashlib.sha256(trace.read_bytes()).hexdigest())
-    assert digests == PINNED_EPISODE_DIGESTS[(scenario, config)]
 
 
 def test_bench_deterministic_reports(tmp_path, capsys):
