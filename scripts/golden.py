@@ -25,7 +25,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from fgs.assets import benchmark_dir, data_dir  # noqa: E402
-from fgs.bench import EXPERIMENTS, ExperimentConfig, emit_report, run_experiment  # noqa: E402
+from fgs.bench import (  # noqa: E402
+    EXPERIMENT_CONFIGS,
+    ExperimentConfig,
+    aggregate,
+    collect_records,
+    emit_report,
+)
 from fgs.cli import main as cli_main  # noqa: E402
 
 MANIFEST = ROOT / "tests" / "golden_sha256.json"
@@ -40,12 +46,14 @@ EPISODE_CONFIGS = {
 }
 
 
-def write_bench(out: pathlib.Path, cfg: ExperimentConfig) -> None:
+def write_bench(out: pathlib.Path, cfg: ExperimentConfig) -> list[dict]:
     """One experiment run: its traces under out/traces, then its report in
-    each format."""
-    table = run_experiment(cfg, trace_dir=out / "traces")
+    each format. Returns the run's records (bench.collect_records)."""
+    records = collect_records(cfg, trace_dir=out / "traces")
+    table = aggregate(records, cfg)
     for fmt, ext in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
         emit_report(table, fmt, out / f"report.{ext}")
+    return records
 
 
 def write_episode(out: pathlib.Path, scenario: str, flags: list[str]) -> None:
@@ -64,7 +72,7 @@ def matrix() -> dict[str, tuple]:
     """Each group of the matrix by its path prefix: its writer, then the
     writer's arguments after the output directory."""
     groups = {}
-    for experiment in EXPERIMENTS:
+    for experiment in EXPERIMENT_CONFIGS:
         budgets = None if experiment == "adaptability" else BUDGET_SWEEP
         for noise in ("off", "on"):
             groups[f"bench/{experiment}-noise-{noise}"] = (write_bench, ExperimentConfig(

@@ -29,7 +29,6 @@ from .scenario import (
 )
 from .search import STATUS_EXHAUSTED, SearchConfig
 
-EXPERIMENTS = ("baselines", "algorithms", "adaptability")
 REPORT_FORMATS = ("csv", "json", "markdown")
 
 BASELINE_CONFIGS: tuple[tuple[str, SearchConfig], ...] = (
@@ -50,15 +49,21 @@ ADAPTABILITY_CONFIG = (
     SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True),
 )
 
+# each experiment's search configs, by experiment name
+EXPERIMENT_CONFIGS: dict[str, tuple[tuple[str, SearchConfig], ...]] = {
+    "baselines": BASELINE_CONFIGS,
+    "algorithms": ALGORITHM_CONFIGS,
+    "adaptability": (ADAPTABILITY_CONFIG,),
+}
+
 RANDOM_BASELINE_ID = "random"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One `fgs bench` run; each field is set by one of its flags."""
     experiment: str
-    task_types: tuple[str, ...] = ("cleaning", "cooking", "woodworking")
     cases_per_tool: int | None = None  # generated mode only; None draws BENCH_CASES_PER_TOOL
-    configs: tuple[tuple[str, SearchConfig], ...] | None = None
     trust_policy: str = "switchable"
     budgets: tuple[int, ...] | None = None
     seed: int = 0
@@ -66,16 +71,15 @@ class ExperimentConfig:
     regression: bool = True  # use the bundled fixed scenarios
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment '{self.experiment}' (choose from {EXPERIMENTS})")
+        if self.experiment not in EXPERIMENT_CONFIGS:
+            raise ConfigError(f"unknown experiment '{self.experiment}' "
+                              f"(choose from {tuple(EXPERIMENT_CONFIGS)})")
         if self.cases_per_tool is not None:
             if self.regression:
                 raise ConfigError("cases per tool apply only to generated scenarios; "
                                   "add --generate (--cases)")
             if self.cases_per_tool < 1:
                 raise ConfigError(f"cases_per_tool must be >= 1, got {self.cases_per_tool} (--cases)")
-        if self.configs is not None and not self.configs:
-            raise ConfigError("configs must be nonempty")
         if self.budgets is not None and self.experiment == "adaptability":
             raise ConfigError("budget curves cover the baselines and algorithms experiments, "
                               "not adaptability")
@@ -85,18 +89,6 @@ class ExperimentConfig:
                 raise ConfigError(f"budget must be non-negative, got {budget} (--budget-sweep)")
             if budgets.count(budget) > 1:
                 raise ConfigError(f"budget {budget} is repeated in the budget sweep (--budget-sweep)")
-        for t in self.task_types:
-            if t not in TASK_TOOLS:
-                raise ConfigError(f"unknown task type '{t}'")
-
-    def resolved_configs(self) -> tuple[tuple[str, SearchConfig], ...]:
-        if self.configs is not None:
-            return self.configs
-        if self.experiment == "baselines":
-            return BASELINE_CONFIGS
-        if self.experiment == "algorithms":
-            return ALGORITHM_CONFIGS
-        return (ADAPTABILITY_CONFIG,)
 
 
 # The row dataclasses are the report schema: a report's columns are the
@@ -159,7 +151,7 @@ def _bundled_scenarios(kinds) -> list[Scenario]:
 def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
     """The bundled scenarios of the experiment's kinds (task type, tool or
     'either'), or in generated mode the same kinds drawn at cfg.seed."""
-    kinds = [(t, label) for t in sorted(cfg.task_types)
+    kinds = [(t, label) for t in sorted(TASK_TOOLS)
              for label in (("either",) if cfg.experiment == "adaptability" else TASK_TOOLS[t])]
     if cfg.regression:
         return _bundled_scenarios(kinds)
@@ -198,7 +190,7 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
     scenarios = experiment_scenarios(cfg)
-    configs = cfg.resolved_configs()
+    configs = EXPERIMENT_CONFIGS[cfg.experiment]
     gp_cache: dict[str, tuple] = {}
     records: list[dict] = []
 
@@ -242,11 +234,11 @@ def aggregate(records: list[dict], cfg: ExperimentConfig) -> MetricsTable:
     metrics table. Means over first-search nodes, failed attempts, and plan
     length use only successful episodes; success counts and budget curves
     use all episodes."""
-    config_ids = [cid for cid, _ in cfg.resolved_configs()]
+    config_ids = [cid for cid, _ in EXPERIMENT_CONFIGS[cfg.experiment]]
     if cfg.experiment == "adaptability":
         config_ids = config_ids + [RANDOM_BASELINE_ID]
         table = MetricsTable(kind="adaptability")
-        for task_type in sorted(cfg.task_types):
+        for task_type in sorted(TASK_TOOLS):
             for cid in config_ids:
                 group = [r for r in records if r["task"] == task_type and r["config"] == cid]
                 if not group:
@@ -296,8 +288,6 @@ def run_experiment(cfg: ExperimentConfig, trace_dir: Path | None = None) -> Metr
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .assets import DATA_DIR_ENV, load_model
 from .bench import (
-    EXPERIMENTS,
+    EXPERIMENT_CONFIGS,
     REPORT_FORMATS,
     ExperimentConfig,
     emit_report,
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_episode)
 
     p = sub.add_parser("bench", help="run a benchmark experiment and write a report")
-    p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
+    p.add_argument("--experiment", required=True, choices=EXPERIMENT_CONFIGS)
     p.add_argument("--out", required=True, help="report output path")
     p.add_argument("--format", default="csv", choices=REPORT_FORMATS)
     p.add_argument("--seed", type=int, default=0)

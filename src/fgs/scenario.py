@@ -216,6 +216,9 @@ def validate_scenario(sc: Scenario, where: str) -> None:
     for i, tool in enumerate(sc.tools):
         if tool not in TOOL_TABLE:
             raise ValidationError(f"{where}.tools[{i}]: unknown tool '{tool}'")
+        if tool not in TASK_TOOLS[sc.task_type]:
+            raise ValidationError(f"{where}.tools[{i}]: tool '{tool}' is not registered "
+                                  f"for task type '{sc.task_type}'")
         if tool in sc.tools[:i]:
             raise ValidationError(f"{where}.tools[{i}]: duplicate tool '{tool}'")
     known_roles = {role for spec in sc.registry().values()

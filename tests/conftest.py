@@ -1,0 +1,50 @@
+"""Fixtures shared by the test modules. `golden` is scripts/golden.py,
+loaded once as a module; the `golden_run` fixture writes each group of its
+output matrix once per session, so the acceptance, bench and byte-identity
+tests read the same `fgs bench` runs."""
+
+import importlib.util
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden", Path(__file__).resolve().parents[1] / "scripts" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+@dataclass(frozen=True)
+class GoldenRun:
+    """One group of the golden matrix as written under root/prefix: the
+    records of its `fgs bench` run (None for an `fgs episode` group) and the
+    wall time of writing it."""
+    root: Path
+    prefix: str
+    records: list[dict] | None
+    seconds: float
+
+    @property
+    def dir(self) -> Path:
+        return self.root / self.prefix
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """golden_run(prefix) writes that group of the matrix the first time a
+    test asks for it and returns its GoldenRun."""
+    root = tmp_path_factory.mktemp("golden")
+    matrix = golden.matrix()
+    runs: dict[str, GoldenRun] = {}
+
+    def run(prefix: str) -> GoldenRun:
+        if prefix not in runs:
+            write, *args = matrix[prefix]
+            start = time.monotonic()
+            records = write(root / prefix, *args)
+            runs[prefix] = GoldenRun(root, prefix, records, time.monotonic() - start)
+        return runs[prefix]
+
+    return run

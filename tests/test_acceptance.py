@@ -1,8 +1,8 @@
 """End-to-end acceptance checks over the bundled benchmark.
 
 Each check prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
-and asserts its stated tolerance. The heavyweight episode collections are
-shared through module-scoped fixtures.
+and asserts its stated tolerance. The `fgs bench` runs they fold are the
+golden matrix's, written once per session by the `golden_run` fixture.
 """
 
 import random
@@ -11,13 +11,7 @@ import time
 import pytest
 
 from fgs.assets import load_task
-from fgs.bench import (
-    ADAPTABILITY_CONFIG,
-    ExperimentConfig,
-    aggregate,
-    collect_records,
-    experiment_scenarios,
-)
+from fgs.bench import ADAPTABILITY_CONFIG, ExperimentConfig, aggregate, experiment_scenarios
 from fgs.cli import main as cli_main
 from fgs.episode import run_episode
 from fgs.scenario import TOOL_TABLE, scenario_from_json
@@ -37,16 +31,8 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num:02d} {label}{suffix}"
 
 
-@pytest.fixture(scope="module")
-def baseline_run():
-    start = time.monotonic()
-    records = collect_records(ExperimentConfig(experiment="baselines"))
-    return records, time.monotonic() - start
-
-
-@pytest.fixture(scope="module")
-def algorithm_records():
-    return collect_records(ExperimentConfig(experiment="algorithms"))
+BASELINES_OFF = "bench/baselines-noise-off"
+BASELINES_ON = "bench/baselines-noise-on"
 
 
 def _mean(values):
@@ -124,9 +110,10 @@ def test_c02_score_equations_exact():
            f"{len(FIXTURES)} fixtures, {profiles_checked} random profiles")
 
 
-def test_c03_attempt_reduction(baseline_run):
-    records, elapsed = baseline_run
-    means = _config_means(records, "failed_attempts")
+def test_c03_attempt_reduction(golden_run):
+    run = golden_run(BASELINES_OFF)
+    elapsed = run.seconds
+    means = _config_means(run.records, "failed_attempts")
     fsh, h, ucs = means["FS+H"], means["H"], means["UCS"]
     reduction = 1.0 - fsh / h
     ok = fsh <= 4.0 and reduction >= 0.80 and h >= 25.0 and ucs >= 25.0 and elapsed < 300.0
@@ -134,9 +121,8 @@ def test_c03_attempt_reduction(baseline_run):
            ok, f"FS+H {fsh:.2f}, H {h:.2f}, UCS {ucs:.2f}, reduction {reduction:.0%}, {elapsed:.0f}s")
 
 
-def test_c04_node_expansion_ordering(baseline_run):
-    records, _ = baseline_run
-    means = _config_means(records, "nodes_first_search")
+def test_c04_node_expansion_ordering(golden_run):
+    means = _config_means(golden_run(BASELINES_OFF).records, "nodes_first_search")
     informed = max(means["FS+H"], means["H"])
     uninformed = min(means["FS"], means["UCS"])
     ratio = means["FS+H"] / means["H"]
@@ -171,8 +157,8 @@ def _everything_goes_scenario():
     })
 
 
-def test_c05_brute_force_ceiling(baseline_run):
-    records, _ = baseline_run
+def test_c05_brute_force_ceiling(golden_run):
+    records = golden_run(BASELINES_OFF).records
     ceiling_ok = all(r["failed_attempts"] <= 89 for r in records)
     _, _, gp = load_task("woodworking_hammer")
     scenario = _everything_goes_scenario()
@@ -217,10 +203,9 @@ def test_c06_trust_switch_rescue(single_tool_scenarios):
            f"fixed {fixed_wins}/60, switchable {switch_wins}/60, rescued {rescued}")
 
 
-def test_c07_budget_curves(baseline_run):
-    records, _ = baseline_run
+def test_c07_budget_curves(golden_run):
     cfg = ExperimentConfig(experiment="baselines", budgets=tuple(range(0, 90)))
-    table = aggregate(records, cfg)
+    table = aggregate(golden_run(BASELINES_OFF).records, cfg)
     curves = {}
     for p in table.budget_points:
         curves.setdefault(p.config, []).append(p.success_rate)
@@ -235,7 +220,8 @@ def test_c07_budget_curves(baseline_run):
            f"non-decreasing {monotone}, features-on dominates {dominated}")
 
 
-def test_c08_alternative_algorithms(algorithm_records):
+def test_c08_alternative_algorithms(golden_run):
+    algorithm_records = golden_run("bench/algorithms-noise-off").records
     nodes = _config_means(algorithm_records, "nodes_first_search")
     lengths = _config_means(algorithm_records, "plan_length")
     failed = _config_means(algorithm_records, "failed_attempts")
@@ -252,9 +238,9 @@ def test_c08_alternative_algorithms(algorithm_records):
            f"{lengths['wA*+FF']:.1f} / {lengths['EHC+FF']:.1f}")
 
 
-def test_c09_adaptability():
-    clean = collect_records(ExperimentConfig(experiment="adaptability"))
-    noisy = collect_records(ExperimentConfig(experiment="adaptability", noise_on=True))
+def test_c09_adaptability(golden_run):
+    clean = golden_run("bench/adaptability-noise-off").records
+    noisy = golden_run("bench/adaptability-noise-on").records
 
     def correct(records, cid):
         return sum(1 for r in records if r["config"] == cid
@@ -319,3 +305,21 @@ def test_c10_determinism(tmp_path, capsys):
     )
     ok = all(checks.values())
     report(10, "determinism", ok, ", ".join(f"{k}={v}" for k, v in checks.items()))
+
+
+def test_c11_search_effort_cut(golden_run):
+    # the paper's headline: expansions summed over every search of an
+    # episode, replans included, against plain heuristic and blind search,
+    # with every episode of every config solved
+    cuts = {}
+    solved = True
+    for noise, prefix in (("on", BASELINES_ON), ("off", BASELINES_OFF)):
+        records = golden_run(prefix).records
+        solved = solved and all(r["success"] for r in records)
+        totals = {cid: sum(r["nodes_total"] for r in records if r["config"] == cid)
+                  for cid in ("FS+H", "H", "FS", "UCS")}
+        cuts[noise] = (1.0 - totals["FS+H"] / totals["H"], 1.0 - totals["FS"] / totals["UCS"])
+    ok = solved and all(cut >= 0.90 for pair in cuts.values() for cut in pair)
+    report(11, "search-effort cut", ok,
+           "; ".join(f"noise {noise}: FS+H vs H {fsh:.2%}, FS vs UCS {fs:.2%}"
+                     for noise, (fsh, fs) in cuts.items()))

@@ -3,14 +3,16 @@ import json
 import re
 import shutil
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fgs import cli
 from fgs.assets import data_dir, load_model, load_task
+from fgs.bench import ExperimentConfig, MetricsTable
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from fgs.episode import run_episode, trace_events
 from fgs.heuristics import HEURISTIC_NAMES
@@ -168,6 +170,8 @@ MALFORMED_SCENARIOS = [
     ("legacy-n", ("n",), 10, r"case\.json\.n: unknown field"),
     ("task-type-unknown", ("task_type",), "nonsense",
      r"case\.json\.task_type: unknown task type 'nonsense'"),
+    ("tool-of-another-task", ("task_type",), "cooking",
+     r"case\.json\.tools\[0\]: tool 'hammer' is not registered for task type 'cooking'"),
 ]
 
 
@@ -393,7 +397,7 @@ EPISODE_ARGS = [*args_for("cleaning_rake"), "--scenario", str(BENCH / "cleaning_
     ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1"]),
     ("--budget", ["episode", *EPISODE_ARGS, "--budget", "-1"]),
     ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "0.5"]),
-    ("--cases", ["bench", "--experiment", "baselines", "--generate", "--cases", "0"]),
+    ("--cases", ["bench", "--experiment", "algorithms", "--generate", "--cases", "0"]),
     ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-1"]),
     ("--cases", ["bench", "--experiment", "algorithms", "--cases", "2"]),
     # budget 0 launches no search, so the episode checks the config itself
@@ -478,7 +482,7 @@ def test_bench_generate_malformed_library_exits_two(tmp_path, monkeypatch, capsy
     library.parent.mkdir()
     library.write_text('{"format_version": 1}', encoding="utf-8")
     monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
-    code = main(["bench", "--experiment", "baselines", "--generate", "--cases", "1",
+    code = main(["bench", "--experiment", "algorithms", "--generate", "--cases", "1",
                  "--out", str(tmp_path / "r.csv")])
     assert code == EXIT_USAGE
     assert "objects.json.objects: missing required field" in capsys.readouterr().err
@@ -510,7 +514,7 @@ def test_bench_generate_lone_grasp_object_exits_two(tmp_path, monkeypatch, capsy
     library.parent.mkdir()
     library.write_text(json.dumps(data), encoding="utf-8")
     monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
-    code = main(["bench", "--experiment", "baselines", "--generate", "--cases", "1",
+    code = main(["bench", "--experiment", "algorithms", "--generate", "--cases", "1",
                  "--out", str(tmp_path / "r.csv")])
     assert code == EXIT_USAGE
     assert "object library too small" in capsys.readouterr().err
@@ -633,6 +637,23 @@ def test_bench_generated_at_the_bundled_seed_is_the_regression_run(experiment, t
     assert traces == sorted(p.name for p in (tmp_path / "drawn").iterdir())
     for name in traces:
         assert (tmp_path / "bundled" / name).read_bytes() == (tmp_path / "drawn" / name).read_bytes()
+
+
+def test_bench_sets_every_experiment_config_field(tmp_path, monkeypatch):
+    # each ExperimentConfig field is a flag: with every flag off its default,
+    # no field keeps its own
+    seen = []
+
+    def run_experiment(cfg, trace_dir=None):
+        seen.append(cfg)
+        return MetricsTable(kind="summary")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert main(["bench", "--experiment", "algorithms", "--cases", "2", "--generate",
+                 "--trust", "fixed", "--budget-sweep", "0,1", "--seed", "3", "--noise", "on",
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+    [cfg] = seen
+    assert [f.name for f in fields(ExperimentConfig) if getattr(cfg, f.name) == f.default] == []
 
 
 def test_usage_error_on_unknown_flag():

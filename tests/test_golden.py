@@ -1,17 +1,13 @@
-"""Byte identity: the golden output matrix of scripts/golden.py, regenerated
-one group at a time, against the sha256 per file in tests/golden_sha256.json.
-A failure names every changed, missing and extra file of its group."""
+"""Byte identity: the golden output matrix of scripts/golden.py, written one
+group at a time by the session's `golden_run` store, against the sha256 per
+file in tests/golden_sha256.json. A failure names every changed, missing and
+extra file of its group."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "golden", Path(__file__).resolve().parents[1] / "scripts" / "golden.py")
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+from .conftest import golden
 
 MANIFEST = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
 MATRIX = golden.matrix()
@@ -24,10 +20,9 @@ def test_manifest_holds_the_matrix_groups_only():
 
 
 @pytest.mark.parametrize("prefix", MATRIX)
-def test_matches_manifest(tmp_path, prefix):
-    write, *args = MATRIX[prefix]
-    write(tmp_path / prefix, *args)
-    got = golden.digests(tmp_path, prefix)
+def test_matches_manifest(golden_run, prefix):
+    run = golden_run(prefix)
+    got = golden.digests(run.root, prefix)
     want = {path: digest for path, digest in MANIFEST.items() if path.startswith(prefix + "/")}
     changed = sorted(path for path in got.keys() & want.keys() if got[path] != want[path])
     missing = sorted(want.keys() - got.keys())
