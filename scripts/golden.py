@@ -4,7 +4,9 @@ output matrix writes, by its path relative to the matrix root.
 
 The matrix is every `fgs bench` experiment with noise off and on, its
 traces and its report as csv, json and markdown (with the budget sweep
-where one is allowed); one generated `algorithms` run; and `fgs episode`
+where one is allowed); each experiment on scenarios generated at seed 7,
+two cases per tool (`algorithms` with noise off, the other two with noise
+on, so the generator's armed noise reaches the output); and `fgs episode`
 on every bundled scenario under three configs, its stdout and its trace.
 tests/test_golden.py regenerates the matrix group by group and compares it
 with the manifest. A change meant to move output reruns this script, and
@@ -77,8 +79,11 @@ def matrix() -> dict[str, tuple]:
         for noise in ("off", "on"):
             groups[f"bench/{experiment}-noise-{noise}"] = (write_bench, ExperimentConfig(
                 experiment=experiment, budgets=budgets, noise_on=noise == "on"))
-    groups["bench/algorithms-generated-seed-7-cases-2"] = (write_bench, ExperimentConfig(
-        experiment="algorithms", budgets=BUDGET_SWEEP, seed=7, cases_per_tool=2, regression=False))
+    for experiment in EXPERIMENT_CONFIGS:
+        budgets = None if experiment == "adaptability" else BUDGET_SWEEP
+        groups[f"bench/{experiment}-generated-seed-7-cases-2"] = (write_bench, ExperimentConfig(
+            experiment=experiment, budgets=budgets, seed=7, cases_per_tool=2,
+            noise_on=experiment != "algorithms", regression=False))
     for path in sorted(benchmark_dir().glob("*.json")):
         for config, flags in EPISODE_CONFIGS.items():
             groups[f"episode/{path.stem}/{config}"] = (write_episode, path.stem, flags)
