@@ -1,6 +1,7 @@
 """Benchmark harness: baseline comparison, alternative algorithms, and
-adaptability, each over the bundled fixed scenarios (regression mode) or
-the same kinds of scenario drawn by their generator at any seed. Each
+adaptability, each over one scenario suite: the bundled files (regression
+mode) or the suite drawn by its generator at any seed. Adaptability runs
+the suite's two-tool scenarios, the other experiments its one-tool ones. Each
 episode's record is its `episode` trace event (episode.episode_event),
 built from the run's EpisodeResult and tagged with its config; the rest of
 its trace is built from the same result only when a trace directory is
@@ -24,7 +25,7 @@ from .scenario import (
     BENCH_CASES_PER_TOOL,
     TASK_TOOLS,
     Scenario,
-    generate_benchmark,
+    build_benchmark_suite,
     load_scenario,
 )
 from .search import STATUS_EXHAUSTED, SearchConfig
@@ -131,33 +132,28 @@ class MetricsTable:
 # -- scenario selection ----------------------------------------------------------
 
 
-def _bundled_scenarios(kinds) -> list[Scenario]:
-    base = benchmark_dir()
-    out = []
-    for task_type, label in kinds:
-        pattern = f"{task_type}_{label}_case*.json"
-        files = sorted(base.glob(pattern))
-        if not files:
-            raise ConfigError(f"no bundled scenarios matching {pattern} under {base}")
-        for p in files:
+def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
+    """The experiment's scenarios of the suite, sorted by id: its two-tool
+    scenarios for adaptability, its one-tool ones otherwise. The suite is
+    every file under benchmark_dir(), or in generated mode
+    build_benchmark_suite at cfg.seed."""
+    if cfg.regression:
+        suite = []
+        for p in sorted(benchmark_dir().glob("*.json")):
             scenario = load_scenario(p)
             if scenario.scenario_id != p.stem:  # it names the scenario's trace files
                 raise ConfigError(f"{p.name}.scenario_id: '{scenario.scenario_id}' "
                                   f"is not the file stem '{p.stem}'")
-            out.append(scenario)
-    return sorted(out, key=lambda s: s.scenario_id)
-
-
-def experiment_scenarios(cfg: ExperimentConfig) -> list[Scenario]:
-    """The bundled scenarios of the experiment's kinds (task type, tool or
-    'either'), or in generated mode the same kinds drawn at cfg.seed."""
-    kinds = [(t, label) for t in sorted(TASK_TOOLS)
-             for label in (("either",) if cfg.experiment == "adaptability" else TASK_TOOLS[t])]
-    if cfg.regression:
-        return _bundled_scenarios(kinds)
-    cases = cfg.cases_per_tool or BENCH_CASES_PER_TOOL
-    out = [sc for t, label in kinds for sc in generate_benchmark(t, label, cases, cfg.seed)]
-    return sorted(out, key=lambda s: s.scenario_id)
+            suite.append(scenario)
+    else:
+        suite = build_benchmark_suite(cfg.seed, cfg.cases_per_tool or BENCH_CASES_PER_TOOL)
+    two_tool = cfg.experiment == "adaptability"
+    out = sorted((sc for sc in suite if (len(sc.tools) > 1) == two_tool),
+                 key=lambda s: s.scenario_id)
+    if not out:  # a generated suite has both kinds
+        raise ConfigError(f"no bundled {'two' if two_tool else 'one'}-tool scenarios "
+                          f"under {benchmark_dir()}")
+    return out
 
 
 # -- episode collection ------------------------------------------------------------

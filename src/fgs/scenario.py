@@ -11,11 +11,12 @@ are the schema: each field is read through the check its annotation implies
 (see the README for the field table). A tool's spec is domain knowledge,
 not part of the file: every scenario reads it from TOOL_TABLE by name.
 
-One generator draws every scenario. build_benchmark_suite(seed) is the
-regression suite, whose noise arms a few single-tool cases with a sure
-false negative; at BENCH_SEED it is the bundled files. generate_benchmark
-draws one kind of that suite at any number of cases, one tool's cases or a
-task type's two-tool cases, and is what `fgs bench --generate` runs.
+One generator draws every scenario: build_benchmark_suite(seed, cases)
+is the suite, *cases* scenarios per tool and as many two-tool scenarios per
+task type, whose noise arms a few single-tool cases with a sure false
+negative. At BENCH_SEED and BENCH_CASES_PER_TOOL it is the bundled files;
+`fgs bench --generate` draws it at any seed and number of cases. Only this
+module knows the '<task>_<tool or either>_case<i>' scenario ids.
 """
 
 from __future__ import annotations
@@ -152,17 +153,6 @@ class GroundTruth:
         return (self.action_part, self.grasp_part)
 
 
-def _as_ground_truth(value, where: str) -> GroundTruth:
-    """One ground-truth object, or a list holding exactly one."""
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise ValidationError(
-                f"{where}: exactly one ground-truth pair required, got {len(value)}"
-            )
-        value, where = value[0], f"{where}[0]"
-    return _record(GroundTruth, value, where)
-
-
 @dataclass(frozen=True)
 class Scenario:
     # checked first, so a file of another version fails on its version alone
@@ -170,7 +160,7 @@ class Scenario:
     scenario_id: str
     task_type: str
     objects: tuple[ObjectProfile, ...]
-    ground_truth: GroundTruth = field(metadata={"check": _as_ground_truth})
+    ground_truth: GroundTruth
     tools: tuple[str, ...]  # TOOL_TABLE names; one unless both can finish the task
     noise: NoiseSpec = NoiseSpec()
 
@@ -530,29 +520,15 @@ BENCH_ATTACH_ARMED = 4  # and with a forced attachment false negative
 ADAPT_NOISE = dict(material_fn_rate=0.05, attach_fn_rate=0.05, shape_jitter=0.02)
 
 
-def generate_benchmark(task_type: str, label: str, cases: int, seed: int, *,
-                       library=None) -> list[Scenario]:
-    """Cases 0..cases-1 of one kind of the suite drawn at *seed*: *label* is
-    one of the task's tools, or 'either' for the two-tool scenarios. At
-    BENCH_CASES_PER_TOOL cases it is that kind of build_benchmark_suite(seed)."""
-    if label != "either" and label not in TOOL_TABLE:
-        raise ValidationError(f"unknown tool '{label}'")
-    if task_type not in TASK_TOOLS:
-        raise ValidationError(f"unknown task type '{task_type}'")
-    if label not in (*TASK_TOOLS[task_type], "either"):
-        raise ValidationError(f"tool '{label}' is not registered for task type '{task_type}'")
-    armed = {} if label == "either" else _armed_noise(seed, cases)
-    return _generate(task_type, label, cases, seed, library or default_library(), armed)
-
-
-def build_benchmark_suite(seed: int = BENCH_SEED) -> list[Scenario]:
-    """The regression suite: BENCH_CASES_PER_TOOL scenarios per tool plus as
-    many two-tool scenarios per task type. At BENCH_SEED it is the bundled
-    suite."""
+def build_benchmark_suite(seed: int = BENCH_SEED,
+                          cases: int = BENCH_CASES_PER_TOOL) -> list[Scenario]:
+    """The suite drawn at *seed* from the object library under data_dir():
+    *cases* scenarios per tool plus as many two-tool scenarios per task
+    type, sorted by id. At the defaults it is the bundled suite."""
     library = default_library()
-    armed = _armed_noise(seed, BENCH_CASES_PER_TOOL)
+    armed = _armed_noise(seed, cases)
     out = [sc for task in sorted(TASK_TOOLS) for label in (*TASK_TOOLS[task], "either")
-           for sc in _generate(task, label, BENCH_CASES_PER_TOOL, seed, library, armed)]
+           for sc in _generate(task, label, cases, seed, library, armed)]
     return sorted(out, key=lambda s: s.scenario_id)
 
 

@@ -1,5 +1,6 @@
-"""Fixtures shared by the test modules. `golden` is scripts/golden.py,
-loaded once as a module; the `golden_run` fixture writes each group of its
+"""Fixtures shared by the test modules. `golden` and `generate_data` are
+scripts/golden.py and scripts/generate_data.py, each loaded once as a
+module; the `golden_run` fixture writes each group of golden's
 output matrix once per session, so the acceptance, bench and byte-identity
 tests read the same `fgs bench` runs."""
 
@@ -10,10 +11,18 @@ from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "golden", Path(__file__).resolve().parents[1] / "scripts" / "golden.py")
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+
+def _script(name: str):
+    """scripts/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _script("golden")
+generate_data = _script("generate_data")
 
 
 @dataclass(frozen=True)

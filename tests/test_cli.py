@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fgs import cli
 from fgs.assets import data_dir, load_model, load_task
-from fgs.bench import ExperimentConfig, MetricsTable
+from fgs.bench import ExperimentConfig, MetricsTable, experiment_scenarios
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from fgs.episode import run_episode, trace_events
 from fgs.heuristics import HEURISTIC_NAMES
@@ -501,6 +501,41 @@ def test_bench_scenario_id_not_its_file_stem_exits_two(tmp_path, monkeypatch, ca
     assert ("cleaning_either_case00.json.scenario_id: '../escaped' is not the file stem "
             "'cleaning_either_case00'") in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("escaped*"))
+
+
+def test_bench_selects_scenarios_by_their_tools(tmp_path, monkeypatch):
+    # every file under benchmarks/ is the suite, whatever its name: a
+    # two-tool file is an adaptability case, and a tool with no files is
+    # left out of the one-tool experiments
+    shutil.copytree(data_dir(), tmp_path / "data")
+    bench = tmp_path / "data" / "benchmarks"
+    (bench / "custom_case.json").write_text((bench / "cleaning_either_case00.json").read_text(
+        encoding="utf-8").replace('"cleaning_either_case00"', '"custom_case"'), encoding="utf-8")
+    for path in bench.glob("cooking_ladle_*.json"):
+        path.unlink()
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path / "data"))
+    assert main(["bench", "--experiment", "adaptability", "--format", "json",
+                 "--out", str(tmp_path / "r.json"), "--trace-dir", str(tmp_path / "tr")]) == EXIT_OK
+    rows = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["rows"]
+    assert {(r["task"], r["config"]): r["cases"] for r in rows} == {
+        (task, config): "11" if task == "cleaning" else "10"
+        for task in ("cleaning", "cooking", "woodworking") for config in ("FS+H", "random")}
+    assert (tmp_path / "tr" / "custom_case__FS-H.jsonl").is_file()
+    single = [sc.scenario_id for sc in experiment_scenarios(ExperimentConfig(experiment="baselines"))]
+    assert len(single) == 50 and "custom_case" not in single
+    assert not any(sid.startswith("cooking_ladle") for sid in single)
+
+
+@pytest.mark.parametrize("experiment, kind", [("algorithms", "one"), ("adaptability", "two")])
+def test_bench_empty_benchmark_dir_exits_two(experiment, kind, tmp_path, monkeypatch, capsys):
+    shutil.copytree(data_dir() / "domains", tmp_path / "domains")
+    (tmp_path / "benchmarks").mkdir()
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
+    code = main(["bench", "--experiment", experiment, "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    assert (f"no bundled {kind}-tool scenarios under {tmp_path / 'benchmarks'}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_generate_lone_grasp_object_exits_two(tmp_path, monkeypatch, capsys):

@@ -9,8 +9,10 @@ from fgs.assets import benchmark_dir, load_task, task_for_scenario
 from fgs.bench import ALGORITHM_CONFIGS, ExperimentConfig, experiment_scenarios
 from fgs.episode import episode_event, first_join, run_episode, trace_events
 from fgs.errors import ConfigError
-from fgs.scenario import NoiseSpec, generate_benchmark, load_scenario
+from fgs.scenario import TASK_TOOLS, NoiseSpec, load_scenario
 from fgs.search import SearchConfig
+
+from .util import drawn
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import check_episode  # noqa: E402
@@ -22,7 +24,7 @@ H = SearchConfig(algorithm="astar", heuristic="landmarks")
 @pytest.fixture(scope="module")
 def squeegee_setup():
     _, _, gp = load_task("cleaning_squeegee")
-    scenarios = generate_benchmark("cleaning", "squeegee", 3, seed=21)
+    scenarios = drawn(21, 3, ("squeegee",))
     return gp, scenarios
 
 
@@ -158,7 +160,7 @@ def test_oracle_rejections_alone_do_not_switch_trust(squeegee_setup):
 
 def test_misaligned_scenario_is_config_error(squeegee_setup):
     gp, _ = squeegee_setup
-    scenarios = generate_benchmark("cooking", "ladle", 1, seed=2)
+    scenarios = drawn(2, 1, ("ladle",))
     with pytest.raises(ConfigError, match="join-squeegee"):
         run_episode(gp, FSH, scenarios[0])
 
@@ -237,7 +239,7 @@ def test_trace_events_follow_the_search_log(scenario_id, path, noise_on):
 
 def test_adaptability_reports_tool_and_action():
     _, _, gp = load_task("cooking_either")
-    for sc in generate_benchmark("cooking", "either", 4, seed=5):
+    for sc in drawn(5, 4, TASK_TOOLS["cooking"]):
         result = run_episode(gp, FSH, sc)
         assert result.success
         assert result.chosen_tool == sc.ground_truth.tool
@@ -247,7 +249,7 @@ def test_adaptability_reports_tool_and_action():
 
 def test_adaptability_no_viable_tool_fails():
     _, _, gp = load_task("cooking_either")
-    sc = generate_benchmark("cooking", "either", 1, seed=5)[0]
+    sc = drawn(5, 1, TASK_TOOLS["cooking"])[0]
     # corrupt every object's material below threshold: nothing passes trust,
     # and the no-trust whitelist rescue eventually proposes pairs anyway
     bad_objects = tuple(

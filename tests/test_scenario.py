@@ -17,7 +17,6 @@ from fgs.scenario import (
     NoiseSpec,
     build_benchmark_suite,
     default_library,
-    generate_benchmark,
     load_library,
     load_scenario,
     save_scenario,
@@ -33,10 +32,13 @@ from fgs.scoring import (
     material_fit,
 )
 
+from .conftest import generate_data
+from .util import drawn
+
 
 @pytest.fixture(scope="module")
 def squeegee_cases():
-    return generate_benchmark("cleaning", "squeegee", 4, seed=11)
+    return drawn(11, 4, ("squeegee",))
 
 
 def test_library_composition():
@@ -115,14 +117,18 @@ def test_library_round_trips_through_checks(tmp_path):
     assert load_library(path)[0].role_tags == ()
 
 
-def test_generator_reads_grasp_role_from_spec(monkeypatch):
-    # a spec whose grasp part is a 'grip', over a library tagged to match
-    monkeypatch.setitem(TOOL_TABLE, "hammer", replace(TOOL_TABLE["hammer"], grasp_part_role="grip"))
-    library = [
-        replace(o, role_tags=tuple("grip" if t == "handle" else t for t in o.role_tags))
-        for o in default_library()
-    ]
-    cases = generate_benchmark("woodworking", "hammer", 3, seed=5, library=library)
+def test_generator_reads_grasp_role_from_spec(tmp_path, monkeypatch):
+    # specs whose grasp part is a 'grip', over a library tagged to match
+    for tool, spec in TOOL_TABLE.items():
+        monkeypatch.setitem(TOOL_TABLE, tool, replace(spec, grasp_part_role="grip"))
+    data = json.loads(LIBRARY_TEXT)
+    for obj in data["objects"]:
+        obj["role_tags"] = ["grip" if t == "handle" else t for t in obj["role_tags"]]
+    (tmp_path / "library").mkdir()
+    (tmp_path / "library" / "objects.json").write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setenv("FGS_DATA_DIR", str(tmp_path))
+    cases = drawn(5, 3, ("hammer",))
+    assert len(cases) == 3
     for sc in cases:
         assert sc.spec_for_tool("hammer").grasp_part_role == "grip"
         assert all(set(o.shape_conf) == {"hammer_head", "grip"} for o in sc.objects)
@@ -140,21 +146,14 @@ def test_generated_scenario_shape(squeegee_cases):
 
 
 def test_generation_deterministic(squeegee_cases):
-    again = generate_benchmark("cleaning", "squeegee", 4, seed=11)
+    again = drawn(11, 4, ("squeegee",))
     assert [scenario_to_json(a) for a in again] == [scenario_to_json(b) for b in squeegee_cases]
-    other = generate_benchmark("cleaning", "squeegee", 4, seed=12)
+    other = drawn(12, 4, ("squeegee",))
     assert scenario_to_json(other[0]) != scenario_to_json(squeegee_cases[0])
 
 
 def test_zero_cases_is_empty():
-    assert generate_benchmark("cooking", "ladle", 0, seed=1) == []
-
-
-def test_unknown_tool_rejected():
-    with pytest.raises(ValidationError, match="mallet"):
-        generate_benchmark("woodworking", "mallet", 1, seed=1)
-    with pytest.raises(ValidationError, match="not registered"):
-        generate_benchmark("cooking", "hammer", 1, seed=1)
+    assert build_benchmark_suite(1, 0) == []
 
 
 def test_ground_truth_uniquely_accepted(squeegee_cases):
@@ -186,7 +185,7 @@ def test_roundtrip_via_file(tmp_path, squeegee_cases):
 def test_two_ground_truths_rejected(squeegee_cases):
     data = scenario_to_json(squeegee_cases[0])
     data["ground_truth"] = [data["ground_truth"], data["ground_truth"]]
-    with pytest.raises(ValidationError, match="exactly one ground-truth"):
+    with pytest.raises(ValidationError, match=r"ground_truth: expected an object, got a list"):
         scenario_from_json(data)
 
 
@@ -300,23 +299,23 @@ def test_noise_spec_validation():
 
 
 def test_adaptability_two_tools_alternating():
-    cases = generate_benchmark("woodworking", "either", 4, seed=3)
+    cases = drawn(3, 4, TASK_TOOLS["woodworking"])
     assert [sc.ground_truth.tool for sc in cases] == ["hammer", "screwdriver"] * 2
     for sc in cases:
         assert sc.tools == TASK_TOOLS["woodworking"]
 
 
 def test_benchmark_suite_matches_bundled(tmp_path):
-    # byte for byte, so rerunning scripts/generate_data.py leaves the tree unchanged
-    suite = build_benchmark_suite()
-    assert len(suite) == 90
-    bundled = sorted(benchmark_dir().glob("*.json"))
+    # byte for byte, so rerunning scripts/generate_data.py leaves the tree
+    # unchanged; it deletes any other file, since `fgs bench` reads them all
+    (tmp_path / "stray.json").write_text("{}", encoding="utf-8")
+    assert generate_data.main(tmp_path) == 0
+    bundled = sorted(p.name for p in benchmark_dir().iterdir())
     assert len(bundled) == 90
-    for sc in suite:
-        name = f"{sc.scenario_id}.json"
-        save_scenario(sc, tmp_path / name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    for name in bundled:
         assert (tmp_path / name).read_bytes() == (benchmark_dir() / name).read_bytes(), (
-            f"{sc.scenario_id} drifted from the generator")
+            f"{name} drifted from the generator")
 
 
 def test_bundled_noise_arming_counts():
@@ -332,24 +331,14 @@ def test_bundled_noise_arming_counts():
     assert all(sc.noise.shape_jitter > 0 for sc in adapt)
 
 
-@pytest.mark.parametrize("task", sorted(TASK_TOOLS))
-def test_generated_kinds_are_the_bundled_files(task):
-    # each kind of the suite, drawn alone at the suite's seed, is its bundled files
-    for label in (*TASK_TOOLS[task], "either"):
-        drawn = generate_benchmark(task, label, 10, seed=1729)
-        files = sorted(benchmark_dir().glob(f"{task}_{label}_case*.json"))
-        assert [scenario_to_json(sc) for sc in drawn] == [json.loads(p.read_text()) for p in files]
-
-
 @pytest.mark.parametrize("cases, material, attach", [(1, 4, 2), (2, 4, 4)])
 def test_generated_kinds_arm_at_most_four_and_four(cases, material, attach):
     # the arming draw spans every single-tool kind, for any number of cases
-    single = [sc for task in sorted(TASK_TOOLS) for tool in TASK_TOOLS[task]
-              for sc in generate_benchmark(task, tool, cases, seed=3)]
+    suite = build_benchmark_suite(3, cases)
+    single = [sc for sc in suite if len(sc.tools) == 1]
     assert sum(sc.noise.material_fn_rate == 1.0 for sc in single) == material
     assert sum(sc.noise.attach_fn_rate == 1.0 for sc in single) == attach
-    assert all(sc.noise.shape_jitter > 0
-               for sc in generate_benchmark("cooking", "either", cases, seed=3))
+    assert all(sc.noise.shape_jitter > 0 for sc in suite if len(sc.tools) == 2)
 
 
 # The suite at seeds other than 1729, whose suite the bundled files pin:

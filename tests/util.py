@@ -1,4 +1,5 @@
-"""Shared helpers: tiny model builders, brute-force search oracles, naive
+"""Shared helpers: tiny model builders, the scenarios of a drawn suite by
+their tools, brute-force search oracles, naive
 frozenset references for the bitset state code, PDDL serialization, the
 character-loop PDDL reader the regex scan replaced, the search loops as they
 stood before the guarded successor scan, and the join scorer and material fit
@@ -18,6 +19,7 @@ from fgs.errors import ConfigError, InternalError, PddlParseError
 from fgs.grounding import GroundAction, GroundProblem, State, goal_satisfied, successors
 from fgs.heuristics import make_heuristic
 from fgs.pddl import SUPPORTED_REQUIREMENTS, DomainDef, Literal, ProblemDef, SList, Symbol
+from fgs.scenario import Scenario, build_benchmark_suite
 from fgs.scoring import NEG_INF
 from fgs.search import (
     HEURISTIC_ALGORITHMS,
@@ -28,6 +30,11 @@ from fgs.search import (
     SearchConfig,
     _simulate,
 )
+
+
+def drawn(seed: int, cases: int, tools: tuple[str, ...]) -> list[Scenario]:
+    """The scenarios of build_benchmark_suite(seed, cases) with these tools."""
+    return [sc for sc in build_benchmark_suite(seed, cases) if sc.tools == tools]
 
 
 def encode(atom_ids) -> State:
