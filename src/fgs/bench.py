@@ -32,23 +32,23 @@ from .search import STATUS_EXHAUSTED, SearchConfig
 
 REPORT_FORMATS = ("csv", "json", "markdown")
 
+# A* over landmarks with feature scoring: FS+H, and A*+LM among the algorithms
+LANDMARKS_WITH_FEATURES = SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True)
+
 BASELINE_CONFIGS: tuple[tuple[str, SearchConfig], ...] = (
-    ("FS+H", SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True)),
+    ("FS+H", LANDMARKS_WITH_FEATURES),
     ("H", SearchConfig(algorithm="astar", heuristic="landmarks")),
     ("FS", SearchConfig(algorithm="ucs", use_feature_score=True)),
     ("UCS", SearchConfig(algorithm="ucs")),
 )
 
 ALGORITHM_CONFIGS: tuple[tuple[str, SearchConfig], ...] = (
-    ("A*+LM", SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True)),
+    ("A*+LM", LANDMARKS_WITH_FEATURES),
     ("wA*+FF", SearchConfig(algorithm="weighted_astar", heuristic="ff", weight=5.0, use_feature_score=True)),
     ("EHC+FF", SearchConfig(algorithm="ehc", heuristic="ff", use_feature_score=True)),
 )
 
-ADAPTABILITY_CONFIG = (
-    "FS+H",
-    SearchConfig(algorithm="astar", heuristic="landmarks", use_feature_score=True),
-)
+ADAPTABILITY_CONFIG = ("FS+H", LANDMARKS_WITH_FEATURES)
 
 # each experiment's search configs, by experiment name
 EXPERIMENT_CONFIGS: dict[str, tuple[tuple[str, SearchConfig], ...]] = {

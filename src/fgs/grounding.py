@@ -21,7 +21,7 @@ from .pddl import Atom, DomainDef, Literal, ProblemDef
 
 State = int  # bit i set iff atom i holds
 
-DEFAULT_MAX_GROUND_ACTIONS = 200_000
+MAX_GROUND_ACTIONS = 200_000  # the explosion guard of ground()
 
 
 def atom_indices(state: State) -> list[int]:
@@ -183,13 +183,12 @@ def ground(
     problem: ProblemDef,
     *,
     prune_static: bool = True,
-    max_ground_actions: int = DEFAULT_MAX_GROUND_ACTIONS,
 ) -> GroundProblem:
     """Enumerate all type-consistent ground actions and index the atoms.
 
     One pass over each schema's groundings counts, guards, prunes and binds
     them. The explosion guard counts every type-consistent grounding, pruned
-    or not, and raises once the total passes *max_ground_actions*, naming
+    or not, and raises once the total passes MAX_GROUND_ACTIONS, naming
     the schema with the most groundings. Static pruning drops actions whose
     static preconditions can never hold and strips always-satisfied static
     conditions; it never changes the reachable state space. A grounding
@@ -222,12 +221,12 @@ def ground(
                     continue
             count += 1
             total += 1
-            if total > max_ground_actions:
+            if total > MAX_GROUND_ACTIONS:
                 worst = max(per_schema, key=per_schema.get, default=schema.name)
                 if per_schema.get(worst, 0) < count:
                     worst = schema.name
                 raise GroundingError(
-                    f"ground action count exceeds {max_ground_actions}; "
+                    f"ground action count exceeds {MAX_GROUND_ACTIONS}; "
                     f"worst schema: '{worst}'"
                 )
             binding = dict(zip(variables, combo))

@@ -7,9 +7,11 @@ network *outputs*, never raw features; noise is injected here so scoring
 stays deterministic.
 
 Scenario files are JSON with a format_version field. The record dataclasses
-are the schema: each field is read through the check its annotation implies
-(see the README for the field table). A tool's spec is domain knowledge,
-not part of the file: every scenario reads it from TOOL_TABLE by name.
+are the schema, read by fgs.records: each field through the check its
+annotation implies, a rule on one value included (see the README for the
+field table); validate_scenario checks the rules across fields. A tool's
+spec is domain knowledge, not part of the file: every scenario reads it
+from TOOL_TABLE by name.
 
 One generator draws every scenario: build_benchmark_suite(seed, cases)
 is the suite, *cases* scenarios per tool and as many two-tool scenarios per
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated
 
 from .assets import TASK_TOOLS, data_dir
 from .errors import InternalError, ValidationError
+from .records import Rule, load_json, read_record, to_json as scenario_to_json, within
 from .scoring import (
     ATTACH_GRASP,
     ATTACH_PIERCE,
@@ -76,70 +78,19 @@ DISTRACTOR_MATERIAL_RANGE = (0.35, 0.72)
 SCENARIO_OBJECTS = 10  # objects in every generated scenario
 
 
-# -- the JSON boundary -----------------------------------------------------------
-# Each check takes (value, field path) and returns the value or raises a
-# ValidationError naming the path. A record field is read by the check its
-# annotation implies, or by the one named in its metadata.
-
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
-               int: "an integer", float: "a number", type(None): "null"}
+_KNOWN_MATERIAL = Rule(lambda value: value in MATERIAL_CLASSES, "unknown material '{value}'")
 
 
-def _typed(kind: str, *types):
-    def check(value, where: str):
-        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            got = _JSON_KINDS.get(type(value), type(value).__name__)
-            raise ValidationError(f"{where}: expected {kind}, got {got}")
-        return value
-
-    return check
-
-
-_as_object = _typed("an object", dict)
-_as_list = _typed("a list", list)
-_as_number = _typed("a number", int, float)
-
-
-def _as_float(value, where: str) -> float:
-    try:
-        return float(_as_number(value, where))
-    except OverflowError:
-        raise ValidationError(f"{where}: number out of range") from None
-
-
-_SCALARS = {str: _typed("a string", str), bool: _typed("a boolean", bool),
-            int: _typed("an integer", int), float: _as_float}
-
-
-def _as_material(value, where: str) -> str:
-    if _SCALARS[str](value, where) not in MATERIAL_CLASSES:
-        raise ValidationError(f"{where}: unknown material '{value}'")
-    return value
-
-
-def _format_version(supported: int):
-    def check(value, where: str) -> int:
-        if _SCALARS[int](value, where) != supported:
-            raise ValidationError(f"{where}: unsupported format_version {value}")
-        return value
-
-    return check
+def _format_version(supported: int) -> Rule:
+    return Rule(lambda value: value == supported, "unsupported format_version {value}")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     seed: int = 0
-    material_fn_rate: float = 0.0
-    attach_fn_rate: float = 0.0
-    shape_jitter: float = 0.0
-
-    def validate(self, where: str = "noise") -> None:
-        for name in ("material_fn_rate", "attach_fn_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{where}.{name}: {v} not in [0, 1]")
-        if not 0.0 <= self.shape_jitter <= 0.5:
-            raise ValidationError(f"{where}.shape_jitter: {self.shape_jitter} not in [0, 0.5]")
+    material_fn_rate: Annotated[float, within(0, 1)] = 0.0
+    attach_fn_rate: Annotated[float, within(0, 1)] = 0.0
+    shape_jitter: Annotated[float, within(0, 0.5)] = 0.0
 
 
 @dataclass(frozen=True)
@@ -156,7 +107,7 @@ class GroundTruth:
 @dataclass(frozen=True)
 class Scenario:
     # checked first, so a file of another version fails on its version alone
-    format_version: int = field(metadata={"check": _format_version(SCENARIO_FORMAT_VERSION)})
+    format_version: Annotated[int, _format_version(SCENARIO_FORMAT_VERSION)]
     scenario_id: str
     task_type: str
     objects: tuple[ObjectProfile, ...]
@@ -181,7 +132,7 @@ class Scenario:
 class LibraryObject:
     library_id: str
     display_name: str
-    material: str = field(metadata={"check": _as_material})
+    material: Annotated[str, _KNOWN_MATERIAL]
     role_tags: tuple[str, ...] = ()
     pierceable: bool = False
     can_grasp_others: bool = False
@@ -191,16 +142,15 @@ class LibraryObject:
 
 @dataclass(frozen=True)
 class _LibraryFile:
-    format_version: int = field(metadata={"check": _format_version(LIBRARY_FORMAT_VERSION)})
+    format_version: Annotated[int, _format_version(LIBRARY_FORMAT_VERSION)]
     objects: tuple[LibraryObject, ...]
 
 
 def validate_scenario(sc: Scenario, where: str) -> None:
-    """Check what the field types cannot; every message starts with *where*,
+    """Check the rules across fields; every message starts with *where*,
     the file name or scenario id, and names the field path."""
     if sc.task_type not in TASK_TOOLS:
         raise ValidationError(f"{where}.task_type: unknown task type '{sc.task_type}'")
-    sc.noise.validate(f"{where}.noise")
     if not sc.tools:
         raise ValidationError(f"{where}.tools: no candidate tool")
     for i, tool in enumerate(sc.tools):
@@ -215,9 +165,18 @@ def validate_scenario(sc: Scenario, where: str) -> None:
                    for role in (spec.action_part_role, spec.grasp_part_role)}
     ids = set()
     for i, obj in enumerate(sc.objects):
-        obj.validate(known_roles, f"{where}.objects[{i}]")
+        at = f"{where}.objects[{i}]"
+        for role in obj.shape_conf:
+            if role not in known_roles:
+                raise ValidationError(f"{at}.shape_conf: unknown part role '{role}'")
+        for material in obj.material_conf:
+            if material not in MATERIAL_CLASSES:
+                raise ValidationError(f"{at}.material_conf: unknown material '{material}'")
+        total = sum(obj.material_conf.values())
+        if total > 1.0 + 1e-9:
+            raise ValidationError(f"{at}.material_conf sums to {total:.4f} > 1")
         if obj.object_id in ids:
-            raise ValidationError(f"{where}.objects[{i}]: duplicate object_id '{obj.object_id}'")
+            raise ValidationError(f"{at}: duplicate object_id '{obj.object_id}'")
         ids.add(obj.object_id)
     gt = sc.ground_truth
     if gt.tool not in sc.tools:
@@ -238,87 +197,15 @@ def validate_scenario(sc: Scenario, where: str) -> None:
 
 # -- JSON round trip -----------------------------------------------------------
 
-
-def _to_json(value):
-    """The JSON form of a record: its dataclass fields in order, a tuple as
-    a list, a dict with its keys sorted."""
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_to_json(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_json(value[k]) for k in sorted(value)}
-    return value
-
-
-def scenario_to_json(sc: Scenario) -> dict:
-    return _to_json(sc)
-
-
-@cache
-def _field_checks(cls) -> dict:
-    """The check of each field of the record type *cls*."""
-    hints = get_type_hints(cls)
-    return {f.name: f.metadata.get("check") or _check_for(hints[f.name])
-            for f in fields(cls)}
-
-
-def _check_for(tp):
-    """The check for a field annotated *tp*: a scalar, dict[str, X],
-    tuple[X, ...] read from a list, or a record."""
-    if tp in _SCALARS:
-        return _SCALARS[tp]
-    if is_dataclass(tp):
-        return partial(_record, tp)
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is dict:
-        value_check = _check_for(args[1])
-        return lambda value, where: {
-            k: value_check(v, f"{where}.{k}") for k, v in _as_object(value, where).items()
-        }
-    if origin is tuple:
-        item_check = _check_for(args[0])
-        return lambda value, where: tuple(
-            item_check(item, f"{where}[{i}]") for i, item in enumerate(_as_list(value, where))
-        )
-    raise InternalError(f"no JSON check for a field of type {tp}")
-
-
-def _record(cls, data, where: str):
-    """An instance of *cls* read from a JSON object: every field through its
-    check, in field order; an absent field takes its dataclass default,
-    and a key that names no field is an error."""
-    data = _as_object(data, where)
-    checks = _field_checks(cls)
-    values = {}
-    for f in fields(cls):
-        if f.name in data:
-            values[f.name] = checks[f.name](data[f.name], f"{where}.{f.name}")
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ValidationError(f"{where}.{f.name}: missing required field")
-    for key in data:
-        if key not in checks:
-            raise ValidationError(f"{where}.{key}: unknown field")
-    return cls(**values)
-
-
 def scenario_from_json(data, where: str = "scenario") -> Scenario:
-    sc = _record(Scenario, data, where)
+    sc = read_record(Scenario, data, where)
     validate_scenario(sc, where)
     return sc
 
 
-def _load_json(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
-            raise ValidationError(f"{path.name}: invalid JSON: {exc}") from None
-
-
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    return scenario_from_json(_load_json(path), where=path.name)
+    return scenario_from_json(load_json(path), where=path.name)
 
 
 def save_scenario(sc: Scenario, path) -> None:
@@ -397,7 +284,7 @@ def _misread_attachment(out: dict[str, ObjectProfile], gt: GroundTruth) -> None:
 
 def load_library(path) -> tuple[LibraryObject, ...]:
     path = Path(path)
-    return _record(_LibraryFile, _load_json(path), path.name).objects
+    return read_record(_LibraryFile, load_json(path), path.name).objects
 
 
 def default_library() -> tuple[LibraryObject, ...]:

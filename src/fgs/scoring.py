@@ -5,15 +5,18 @@ Its score combines shape fitness (soft, a product of per-role confidences),
 material fitness (hard, thresholded on the action part), and attachment
 feasibility (hard: pierce, grasp, or magnetic). Under full sensor trust all
 three apply; with trust withdrawn, only previously rejected combinations are
-re-scored, by shape alone.
+re-scored, by shape alone. Scoring checks no input: the scenario reader
+checks the profiles it hands over.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
+from .records import within
 
 log = logging.getLogger(__name__)
 
@@ -30,34 +33,18 @@ ATTACH_MAGNETIC = "magnetic"
 class ObjectProfile:
     """Perception outputs for one candidate object.
 
-    Confidences are network outputs in [0, 1]; the material distribution
-    sums to at most 1. Capability flags stand in for the pierce / grasp /
-    magnet predictors.
+    Confidences are network outputs in [0, 1], the range their annotation
+    names (fgs.records); the material distribution sums to at most 1.
+    Capability flags stand in for the pierce / grasp / magnet predictors.
     """
 
     object_id: str
-    shape_conf: dict[str, float] = field(default_factory=dict)
-    material_conf: dict[str, float] = field(default_factory=dict)
+    shape_conf: dict[str, Annotated[float, within(0, 1)]] = field(default_factory=dict)
+    material_conf: dict[str, Annotated[float, within(0, 1)]] = field(default_factory=dict)
     pierceable: bool = False
     can_grasp_others: bool = False
     can_be_grasped: bool = False
     has_magnet: bool = False
-
-    def validate(self, known_roles: set[str], where: str) -> None:
-        for role, conf in self.shape_conf.items():
-            if not 0.0 <= conf <= 1.0:
-                raise ValidationError(f"{where}.shape_conf.{role}: {conf} not in [0, 1]")
-            if role not in known_roles:
-                raise ValidationError(f"{where}.shape_conf: unknown part role '{role}'")
-        total = 0.0
-        for cls, conf in self.material_conf.items():
-            if cls not in MATERIAL_CLASSES:
-                raise ValidationError(f"{where}.material_conf: unknown material '{cls}'")
-            if not 0.0 <= conf <= 1.0:
-                raise ValidationError(f"{where}.material_conf.{cls}: {conf} not in [0, 1]")
-            total += conf
-        if total > 1.0 + 1e-9:
-            raise ValidationError(f"{where}.material_conf sums to {total:.4f} > 1")
 
 
 @dataclass(frozen=True)

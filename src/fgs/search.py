@@ -45,7 +45,7 @@ STATUS_EXHAUSTED = "exhausted"
 STATUS_BUDGET = "budget"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     algorithm: str = "astar"
     heuristic: str = "zero"

@@ -140,6 +140,14 @@ MALFORMED_SCENARIOS = [
      r"case\.json\.noise\.material_fn_rate: 1\.5 not in \[0, 1\]"),
     ("noise-jitter-range", ("noise", "shape_jitter"), 0.9,
      r"case\.json\.noise\.shape_jitter: 0\.9 not in \[0, 0\.5\]"),
+    ("noise-attach-range", ("noise", "attach_fn_rate"), 1.2,
+     r"case\.json\.noise\.attach_fn_rate: 1\.2 not in \[0, 1\]"),
+    ("material-conf-range", ("objects", 0, "material_conf", "metal"), 1.5,
+     r"case\.json\.objects\[0\]\.material_conf\.metal: 1\.5 not in \[0, 1\]"),
+    ("material-unknown", ("objects", 0, "material_conf", "glass"), 0.1,
+     r"case\.json\.objects\[0\]\.material_conf: unknown material 'glass'"),
+    ("material-conf-sum", ("objects", 0, "material_conf"), {"metal": 0.6, "wood": 0.7},
+     r"case\.json\.objects\[0\]\.material_conf sums to 1\.3000 > 1"),
     ("tools-string", ("tools",), "hammer", r"case\.json\.tools: expected a list, got a string"),
     ("tool-unknown", ("tools", 0), "mallet", r"case\.json\.tools\[0\]: unknown tool 'mallet'"),
     ("tools-empty", ("tools",), [], r"case\.json\.tools: no candidate tool"),

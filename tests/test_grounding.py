@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fgs import grounding
 from fgs.assets import TASKS, load_task
 from fgs.errors import GroundingError
 from fgs.grounding import (
@@ -140,11 +141,12 @@ def test_pruning_preserves_reachable_state_space():
     assert reachable_atom_states(pruned) == reachable_atom_states(unpruned)
 
 
-def test_explosion_guard_names_worst_schema():
+def test_explosion_guard_names_worst_schema(monkeypatch):
     domain = parse_domain(JOIN_DOMAIN)
     problem = parse_problem(join_problem(10), domain)
+    monkeypatch.setattr(grounding, "MAX_GROUND_ACTIONS", 50)
     with pytest.raises(GroundingError, match="join-rake"):
-        ground(domain, problem, max_ground_actions=50)
+        ground(domain, problem)
 
 
 def test_applicable_and_apply_semantics():

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from types import ModuleType
@@ -47,6 +50,42 @@ def test_package_root_exports_only_its_version():
     assert exported == set()
     assert not hasattr(fgs, "__all__")
     assert fgs.__version__ == "0.1.0"
+
+
+def test_record_codec_imports_only_errors():
+    # the JSON codec stands below every reader of a file format
+    assert {target for target, _ in _relative_imports("records")} == {"errors"}
+    nodes = list(ast.walk(ast.parse((SRC / "records.py").read_text(encoding="utf-8"))))
+    absolute = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+    assert not [name for name in absolute if name.split(".")[0] == "fgs"]
+
+
+# Reads a scenario and a library through the codec, imports fgs afresh, reads
+# them again, and exits 1 if the first import's Scenario class is still alive
+# (a function keeps its module's globals, not the module object).
+FRESH_IMPORT = """
+import gc, sys, weakref
+def read():
+    from fgs.scenario import build_benchmark_suite, scenario_from_json, scenario_to_json
+    scenario_from_json(scenario_to_json(build_benchmark_suite(7, 1)[0]))
+read()
+first = weakref.ref(sys.modules["fgs.scenario"].Scenario)
+for name in [n for n in sys.modules if n.split(".")[0] == "fgs"]:
+    del sys.modules[name]
+read()
+gc.collect()
+sys.exit(first() is not None)
+"""
+
+
+def test_a_fresh_import_frees_the_last():
+    # perfbench imports fgs afresh for each set-up, so nothing process-wide,
+    # such as typing's cache of Annotated[...] forms, may keep a module alive
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, timeout=120,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("dotted", ["fgs.search.successors", "fgs.scoring.feature_score",

@@ -174,6 +174,14 @@ def test_ground_truth_uniquely_accepted(squeegee_cases):
                 assert phi < best
 
 
+@pytest.mark.parametrize("seed, cases", [(1729, 10), (7, 2)])
+def test_every_suite_scenario_round_trips(seed, cases):
+    # the generator draws each value inside its field's range, so every
+    # scenario it builds passes the file reader's checks unchanged
+    for sc in build_benchmark_suite(seed, cases):
+        assert scenario_from_json(scenario_to_json(sc), sc.scenario_id) == sc
+
+
 def test_roundtrip_via_file(tmp_path, squeegee_cases):
     sc = squeegee_cases[0]
     path = tmp_path / "case.json"
@@ -288,11 +296,13 @@ def test_shape_jitter_clamped(squeegee_cases):
             assert 0.0 <= conf <= 1.0
 
 
-def test_noise_spec_validation():
-    with pytest.raises(ValidationError, match="material_fn_rate"):
-        NoiseSpec(material_fn_rate=1.5).validate()
-    with pytest.raises(ValidationError, match="shape_jitter"):
-        NoiseSpec(shape_jitter=0.9).validate()
+def test_noise_spec_validation(squeegee_cases):
+    # each rate's range is its field's annotation, checked as the file is read
+    for rate, value in (("material_fn_rate", 1.5), ("attach_fn_rate", -0.1), ("shape_jitter", 0.9)):
+        data = scenario_to_json(squeegee_cases[0])
+        data["noise"][rate] = value
+        with pytest.raises(ValidationError, match=rate):
+            scenario_from_json(data)
 
 
 # -- adaptability generation -------------------------------------------------------
