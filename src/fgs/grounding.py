@@ -7,6 +7,11 @@ state. Atom indexing is lexicographic over the atom tuples, so two runs
 over the same inputs produce bit-identical models. Object parameters of
 join actions must bind distinct objects (an ordered permutation); other
 parameters may repeat freely.
+
+successors yields (action index, successor) pairs. Its successor table, the
+cache searches share, keeps one flat tuple per expanded state, the pairs
+and then the state. An edge into a state already expanded is stored as
+that state's own int, so it costs two tuple slots and no new int.
 """
 
 from __future__ import annotations
@@ -147,31 +152,36 @@ def goal_satisfied(state: State, gp: GroundProblem) -> bool:
 
 
 def successors(gp: GroundProblem, state: State, cache: dict | None = None):
-    """The successors of *state* as (indices, states), two tuples of equal
-    length in action-index order: action indices[i] leads to states[i]. The
-    scan goes run by run through gp.runs and skips each run whose guard
-    *state* fails.
+    """The successors of *state*: an iterator of (action index, successor
+    state) pairs in action-index order. The scan goes run by run through
+    gp.runs and skips each run whose guard *state* fails.
 
-    An optional cache dict may be shared by searches over the same problem;
-    it stores the pair, with no search-specific filtering, under the integer
-    state. The heuristics live in the same dict under their names
+    An optional cache dict may be shared by searches over the same problem.
+    Under the integer state it stores one flat tuple (i0, s0, i1, s1, ...,
+    state), the pairs with no search-specific filtering and then the state
+    itself. A successor that is already a key when its edge is cached is
+    stored as that key's own object, the last item of its entry, so such
+    edges share one int instead of holding an equal copy each. The
+    heuristics live in the same dict under their names
     (heuristics.make_heuristic).
     """
-    if cache is not None:
-        hit = cache.get(state)
-        if hit is not None:
-            return hit
-    indices, states = [], []
-    for guard, guard_pre, members, _ in gp.runs:
-        if state & guard == guard_pre:
-            for idx, test, pre, keep, adds in members:
-                if state & test == pre:
-                    indices.append(idx)
-                    states.append(state & keep | adds)
-    out = tuple(indices), tuple(states)
-    if cache is not None:
-        cache[state] = out
-    return out
+    if cache is None:
+        cache = {}
+    entry = cache.get(state)
+    if entry is None:
+        known = cache.get
+        flat: list = []
+        for guard, guard_pre, members, _ in gp.runs:
+            if state & guard == guard_pre:
+                for idx, test, pre, keep, adds in members:
+                    if state & test == pre:
+                        succ = state & keep | adds
+                        hit = known(succ)
+                        flat += idx, succ if hit is None else hit[-1]
+        flat.append(state)
+        entry = cache[state] = tuple(flat)
+    it = iter(entry)
+    return zip(it, it)  # stops before the trailing state
 
 
 def _bind(lit: Literal, binding: dict[str, str]) -> Atom:

@@ -153,7 +153,9 @@ def search(
             return PlanResult(None, len(closed), STATUS_BUDGET, best_g, tuple(closed))
         closed.append(state)
         g2 = g + 1
-        for action_idx, succ in zip(*expand(gp, state, succ_cache)):
+        # (action index, successor) pairs in action-index order, which seq
+        # turns into the tie-break among entries of equal f and h
+        for action_idx, succ in expand(gp, state, succ_cache):
             if g2 >= best_get(succ, INF):
                 continue
             best_g[succ] = g2  # recorded before the feature gate, as in the transition rule
@@ -199,7 +201,9 @@ def _hill_climb(gp: GroundProblem, evaluate, gate, budget: int | None,
                 return PlanResult(None, expanded, STATUS_BUDGET)
             expanded += 1
             best = None  # lowest-f improving successor of this expansion
-            for action_idx, succ in zip(*expand(gp, s, succ_cache)):
+            # (action index, successor) pairs in action-index order: of equal
+            # lowest-f improvers, the first wins
+            for action_idx, succ in expand(gp, s, succ_cache):
                 if succ in seen:
                     continue
                 act = actions[action_idx]

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -254,13 +255,13 @@ def test_required_again_counts():
     heur = LandmarkCountHeuristic(gp)
     v0, ctx = heur.evaluate(gp.init)
     assert v0 == 2.0
-    s1 = successors(gp, gp.init)[1][0]  # after mk1
+    _, s1 = next(successors(gp, gp.init))  # after mk1
     v1, ctx = heur.evaluate(s1, ctx)
     assert v1 == 1.0
-    s2 = [succ for idx, succ in zip(*successors(gp, s1)) if gp.actions[idx].schema_name == "mk2"][0]
+    s2 = [succ for idx, succ in successors(gp, s1) if gp.actions[idx].schema_name == "mk2"][0]
     v2, ctx = heur.evaluate(s2, ctx)
     assert v2 == 1.0  # g2 accepted, but g1 is a goal landmark required again
-    s3 = [succ for idx, succ in zip(*successors(gp, s2)) if gp.actions[idx].schema_name == "re1"][0]
+    s3 = [succ for idx, succ in successors(gp, s2) if gp.actions[idx].schema_name == "re1"][0]
     v3, _ = heur.evaluate(s3, ctx)
     assert v3 == 0.0
 
@@ -276,7 +277,7 @@ def _check_landmark_count_along_walks(gp, rng, walks, max_depth):
         ref = reference_landmark_count(gp, lms, decode(state), None)
         for _ in range(rng.randint(1, max_depth)):
             assert (value, decode(ctx)) == ref
-            succs = successors(gp, state)[1]
+            succs = [succ for _, succ in successors(gp, state)]
             if not succs:
                 break
             state = rng.choice(succs)
@@ -301,7 +302,7 @@ def _random_walk_states(gp, rng, walks, max_depth):
     for _ in range(walks):
         state = gp.init
         for _ in range(rng.randint(1, max_depth)):
-            succs = successors(gp, state)[1]
+            succs = [succ for _, succ in successors(gp, state)]
             if not succs:
                 break
             state = rng.choice(succs)
@@ -387,7 +388,7 @@ def _reachable_non_goal_states(gp):
     order = [gp.init]
     frontier = deque(order)
     while frontier:
-        for succ in successors(gp, frontier.popleft())[1]:
+        for _, succ in successors(gp, frontier.popleft()):
             if succ not in seen:
                 seen.add(succ)
                 order.append(succ)
@@ -413,8 +414,8 @@ def test_shared_cache_matches_fresh_heuristics(task_id):
     # return what fresh heuristics return, whichever of them saw a state
     # first, and so they do on a second pass, when the cache hands back the
     # same heuristics with their stored values. The
-    # cached successors equal the cold ones, and the cache holds the very
-    # pair it hands back.
+    # cached successors equal the cold ones, and the cache holds them as
+    # one flat tuple that ends with the state.
     _, _, gp = load_task(task_id)
     states = _reachable_non_goal_states(gp)[sorted(TASKS).index(task_id) % 16 :: 16]
     names = ("hmax", "hadd", "ff")
@@ -423,9 +424,9 @@ def test_shared_cache_matches_fresh_heuristics(task_id):
     for rerun in (False, True):
         shared = {name: make_heuristic(name, gp, cache) for name in names}
         for i, state in enumerate(states):
-            cached = successors(gp, state, cache)
-            assert cached == successors(gp, state)
-            assert cached is cache[state]
+            cold = list(successors(gp, state))
+            assert list(successors(gp, state, cache)) == cold
+            assert cache[state] == (*chain.from_iterable(cold), state)
             for name in names[i % 3 :] + names[: i % 3]:
                 assert shared[name].evaluate(state) == fresh[name].evaluate(state), (name, rerun)
     assert {name: len(cache[name]._cache) for name in names} == dict.fromkeys(names, len(states))
@@ -465,7 +466,7 @@ def test_relaxation_fires_actions_no_state_applies():
     gp = model(["g"])
     clash = next(i for i, act in enumerate(gp.actions) if act.schema_name == "clash")
     every_state = [encode(a for a in range(6) if bits >> a & 1) for bits in range(64)]
-    assert all(clash not in successors(gp, state)[0] for state in every_state)
+    assert all(idx != clash for state in every_state for idx, _ in successors(gp, state))
     assert (h("hmax", gp), h("ff", gp), h("hadd", gp)) == (2.0, 3.0, 3.0)
     assert decode(discover_landmarks(gp)) == {gp.atoms.index((a,)) for a in ("p", "q", "g")}
     for goal in (["g"], ["g", "u"], ["u"]):

@@ -104,7 +104,7 @@ def bfs_optimal_length(gp: GroundProblem) -> int | None:
     frontier = deque([(gp.init, 0)])
     while frontier:
         state, depth = frontier.popleft()
-        for succ in successors(gp, state)[1]:
+        for _, succ in successors(gp, state):
             if succ in seen:
                 continue
             if goal_satisfied(succ, gp):
@@ -122,7 +122,7 @@ def dijkstra_distances(gp: GroundProblem) -> dict[State, int]:
     while frontier:
         state = frontier.popleft()
         d = dist[state]
-        for succ in successors(gp, state)[1]:
+        for _, succ in successors(gp, state):
             if succ not in dist:
                 dist[succ] = d + 1
                 frontier.append(succ)
@@ -590,7 +590,7 @@ def reference_search(
             return PlanResult(None, expanded, STATUS_BUDGET, best_g, tuple(closed))
         expanded += 1
         closed.append(node.state)
-        for action_idx, succ in zip(*successors(gp, node.state, succ_cache)):
+        for action_idx, succ in successors(gp, node.state, succ_cache):
             act = gp.actions[action_idx]
             g2 = node.g + 1
             if g2 >= best_g.get(succ, INF):
@@ -648,7 +648,7 @@ def reference_search_ehc(
                 return PlanResult(None, expanded, STATUS_BUDGET)
             expanded += 1
             best = None  # lowest-f improving successor of this expansion
-            for action_idx, succ in zip(*successors(gp, s, succ_cache)):
+            for action_idx, succ in successors(gp, s, succ_cache):
                 if succ in seen:
                     continue
                 act = gp.actions[action_idx]
