@@ -26,7 +26,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from fgs.assets import benchmark_dir, data_dir  # noqa: E402
+from fgs.assets import benchmark_dir, data_dir, task_for_scenario  # noqa: E402
 from fgs.bench import (  # noqa: E402
     EXPERIMENT_CONFIGS,
     ExperimentConfig,
@@ -35,6 +35,7 @@ from fgs.bench import (  # noqa: E402
     emit_report,
 )
 from fgs.cli import main as cli_main  # noqa: E402
+from fgs.scenario import load_scenario  # noqa: E402
 
 MANIFEST = ROOT / "tests" / "golden_sha256.json"
 BUDGET_SWEEP = (0, 1, 2, 5, 10, 89)
@@ -61,11 +62,14 @@ def write_bench(out: pathlib.Path, cfg: ExperimentConfig) -> list[dict]:
 def write_episode(out: pathlib.Path, scenario: str, flags: list[str]) -> None:
     """`fgs episode` on a bundled scenario: its stdout and its trace."""
     out.mkdir(parents=True)
-    task = data_dir() / "domains" / scenario.rsplit("_", 1)[0]
+    path = benchmark_dir() / f"{scenario}.json"
+    loaded = load_scenario(path)
+    task = task_for_scenario(loaded.task_type, loaded.tools)
+    domains = data_dir() / "domains"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        cli_main(["episode", "--domain", f"{task}.domain.pddl", "--problem", f"{task}.problem.pddl",
-                  "--scenario", str(benchmark_dir() / f"{scenario}.json"), *flags,
+        cli_main(["episode", "--domain", str(domains / task.domain_file),
+                  "--problem", str(domains / task.problem_file), "--scenario", str(path), *flags,
                   "--trace", str(out / "trace.jsonl")])
     (out / "stdout.json").write_bytes(stdout.getvalue().encode())
 

@@ -5,8 +5,8 @@ the suite's two-tool scenarios, the other experiments its one-tool ones. Each
 episode's record is its `episode` trace event (episode.episode_event),
 built from the run's EpisodeResult and tagged with its config; the rest of
 its trace is built from the same result only when a trace directory is
-given. Aggregation is a deterministic fold over those
-records ordered by (scenario, config), so identical configurations produce
+given. Aggregation is one deterministic pass over those records, each
+filed into its report row's group, so identical configurations produce
 byte-identical reports.
 """
 
@@ -23,7 +23,6 @@ from .episode import STATUS_SUCCESS, EpisodeResult, episode_event, run_episode, 
 from .errors import ConfigError
 from .scenario import (
     BENCH_CASES_PER_TOOL,
-    TASK_TOOLS,
     Scenario,
     build_benchmark_suite,
     load_scenario,
@@ -83,7 +82,7 @@ class ExperimentConfig:
                 raise ConfigError(f"cases_per_tool must be >= 1, got {self.cases_per_tool} (--cases)")
         if self.budgets is not None and self.experiment == "adaptability":
             raise ConfigError("budget curves cover the baselines and algorithms experiments, "
-                              "not adaptability")
+                              "not adaptability (--budget-sweep)")
         budgets = self.budgets or ()
         for budget in budgets:
             if budget < 0:
@@ -183,7 +182,6 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
     its last line."""
     cfg.validate()
     if trace_dir is not None:
-        trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
     scenarios = experiment_scenarios(cfg)
     configs = EXPERIMENT_CONFIGS[cfg.experiment]
@@ -220,62 +218,52 @@ def collect_records(cfg: ExperimentConfig, trace_dir: Path | None = None) -> lis
 
 def _mean(values) -> float | None:
     values = list(values)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return sum(values) / len(values) if values else None
 
 
 def aggregate(records: list[dict], cfg: ExperimentConfig) -> MetricsTable:
     """Fold episode records, the config-tagged `episode` events, into the
-    metrics table. Means over first-search nodes, failed attempts, and plan
-    length use only successful episodes; success counts and budget curves
-    use all episodes."""
+    metrics table in one pass: each record joins its row's group, (task,
+    tool, config), or (task, config) for adaptability, and the rows follow
+    in task, tool and config-table order, the random baseline last. Means
+    over first-search nodes, failed attempts, and plan length use only
+    successful episodes; success counts and the budget curves, one per
+    config in table order, use all episodes."""
     config_ids = [cid for cid, _ in EXPERIMENT_CONFIGS[cfg.experiment]]
-    if cfg.experiment == "adaptability":
-        config_ids = config_ids + [RANDOM_BASELINE_ID]
-        table = MetricsTable(kind="adaptability")
-        for task_type in sorted(TASK_TOOLS):
-            for cid in config_ids:
-                group = [r for r in records if r["task"] == task_type and r["config"] == cid]
-                if not group:
-                    continue
-                correct = sum(1 for r in group if r["success"] and r["chosen_tool"] == r["tool"])
-                table.rows.append(AdaptRow(task_type, cid, correct, len(group)))
-        return table
+    adaptability = cfg.experiment == "adaptability"
+    if adaptability:
+        config_ids.append(RANDOM_BASELINE_ID)
+    groups: dict[tuple, list[dict]] = {}
+    for r in records:
+        row = (r["task"],) if adaptability else (r["task"], r["tool"])
+        groups.setdefault((*row, config_ids.index(r["config"])), []).append(r)
+
+    if adaptability:
+        return MetricsTable(kind="adaptability", rows=[
+            AdaptRow(task, config_ids[i],
+                     sum(1 for r in group if r["success"] and r["chosen_tool"] == r["tool"]),
+                     len(group))
+            for (task, i), group in sorted(groups.items())])
 
     table = MetricsTable(kind="summary")
-    keys = sorted({(r["task"], r["tool"]) for r in records})
-    for task_type, tool in keys:
-        for cid in config_ids:
-            group = [r for r in records
-                     if r["task"] == task_type and r["tool"] == tool and r["config"] == cid]
-            if not group:
-                continue
-            wins = [r for r in group if r["success"]]
-            table.rows.append(
-                SummaryRow(
-                    task=task_type,
-                    tool=tool,
-                    config=cid,
-                    nodes_mean=_mean(r["nodes_first_search"] for r in wins),
-                    failed_attempts_mean=_mean(r["failed_attempts"] for r in wins),
-                    success=len(wins),
-                    plan_length_mean=_mean(r["plan_length"] for r in wins),
-                )
-            )
-    if cfg.budgets:
-        for cid in config_ids:
-            group = [r for r in records if r["config"] == cid]
-            if not group:
-                continue
-            for budget in cfg.budgets:
-                hits = sum(1 for r in group if r["success"] and r["failed_attempts"] <= budget)
-                table.budget_points.append(BudgetPoint(cid, budget, hits / len(group)))
+    by_config: dict[int, list[dict]] = {}
+    for (task, tool, i), group in sorted(groups.items()):
+        wins = [r for r in group if r["success"]]
+        table.rows.append(SummaryRow(
+            task=task,
+            tool=tool,
+            config=config_ids[i],
+            nodes_mean=_mean(r["nodes_first_search"] for r in wins),
+            failed_attempts_mean=_mean(r["failed_attempts"] for r in wins),
+            success=len(wins),
+            plan_length_mean=_mean(r["plan_length"] for r in wins),
+        ))
+        by_config.setdefault(i, []).extend(group)
+    for i, group in sorted(by_config.items()):
+        for budget in cfg.budgets or ():
+            hits = sum(1 for r in group if r["success"] and r["failed_attempts"] <= budget)
+            table.budget_points.append(BudgetPoint(config_ids[i], budget, hits / len(group)))
     return table
-
-
-def run_experiment(cfg: ExperimentConfig, trace_dir: Path | None = None) -> MetricsTable:
-    return aggregate(collect_records(cfg, trace_dir), cfg)
 
 
 # -- report emission -----------------------------------------------------------------
@@ -298,13 +286,12 @@ def _cells(row) -> tuple[str, ...]:
     return tuple(_fmt(getattr(row, f.name)) for f in fields(row))
 
 
-def emit_report(table: MetricsTable, fmt: str, path) -> list[Path]:
+def emit_report(table: MetricsTable, fmt: str, path: Path) -> list[Path]:
     """Write the metrics table at *path*; budget curves, when present, land
     beside it as long-format rows in '<stem>_budgets.<ext>'. Returns the
     written paths."""
     if fmt not in REPORT_FORMATS:
         raise ConfigError(f"unknown report format '{fmt}'")
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = _header(AdaptRow if table.kind == "adaptability" else SummaryRow)
     rows = [_cells(row) for row in table.rows]

@@ -20,8 +20,9 @@ from .bench import (
     EXPERIMENT_CONFIGS,
     REPORT_FORMATS,
     ExperimentConfig,
+    aggregate,
+    collect_records,
     emit_report,
-    run_experiment,
     write_trace,
 )
 from .episode import TRUST_POLICIES, check_alignment, episode_event, run_episode, trace_events
@@ -51,7 +52,7 @@ def _search_config(args) -> SearchConfig:
 
 def _load_scenario(args, gp):
     """The --scenario file checked against the grounded problem, or None."""
-    if not args.scenario:
+    if args.scenario is None:
         return None
     scenario = load_scenario(args.scenario)
     check_alignment(gp, scenario)
@@ -102,7 +103,7 @@ def cmd_episode(args) -> int:
         budget=args.budget,
         noise_on=args.noise == "on",
     )
-    if args.trace:  # before the summary, so an unwritable trace leaves stdout empty
+    if args.trace is not None:  # before the summary, so an unwritable trace leaves stdout empty
         write_trace(args.trace, trace_events(scenario, cfg, result))
     summary = dict(
         episode_event(scenario, result),
@@ -124,9 +125,8 @@ def cmd_bench(args) -> int:
         noise_on=args.noise == "on",
         regression=not args.generate,
     )
-    table = run_experiment(cfg, trace_dir=Path(args.trace_dir) if args.trace_dir else None)
-    written = emit_report(table, args.format, args.out)
-    for path in written:
+    table = aggregate(collect_records(cfg, args.trace_dir), cfg)
+    for path in emit_report(table, args.format, args.out):
         print(path)
     return EXIT_OK
 
@@ -138,6 +138,13 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+
+
+def _path(text: str) -> Path:
+    """A file or directory path; an empty one is an error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return Path(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):
-        p.add_argument("--domain", required=True, help="domain PDDL file")
-        p.add_argument("--problem", required=True, help="problem PDDL file")
+        p.add_argument("--domain", required=True, type=_path, help="domain PDDL file")
+        p.add_argument("--problem", required=True, type=_path, help="problem PDDL file")
 
     def add_search_args(p):
         p.add_argument("--algorithm", default="astar", choices=("astar", "wastar", "ucs", "ehc"))
@@ -166,28 +173,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse and validate PDDL (and optionally a scenario)")
     add_model_args(p)
-    p.add_argument("--scenario", help="scenario JSON file")
+    p.add_argument("--scenario", type=_path, help="scenario JSON file")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("plan", help="run a single search and print the plan")
     add_model_args(p)
     add_search_args(p)
-    p.add_argument("--scenario", help="scenario JSON file, checked against the problem "
-                   "(needed with --features on)")
+    p.add_argument("--scenario", type=_path, help="scenario JSON file, checked against the "
+                   "problem (needed with --features on)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("episode", help="run a plan-execute-replan episode")
     add_model_args(p)
     add_search_args(p)
-    p.add_argument("--scenario", required=True, help="scenario JSON file")
+    p.add_argument("--scenario", required=True, type=_path, help="scenario JSON file")
     p.add_argument("--trust", default="switchable", choices=TRUST_POLICIES)
     p.add_argument("--budget", type=int, default=None, help="max failed construction attempts")
-    p.add_argument("--trace", help="write a JSON-lines episode trace to this file")
+    p.add_argument("--trace", type=_path, help="write a JSON-lines episode trace to this file")
     p.set_defaults(func=cmd_episode)
 
     p = sub.add_parser("bench", help="run a benchmark experiment and write a report")
     p.add_argument("--experiment", required=True, choices=EXPERIMENT_CONFIGS)
-    p.add_argument("--out", required=True, help="report output path")
+    p.add_argument("--out", required=True, type=_path, help="report output path")
     p.add_argument("--format", default="csv", choices=REPORT_FORMATS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=None,
@@ -198,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="off", choices=("on", "off"))
     p.add_argument("--budget-sweep", type=_int_list, default=None,
                    help="comma-separated budgets for success-rate curves, e.g. 0,1,2,5,10,89")
-    p.add_argument("--trace-dir", help="directory for raw episode traces")
+    p.add_argument("--trace-dir", type=_path, help="directory for raw episode traces")
     p.set_defaults(func=cmd_bench)
     return parser
 

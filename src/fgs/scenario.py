@@ -419,10 +419,15 @@ def build_benchmark_suite(seed: int = BENCH_SEED,
     return sorted(out, key=lambda s: s.scenario_id)
 
 
+def _scenario_id(task_type: str, label: str, case: int) -> str:
+    """A drawn scenario's id: its task type, its tool or 'either', its case."""
+    return f"{task_type}_{label}_case{case:02d}"
+
+
 def _armed_noise(seed: int, cases: int) -> dict[str, dict]:
     """Single-tool ids, drawn across every kind at *cases*, given a sure false
     negative: up to BENCH_MATERIAL_ARMED material, then BENCH_ATTACH_ARMED attachment."""
-    single_ids = sorted(f"{task}_{tool}_case{i:02d}"
+    single_ids = sorted(_scenario_id(task, tool, i)
                         for task in TASK_TOOLS for tool in TASK_TOOLS[task] for i in range(cases))
     drawn = random.Random(f"bench-noise:{seed}").sample(
         single_ids, min(len(single_ids), BENCH_MATERIAL_ARMED + BENCH_ATTACH_ARMED))
@@ -431,7 +436,7 @@ def _armed_noise(seed: int, cases: int) -> dict[str, dict]:
 
 
 def _generate(task_type: str, label: str, cases: int, seed: int, library, armed) -> list[Scenario]:
-    """Case i is '<task_type>_<label>_case<i>', drawn from its own seeded rng.
+    """Case i is _scenario_id(task_type, label, i), drawn from its own seeded rng.
 
     Single-tool cases hold SCENARIO_OBJECTS objects, one valid combination
     and the rest distractors failing at least one of shape, material and
@@ -446,7 +451,7 @@ def _generate(task_type: str, label: str, cases: int, seed: int, library, armed)
         tools, rng_key = (label,), f"gen:{seed}:{task_type}:{label}"
     out = []
     for i in range(cases):
-        sid = f"{task_type}_{label}_case{i:02d}"
+        sid = _scenario_id(task_type, label, i)
         rng = random.Random(f"{rng_key}:{i}")
         rates = ADAPT_NOISE if label == "either" else armed.get(sid)
         if rates is None:  # an unarmed case draws its noise seed before its objects

@@ -14,7 +14,6 @@ from fgs.bench import (
     collect_records,
     emit_report,
     experiment_scenarios,
-    run_experiment,
 )
 from fgs.episode import run_episode
 from fgs.errors import ConfigError
@@ -192,14 +191,6 @@ def test_adaptability_table_shape(golden_run, tmp_path):
         assert fsh.correct == 10  # noiseless: always the right tool
     path = emit_report(table, "csv", tmp_path / "adapt.csv")[0]
     assert path.read_text().splitlines()[0] == "task,config,correct,cases"
-
-
-def test_byte_identical_reports(tmp_path):
-    cfg = ExperimentConfig(experiment="algorithms", budgets=(0, 5))
-    a = emit_report(run_experiment(cfg), "csv", tmp_path / "a.csv")
-    b = emit_report(run_experiment(cfg), "csv", tmp_path / "b.csv")
-    assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
-    assert len(a) == 2  # summary plus budget curves
 
 
 def test_cross_config_fairness_same_scenarios(golden_run):

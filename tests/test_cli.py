@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fgs import cli
 from fgs.assets import data_dir, load_model, load_task
-from fgs.bench import ExperimentConfig, MetricsTable, experiment_scenarios
+from fgs.bench import ExperimentConfig, experiment_scenarios
 from fgs.cli import EXIT_IO, EXIT_NO_SOLUTION, EXIT_OK, EXIT_USAGE, main
 from fgs.episode import run_episode, trace_events
 from fgs.heuristics import HEURISTIC_NAMES
@@ -400,34 +400,66 @@ def test_episode_unwritable_trace_exits_three(tmp_path, capsys):
 EPISODE_ARGS = [*args_for("cleaning_rake"), "--scenario", str(BENCH / "cleaning_rake_case00.json")]
 
 
-@pytest.mark.parametrize("flag, argv", [
-    ("--node-budget", ["plan", *args_for("cleaning_rake"), "--node-budget", "-1"]),
-    ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1"]),
-    ("--budget", ["episode", *EPISODE_ARGS, "--budget", "-1"]),
-    ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "0.5"]),
-    ("--cases", ["bench", "--experiment", "algorithms", "--generate", "--cases", "0"]),
-    ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-1"]),
-    ("--cases", ["bench", "--experiment", "algorithms", "--cases", "2"]),
+# each row: the flag, the command line, and a fragment of its message;
+# a message names its flag as '(--flag)', or as 'argument --flag:' when
+# argparse rejects the value
+FLAG_ERRORS = [
+    ("--node-budget", ["plan", *args_for("cleaning_rake"), "--node-budget", "-1"],
+     "node_budget must be non-negative, got -1"),
+    ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1"],
+     "node_budget must be non-negative, got -1"),
+    ("--budget", ["episode", *EPISODE_ARGS, "--budget", "-1"], "budget must be non-negative, got -1"),
+    ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "0.5"],
+     "weight must be a finite number >= 1, got 0.5"),
+    ("--cases", ["bench", "--experiment", "algorithms", "--generate", "--cases", "0"],
+     "cases_per_tool must be >= 1, got 0"),
+    ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-1"],
+     "budget must be non-negative, got -1"),
+    ("--cases", ["bench", "--experiment", "algorithms", "--cases", "2"],
+     "cases per tool apply only to generated scenarios"),
     # budget 0 launches no search, so the episode checks the config itself
-    ("--weight", ["episode", *EPISODE_ARGS, "--algorithm", "wastar", "--weight", "0.5", "--budget", "0"]),
-    ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1", "--budget", "0"]),
-])
-def test_flag_errors_name_the_flag(flag, argv, tmp_path, capsys):
-    if argv[0] == "bench":
+    ("--weight", ["episode", *EPISODE_ARGS, "--algorithm", "wastar", "--weight", "0.5", "--budget", "0"],
+     "weight must be a finite number >= 1, got 0.5"),
+    ("--node-budget", ["episode", *EPISODE_ARGS, "--node-budget", "-1", "--budget", "0"],
+     "node_budget must be non-negative, got -1"),
+    ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep=-3,2"],
+     "budget must be non-negative, got -3"),
+    # the adaptability report counts tool choices and has no budget curve
+    ("--budget-sweep", ["bench", "--experiment", "adaptability", "--budget-sweep", "0,1"],
+     "budget curves cover the baselines and algorithms experiments"),
+    ("--budget-sweep", ["bench", "--experiment", "algorithms", "--budget-sweep", "2,0,2"],
+     "budget 2 is repeated in the budget sweep"),
+    ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "nan"],
+     "weight must be a finite number"),
+    ("--weight", ["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", "inf"],
+     "weight must be a finite number"),
+    ("--trace", ["episode", *EPISODE_ARGS, "--trace", ""], "expected a path, got an empty string"),
+    ("--scenario", ["plan", *args_for("cleaning_rake"), "--scenario", ""],
+     "expected a path, got an empty string"),
+    ("--domain", ["validate", *args_for("cleaning_rake"), "--domain", ""],
+     "expected a path, got an empty string"),
+    ("--trace-dir", ["bench", "--experiment", "adaptability", "--trace-dir", ""],
+     "expected a path, got an empty string"),
+    ("--out", ["bench", "--experiment", "adaptability", "--out", ""],
+     "expected a path, got an empty string"),
+]
+
+
+@pytest.mark.parametrize("flag, argv, fragment", FLAG_ERRORS,
+                         ids=[f"{flag}-argv{i}" for i, (flag, *_) in enumerate(FLAG_ERRORS)])
+def test_flag_errors_name_the_flag(flag, argv, fragment, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # an empty path must not reach the working directory
+    if argv[0] == "bench" and "--out" not in argv:
         argv = [*argv, "--out", str(tmp_path / "r.csv")]
-    assert main(argv) == EXIT_USAGE
-    assert f"({flag})" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-def test_episode_negative_budget_exits_two(capsys):
-    code = main([
-        "episode", *args_for("woodworking_hammer"),
-        "--scenario", str(BENCH / "woodworking_hammer_case00.json"),
-        "--budget", "-3",
-    ])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
     assert code == EXIT_USAGE
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert f"({flag})" in err or f"argument {flag}:" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_plan_scenario_not_matching_problem_exits_two(tmp_path, capsys):
@@ -443,23 +475,6 @@ def test_plan_scenario_not_matching_problem_exits_two(tmp_path, capsys):
     assert "missing from scenario 'cleaning_rake_case00'" in capsys.readouterr().err
 
 
-def test_bench_negative_budget_exits_two(tmp_path, capsys):
-    code = main(["bench", "--experiment", "algorithms", "--budget-sweep=-3,2",
-                 "--out", str(tmp_path / "r.csv")])
-    assert code == EXIT_USAGE
-    assert "budget must be non-negative, got -3" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_bench_adaptability_budget_sweep_exits_two(tmp_path, capsys):
-    # the adaptability report counts tool choices and has no budget curve
-    code = main(["bench", "--experiment", "adaptability", "--budget-sweep", "0,1",
-                 "--out", str(tmp_path / "r.csv")])
-    assert code == EXIT_USAGE
-    assert "budget curves cover the baselines and algorithms experiments" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
-
-
 @pytest.mark.parametrize("sweep", [",", "", "1,,2", "1,", "x"])
 def test_bench_malformed_budget_sweep_exits_two(sweep, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -468,21 +483,6 @@ def test_bench_malformed_budget_sweep_exits_two(sweep, tmp_path, capsys):
     assert exc.value.code == EXIT_USAGE
     assert "argument --budget-sweep: expected comma-separated integers" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-def test_bench_repeated_budget_exits_two(tmp_path, capsys):
-    code = main(["bench", "--experiment", "algorithms", "--budget-sweep", "2,0,2",
-                 "--out", str(tmp_path / "r.csv")])
-    assert code == EXIT_USAGE
-    assert "budget 2 is repeated in the budget sweep (--budget-sweep)" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("weight", ["nan", "inf"])
-def test_plan_non_finite_weight_exits_two(weight, capsys):
-    code = main(["plan", *args_for("cleaning_rake"), "--algorithm", "wastar", "--weight", weight])
-    assert code == EXIT_USAGE
-    assert "weight must be a finite number" in capsys.readouterr().err
 
 
 def test_bench_generate_malformed_library_exits_two(tmp_path, monkeypatch, capsys):
@@ -625,20 +625,6 @@ def test_episode_prints_an_empty_accepted_plan_as_a_list(tmp_path, capsys):
     assert (summary["success"], summary["plan"], summary["plan_length"]) == (True, [], 0)
 
 
-def test_bench_deterministic_reports(tmp_path, capsys):
-    argv = [
-        "bench", "--experiment", "algorithms", "--seed", "7",
-        "--format", "csv",
-    ]
-    code = main(argv + ["--out", str(tmp_path / "a.csv")])
-    assert code == EXIT_OK
-    code = main(argv + ["--out", str(tmp_path / "b.csv")])
-    assert code == EXIT_OK
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    header = (tmp_path / "a.csv").read_text().splitlines()[0]
-    assert header == "task,tool,config,nodes_mean,failed_attempts_mean,success,plan_length_mean"
-
-
 def test_bench_generated_mode_seeded(tmp_path):
     argv = [
         "bench", "--experiment", "adaptability", "--generate", "--cases", "2",
@@ -687,11 +673,11 @@ def test_bench_sets_every_experiment_config_field(tmp_path, monkeypatch):
     # no field keeps its own
     seen = []
 
-    def run_experiment(cfg, trace_dir=None):
+    def collect_records(cfg, trace_dir=None):
         seen.append(cfg)
-        return MetricsTable(kind="summary")
+        return []
 
-    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(cli, "collect_records", collect_records)
     assert main(["bench", "--experiment", "algorithms", "--cases", "2", "--generate",
                  "--trust", "fixed", "--budget-sweep", "0,1", "--seed", "3", "--noise", "on",
                  "--out", str(tmp_path / "r.csv")]) == EXIT_OK

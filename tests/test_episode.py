@@ -277,15 +277,6 @@ def test_single_tool_episodes_report_their_tool():
     assert len(caches) == 6
 
 
-def test_episode_deterministic(squeegee_setup):
-    gp, scenarios = squeegee_setup
-    a = run_episode(gp, H, scenarios[0])
-    b = run_episode(gp, H, scenarios[0])
-    assert a.attempted == b.attempted
-    assert a.nodes_total == b.nodes_total
-    assert [x.name for x in a.final_plan] == [x.name for x in b.final_plan]
-
-
 def test_shared_cache_episodes_match_cold_episodes():
     # One cache per task, shared by every episode over it, carries successor
     # lists, h_max/h_add/FF values and landmark sets between episodes; the
