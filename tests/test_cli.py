@@ -462,6 +462,16 @@ def test_flag_errors_name_the_flag(flag, argv, fragment, tmp_path, monkeypatch, 
     assert not list(tmp_path.iterdir())
 
 
+def test_episode_negative_budget_exits_two(capsys):
+    code = main([
+        "episode", *args_for("woodworking_hammer"),
+        "--scenario", str(BENCH / "woodworking_hammer_case00.json"),
+        "--budget", "-3",
+    ])
+    assert code == EXIT_USAGE
+    assert "budget" in capsys.readouterr().err
+
+
 def test_plan_scenario_not_matching_problem_exits_two(tmp_path, capsys):
     case = json.loads((BENCH / "cleaning_rake_case00.json").read_text(encoding="utf-8"))
     for obj in case["objects"]:
